@@ -1,7 +1,7 @@
 # Tier-1 verification plus race detection in one command: `make check`.
 GO ?= go
 
-.PHONY: build test race vet check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd bench-baseline bench-compare
+.PHONY: build test race vet check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd bench-e2e bench-baseline bench-compare
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,14 @@ smoke-fleet:
 # PEACHYD_SOAK_TENANTS / PEACHYD_SOAK_JOBS scale the load.
 soak-peachyd:
 	./scripts/peachyd_soak.sh
+
+# The end-to-end benchmark (bench/, run by `bash bench/run.sh`) is its
+# own Go module, so the root `go test ./...` never reaches it. Vet it
+# and run its tests: the per-workload oracle smoke test and the check
+# that BENCHMARK.json names exactly the workloads and metrics the code
+# emits (~20 s).
+bench-e2e:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Record the perf trajectory future PRs diff against. -benchtime=100ms
 # keeps the sweep to a couple of minutes; bump it for headline numbers.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -271,7 +272,7 @@ func TestResultAccounting(t *testing.T) {
 }
 
 func TestRunRecoversWorkerPanic(t *testing.T) {
-	// A variant whose parallel body panics: sched.Pool.Run propagates
+	// A variant whose parallel body panics: sched.Pool.RunContext propagates
 	// the panic to the caller, and engine.Run must convert it into an
 	// error instead of crashing the process. Exercised via runGuarded
 	// (the path Run takes) so the global registry stays clean — other
@@ -282,7 +283,7 @@ func TestRunRecoversWorkerPanic(t *testing.T) {
 		Run: func(g *grid.Grid, p Params) sandpile.Result {
 			pool := sched.New(sched.WithWorkers(2))
 			defer pool.Close()
-			pool.Run(8, func(w, lo, hi int) {
+			pool.RunContext(context.Background(), 8, func(w, lo, hi int) {
 				if lo <= 5 && 5 < hi {
 					panic("tile exploded")
 				}

@@ -18,7 +18,7 @@ func BenchmarkGhostWidthSweep(b *testing.B) {
 				b.StopTimer()
 				g := init.Clone()
 				b.StartTimer()
-				if _, err := Run(g, Params{Ranks: 4, GhostWidth: k}); err != nil {
+				if _, err := New(g, WithRanks(4), WithWidth(k)).Run(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -52,7 +52,7 @@ func BenchmarkRankScaling(b *testing.B) {
 				b.StopTimer()
 				g := init.Clone()
 				b.StartTimer()
-				if _, err := Run(g, Params{Ranks: ranks, GhostWidth: 4}); err != nil {
+				if _, err := New(g, WithRanks(ranks), WithWidth(4)).Run(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,9 +4,9 @@ package ghost
 // The coordinator already makes every committed round's checkpoint set
 // globally consistent (recover.go); this file persists that set
 // through internal/ckpt at a configurable round cadence, and restores
-// the newest valid snapshot into the global grid before the strips or
-// blocks are carved — so a killed process resumes from the last
-// committed round instead of round zero, under either decomposition.
+// the newest valid snapshot into the global grid before the blocks are
+// carved — so a killed process resumes from the last committed round
+// instead of round zero, under any process grid.
 //
 // The snapshot is decomposition-independent: it stores the committed
 // global cells plus the committed round and cumulative topples. A
@@ -30,9 +30,9 @@ import (
 // ghostPayload tags distributed-run snapshots inside the ckpt frame.
 const ghostPayload uint32 = 2
 
-// durable carries the checkpointer plus the decomposition's encoder
-// (built by run1d/run2d over their carved checkpoint sets). nil means
-// durability is off.
+// durable carries the checkpointer plus the runtime's encoder (run2d
+// encodes its committed checkpoint set, runFleet the committed global
+// grid). nil means durability is off.
 type durable struct {
 	ck     *ckpt.Checkpointer
 	encode func(round int, topples uint64) []byte

@@ -145,23 +145,6 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	g, want := faultGrid(t)
-	if _, err := Run(g, Params{Ranks: 4, GhostWidth: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Equal(want) {
-		t.Fatal("Run wrapper diverged from fixed point")
-	}
-	g2, _ := faultGrid(t)
-	if _, err := Run2D(g2, Params2D{RankRows: 2, RankCols: 2, GhostWidth: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if !g2.Equal(want) {
-		t.Fatal("Run2D wrapper diverged from fixed point")
-	}
-}
-
 // Exactly N/2 ranks dying in the same round is the heartbeat's
 // boundary case: half the fleet goes silent simultaneously, one
 // generation timeout must catch both deaths, and a single coordinated

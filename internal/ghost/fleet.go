@@ -1,7 +1,7 @@
 package ghost
 
 // fleet.go runs the distributed sandpile over real process boundaries:
-// the goroutine ranks of ghost.go/ghost2d.go become fleet workers
+// the goroutine ranks of ghost2d.go become fleet workers
 // connected through internal/net, so a SIGKILL is a real lost peer
 // detected by a heartbeat lease rather than a simulated crash.
 //
@@ -26,7 +26,6 @@ import (
 	"repro/internal/grid"
 	pnet "repro/internal/net"
 	"repro/internal/obs"
-	"repro/internal/sandpile"
 )
 
 // GhostProto names the fleet wire protocol version.
@@ -47,23 +46,12 @@ const (
 	msgStop
 )
 
-// geom is the per-rank block geometry both sides compute messages from.
-type geom struct {
-	K          int
-	ownH, ownW int
-	gTop, gBot int
-	gLeft, gRh int
-}
-
-func (ge geom) localH() int { return ge.gTop + ge.ownH + ge.gBot }
-func (ge geom) localW() int { return ge.gLeft + ge.ownW + ge.gRh }
-
 // encodeRound carves rank ge's round payload out of the committed
 // global grid: geometry, round number, owned block, then top/bottom
 // bands over the full local width (they carry the corners), then
 // left/right columns over owned rows — always in-range because a band
 // only exists where a neighbor block does.
-func encodeRound(g *grid.Grid, ge geom, globTop, globL, round int) []byte {
+func encodeRound(g *grid.Grid, ge geom, round int) []byte {
 	var e ckpt.Enc
 	for _, v := range []int{ge.K, ge.ownH, ge.ownW, ge.gTop, ge.gBot, ge.gLeft, ge.gRh} {
 		e.U32(uint32(v))
@@ -77,12 +65,13 @@ func encodeRound(g *grid.Grid, ge geom, globTop, globL, round int) []byte {
 			}
 		}
 	}
-	put(globTop, globTop+ge.ownH, globL, globL+ge.ownW)
-	bx0, bx1 := globL-ge.gLeft, globL+ge.ownW+ge.gRh
-	put(globTop-ge.gTop, globTop, bx0, bx1)
-	put(globTop+ge.ownH, globTop+ge.ownH+ge.gBot, bx0, bx1)
-	put(globTop, globTop+ge.ownH, bx0, globL)
-	put(globTop, globTop+ge.ownH, globL+ge.ownW, bx1)
+	top, left := ge.top, ge.left
+	put(top, top+ge.ownH, left, left+ge.ownW)
+	bx0, bx1 := left-ge.gLeft, left+ge.ownW+ge.gRh
+	put(top-ge.gTop, top, bx0, bx1)
+	put(top+ge.ownH, top+ge.ownH+ge.gBot, bx0, bx1)
+	put(top, top+ge.ownH, bx0, left)
+	put(top, top+ge.ownH, left+ge.ownW, bx1)
 	return e.Bytes()
 }
 
@@ -117,76 +106,43 @@ func decodeRound(p []byte) (round int, ge geom, local *grid.Grid, err error) {
 	return round, ge, local, nil
 }
 
-func encodeReport(round, changes int, redundant uint64, local *grid.Grid, ge geom) []byte {
+// serveRound is the worker's whole job: decode a round, run the
+// shared K-step kernel over it, and encode the report.
+func serveRound(p []byte) ([]byte, error) {
+	round, ge, local, err := decodeRound(p)
+	if err != nil {
+		return nil, err
+	}
+	w, final, _ := computeBlock(ge, local, grid.New(local.H(), local.W()))
 	var e ckpt.Enc
 	e.U64(uint64(round))
-	e.U64(uint64(changes))
-	e.U64(redundant)
+	e.U64(uint64(w.changes))
+	e.U64(w.redundant)
 	for y := 0; y < ge.ownH; y++ {
-		row := local.Row(ge.gTop + y)
-		for x := 0; x < ge.ownW; x++ {
-			e.U32(row[ge.gLeft+x])
+		for _, v := range final.Row(ge.gTop + y)[ge.gLeft : ge.gLeft+ge.ownW] {
+			e.U32(v)
 		}
 	}
-	return e.Bytes()
+	return e.Bytes(), nil
 }
 
-func decodeReport(p []byte, ge geom) (round, changes int, redundant uint64, cells []uint32, err error) {
+// decodeReport reads a worker's report for rank geometry ge. The
+// owned-cell count is not on the wire: every step computes the whole
+// owned block.
+func decodeReport(p []byte, ge geom) (round int, w roundWork, cells []uint32, err error) {
 	d := ckpt.NewDec(p)
 	round = int(d.U64())
-	changes = int(d.U64())
-	redundant = d.U64()
+	w.changes = int(d.U64())
+	w.redundant = d.U64()
+	w.owned = uint64(ge.K * ge.ownH * ge.ownW)
 	cells = make([]uint32, ge.ownH*ge.ownW)
 	for i := range cells {
 		cells[i] = d.U32()
 	}
 	if d.Err() != nil {
-		return 0, 0, 0, nil, fmt.Errorf("ghost: malformed report message")
+		return 0, roundWork{}, nil, fmt.Errorf("ghost: malformed report message")
 	}
-	return round, changes, redundant, cells, nil
-}
-
-// computeBlock runs K synchronous steps over a rank-local grid with
-// the same shrinking-valid-band rule as rank2d.run (which the 1-D
-// strip decomposition is the gLeft=gRight=0 special case of). It
-// returns the owned-region change count and the redundant ghost-band
-// cell count; the final state ends up in the returned grid.
-func computeBlock(local *grid.Grid, ge geom) (changes int, redundant uint64, final *grid.Grid) {
-	cur, next := local, grid.New(local.H(), local.W())
-	H, W := cur.H(), cur.W()
-	for s := 1; s <= ge.K; s++ {
-		y0, y1, x0, x1 := 0, H, 0, W
-		if ge.gTop > 0 {
-			y0 = s
-		}
-		if ge.gBot > 0 {
-			y1 = H - s
-		}
-		if ge.gLeft > 0 {
-			x0 = s
-		}
-		if ge.gRh > 0 {
-			x1 = W - s
-		}
-		for y := y0; y < y1; y++ {
-			if y >= ge.gTop && y < ge.gTop+ge.ownH {
-				if x0 < ge.gLeft {
-					sandpile.SyncRow(cur, next, y, x0, ge.gLeft)
-					redundant += uint64(ge.gLeft - x0)
-				}
-				changes += sandpile.SyncRow(cur, next, y, ge.gLeft, ge.gLeft+ge.ownW)
-				if right := ge.gLeft + ge.ownW; x1 > right {
-					sandpile.SyncRow(cur, next, y, right, x1)
-					redundant += uint64(x1 - right)
-				}
-			} else {
-				sandpile.SyncRow(cur, next, y, x0, x1)
-				redundant += uint64(x1 - x0)
-			}
-		}
-		cur, next = next, cur
-	}
-	return changes, redundant, cur
+	return round, w, cells, nil
 }
 
 // FleetWorker joins the fleet at cfg.Join and serves ghost rounds
@@ -199,13 +155,11 @@ func FleetWorker(ctx context.Context, cfg pnet.WorkerConfig) error {
 	return pnet.RunWorker(ctx, cfg, func(m pnet.Msg, send func(pnet.Msg) error) error {
 		switch m.Type {
 		case msgRound:
-			round, ge, local, err := decodeRound(m.Payload)
+			p, err := serveRound(m.Payload)
 			if err != nil {
 				return err
 			}
-			changes, redundant, final := computeBlock(local, ge)
-			return send(pnet.Msg{Type: msgReport,
-				Payload: encodeReport(round, changes, redundant, final, ge)})
+			return send(pnet.Msg{Type: msgReport, Payload: p})
 		case msgStop:
 			return pnet.ErrWorkerDone
 		default:
@@ -216,36 +170,21 @@ func FleetWorker(ctx context.Context, cfg pnet.WorkerConfig) error {
 
 // runFleet drives the decomposition over a worker fleet. The caller's
 // grid g is the committed global state throughout; on return it holds
-// the fixed point, exactly as the in-process paths leave it.
+// the fixed point, exactly as the in-process runtime leaves it.
 func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
-	R, C := cfg.procRows, cfg.procCols
-	if R <= 0 || C <= 0 {
-		if cfg.ranks <= 0 {
-			return Report{}, fmt.Errorf("ghost: fleet needs WithRanks or WithProcessGrid")
-		}
-		R, C = cfg.ranks, 1
-	}
-	if cfg.width <= 0 {
-		return Report{}, fmt.Errorf("ghost: GhostWidth must be >= 1, got %d", cfg.width)
-	}
-	if cfg.maxIters <= 0 {
-		cfg.maxIters = sandpile.MaxIterations
-	}
 	if cfg.faults != nil {
 		return Report{}, fmt.Errorf("ghost: fleet mode injects no simulated faults; kill the worker processes instead")
 	}
-	K := cfg.width
-	if (R > 1 && g.H()/R < K) || (C > 1 && g.W()/C < K) {
-		return Report{}, fmt.Errorf("ghost: blocks of %dx%d grid over %dx%d ranks smaller than K=%d",
-			g.H(), g.W(), R, C, K)
+	geoms, err := decompose(g, &cfg)
+	if err != nil {
+		return Report{}, err
 	}
-	n := R * C
+	K, n := cfg.width, len(geoms)
 
 	before := g.Sum()
 	startRound, startTopples := 0, uint64(0)
 	var dur *durable
 	if cfg.ck != nil {
-		var err error
 		if startRound, startTopples, err = restoreGhost(cfg.ck, g); err != nil {
 			return Report{}, err
 		}
@@ -260,34 +199,6 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 			}
 			return e.Bytes()
 		}}
-	}
-
-	rowOf := splitExtents(g.H(), R)
-	colOf := splitExtents(g.W(), C)
-	geoms := make([]geom, n)
-	tops := make([]int, n)
-	lefts := make([]int, n)
-	for pr := 0; pr < R; pr++ {
-		for pc := 0; pc < C; pc++ {
-			id := pr*C + pc
-			ge := geom{K: K,
-				ownH: rowOf[pr+1] - rowOf[pr], ownW: colOf[pc+1] - colOf[pc]}
-			if pr > 0 {
-				ge.gTop = K
-			}
-			if pr < R-1 {
-				ge.gBot = K
-			}
-			if pc > 0 {
-				ge.gLeft = K
-			}
-			if pc < C-1 {
-				ge.gRh = K
-			}
-			geoms[id] = ge
-			tops[id] = rowOf[pr]
-			lefts[id] = colOf[pc]
-		}
 	}
 
 	fc := *cfg.fleet
@@ -315,27 +226,26 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 			cells := make([][]uint32, n)
 			need := n
 
-			record := func(id, changes int, redundant uint64, c []uint32) {
+			record := func(id int, w roundWork, c []uint32) {
 				seen[id] = true
 				cells[id] = c
-				total += changes
-				rep.RedundantCells += redundant
-				// K steps per round, each over the whole owned block — the
-				// same per-step accounting the strip decomposition reports.
-				rep.OwnedCells += uint64(geoms[id].K * geoms[id].ownH * geoms[id].ownW)
+				total += w.changes
+				rep.RedundantCells += w.redundant
+				rep.OwnedCells += w.owned
 				need--
 			}
 			local := func(id int) {
-				_, _, blk, err := decodeRound(encodeRound(g, geoms[id], tops[id], lefts[id], round))
+				// The codecs are inverses by construction: an error here
+				// is a bug, not bad input.
+				p, err := serveRound(encodeRound(g, geoms[id], round))
 				if err != nil {
-					panic(err) // encode/decode are inverses by construction
+					panic(err)
 				}
-				changes, redundant, final := computeBlock(blk, geoms[id])
-				c := make([]uint32, 0, geoms[id].ownH*geoms[id].ownW)
-				for y := 0; y < geoms[id].ownH; y++ {
-					c = append(c, final.Row(geoms[id].gTop+y)[geoms[id].gLeft:geoms[id].gLeft+geoms[id].ownW]...)
+				_, w, c, err := decodeReport(p, geoms[id])
+				if err != nil {
+					panic(err)
 				}
-				record(id, changes, redundant, c)
+				record(id, w, c)
 			}
 			dispatch := func(id int) {
 				if seen[id] {
@@ -345,7 +255,7 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 					local(id)
 					return
 				}
-				p := encodeRound(g, geoms[id], tops[id], lefts[id], round)
+				p := encodeRound(g, geoms[id], round)
 				if co.Send(id, pnet.Msg{Type: msgRound, Payload: p}) != nil {
 					return // re-dispatched on the rank's next PeerJoined
 				}
@@ -371,9 +281,7 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 						// worker's own reconnect loop) brings it back, and the
 						// rejoin re-dispatch replays the round exactly.
 						rep.Recoveries++
-						if m := cfg.obs.Metrics; m != nil {
-							m.Counter("fault.recoveries").Inc()
-						}
+						cfg.obs.Metrics.Counter("fault.recoveries").Inc()
 						cfg.obs.Log.Event(obs.LevelWarn, "ghost", "fleet rank died",
 							obs.Arg{Key: "rank", Value: int64(ev.Rank)},
 							obs.Arg{Key: "round", Value: int64(round)})
@@ -388,7 +296,7 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 						if ev.Msg.Type != msgReport {
 							continue
 						}
-						r, changes, redundant, c, err := decodeReport(ev.Msg.Payload, geoms[ev.Rank])
+						r, w, c, err := decodeReport(ev.Msg.Payload, geoms[ev.Rank])
 						if err != nil {
 							return err
 						}
@@ -397,17 +305,16 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 						if r != round || seen[ev.Rank] {
 							continue // duplicate after a redispatch race: idempotent
 						}
-						record(ev.Rank, changes, redundant, c)
+						record(ev.Rank, w, c)
 					}
 				}
 			}
 
 			// Commit: install every block's post-round cells into the
 			// global grid; the committed state is globally consistent.
-			for id := 0; id < n; id++ {
-				ge := geoms[id]
+			for id, ge := range geoms {
 				for y := 0; y < ge.ownH; y++ {
-					copy(g.Row(tops[id]+y)[lefts[id]:lefts[id]+ge.ownW], cells[id][y*ge.ownW:(y+1)*ge.ownW])
+					copy(g.Row(ge.top + y)[ge.left:ge.left+ge.ownW], cells[id][y*ge.ownW:(y+1)*ge.ownW])
 				}
 			}
 			committed = round
@@ -436,12 +343,6 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 	rep.Topples = topples
 	g.ClearHalo()
 	rep.Absorbed = before - g.Sum()
-	if m := cfg.obs.Metrics; m != nil {
-		m.Counter("ghost.exchanges").Add(int64(rep.Exchanges))
-		m.Counter("ghost.halo.messages").Add(int64(rep.Messages))
-		m.Counter("ghost.halo.bytes").Add(int64(rep.BytesSent))
-		m.Counter("ghost.cells.redundant").Add(int64(rep.RedundantCells))
-		m.Counter("ghost.cells.owned").Add(int64(rep.OwnedCells))
-	}
+	rep.publish(cfg.obs.Metrics)
 	return rep, nil
 }

@@ -23,7 +23,7 @@ func fleetGrid(h, w int) *grid.Grid {
 			row[x] = uint32((y*31 + x*17) % 9)
 		}
 	}
-	g.Row(h/2)[w/2] = 64
+	g.Row(h / 2)[w/2] = 64
 	return g
 }
 
@@ -101,23 +101,34 @@ func TestFleet2DMatchesSequential(t *testing.T) {
 
 // TestFleetMatchesInProcessRun pins the tentpole equality: the fleet
 // run and the classic goroutine-rank run agree on every reported
-// quantity that is defined for both.
+// quantity that is defined for both, for strips and for blocks.
 func TestFleetMatchesInProcessRun(t *testing.T) {
-	gIn := fleetGrid(24, 18)
-	inRep, err := New(gIn, WithRanks(3), WithWidth(2)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _ := pnet.New("chan")
-	rep := runFleetCase(t, []Option{WithRanks(3), WithWidth(2)}, spawnWorkers(tr, 3))
-	if rep.Iterations != inRep.Iterations || rep.Topples != inRep.Topples ||
-		rep.Absorbed != inRep.Absorbed || rep.Exchanges != inRep.Exchanges {
-		t.Fatalf("fleet %+v != in-process %+v", rep, inRep)
-	}
-	// Same decomposition, same rounds: the redundant-compute accounting
-	// must agree too.
-	if rep.RedundantCells != inRep.RedundantCells || rep.OwnedCells != inRep.OwnedCells {
-		t.Fatalf("work accounting: fleet %+v != in-process %+v", rep, inRep)
+	for _, tc := range []struct {
+		name  string
+		ranks int
+		opts  []Option
+	}{
+		{"strips", 3, []Option{WithRanks(3), WithWidth(2)}},
+		{"blocks", 6, []Option{WithProcessGrid(2, 3), WithWidth(2)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gIn := fleetGrid(24, 18)
+			inRep, err := New(gIn, tc.opts...).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, _ := pnet.New("chan")
+			rep := runFleetCase(t, tc.opts, spawnWorkers(tr, tc.ranks))
+			if rep.Iterations != inRep.Iterations || rep.Topples != inRep.Topples ||
+				rep.Absorbed != inRep.Absorbed || rep.Exchanges != inRep.Exchanges {
+				t.Fatalf("fleet %+v != in-process %+v", rep, inRep)
+			}
+			// Same decomposition, same rounds: the redundant-compute
+			// accounting must agree too.
+			if rep.RedundantCells != inRep.RedundantCells || rep.OwnedCells != inRep.OwnedCells {
+				t.Fatalf("work accounting: fleet %+v != in-process %+v", rep, inRep)
+			}
+		})
 	}
 }
 

@@ -1,15 +1,19 @@
 // Package ghost implements the fourth sandpile assignment: a
 // distributed-memory run of the synchronous automaton using the Ghost
-// Cell Pattern (Kjolstad & Snir 2010). MPI ranks are simulated by
-// goroutines that own horizontal strips of the global grid and
-// exchange halo rows over links; no memory is shared between ranks
-// except the links.
+// Cell Pattern (Kjolstad & Snir 2010). The global grid is cut into
+// the blocks of an R×C process grid; each rank owns one block and
+// exchanges halo rows and columns with its neighbours, sharing no
+// memory with them. WithRanks(n) is the n×1 grid of horizontal
+// strips, WithProcessGrid(r, c) the general block decomposition.
+// Ranks are goroutines linked by channels (ghost2d.go) or fleet
+// worker processes (fleet.go); both run the same geometry and the
+// same K-step kernel, defined here.
 //
 // The assignment's central trade-off — redundant computation for
 // less-frequent communication — is a first-class parameter here: with
-// ghost-zone width K, each rank holds K extra rows per interior
-// boundary, exchanges only every K iterations, and in between
-// recomputes a shrinking band of its neighbors' rows. The run report
+// ghost-zone width K, each rank holds K extra rows/columns per
+// interior boundary, exchanges only every K iterations, and in between
+// recomputes a shrinking band of its neighbors' cells. The run report
 // counts messages, bytes, and redundantly computed cells so the
 // trade-off can be measured rather than imagined.
 //
@@ -22,38 +26,12 @@
 package ghost
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"time"
 
-	"repro/internal/ckpt"
-	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/sandpile"
 )
-
-// Params configures a distributed run.
-//
-// Deprecated: prefer New with functional options (options.go), which
-// also exposes fault injection and the 2-D decomposition through one
-// constructor. Params remains supported as a thin equivalent.
-type Params struct {
-	// Ranks is the number of simulated processes (strips). It must be
-	// at least 1 and small enough that every rank owns at least
-	// GhostWidth rows.
-	Ranks int
-	// GhostWidth K is the ghost-zone width: halo rows exchanged per
-	// boundary, and the number of iterations between exchanges.
-	GhostWidth int
-	// MaxIters aborts runaway runs; 0 means sandpile.MaxIterations.
-	MaxIters int
-	// Obs attaches the observability layer: per-rank exchange/compute
-	// spans on the "ghost" track and ghost.* counters (halo messages,
-	// bytes, redundant cells). The zero Sink disables it.
-	Obs obs.Sink
-}
 
 // Report summarizes a distributed run.
 type Report struct {
@@ -83,6 +61,16 @@ func (r Report) String() string {
 	return s
 }
 
+// publish adds the run's totals to the ghost.* counters; a nil
+// registry ignores them.
+func (r Report) publish(m *obs.Registry) {
+	m.Counter("ghost.exchanges").Add(int64(r.Exchanges))
+	m.Counter("ghost.halo.messages").Add(int64(r.Messages))
+	m.Counter("ghost.halo.bytes").Add(int64(r.BytesSent))
+	m.Counter("ghost.cells.redundant").Add(int64(r.RedundantCells))
+	m.Counter("ghost.cells.owned").Add(int64(r.OwnedCells))
+}
+
 // message is one halo payload: k segments of w cells coalesced into a
 // single contiguous row-major buffer — one allocation and one copy
 // per exchange instead of one per row, the batched-halo optimization.
@@ -93,341 +81,132 @@ type message struct {
 	buf []uint32
 }
 
-// rank is the per-process state of the simulated run. Ranks are
-// rebuilt from checkpoints on every recovery generation, so all
-// fields are generation-local.
-type rank struct {
-	id         int
-	gen        int
-	owned      int // owned rows
-	globalTop  int // global index of first owned row
-	topGhost   int // K if an upper neighbor exists, else 0
-	botGhost   int
-	cur, next  *grid.Grid
-	sendUp     *fault.Link[message] // to rank id-1
-	sendDown   *fault.Link[message] // to rank id+1
-	recvUp     *fault.Link[message] // from rank id-1
-	recvDown   *fault.Link[message] // from rank id+1
-	reports    chan<- roundReport
-	proceed    chan bool
-	abort      chan struct{}
-	inj        *fault.Injector
-	linkWait   time.Duration // halo-receive timeout; 0 = block forever
-	durable    bool          // attach checkpoint rows even without injection
-	msgs       int
-	bytes      uint64
-	redundant  uint64
-	ownedCells uint64
-	tr         *obs.Tracer // nil when tracing is off
-	track      obs.TrackID
+// geom is one rank's block geometry: the ghost width, the owned
+// block's extent and global offset, and the ghost extent per side (K
+// where a neighbouring block exists, 0 on the grid's sink sides).
+type geom struct {
+	K          int
+	ownH, ownW int
+	gTop, gBot int
+	gLeft, gRh int
+	top, left  int // global position of the owned block's first cell
 }
 
-// Run stabilizes g with the distributed synchronous automaton and
-// writes the final configuration back into g. It returns the run
-// report. The result is bit-identical to the sequential solvers (the
-// Abelian/determinism property), which the tests enforce.
-//
-// Deprecated: prefer New(g, WithRanks(p.Ranks), ...).Run(); Run
-// remains as a thin wrapper over it.
-func Run(g *grid.Grid, p Params) (Report, error) {
-	return RunContext(context.Background(), g, p)
-}
+func (ge geom) localH() int { return ge.gTop + ge.ownH + ge.gBot }
+func (ge geom) localW() int { return ge.gLeft + ge.ownW + ge.gRh }
 
-// RunContext is Run with cancellation.
-func RunContext(ctx context.Context, g *grid.Grid, p Params) (Report, error) {
-	return run1d(ctx, g, config{
-		ranks: p.Ranks, width: p.GhostWidth, maxIters: p.MaxIters, obs: p.Obs,
-	})
-}
-
-// run1d executes the strip decomposition under the shared recovery
-// coordinator.
-func run1d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
-	if cfg.ranks <= 0 {
-		return Report{}, fmt.Errorf("ghost: Ranks must be >= 1, got %d", cfg.ranks)
+// decompose validates cfg for g, defaults MaxIters, and cuts g into
+// the procRows×procCols process grid: one geom per rank, in linear
+// rank order pr*C+pc. Blocks must be at least K deep only along the
+// dimensions that are actually split, so a one-column strip run
+// accepts grids narrower than K.
+func decompose(g *grid.Grid, cfg *config) ([]geom, error) {
+	R, C, K := cfg.procRows, cfg.procCols, cfg.width
+	if R <= 0 || C <= 0 {
+		return nil, fmt.Errorf("ghost: invalid process grid %dx%d (need WithRanks or WithProcessGrid)", R, C)
 	}
-	if cfg.width <= 0 {
-		return Report{}, fmt.Errorf("ghost: GhostWidth must be >= 1, got %d", cfg.width)
+	if K <= 0 {
+		return nil, fmt.Errorf("ghost: GhostWidth must be >= 1, got %d", K)
+	}
+	if (R > 1 && g.H()/R < K) || (C > 1 && g.W()/C < K) {
+		return nil, fmt.Errorf("ghost: blocks of %dx%d grid over %dx%d ranks smaller than K=%d",
+			g.H(), g.W(), R, C, K)
 	}
 	if cfg.maxIters <= 0 {
 		cfg.maxIters = sandpile.MaxIterations
 	}
-	minOwned := g.H() / cfg.ranks
-	if minOwned < cfg.width {
-		return Report{}, fmt.Errorf("ghost: %d ranks over %d rows leaves %d rows/rank; need >= GhostWidth (%d)",
-			cfg.ranks, g.H(), minOwned, cfg.width)
-	}
-
-	before := g.Sum()
-	K, W := cfg.width, g.W()
-	// Durable resume happens before carving, so the strips below are
-	// cut from the restored committed state rather than the initial
-	// one. `before` stays the caller's initial sum: re-running from the
-	// same initial grid therefore reports the same Absorbed total as an
-	// uninterrupted run.
-	startRound, startTopples := 0, uint64(0)
-	var dur *durable
-	if cfg.ck != nil {
-		var err error
-		if startRound, startTopples, err = restoreGhost(cfg.ck, g); err != nil {
-			return Report{}, err
+	rowOf, colOf := splitExtents(g.H(), R), splitExtents(g.W(), C)
+	geoms := make([]geom, 0, R*C)
+	for pr := 0; pr < R; pr++ {
+		for pc := 0; pc < C; pc++ {
+			ge := geom{K: K,
+				ownH: rowOf[pr+1] - rowOf[pr], ownW: colOf[pc+1] - colOf[pc],
+				top: rowOf[pr], left: colOf[pc]}
+			if pr > 0 {
+				ge.gTop = K
+			}
+			if pr < R-1 {
+				ge.gBot = K
+			}
+			if pc > 0 {
+				ge.gLeft = K
+			}
+			if pc < C-1 {
+				ge.gRh = K
+			}
+			geoms = append(geoms, ge)
 		}
-		dur = &durable{ck: cfg.ck}
 	}
-	inj := fault.NewInjector(cfg.faults, cfg.obs)
-	hb := cfg.heartbeat
-	if hb <= 0 {
-		hb = 2 * time.Second
-	}
-	var linkWait time.Duration
-	if inj != nil {
-		linkWait = hb / 4 // must detect a dropped halo before the coordinator gives up
-	}
+	return geoms, nil
+}
 
-	// Carve strips: the first (H mod Ranks) ranks get one extra row.
-	// The scattered owned rows double as the round-0 checkpoint set.
-	owned := make([]int, cfg.ranks)
-	tops := make([]int, cfg.ranks)
-	ckpts := make([][][]uint32, cfg.ranks)
-	base, extra := g.H()/cfg.ranks, g.H()%cfg.ranks
-	top := 0
-	for i := range owned {
-		owned[i] = base
+// splitExtents returns n+1 boundaries splitting total cells into n
+// near-equal extents, larger blocks first.
+func splitExtents(total, n int) []int {
+	out := make([]int, n+1)
+	base, extra := total/n, total%n
+	pos := 0
+	for i := 0; i < n; i++ {
+		out[i] = pos
+		pos += base
 		if i < extra {
-			owned[i]++
-		}
-		tops[i] = top
-		rows := make([][]uint32, owned[i])
-		for y := range rows {
-			rows[y] = append([]uint32(nil), g.Row(top+y)...)
-		}
-		ckpts[i] = rows
-		top += owned[i]
-	}
-	if dur != nil {
-		// Strips are stacked top to bottom, so concatenating the
-		// committed checkpoint rows reproduces the global grid.
-		h := g.H()
-		dur.encode = func(round int, topples uint64) []byte {
-			var e ckpt.Enc
-			encodeGhostHeader(&e, round, topples, h, W)
-			for _, rows := range ckpts {
-				for _, row := range rows {
-					for _, v := range row {
-						e.U32(v)
-					}
-				}
-			}
-			return e.Bytes()
+			pos++
 		}
 	}
-
-	var live []*rank // the most recently launched generation
-	launch := func(genID, startRound int, ckpts [][][]uint32) *generation {
-		gen := &generation{
-			reports: make(chan roundReport, cfg.ranks),
-			proceed: make([]chan bool, cfg.ranks),
-			abort:   make(chan struct{}),
-			wg:      &sync.WaitGroup{},
-		}
-		rs := make([]*rank, cfg.ranks)
-		for i := range rs {
-			r := &rank{
-				id: i, gen: genID,
-				owned: owned[i], globalTop: tops[i],
-				reports: gen.reports,
-				proceed: make(chan bool, 1),
-				abort:   gen.abort,
-				inj:     inj, linkWait: linkWait,
-				durable: dur != nil,
-			}
-			gen.proceed[i] = r.proceed
-			if tr := cfg.obs.Tracer; tr != nil {
-				r.tr = tr
-				r.track = tr.Track("ghost", i, fmt.Sprintf("rank %d", i))
-			}
-			if i > 0 {
-				r.topGhost = K
-			}
-			if i < cfg.ranks-1 {
-				r.botGhost = K
-			}
-			r.cur = grid.New(r.owned+r.topGhost+r.botGhost, W)
-			r.next = grid.New(r.cur.H(), W)
-			for y := 0; y < r.owned; y++ {
-				copy(r.cur.Row(r.topGhost+y), ckpts[i][y])
-			}
-			rs[i] = r
-		}
-		for i := 0; i < cfg.ranks-1; i++ {
-			down := fault.NewLink[message](inj, i, i+1, 1)
-			up := fault.NewLink[message](inj, i+1, i, 1)
-			rs[i].sendDown, rs[i+1].recvUp = down, down
-			rs[i+1].sendUp, rs[i].recvDown = up, up
-		}
-		gen.harvest = func(rep *Report) {
-			for _, r := range rs {
-				rep.Messages += r.msgs
-				rep.BytesSent += r.bytes
-				rep.RedundantCells += r.redundant
-				rep.OwnedCells += r.ownedCells
-			}
-		}
-		for _, r := range rs {
-			gen.wg.Add(1)
-			go func(r *rank) {
-				defer gen.wg.Done()
-				r.run(K, startRound)
-			}(r)
-		}
-		live = rs
-		return gen
-	}
-
-	rep := Report{Ranks: cfg.ranks, GhostWidth: K}
-	if err := coordinate(ctx, cfg.ranks, K, cfg.maxIters, inj, hb, launch, ckpts, &rep, dur, startRound, startTopples, cfg.obs); err != nil {
-		return rep, err
-	}
-
-	// Gather: copy owned rows back into the global grid.
-	for _, r := range live {
-		for y := 0; y < r.owned; y++ {
-			copy(g.Row(r.globalTop+y), r.cur.Row(r.topGhost+y))
-		}
-	}
-	g.ClearHalo()
-	rep.Absorbed = before - g.Sum()
-	rep.FaultSchedule = inj.Schedule()
-	if m := cfg.obs.Metrics; m != nil {
-		m.Counter("ghost.exchanges").Add(int64(rep.Exchanges))
-		m.Counter("ghost.halo.messages").Add(int64(rep.Messages))
-		m.Counter("ghost.halo.bytes").Add(int64(rep.BytesSent))
-		m.Counter("ghost.cells.redundant").Add(int64(rep.RedundantCells))
-		m.Counter("ghost.cells.owned").Add(int64(rep.OwnedCells))
-	}
-	return rep, nil
+	out[n] = total
+	return out
 }
 
-// run executes one simulated rank: rounds of K synchronous steps over
-// a shrinking valid band, a report (heartbeat + checkpoint) to the
-// coordinator, and the coordinator's continue verdict. An injected
-// crash makes the rank go silent mid-protocol — exactly the failure
-// mode the coordinator's heartbeat timeout exists to catch.
-func (r *rank) run(K, startRound int) {
-	H := r.cur.H()
-	for round := startRound + 1; ; round++ {
-		if r.inj.CrashAt(r.id, round) {
-			return
-		}
-		// Fill (or refresh) ghost zones before the round's K steps.
-		// The first exchange distributes the scattered initial state's
-		// boundary rows; later ones refresh post-round state.
-		exTS := r.tr.Now()
-		if !r.exchange(K) {
-			return // aborted, or a peer died and the link drained
-		}
-		if r.tr != nil {
-			r.tr.Span(r.track, "exchange", exTS, r.tr.Now()-exTS,
-				obs.Arg{Key: "K", Value: int64(K)})
-		}
-		compTS := r.tr.Now()
-		roundChanges := 0
-		for s := 1; s <= K; s++ {
-			// Valid band shrinks by one row per step on each side that
-			// has a ghost zone; sink-adjacent sides stay put.
-			y0, y1 := 0, H
-			if r.topGhost > 0 {
-				y0 = s
-			}
-			if r.botGhost > 0 {
-				y1 = H - s
-			}
-			for y := y0; y < y1; y++ {
-				ch := sandpile.SyncRow(r.cur, r.next, y, 0, r.cur.W())
-				if y >= r.topGhost && y < r.topGhost+r.owned {
-					roundChanges += ch
-					r.ownedCells += uint64(r.cur.W())
-				} else {
-					r.redundant += uint64(r.cur.W())
-				}
-			}
-			r.cur, r.next = r.next, r.cur
-		}
-		if r.tr != nil {
-			r.tr.Span(r.track, "compute", compTS, r.tr.Now()-compTS,
-				obs.Arg{Key: "changes", Value: int64(roundChanges)})
-		}
-		// With fault injection or durability on, the report carries a
-		// checkpoint of the owned rows; the coordinator installs it
-		// once the whole round commits.
-		var rows [][]uint32
-		if r.inj != nil || r.durable {
-			rows = make([][]uint32, r.owned)
-			for y := range rows {
-				rows[y] = append([]uint32(nil), r.cur.Row(r.topGhost+y)...)
-			}
-		}
-		select {
-		case r.reports <- roundReport{gen: r.gen, id: r.id, round: round, changes: roundChanges, rows: rows}:
-		case <-r.abort:
-			return
-		}
-		select {
-		case cont := <-r.proceed:
-			if !cont {
-				return
-			}
-		case <-r.abort:
-			return
-		}
-	}
+// roundWork is what one rank computed in one K-step round.
+type roundWork struct {
+	changes   int    // owned cells that changed
+	owned     uint64 // owned cells computed (the whole block, every step)
+	redundant uint64 // ghost-band cells recomputed
 }
 
-// exchange sends this rank's boundary-owned rows to each neighbor and
-// refills its ghost zones with what the neighbors send back. It
-// returns false when the generation aborted or a receive found the
-// peer dead (timeout with nothing to retransmit).
-func (r *rank) exchange(K int) bool {
-	W := r.cur.W()
-	// K boundary rows coalesce into one flat K×W message per neighbor.
-	pack := func(y0 int) message {
-		buf := make([]uint32, 0, K*W)
-		for k := 0; k < K; k++ {
-			buf = append(buf, r.cur.Row(y0+k)...)
+// computeBlock runs the round's K synchronous steps over the
+// rank-local grid cur (owned block framed by its ghost zones), with
+// next as caller-owned scratch. The valid band shrinks by one cell
+// per step on every side that has a ghost zone; sink-adjacent sides
+// stay put. It returns the work done, the grid holding the final
+// state, and the spare one.
+func computeBlock(ge geom, cur, next *grid.Grid) (w roundWork, final, spare *grid.Grid) {
+	H, W := cur.H(), cur.W()
+	ownL, ownR := ge.gLeft, ge.gLeft+ge.ownW
+	for s := 1; s <= ge.K; s++ {
+		y0, y1, x0, x1 := 0, H, 0, W
+		if ge.gTop > 0 {
+			y0 = s
 		}
-		return message{buf: buf}
+		if ge.gBot > 0 {
+			y1 = H - s
+		}
+		if ge.gLeft > 0 {
+			x0 = s
+		}
+		if ge.gRh > 0 {
+			x1 = W - s
+		}
+		for y := y0; y < y1; y++ {
+			if y < ge.gTop || y >= ge.gTop+ge.ownH {
+				sandpile.SyncRow(cur, next, y, x0, x1)
+				w.redundant += uint64(x1 - x0)
+				continue
+			}
+			// Owned row: the halo spans and the owned span are computed
+			// separately so owned changes are counted exactly once.
+			if x0 < ownL {
+				sandpile.SyncRow(cur, next, y, x0, ownL)
+				w.redundant += uint64(ownL - x0)
+			}
+			w.changes += sandpile.SyncRow(cur, next, y, ownL, ownR)
+			w.owned += uint64(ge.ownW)
+			if x1 > ownR {
+				sandpile.SyncRow(cur, next, y, ownR, x1)
+				w.redundant += uint64(x1 - ownR)
+			}
+		}
+		cur, next = next, cur
 	}
-	if r.sendUp != nil {
-		if !r.sendUp.Send(pack(r.topGhost), r.abort) {
-			return false
-		}
-		r.msgs++
-		r.bytes += uint64(K * W * 4)
-	}
-	if r.sendDown != nil {
-		if !r.sendDown.Send(pack(r.topGhost+r.owned-K), r.abort) {
-			return false
-		}
-		r.msgs++
-		r.bytes += uint64(K * W * 4)
-	}
-	if r.recvUp != nil {
-		m, ok := r.recvUp.Recv(r.linkWait, r.abort)
-		if !ok {
-			return false
-		}
-		for k := 0; k < K; k++ {
-			copy(r.cur.Row(k), m.buf[k*W:(k+1)*W])
-		}
-	}
-	if r.recvDown != nil {
-		m, ok := r.recvDown.Recv(r.linkWait, r.abort)
-		if !ok {
-			return false
-		}
-		for k := 0; k < K; k++ {
-			copy(r.cur.Row(r.topGhost+r.owned+k), m.buf[k*W:(k+1)*W])
-		}
-	}
-	return true
+	return w, cur, next
 }

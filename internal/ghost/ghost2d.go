@@ -1,17 +1,16 @@
 package ghost
 
-// ghost2d.go generalizes the distributed sandpile from horizontal
-// strips to a 2-D block decomposition — the full Ghost Cell Pattern of
-// Kjolstad & Snir's paper, which the assignment cites. Blocks need
-// corner data once the ghost width exceeds one (a cell K steps from
-// a block corner depends on the diagonal neighbor's cells), which the
-// classic two-phase exchange provides without diagonal messages:
-// first east/west halo columns are exchanged over owned rows, then
-// north/south halo rows are exchanged over the *full local width*,
-// so the just-received E/W columns carry the diagonal neighbors'
-// corners along. Fault tolerance (rank crashes, message faults) is
-// the same coordinated checkpoint rollback the strips use; see
-// recover.go.
+// ghost2d.go is the in-process runtime: one goroutine per block of the
+// R×C process grid — the full Ghost Cell Pattern of Kjolstad & Snir's
+// paper, which the assignment cites, with strips as the C=1 case.
+// Blocks need corner data once the ghost width exceeds one (a cell K
+// steps from a block corner depends on the diagonal neighbor's
+// cells), which the classic two-phase exchange provides without
+// diagonal messages: first east/west halo columns are exchanged over
+// owned rows, then north/south halo rows are exchanged over the *full
+// local width*, so the just-received E/W columns carry the diagonal
+// neighbors' corners along. Fault tolerance (rank crashes, message
+// faults) is coordinated checkpoint rollback; see recover.go.
 
 import (
 	"context"
@@ -23,38 +22,15 @@ import (
 	"repro/internal/fault"
 	"repro/internal/grid"
 	"repro/internal/obs"
-	"repro/internal/sandpile"
 )
 
-// Params2D configures a 2-D distributed run.
-//
-// Deprecated: prefer New with WithProcessGrid (options.go). Params2D
-// remains supported as a thin equivalent.
-type Params2D struct {
-	// RankRows × RankCols is the process grid.
-	RankRows, RankCols int
-	// GhostWidth K: halo width per interior boundary and iterations
-	// between exchanges.
-	GhostWidth int
-	// MaxIters aborts runaway runs; 0 means sandpile.MaxIterations.
-	MaxIters int
-	// Obs attaches the observability layer: per-rank exchange/compute
-	// spans on the "ghost2d" track and the same ghost.* counters the
-	// strip decomposition reports. The zero Sink disables it.
-	Obs obs.Sink
-}
-
-// rank2d is one simulated process of the block decomposition,
-// generation-local like rank.
+// rank2d is one simulated process. Ranks are rebuilt from checkpoints
+// on every recovery generation, so all fields are generation-local.
 type rank2d struct {
-	id             int // linear rank index pr*C+pc
-	gen            int
-	pr, pc         int // position in the process grid
-	ownH, ownW     int
-	gTop, gBot     int // ghost extents per side (K or 0)
-	gLeft, gRight  int
-	globTop, globL int
-	cur, next      *grid.Grid
+	geom
+	id        int // linear rank index pr*C+pc
+	gen       int
+	cur, next *grid.Grid
 
 	sendW, sendE, sendN, sendS *fault.Link[message]
 	recvW, recvE, recvN, recvS *fault.Link[message]
@@ -63,61 +39,35 @@ type rank2d struct {
 	proceed  chan bool
 	abort    chan struct{}
 	inj      *fault.Injector
-	linkWait time.Duration
-	durable  bool // attach checkpoint rows even without injection
+	linkWait time.Duration // halo-receive timeout; 0 = block forever
+	durable  bool          // attach checkpoint rows even without injection
 
 	msgs      int
 	bytes     uint64
 	redundant uint64
+	owned     uint64
 	tr        *obs.Tracer // nil when tracing is off
 	track     obs.TrackID
 }
 
-// Run2D stabilizes g with the 2-D block-decomposed synchronous
-// automaton and writes the final configuration back into g.
-//
-// Deprecated: prefer New(g, WithProcessGrid(r, c), ...).Run(); Run2D
-// remains as a thin wrapper over it.
-func Run2D(g *grid.Grid, p Params2D) (Report, error) {
-	return Run2DContext(context.Background(), g, p)
-}
-
-// Run2DContext is Run2D with cancellation.
-func Run2DContext(ctx context.Context, g *grid.Grid, p Params2D) (Report, error) {
-	return run2d(ctx, g, config{
-		procRows: p.RankRows, procCols: p.RankCols,
-		width: p.GhostWidth, maxIters: p.MaxIters, obs: p.Obs,
-	})
-}
-
-// run2d executes the block decomposition under the shared recovery
+// run2d executes the decomposition under the shared recovery
 // coordinator.
 func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
-	R, C := cfg.procRows, cfg.procCols
-	if R <= 0 || C <= 0 {
-		return Report{}, fmt.Errorf("ghost: invalid process grid %dx%d", R, C)
+	geoms, err := decompose(g, &cfg)
+	if err != nil {
+		return Report{}, err
 	}
-	if cfg.width <= 0 {
-		return Report{}, fmt.Errorf("ghost: GhostWidth must be >= 1, got %d", cfg.width)
-	}
-	if cfg.maxIters <= 0 {
-		cfg.maxIters = sandpile.MaxIterations
-	}
-	K := cfg.width
-	if g.H()/R < K || g.W()/C < K {
-		return Report{}, fmt.Errorf("ghost: blocks of %dx%d grid over %dx%d ranks smaller than K=%d",
-			g.H(), g.W(), R, C, K)
-	}
+	R, C, K, n := cfg.procRows, cfg.procCols, cfg.width, len(geoms)
 
 	before := g.Sum()
-	n := R * C
-	// Durable resume before carving, exactly as in run1d: blocks are
-	// cut from the restored committed state, and `before` keeps the
-	// caller's initial sum so Absorbed matches an uninterrupted run.
+	// Durable resume happens before carving, so the blocks below are
+	// cut from the restored committed state rather than the initial
+	// one. `before` stays the caller's initial sum: re-running from the
+	// same initial grid therefore reports the same Absorbed total as an
+	// uninterrupted run.
 	startRound, startTopples := 0, uint64(0)
 	var dur *durable
 	if cfg.ck != nil {
-		var err error
 		if startRound, startTopples, err = restoreGhost(cfg.ck, g); err != nil {
 			return Report{}, err
 		}
@@ -130,22 +80,17 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 	}
 	var linkWait time.Duration
 	if inj != nil {
-		linkWait = hb / 4
+		linkWait = hb / 4 // must detect a dropped halo before the coordinator gives up
 	}
 
-	rowOf := splitExtents(g.H(), R)
-	colOf := splitExtents(g.W(), C)
 	// The scattered owned blocks double as the round-0 checkpoint set.
 	ckpts := make([][][]uint32, n)
-	for pr := 0; pr < R; pr++ {
-		for pc := 0; pc < C; pc++ {
-			ownH, ownW := rowOf[pr+1]-rowOf[pr], colOf[pc+1]-colOf[pc]
-			rows := make([][]uint32, ownH)
-			for y := range rows {
-				rows[y] = append([]uint32(nil), g.Row(rowOf[pr] + y)[colOf[pc]:colOf[pc]+ownW]...)
-			}
-			ckpts[pr*C+pc] = rows
+	for id, ge := range geoms {
+		rows := make([][]uint32, ge.ownH)
+		for y := range rows {
+			rows[y] = append([]uint32(nil), g.Row(ge.top + y)[ge.left:ge.left+ge.ownW]...)
 		}
+		ckpts[id] = rows
 	}
 	if dur != nil {
 		// Reassemble global rows from the committed blocks: each global
@@ -155,7 +100,7 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 			var e ckpt.Enc
 			encodeGhostHeader(&e, round, topples, h, w)
 			for pr := 0; pr < R; pr++ {
-				for y := 0; y < rowOf[pr+1]-rowOf[pr]; y++ {
+				for y := range ckpts[pr*C] {
 					for pc := 0; pc < C; pc++ {
 						for _, v := range ckpts[pr*C+pc][y] {
 							e.U32(v)
@@ -167,6 +112,12 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 		}
 	}
 
+	// Strips keep the 1-D track names; blocks are labelled by position.
+	proc, label := "ghost", func(id int) string { return fmt.Sprintf("rank %d", id) }
+	if C > 1 {
+		proc, label = "ghost2d", func(id int) string { return fmt.Sprintf("rank (%d,%d)", id/C, id%C) }
+	}
+
 	var live []*rank2d
 	launch := func(genID, startRound int, ckpts [][][]uint32) *generation {
 		gen := &generation{
@@ -176,64 +127,43 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 			wg:      &sync.WaitGroup{},
 		}
 		rs := make([]*rank2d, n)
-		for pr := 0; pr < R; pr++ {
-			for pc := 0; pc < C; pc++ {
-				id := pr*C + pc
-				r := &rank2d{
-					id: id, gen: genID, pr: pr, pc: pc,
-					ownH: rowOf[pr+1] - rowOf[pr], ownW: colOf[pc+1] - colOf[pc],
-					globTop: rowOf[pr], globL: colOf[pc],
-					reports: gen.reports,
-					proceed: make(chan bool, 1),
-					abort:   gen.abort,
-					inj:     inj, linkWait: linkWait,
-					durable: dur != nil,
-				}
-				gen.proceed[id] = r.proceed
-				if pr > 0 {
-					r.gTop = K
-				}
-				if pr < R-1 {
-					r.gBot = K
-				}
-				if pc > 0 {
-					r.gLeft = K
-				}
-				if pc < C-1 {
-					r.gRight = K
-				}
-				if tr := cfg.obs.Tracer; tr != nil {
-					r.tr = tr
-					r.track = tr.Track("ghost2d", id, fmt.Sprintf("rank (%d,%d)", pr, pc))
-				}
-				r.cur = grid.New(r.ownH+r.gTop+r.gBot, r.ownW+r.gLeft+r.gRight)
-				r.next = grid.New(r.cur.H(), r.cur.W())
-				for y := 0; y < r.ownH; y++ {
-					copy(r.cur.Row(r.gTop + y)[r.gLeft:r.gLeft+r.ownW], ckpts[id][y])
-				}
-				rs[id] = r
+		for id, ge := range geoms {
+			r := &rank2d{
+				geom: ge, id: id, gen: genID,
+				reports: gen.reports,
+				proceed: make(chan bool, 1),
+				abort:   gen.abort,
+				inj:     inj, linkWait: linkWait,
+				durable: dur != nil,
 			}
+			gen.proceed[id] = r.proceed
+			if tr := cfg.obs.Tracer; tr != nil {
+				r.tr = tr
+				r.track = tr.Track(proc, id, label(id))
+			}
+			r.cur = grid.New(ge.localH(), ge.localW())
+			r.next = grid.New(ge.localH(), ge.localW())
+			for y := 0; y < ge.ownH; y++ {
+				copy(r.cur.Row(ge.gTop + y)[ge.gLeft:ge.gLeft+ge.ownW], ckpts[id][y])
+			}
+			rs[id] = r
 		}
 		// Wire neighbor links (endpoints are linear rank indices, so
 		// message-fault decisions stay keyed to stable identities).
-		for pr := 0; pr < R; pr++ {
-			for pc := 0; pc < C; pc++ {
-				id := pr*C + pc
-				r := rs[id]
-				if pc < C-1 {
-					east := rs[id+1]
-					toEast := fault.NewLink[message](inj, id, id+1, 1)
-					toWest := fault.NewLink[message](inj, id+1, id, 1)
-					r.sendE, east.recvW = toEast, toEast
-					east.sendW, r.recvE = toWest, toWest
-				}
-				if pr < R-1 {
-					south := rs[id+C]
-					toSouth := fault.NewLink[message](inj, id, id+C, 1)
-					toNorth := fault.NewLink[message](inj, id+C, id, 1)
-					r.sendS, south.recvN = toSouth, toSouth
-					south.sendN, r.recvS = toNorth, toNorth
-				}
+		for id, r := range rs {
+			if r.gRh > 0 {
+				east := rs[id+1]
+				toEast := fault.NewLink[message](inj, id, id+1, 1)
+				toWest := fault.NewLink[message](inj, id+1, id, 1)
+				r.sendE, east.recvW = toEast, toEast
+				east.sendW, r.recvE = toWest, toWest
+			}
+			if r.gBot > 0 {
+				south := rs[id+C]
+				toSouth := fault.NewLink[message](inj, id, id+C, 1)
+				toNorth := fault.NewLink[message](inj, id+C, id, 1)
+				r.sendS, south.recvN = toSouth, toSouth
+				south.sendN, r.recvS = toNorth, toNorth
 			}
 		}
 		gen.harvest = func(rep *Report) {
@@ -241,14 +171,14 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 				rep.Messages += r.msgs
 				rep.BytesSent += r.bytes
 				rep.RedundantCells += r.redundant
-				rep.OwnedCells += uint64(r.ownH * r.ownW)
+				rep.OwnedCells += r.owned
 			}
 		}
 		for _, r := range rs {
 			gen.wg.Add(1)
 			go func(r *rank2d) {
 				defer gen.wg.Done()
-				r.run(K, startRound)
+				r.run(startRound)
 			}(r)
 		}
 		live = rs
@@ -260,97 +190,54 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 		return rep, err
 	}
 
+	// Gather: copy owned blocks back into the global grid.
 	for _, r := range live {
 		for y := 0; y < r.ownH; y++ {
-			copy(g.Row(r.globTop + y)[r.globL:r.globL+r.ownW],
+			copy(g.Row(r.top + y)[r.left:r.left+r.ownW],
 				r.cur.Row(r.gTop + y)[r.gLeft:r.gLeft+r.ownW])
 		}
 	}
 	g.ClearHalo()
 	rep.Absorbed = before - g.Sum()
 	rep.FaultSchedule = inj.Schedule()
-	if m := cfg.obs.Metrics; m != nil {
-		m.Counter("ghost.exchanges").Add(int64(rep.Exchanges))
-		m.Counter("ghost.halo.messages").Add(int64(rep.Messages))
-		m.Counter("ghost.halo.bytes").Add(int64(rep.BytesSent))
-		m.Counter("ghost.cells.redundant").Add(int64(rep.RedundantCells))
-		m.Counter("ghost.cells.owned").Add(int64(rep.OwnedCells))
-	}
+	rep.publish(cfg.obs.Metrics)
 	return rep, nil
 }
 
-// splitExtents returns n+1 boundaries splitting total cells into n
-// near-equal extents, larger blocks first.
-func splitExtents(total, n int) []int {
-	out := make([]int, n+1)
-	base, extra := total/n, total%n
-	pos := 0
-	for i := 0; i < n; i++ {
-		out[i] = pos
-		pos += base
-		if i < extra {
-			pos++
-		}
-	}
-	out[n] = total
-	return out
-}
-
-func (r *rank2d) run(K, startRound int) {
-	H, W := r.cur.H(), r.cur.W()
+// run executes one simulated rank: rounds of a halo exchange and K
+// synchronous steps over a shrinking valid band, a report (heartbeat +
+// checkpoint) to the coordinator, and the coordinator's continue
+// verdict. An injected crash makes the rank go silent mid-protocol —
+// exactly the failure mode the coordinator's heartbeat timeout exists
+// to catch.
+func (r *rank2d) run(startRound int) {
 	for round := startRound + 1; ; round++ {
 		if r.inj.CrashAt(r.id, round) {
 			return
 		}
+		// Fill (or refresh) ghost zones before the round's K steps.
+		// The first exchange distributes the scattered initial state's
+		// boundary cells; later ones refresh post-round state.
 		exTS := r.tr.Now()
-		if !r.exchange(K) {
-			return
+		if !r.exchange() {
+			return // aborted, or a peer died and the link drained
 		}
 		if r.tr != nil {
 			r.tr.Span(r.track, "exchange", exTS, r.tr.Now()-exTS,
-				obs.Arg{Key: "K", Value: int64(K)})
+				obs.Arg{Key: "K", Value: int64(r.K)})
 		}
 		compTS := r.tr.Now()
-		roundChanges := 0
-		for s := 1; s <= K; s++ {
-			y0, y1, x0, x1 := 0, H, 0, W
-			if r.gTop > 0 {
-				y0 = s
-			}
-			if r.gBot > 0 {
-				y1 = H - s
-			}
-			if r.gLeft > 0 {
-				x0 = s
-			}
-			if r.gRight > 0 {
-				x1 = W - s
-			}
-			for y := y0; y < y1; y++ {
-				if y >= r.gTop && y < r.gTop+r.ownH {
-					// Owned row: compute the halo spans and the owned
-					// span separately so owned changes are counted
-					// exactly once.
-					if x0 < r.gLeft {
-						sandpile.SyncRow(r.cur, r.next, y, x0, r.gLeft)
-						r.redundant += uint64(r.gLeft - x0)
-					}
-					roundChanges += sandpile.SyncRow(r.cur, r.next, y, r.gLeft, r.gLeft+r.ownW)
-					if right := r.gLeft + r.ownW; x1 > right {
-						sandpile.SyncRow(r.cur, r.next, y, right, x1)
-						r.redundant += uint64(x1 - right)
-					}
-				} else {
-					sandpile.SyncRow(r.cur, r.next, y, x0, x1)
-					r.redundant += uint64(x1 - x0)
-				}
-			}
-			r.cur, r.next = r.next, r.cur
-		}
+		var w roundWork
+		w, r.cur, r.next = computeBlock(r.geom, r.cur, r.next)
+		r.owned += w.owned
+		r.redundant += w.redundant
 		if r.tr != nil {
 			r.tr.Span(r.track, "compute", compTS, r.tr.Now()-compTS,
-				obs.Arg{Key: "changes", Value: int64(roundChanges)})
+				obs.Arg{Key: "changes", Value: int64(w.changes)})
 		}
+		// With fault injection or durability on, the report carries a
+		// checkpoint of the owned block; the coordinator installs it
+		// once the whole round commits.
 		var rows [][]uint32
 		if r.inj != nil || r.durable {
 			rows = make([][]uint32, r.ownH)
@@ -359,7 +246,7 @@ func (r *rank2d) run(K, startRound int) {
 			}
 		}
 		select {
-		case r.reports <- roundReport{gen: r.gen, id: r.id, round: round, changes: roundChanges, rows: rows}:
+		case r.reports <- roundReport{gen: r.gen, id: r.id, round: round, changes: w.changes, rows: rows}:
 		case <-r.abort:
 			return
 		}
@@ -376,8 +263,10 @@ func (r *rank2d) run(K, startRound int) {
 
 // exchange performs the two-phase halo exchange: E/W columns over
 // owned rows first, then N/S rows over the full local width (carrying
-// the corners). Returns false on abort or peer death.
-func (r *rank2d) exchange(K int) bool {
+// the corners). Returns false on abort or peer death (a receive timed
+// out with nothing to retransmit).
+func (r *rank2d) exchange() bool {
+	K := r.K
 	// Phase 1: east/west columns, owned rows only, coalesced into one
 	// flat ownH×K message per neighbor.
 	colPayload := func(x0 int) message {

@@ -68,7 +68,7 @@ func TestRun2DMatches1DOnStrips(t *testing.T) {
 	init := sandpile.Center(20000).Build(64, 64, nil)
 	a := init.Clone()
 	b := init.Clone()
-	if _, err := Run(a, Params{Ranks: 4, GhostWidth: 2}); err != nil {
+	if _, err := New(a, WithRanks(4), WithWidth(2)).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(b, WithProcessGrid(4, 1), WithWidth(2)).Run(); err != nil {

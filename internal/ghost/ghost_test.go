@@ -18,7 +18,7 @@ func oracle(g *grid.Grid) *grid.Grid {
 func TestSingleRankMatchesOracle(t *testing.T) {
 	g := sandpile.Uniform(4).Build(32, 32, nil)
 	want := oracle(g)
-	rep, err := Run(g, Params{Ranks: 1, GhostWidth: 1})
+	rep, err := New(g, WithRanks(1), WithWidth(1)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMultiRankMatchesOracleAcrossWidths(t *testing.T) {
 	for _, ranks := range []int{2, 3, 4, 8} {
 		for _, k := range []int{1, 2, 4, 8} {
 			g := init.Clone()
-			rep, err := Run(g, Params{Ranks: ranks, GhostWidth: k})
+			rep, err := New(g, WithRanks(ranks), WithWidth(k)).Run()
 			if err != nil {
 				t.Fatalf("ranks=%d k=%d: %v", ranks, k, err)
 			}
@@ -58,7 +58,7 @@ func TestWiderGhostMeansFewerMessagesMoreRedundancy(t *testing.T) {
 	var prev *Report
 	for _, k := range []int{1, 2, 4, 8} {
 		g := init.Clone()
-		rep, err := Run(g, Params{Ranks: 4, GhostWidth: k})
+		rep, err := New(g, WithRanks(4), WithWidth(k)).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestWiderGhostMeansFewerMessagesMoreRedundancy(t *testing.T) {
 
 func TestMessageAccounting(t *testing.T) {
 	g := sandpile.Uniform(4).Build(40, 40, nil)
-	rep, err := Run(g, Params{Ranks: 4, GhostWidth: 2})
+	rep, err := New(g, WithRanks(4), WithWidth(2)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestIterationsRoundedUpToK(t *testing.T) {
 	seqRes := sandpile.StabilizeSyncSeq(seq)
 	for _, k := range []int{1, 3, 5} {
 		g := init.Clone()
-		rep, err := Run(g, Params{Ranks: 2, GhostWidth: k})
+		rep, err := New(g, WithRanks(2), WithWidth(k)).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestUnevenStripDivision(t *testing.T) {
 	init := sandpile.Random(8).Build(50, 30, rand.New(rand.NewSource(9)))
 	want := oracle(init)
 	g := init.Clone()
-	if _, err := Run(g, Params{Ranks: 3, GhostWidth: 2}); err != nil {
+	if _, err := New(g, WithRanks(3), WithWidth(2)).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !g.Equal(want) {
@@ -132,23 +132,37 @@ func TestUnevenStripDivision(t *testing.T) {
 	}
 }
 
+// A strip run splits rows only, so a grid narrower than K is fine:
+// the block-size check applies to split dimensions alone.
+func TestNarrowGridStrips(t *testing.T) {
+	init := sandpile.Random(12).Build(24, 1, rand.New(rand.NewSource(3)))
+	want := oracle(init)
+	g := init.Clone()
+	if _, err := New(g, WithRanks(3), WithWidth(2)).Run(); err != nil {
+		t.Fatalf("24x1 grid over 3 strips with K=2: %v", err)
+	}
+	if !g.Equal(want) {
+		t.Fatalf("narrow strips: wrong fixed point: %v", g.Diff(want, 5))
+	}
+}
+
 func TestParameterValidation(t *testing.T) {
 	g := grid.New(16, 16)
-	if _, err := Run(g, Params{Ranks: 0, GhostWidth: 1}); err == nil {
+	if _, err := New(g, WithRanks(0), WithWidth(1)).Run(); err == nil {
 		t.Fatal("Ranks=0 accepted")
 	}
-	if _, err := Run(g, Params{Ranks: 2, GhostWidth: 0}); err == nil {
+	if _, err := New(g, WithRanks(2), WithWidth(0)).Run(); err == nil {
 		t.Fatal("GhostWidth=0 accepted")
 	}
 	// 16 rows over 8 ranks = 2 rows each; K=4 > 2 must be rejected.
-	if _, err := Run(g, Params{Ranks: 8, GhostWidth: 4}); err == nil {
+	if _, err := New(g, WithRanks(8), WithWidth(4)).Run(); err == nil {
 		t.Fatal("GhostWidth larger than strip accepted")
 	}
 }
 
 func TestMaxItersAborts(t *testing.T) {
 	g := sandpile.Center(200000).Build(64, 64, nil)
-	rep, err := Run(g, Params{Ranks: 2, GhostWidth: 2, MaxIters: 10})
+	rep, err := New(g, WithRanks(2), WithWidth(2), WithMaxIters(10)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +187,7 @@ func TestQuickGhostAbelian(t *testing.T) {
 		}
 		k := 1 + rng.Intn(maxK)
 		g := init.Clone()
-		if _, err := Run(g, Params{Ranks: ranks, GhostWidth: k}); err != nil {
+		if _, err := New(g, WithRanks(ranks), WithWidth(k)).Run(); err != nil {
 			return false
 		}
 		return g.Equal(want)
@@ -185,7 +199,7 @@ func TestQuickGhostAbelian(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	g := sandpile.Uniform(4).Build(16, 16, nil)
-	rep, err := Run(g, Params{Ranks: 2, GhostWidth: 2})
+	rep, err := New(g, WithRanks(2), WithWidth(2)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func centerLoaded(h, w int, v uint32) *grid.Grid {
 func TestRunReportsObs(t *testing.T) {
 	sink := obs.Sink{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(nil)}
 	g := centerLoaded(32, 32, 4096)
-	rep, err := Run(g, Params{Ranks: 2, GhostWidth: 2, Obs: sink})
+	rep, err := New(g, WithRanks(2), WithWidth(2), WithObs(sink)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

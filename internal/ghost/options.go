@@ -1,10 +1,9 @@
 package ghost
 
-// options.go is the redesigned constructor for distributed runs: a
-// functional-options Runner that unifies the strip and block
-// decompositions, threads context.Context through, and carries the
-// fault-injection plan. The positional Params/Params2D structs and
-// the package-level Run/Run2D remain as thin deprecated shims.
+// options.go is the constructor for distributed runs: a
+// functional-options Runner over the block decomposition (strips are
+// its one-column case) that threads context.Context through and
+// carries the fault-injection plan, durability, and fleet settings.
 
 import (
 	"context"
@@ -17,10 +16,9 @@ import (
 	"repro/internal/obs"
 )
 
-// config is the merged configuration both decompositions run from.
+// config is the merged configuration both runtimes run from.
 type config struct {
-	ranks              int // strip decomposition (1-D)
-	procRows, procCols int // block decomposition (2-D); set via WithProcessGrid
+	procRows, procCols int // process grid; WithRanks(n) is n×1
 	width              int
 	maxIters           int
 	obs                obs.Sink
@@ -33,11 +31,13 @@ type config struct {
 // Option configures a Runner built with New.
 type Option func(*config)
 
-// WithRanks selects the strip decomposition with n simulated ranks.
-func WithRanks(n int) Option { return func(c *config) { c.ranks = n } }
+// WithRanks selects the strip decomposition with n simulated ranks:
+// the n×1 process grid of WithProcessGrid.
+func WithRanks(n int) Option { return WithProcessGrid(n, 1) }
 
 // WithProcessGrid selects the 2-D block decomposition with a
-// rows x cols process grid (overrides WithRanks).
+// rows x cols process grid. The last of WithRanks/WithProcessGrid
+// wins.
 func WithProcessGrid(rows, cols int) Option {
 	return func(c *config) { c.procRows, c.procCols = rows, cols }
 }
@@ -88,9 +88,6 @@ type Runner struct {
 // New builds a distributed run of g, e.g.
 //
 //	ghost.New(g, ghost.WithRanks(4), ghost.WithWidth(2), ghost.WithFaults(plan))
-//
-// This is the preferred constructor; Run(g, Params) and
-// Run2D(g, Params2D) are the legacy positional forms.
 func New(g *grid.Grid, opts ...Option) *Runner {
 	r := &Runner{g: g, cfg: config{width: 1}}
 	for _, opt := range opts {
@@ -108,8 +105,5 @@ func (r *Runner) RunContext(ctx context.Context) (Report, error) {
 	if r.cfg.fleet != nil {
 		return runFleet(ctx, r.g, r.cfg)
 	}
-	if r.cfg.procRows > 0 || r.cfg.procCols > 0 {
-		return run2d(ctx, r.g, r.cfg)
-	}
-	return run1d(ctx, r.g, r.cfg)
+	return run2d(ctx, r.g, r.cfg)
 }

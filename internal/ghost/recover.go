@@ -1,8 +1,8 @@
 package ghost
 
-// recover.go is the fault-tolerance core shared by the strip and
-// block decompositions: a coordinator that drives *generations* of
-// rank goroutines under coordinated checkpoint/rollback. Every round,
+// recover.go is the fault-tolerance core of the in-process runtime
+// (ghost2d.go): a coordinator that drives *generations* of rank
+// goroutines under coordinated checkpoint/rollback. Every round,
 // each live rank reports its owned-region change count (plus, when
 // fault injection is on, an in-memory checkpoint of its owned cells);
 // a round commits only when every rank reported, which makes the

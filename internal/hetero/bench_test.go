@@ -18,7 +18,7 @@ func benchHybrid(b *testing.B, p Params) {
 		b.StopTimer()
 		g := sandpile.Sparse(0.002, 1000).Build(128, 128, nil)
 		b.StartTimer()
-		Run(g, p)
+		run(g, p)
 	}
 }
 

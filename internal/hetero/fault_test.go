@@ -88,7 +88,7 @@ func TestRunContextCancelledHetero(t *testing.T) {
 func TestNewOptionsMatchParams(t *testing.T) {
 	init := sandpile.Uniform(4).Build(32, 32, nil)
 	a := init.Clone()
-	repA := Run(a, Params{TileH: 8, TileW: 8, CPUWorkers: 2, Adapt: true})
+	repA := run(a, Params{TileH: 8, TileW: 8, CPUWorkers: 2, Adapt: true})
 	b := init.Clone()
 	repB := New(b, WithTile(8, 8), WithCPUWorkers(2)).Run()
 	if !a.Equal(b) {

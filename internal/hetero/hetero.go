@@ -98,10 +98,10 @@ func (r Report) String() string {
 	return s
 }
 
-// Run stabilizes g with the hybrid lazy synchronous engine and writes
+// run stabilizes g with the hybrid lazy synchronous engine and writes
 // the final configuration into g.
-func Run(g *grid.Grid, p Params) Report {
-	rep, err := RunContext(context.Background(), g, p)
+func run(g *grid.Grid, p Params) Report {
+	rep, err := runContext(context.Background(), g, p)
 	if err != nil {
 		// Unreachable: only cancellation produces an error, and the
 		// background context cannot be cancelled.
@@ -110,11 +110,11 @@ func Run(g *grid.Grid, p Params) Report {
 	return rep
 }
 
-// RunContext is Run with cancellation: the iteration loop stops
+// runContext is run with cancellation: the iteration loop stops
 // promptly once ctx is cancelled and the partial report is returned
 // alongside ctx.Err(). The grid is left in a consistent (but
 // unconverged) intermediate state.
-func RunContext(ctx context.Context, g *grid.Grid, p Params) (Report, error) {
+func runContext(ctx context.Context, g *grid.Grid, p Params) (Report, error) {
 	if p.TileH <= 0 {
 		p.TileH = 32
 	}

@@ -24,7 +24,7 @@ func TestHybridMatchesOracle(t *testing.T) {
 		init := cfg.Build(64, 64, rand.New(rand.NewSource(2)))
 		want := oracle(init)
 		g := init.Clone()
-		rep := Run(g, Params{
+		rep := run(g, Params{
 			TileH: 8, TileW: 8, CPUWorkers: 2,
 			Device: DeviceProfile{Workers: 2}, Adapt: true,
 		})
@@ -44,7 +44,7 @@ func TestCPUOnlyWhenDeviceDisabled(t *testing.T) {
 	init := sandpile.Uniform(4).Build(32, 32, nil)
 	want := oracle(init)
 	g := init.Clone()
-	rep := Run(g, Params{TileH: 8, TileW: 8, CPUWorkers: 2, Device: DeviceProfile{Workers: 0}})
+	rep := run(g, Params{TileH: 8, TileW: 8, CPUWorkers: 2, Device: DeviceProfile{Workers: 0}})
 	if !g.Equal(want) {
 		t.Fatal("CPU-only hybrid wrong fixed point")
 	}
@@ -59,7 +59,7 @@ func TestCPUOnlyWhenDeviceDisabled(t *testing.T) {
 func TestFixedSplitNoAdaptation(t *testing.T) {
 	init := sandpile.Uniform(5).Build(48, 48, nil)
 	g := init.Clone()
-	rep := Run(g, Params{
+	rep := run(g, Params{
 		TileH: 8, TileW: 8, CPUWorkers: 1,
 		Device: DeviceProfile{Workers: 1}, InitialFraction: 0.25, Adapt: false,
 	})
@@ -73,7 +73,7 @@ func TestAdaptationShiftsAwayFromSlowDevice(t *testing.T) {
 	// up with a small share.
 	init := sandpile.Uniform(6).Build(96, 96, nil)
 	g := init.Clone()
-	rep := Run(g, Params{
+	rep := run(g, Params{
 		TileH: 8, TileW: 8, CPUWorkers: 4,
 		Device:          DeviceProfile{Workers: 1, LaunchOverhead: 2 * time.Millisecond},
 		InitialFraction: 0.5, Adapt: true,
@@ -99,7 +99,7 @@ func TestTraceOwnershipFig4(t *testing.T) {
 	g.Set(3, 36, 8000)
 	g.Set(36, 3, 8000)
 	rec := trace.NewRecorder()
-	Run(g, Params{
+	run(g, Params{
 		TileH: 16, TileW: 16, CPUWorkers: 2,
 		Device: DeviceProfile{Workers: 1}, Adapt: true, Recorder: rec,
 	})
@@ -137,7 +137,7 @@ func TestTraceOwnershipFig4(t *testing.T) {
 func TestGrainAccounting(t *testing.T) {
 	init := sandpile.Uniform(5).Build(40, 40, nil)
 	g := init.Clone()
-	rep := Run(g, Params{TileH: 8, TileW: 8, CPUWorkers: 2, Device: DeviceProfile{Workers: 1}})
+	rep := run(g, Params{TileH: 8, TileW: 8, CPUWorkers: 2, Device: DeviceProfile{Workers: 1}})
 	if rep.Absorbed+g.Sum() != init.Sum() {
 		t.Fatalf("grains leaked: absorbed=%d remaining=%d initial=%d",
 			rep.Absorbed, g.Sum(), init.Sum())
@@ -146,7 +146,7 @@ func TestGrainAccounting(t *testing.T) {
 
 func TestMaxItersAborts(t *testing.T) {
 	g := sandpile.Center(100000).Build(64, 64, nil)
-	rep := Run(g, Params{TileH: 8, TileW: 8, CPUWorkers: 2, Device: DeviceProfile{Workers: 1}, MaxIters: 4})
+	rep := run(g, Params{TileH: 8, TileW: 8, CPUWorkers: 2, Device: DeviceProfile{Workers: 1}, MaxIters: 4})
 	if rep.Iterations != 4 {
 		t.Fatalf("iterations = %d, want 4", rep.Iterations)
 	}
@@ -159,7 +159,7 @@ func TestQuickHybridAbelian(t *testing.T) {
 		init := sandpile.Random(9).Build(h, w, rng)
 		want := oracle(init)
 		g := init.Clone()
-		Run(g, Params{
+		run(g, Params{
 			TileH: 2 + rng.Intn(8), TileW: 2 + rng.Intn(8),
 			CPUWorkers: 1 + rng.Intn(3),
 			Device:     DeviceProfile{Workers: rng.Intn(3)},
@@ -174,7 +174,7 @@ func TestQuickHybridAbelian(t *testing.T) {
 
 func TestReportString(t *testing.T) {
 	g := sandpile.Uniform(4).Build(16, 16, nil)
-	rep := Run(g, Params{TileH: 4, TileW: 4, CPUWorkers: 1, Device: DeviceProfile{Workers: 1}})
+	rep := run(g, Params{TileH: 4, TileW: 4, CPUWorkers: 1, Device: DeviceProfile{Workers: 1}})
 	if rep.String() == "" {
 		t.Fatal("empty report string")
 	}

@@ -12,7 +12,7 @@ func TestRunReportsObs(t *testing.T) {
 	sink := obs.Sink{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(nil)}
 	g := grid.New(64, 64)
 	g.Set(32, 32, 20000)
-	rep := Run(g, Params{
+	rep := run(g, Params{
 		TileH: 16, TileW: 16, CPUWorkers: 2,
 		Device: DeviceProfile{Workers: 2, LaunchOverhead: 100 * time.Microsecond},
 		Adapt:  true,

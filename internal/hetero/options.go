@@ -1,8 +1,8 @@
 package hetero
 
 // options.go is the functional-options front of the package: New
-// composes a Runner from With* options, replacing hand-built Params
-// literals. Run(g, Params{...}) remains as a back-compat shim.
+// composes a Runner from With* options, the package's only entry
+// point.
 
 import (
 	"context"
@@ -87,9 +87,9 @@ func New(g *grid.Grid, opts ...Option) *Runner {
 }
 
 // Run stabilizes the runner's grid and returns the report.
-func (r *Runner) Run() Report { return Run(r.g, r.p) }
+func (r *Runner) Run() Report { return run(r.g, r.p) }
 
 // RunContext is Run with cancellation.
 func (r *Runner) RunContext(ctx context.Context) (Report, error) {
-	return RunContext(ctx, r.g, r.p)
+	return runContext(ctx, r.g, r.p)
 }

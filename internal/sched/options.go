@@ -1,9 +1,8 @@
 package sched
 
-// options.go is the functional-options constructor introduced by the
-// fault/recovery PR's API redesign: every substrate now exposes
-// New(...With*) so configuration surfaces grow without breaking
-// callers. NewPool(Options) remains as a thin deprecated shim.
+// options.go holds the functional options New takes: every substrate
+// exposes New(...With*) so configuration surfaces grow without
+// breaking callers.
 
 import "repro/internal/obs"
 
@@ -22,14 +21,3 @@ func WithChunkSize(n int) Option { return func(o *Options) { o.ChunkSize = n } }
 
 // WithObs attaches the observability layer.
 func WithObs(sink obs.Sink) Option { return func(o *Options) { o.Obs = sink } }
-
-// New starts a worker team configured by the options. Callers must
-// Close it. This is the preferred constructor; NewPool(Options) is
-// the legacy positional-struct form.
-func New(opts ...Option) *Pool {
-	var o Options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return NewPool(o)
-}

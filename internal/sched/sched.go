@@ -87,13 +87,13 @@ type Pool struct {
 	n      int
 	cursor atomic.Int64
 	done   sync.WaitGroup
-	// indexed-run state: RunIndexed stores the id slice and user body
-	// here and routes through Run with the pre-built idxExec trampoline,
+	// indexed-run state: RunIndexedContext stores the id slice and user
+	// body here and routes through run with the pre-built idxExec trampoline,
 	// so scheduling an index worklist costs no allocation.
 	ids     []int32
 	idxBody func(worker int, ids []int32)
 	idxExec func(worker, lo, hi int)
-	// stealing-policy region state, reset by Run. The deques and their
+	// stealing-policy region state, reset by run. The deques and their
 	// chunk storage are built lazily once and reused across regions
 	// (buildDeques is pre-bound so Once.Do gets a loop-invariant func).
 	stealOnce   sync.Once
@@ -105,7 +105,7 @@ type Pool struct {
 	stopped     atomic.Bool
 
 	// abort short-circuits the current region: set when a body panics
-	// (the panic is captured and re-raised in Run's caller) or when a
+	// (the panic is captured and re-raised in the caller) or when a
 	// RunContext watcher sees cancellation. Policy loops check it per
 	// chunk; bumping cursor past n unblocks the counter-based claims.
 	aborted  atomic.Bool
@@ -144,12 +144,13 @@ type Options struct {
 	Obs obs.Sink
 }
 
-// NewPool starts the worker team. Callers must Close it.
-//
-// Deprecated: prefer New with functional options (options.go), which
-// is the uniform constructor style across the repo's substrates.
-// NewPool remains supported as a thin equivalent.
-func NewPool(o Options) *Pool {
+// New starts a worker team configured by the options. Callers must
+// Close it.
+func New(opts ...Option) *Pool {
+	var o Options
+	for _, opt := range opts {
+		opt(&o)
+	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -213,7 +214,8 @@ func (p *Pool) Policy() Policy { return p.policy }
 
 // Close terminates the worker team. It is idempotent and safe to call
 // from multiple goroutines concurrently. The pool is unusable
-// afterwards: Run (and RunIndexed) on a closed pool panics.
+// afterwards: RunContext (and RunIndexedContext) on a closed pool
+// panics.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		p.stopped.Store(true)
@@ -221,21 +223,8 @@ func (p *Pool) Close() {
 	})
 }
 
-// Run executes body over [0, n) according to the pool's policy and
-// blocks until all iterations complete (an implicit barrier, like the
-// end of an OpenMP parallel-for). body receives the worker id and a
-// half-open index range [lo, hi). Run panics if the pool has been
-// closed.
-//
-// Deprecated: prefer RunContext (context.go), the uniform cancellable
-// entry point across the repo's substrates. With context.Background()
-// it compiles down to exactly this method — no watcher goroutine, no
-// extra allocation — so migrating costs nothing on hot paths.
-func (p *Pool) Run(n int, body func(worker, lo, hi int)) {
-	p.run(n, body)
-}
-
-// run is the region execution core behind Run and RunContext.
+// run is the region execution core behind RunContext and
+// RunIndexedContext.
 func (p *Pool) run(n int, body func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -266,7 +255,7 @@ func (p *Pool) run(n int, body func(worker, lo, hi int)) {
 		// A body panicked in a worker: the region was aborted, every
 		// worker has joined, and the panic now belongs to the caller.
 		// The pool is closed first so it is left in a safe, terminal
-		// state (later Runs fail fast instead of computing on a region
+		// state (later regions fail fast instead of computing on a region
 		// that half-finished).
 		r := p.panicVal
 		p.panicVal = nil
@@ -293,34 +282,6 @@ func (p *Pool) run(n int, body func(worker, lo, hi int)) {
 	p.exec = nil
 }
 
-// RunIndexed executes body over an arbitrary id worklist under the
-// pool's policy: positions [0, len(ids)) are partitioned exactly as
-// Run partitions them, and body receives the worker id plus the
-// ids[lo:hi] sub-slice of each chunk. This is how compacted worklists
-// (e.g. the lazy engines' active-tile frontier) are scheduled under
-// static, cyclic, dynamic, guided, and stealing without copying ids
-// per chunk: beyond what Run itself does, RunIndexed allocates
-// nothing. Like Run, it panics on a closed pool.
-//
-// Deprecated: prefer RunIndexedContext (context.go); with
-// context.Background() it is exactly this method.
-func (p *Pool) RunIndexed(ids []int32, body func(worker int, ids []int32)) {
-	p.runIndexed(ids, body)
-}
-
-// runIndexed is the worklist core behind RunIndexed and
-// RunIndexedContext.
-func (p *Pool) runIndexed(ids []int32, body func(worker int, ids []int32)) {
-	if len(ids) == 0 {
-		return
-	}
-	p.ids = ids
-	p.idxBody = body
-	p.run(len(ids), p.idxExec)
-	p.ids = nil
-	p.idxBody = nil
-}
-
 func (p *Pool) worker(id int) {
 	for {
 		select {
@@ -336,9 +297,9 @@ func (p *Pool) worker(id int) {
 // runRegionGuarded runs one region with panic containment: a body
 // panic is captured (first one wins), the region is aborted so the
 // other workers drain quickly, and the worker goroutine survives to
-// let Run's barrier complete — Run then re-raises the panic in the
+// let run's barrier complete — run then re-raises the panic in the
 // caller. Without this a panicking body would kill the worker before
-// done.Done(), leaving Run blocked forever.
+// done.Done(), leaving run blocked forever.
 func (p *Pool) runRegionGuarded(id int) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -358,13 +319,13 @@ func (p *Pool) runRegionGuarded(id int) {
 // "remaining <= 0" exits trip on the very next claim. A sentinel —
 // not int64(p.n) — because abort runs on RunContext's watcher
 // goroutine, where reading the plain p.n field would race with the
-// next Run's prologue write.
+// next region's prologue write.
 const abortCursor = int64(1) << 62
 
 // abort stops the in-flight region: policy loops check the flag per
 // chunk, and pushing cursor past any possible n unblocks the
 // Dynamic/Guided counter claims immediately. In-flight chunks are
-// never interrupted — Run's completion barrier still waits for every
+// never interrupted — run's completion barrier still waits for every
 // worker to finish its current body call, so when RunContext returns
 // no body is executing and a checkpoint taken right after
 // cancellation cannot observe a half-written row.
@@ -438,16 +399,4 @@ func (p *Pool) runRegion(id int) {
 	default:
 		panic(fmt.Sprintf("sched: unknown policy %v", p.policy))
 	}
-}
-
-// ForEach is a convenience one-shot parallel-for: it builds a
-// temporary pool, runs body, and tears the pool down. Engines that
-// loop should hold a Pool instead.
-//
-// Deprecated: build a Pool with New and use RunContext; the one-shot
-// convenience hides the pool lifetime and cannot be cancelled.
-func ForEach(n int, o Options, body func(worker, lo, hi int)) {
-	p := NewPool(o)
-	defer p.Close()
-	p.run(n, body)
 }

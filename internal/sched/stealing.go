@@ -90,7 +90,7 @@ func (p *Pool) dealDeques() {
 func (p *Pool) runStealing(id int) {
 	// The first worker to arrive deals the deques for this region;
 	// others wait inside the Once. The sync.Once lives in the region
-	// state reset by Run.
+	// state reset by run.
 	p.stealOnce.Do(p.buildDeques)
 
 	own := p.deques[id]
