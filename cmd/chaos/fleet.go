@@ -3,11 +3,12 @@ package main
 // fleet.go is the real-process fleet mode: instead of kill–resume over
 // durable checkpoints, the driver runs a coordinator in-process, spawns
 // its workers as subprocesses of itself joined over a socket transport,
-// SIGKILLs some of them mid-run, and asserts the final state is
-// byte-identical to a clean in-process run of the same workload. This
-// is the end-to-end proof for internal/net: leases detect the deaths,
-// the supervisor respawns the ranks, rejoin re-dispatch keeps the
-// computation exact.
+// SIGKILLs some of them at seeded points of the run's progress, and
+// asserts the final state is byte-identical to a clean in-process run
+// of the same workload. This is the end-to-end proof for internal/net:
+// leases detect the deaths, the supervisor respawns the ranks, and the
+// applications' recovery (ghost re-seeds or rolls back to a snapshot,
+// word count re-dispatches tasks) keeps the computation exact.
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -101,39 +103,56 @@ func fleetListen(scheme, scratch, wl string) string {
 }
 
 // startKiller delivers up to kills SIGKILLs to worker ranks (skipping
-// rank 0 so every workload keeps at least one stable rank) at random
-// delays, until stop closes. Returns the delivered counter.
-func startKiller(procs *fleetProcs, workers, kills int, killMax time.Duration,
+// rank 0 so every workload keeps at least one stable rank) as the run
+// progresses: the k-th lands once done() reaches the k-th of kills
+// seeded fractions in [10%, 90%) of total, the in-process reference's
+// amount of work. Following progress rather than the wall clock keeps
+// every kill inside the run however fast it goes. Returns the
+// delivered counter.
+func startKiller(procs *fleetProcs, workers, kills int, done func() float64, total float64,
 	rng *rand.Rand, stop <-chan struct{}, log *obs.Logger) *atomic.Int64 {
 	delivered := &atomic.Int64{}
-	delays := make([]time.Duration, kills)
+	at := make([]float64, kills)
 	victims := make([]int, kills)
-	for k := range delays {
-		delays[k] = time.Duration(rng.Int63n(int64(killMax)-5e6) + 5e6) // [5ms, killMax)
+	for k := range at {
+		at[k] = (0.1 + 0.8*rng.Float64()) * total
 		victims[k] = 1 + k%(workers-1)
 	}
+	slices.Sort(at)
 	go func() {
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
 		for k := 0; k < kills; k++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(delays[k]):
+			for done() < at[k] {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+				}
 			}
 			if procs.kill(victims[k]) {
 				delivered.Add(1)
 				log.Event(obs.LevelWarn, "chaos", "fleet worker SIGKILLed",
 					obs.Arg{Key: "rank", Value: int64(victims[k])},
-					obs.Arg{Key: "kill", Value: delivered.Load()})
+					obs.Arg{Key: "kill", Value: delivered.Load()},
+					obs.Arg{Key: "progress", Value: int64(done())})
 			}
 		}
 	}()
 	return delivered
 }
 
+// progressOf reads one field of one stage of the sink's live progress.
+// The field is zeroed first, so a previous run's value cannot count.
+func progressOf(p *obs.Progress, stage, field string) func() float64 {
+	p.Update(stage, obs.F(field, 0))
+	return func() float64 { return p.Snapshot()[stage].Fields[field] }
+}
+
 // fleetSoak runs one fleet workload against real SIGKILLed worker
 // subprocesses and compares its state bytes with the clean in-process
 // run.
-func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duration,
+func fleetSoak(self, wl, scratch, scheme string, kills int,
 	quick bool, rng *rand.Rand, log *obs.Logger, sink obs.Sink) error {
 	tr, err := pnet.New(scheme)
 	if err != nil {
@@ -154,8 +173,7 @@ func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duratio
 		Lease:     time.Second,
 		Spawn:     fleetSpawn(self, fleetWorkerName(wl), scheme, procs, quick),
 	}
-	delivered := startKiller(procs, workers, kills, killMax, rng, stop, log)
-
+	var delivered *atomic.Int64
 	var ref, got []byte
 	switch wl {
 	case "ghost", "ghost2d":
@@ -173,6 +191,8 @@ func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duratio
 			return fmt.Errorf("in-process reference: %w", err)
 		}
 		ref = sandpileState(refRep.Iterations, refRep.Topples, refRep.Absorbed, refG)
+		delivered = startKiller(procs, workers, kills, progressOf(sink.Progress, "ghost", "round"),
+			float64(refRep.Exchanges), rng, stop, log)
 
 		g := sandpile.Center(grains).Build(size, size, nil)
 		rep, err := ghost.New(g, append(opts, ghost.WithFleet(fc), ghost.WithObs(sink))...).Run()
@@ -194,11 +214,13 @@ func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duratio
 		}
 		corpus := chaosCorpus(lines)
 		job := fleetWordCountJob()
-		refOut, _, err := job.Run(corpus)
+		refOut, refStats, err := job.Run(corpus)
 		if err != nil {
 			return fmt.Errorf("in-process reference: %w", err)
 		}
 		ref = []byte(strings.Join(refOut, "\n"))
+		delivered = startKiller(procs, workers, kills, progressOf(sink.Progress, "mapreduce", "map_done"),
+			float64(refStats.MapTasks), rng, stop, log)
 
 		fc.Workers = workers
 		fleetJob := fleetWordCountJob()
@@ -226,7 +248,7 @@ func fleetSoak(self, wl, scratch, scheme string, kills int, killMax time.Duratio
 }
 
 // fleetWorkerName maps a driver workload to the worker-side program:
-// 1-D and 2-D ghost share one worker (geometry travels per round).
+// 1-D and 2-D ghost share one worker (geometry travels in the seed).
 func fleetWorkerName(wl string) string {
 	if wl == "ghost2d" {
 		return "ghost"

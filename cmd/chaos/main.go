@@ -44,7 +44,7 @@ func main() {
 		kills     = flag.Int("kills", 3, "SIGKILLs to deliver before the final clean run")
 		seed      = flag.Int64("seed", 1, "seed for the kill-timing RNG")
 		dir       = flag.String("dir", "", "scratch directory (default: a fresh temp dir)")
-		killMax   = flag.Duration("kill-max", 1200*time.Millisecond, "upper bound on the random kill delay")
+		killMax   = flag.Duration("kill-max", 1200*time.Millisecond, "upper bound on the random kill delay (kill–resume soaks; -fleet kills follow the run's progress)")
 		quick     = flag.Bool("quick", false, "shrink workloads for fast CI soaks")
 		obsListen = flag.String("obs-listen", "", "worker telemetry address, forwarded to every launched worker (workers run one at a time, so they can share it); in -fleet mode the driver itself serves telemetry here instead")
 		worker    = flag.Bool("worker", false, "internal: run one workload with resume and write the state file")
@@ -65,7 +65,7 @@ func main() {
 		return
 	}
 	if *fleet {
-		runFleetSoaks(*workload, *transport, *dir, *kills, *killMax, *seed, *quick, *obsListen)
+		runFleetSoaks(*workload, *transport, *dir, *kills, *seed, *quick, *obsListen)
 		return
 	}
 
@@ -127,7 +127,7 @@ func main() {
 
 // runFleetSoaks drives the fleet workloads and exits non-zero on any
 // failure.
-func runFleetSoaks(workload, scheme, dir string, kills int, killMax time.Duration, seed int64, quick bool, obsListen string) {
+func runFleetSoaks(workload, scheme, dir string, kills int, seed int64, quick bool, obsListen string) {
 	list := fleetWorkloads
 	if workload != "all" {
 		ok := false
@@ -162,11 +162,14 @@ func runFleetSoaks(workload, scheme, dir string, kills int, killMax time.Duratio
 		fatalf("%v", err)
 	}
 	defer srv.Close()
+	if sink.Progress == nil {
+		sink.Progress = obs.NewProgress(nil) // the killer follows it
+	}
 	log := obs.NewLogger(obs.WithLogWriter(os.Stderr))
 	rng := rand.New(rand.NewSource(seed))
 	failed := 0
 	for _, wl := range list {
-		if err := fleetSoak(self, wl, scratch, scheme, kills, killMax, quick, rng, log, sink); err != nil {
+		if err := fleetSoak(self, wl, scratch, scheme, kills, quick, rng, log, sink); err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: fleet-%s: FAIL: %v\n", wl, err)
 			failed++
 			continue

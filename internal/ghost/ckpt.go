@@ -31,8 +31,8 @@ import (
 const ghostPayload uint32 = 2
 
 // durable carries the checkpointer plus the runtime's encoder (run2d
-// encodes its committed checkpoint set, runFleet the committed global
-// grid). nil means durability is off.
+// encodes its committed checkpoint set, runFleet the global grid it
+// has just pulled whole). nil means durability is off.
 type durable struct {
 	ck     *ckpt.Checkpointer
 	encode func(round int, topples uint64) []byte
@@ -41,9 +41,18 @@ type durable struct {
 // save persists the committed round when the cadence is due. Safe on
 // a nil receiver.
 func (d *durable) save(round int, topples uint64) error {
-	if d == nil || !d.ck.Due(int64(round)) {
+	if !d.due(round) {
 		return nil
 	}
+	return d.write(round, topples)
+}
+
+// due reports whether the cadence owes a checkpoint at round, moving
+// the cadence marker on when it does. False on a nil receiver.
+func (d *durable) due(round int) bool { return d != nil && d.ck.Due(int64(round)) }
+
+// write persists the committed round whatever the cadence.
+func (d *durable) write(round int, topples uint64) error {
 	return d.ck.Save(uint64(round), d.encode(round, topples))
 }
 

@@ -44,12 +44,7 @@ func runFleetCase(t *testing.T, opts []Option, workers func(ctx context.Context,
 		Lease:     300 * time.Millisecond,
 	}
 	if workers != nil {
-		var started sync.Once
-		fc.Spawn = func(rank int, addr string) error {
-			// One spawn call is enough: the helper launches all ranks.
-			started.Do(func() { workers(ctx, addr) })
-			return nil
-		}
+		fc.Spawn = onceSpawn(ctx, workers)
 		// The helper's workers redial on their own; let the supervisor
 		// wait patiently rather than re-invoking Spawn.
 		fc.JoinTimeout = 10 * time.Second
@@ -65,6 +60,16 @@ func runFleetCase(t *testing.T, opts []Option, workers func(ctx context.Context,
 		t.Fatalf("fleet topples %d, want %d", rep.Topples, want.Topples)
 	}
 	return rep
+}
+
+// onceSpawn is a Spawn hook whose first call runs launch, which starts
+// every rank; later calls do nothing.
+func onceSpawn(ctx context.Context, launch func(ctx context.Context, addr string)) func(int, string) error {
+	var started sync.Once
+	return func(rank int, addr string) error {
+		started.Do(func() { launch(ctx, addr) })
+		return nil
+	}
 }
 
 // spawnWorkers launches n rank worker goroutines that dial addr.

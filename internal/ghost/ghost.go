@@ -44,7 +44,8 @@ type Report struct {
 	RedundantCells uint64 // ghost-band cells recomputed beyond owned work
 	OwnedCells     uint64 // owned cells computed
 	// Recoveries counts coordinated rollbacks (heartbeat-detected rank
-	// deaths recovered by restart-from-checkpoint).
+	// deaths recovered by restart-from-checkpoint). In a fleet run it
+	// counts ranks that lost their resident block and were re-seeded.
 	Recoveries int
 	// FaultSchedule is the injector's sorted fired-fault log — the
 	// reproducibility artifact: same seed, byte-identical schedule.

@@ -545,9 +545,7 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 		return nil, stats, err
 	}
 
-	for r := 0; r < conf.Workers; r++ {
-		co.Send(r, pnet.Msg{Type: mrStop}) // best effort
-	}
+	co.Stop(pnet.Msg{Type: mrStop})
 	stats.TaskRetries = mapRetries + redRetries
 	var out []O
 	for _, po := range partOut {

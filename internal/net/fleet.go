@@ -19,8 +19,11 @@ package net
 //     itself; mapreduce reassigns or inlines the tasks).
 //   - idempotent rejoin: the coordinator only reports Joined/Dead/Lost
 //     transitions and delivers frames; the application layer answers a
-//     rejoin by re-sending the rank's committed round or task, which
-//     the deterministic substrates make safe to recompute.
+//     rejoin by re-sending the rank's state or task, which the
+//     deterministic substrates make safe to recompute.
+//   - clean retirement: Stop marks every rank retiring before it sends
+//     the application's stop message, so the exits that follow are not
+//     deaths and the supervisor launches nothing for them.
 //
 // Everything the application sees arrives on one Events channel, so
 // protocol state machines stay single-threaded.
@@ -66,7 +69,7 @@ type FleetConfig struct {
 	// scheme where possible; tcp accepts ":0").
 	Listen  string
 	Workers int
-	// Proto names the application protocol (e.g. "ghost/1"); hellos
+	// Proto names the application protocol (e.g. "ghost/2"); hellos
 	// carrying a different name are rejected.
 	Proto string
 	// Lease is the heartbeat lease (default 2s): a worker silent this
@@ -102,6 +105,7 @@ type peer struct {
 	lastSeen    time.Time
 	everJoined  bool
 	lost        bool
+	retiring    bool          // Stop was called: an exit is the clean end, not a death
 	joinHint    chan struct{} // buffered-1 nudges for the supervisor;
 	deadHint    chan struct{} // authoritative state lives under mu
 }
@@ -218,6 +222,26 @@ func (c *Coordinator) Send(rank int, m Msg) error {
 	return nil
 }
 
+// Stop retires the fleet: under mu every rank is marked retiring, then
+// m, the application's stop message, is sent to each live connection,
+// best effort. A retiring rank's later exit emits no PeerDead, counts
+// no death, and triggers no Spawn; a retiring rank's hello is refused.
+// Close is still needed to tear the fleet down.
+func (c *Coordinator) Stop(m Msg) {
+	c.mu.Lock()
+	var live []int
+	for _, p := range c.peers {
+		p.retiring = true
+		if p.conn != nil {
+			live = append(live, p.rank)
+		}
+	}
+	c.mu.Unlock()
+	for _, rank := range live {
+		c.Send(rank, m) // best effort: a rank already gone needs no stop
+	}
+}
+
 // Connected reports whether the rank currently holds a live
 // registered connection.
 func (c *Coordinator) Connected(rank int) bool {
@@ -306,7 +330,7 @@ func (c *Coordinator) register(conn Conn) {
 
 	c.mu.Lock()
 	p := c.peers[rank]
-	if c.closed || p.lost {
+	if c.closed || p.lost || p.retiring {
 		c.mu.Unlock()
 		conn.Close()
 		return
@@ -383,7 +407,8 @@ func (c *Coordinator) reader(p *peer, conn Conn, inc int) {
 
 // peerDown records a death if (conn, inc) is still the rank's live
 // incarnation; stale calls (a reader noticing a conn the lease checker
-// already severed, or shutdown) are no-ops beyond closing the conn.
+// already severed, or shutdown) are no-ops beyond closing the conn. A
+// retiring rank's exit only clears the conn.
 func (c *Coordinator) peerDown(p *peer, conn Conn, inc int, cause string) {
 	c.mu.Lock()
 	if c.closed || p.conn != conn || p.incarnation != inc {
@@ -392,9 +417,15 @@ func (c *Coordinator) peerDown(p *peer, conn Conn, inc int, cause string) {
 		return
 	}
 	p.conn = nil
-	c.stats.Deaths++
+	retiring := p.retiring
+	if !retiring {
+		c.stats.Deaths++
+	}
 	c.mu.Unlock()
 	conn.Close()
+	if retiring {
+		return
+	}
 	select {
 	case p.deadHint <- struct{}{}:
 	default:
@@ -468,6 +499,12 @@ func (c *Coordinator) supervise(rank int) {
 			return
 		default:
 		}
+		c.mu.Lock()
+		retiring := p.retiring
+		c.mu.Unlock()
+		if retiring {
+			return
+		}
 		if c.Connected(rank) {
 			// Wait for a death hint, then re-check authoritative state.
 			select {
@@ -499,6 +536,10 @@ func (c *Coordinator) supervise(rank int) {
 			}
 		}
 		c.mu.Lock()
+		if p.retiring { // Stop landed during the backoff
+			c.mu.Unlock()
+			return
+		}
 		c.stats.Respawns++
 		c.mu.Unlock()
 		c.count("net.respawns", 1)

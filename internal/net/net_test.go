@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/obs"
 )
 
 // --- frame codec ---
@@ -440,6 +441,65 @@ func TestFleetSupervisorRespawnsAndGivesUp(t *testing.T) {
 		t.Fatal("lost rank received a welcome")
 	}
 	conn.Close()
+}
+
+// TestFleetStopRetiresWithoutRespawn: workers that exit cleanly on the
+// stop message are retiring, not dead — no PeerDead, no death count,
+// and no Spawn, even after a full lease has passed.
+func TestFleetStopRetiresWithoutRespawn(t *testing.T) {
+	tr, _ := New("chan")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var launches atomic.Int64
+	exited := make(chan error, 4)
+	m := obs.NewRegistry()
+	co, err := NewCoordinator(FleetConfig{
+		Transport: tr, Listen: "fleet-stop", Workers: 2, Proto: "test/1",
+		Lease:   100 * time.Millisecond,
+		Backoff: Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		Spawn: func(rank int, addr string) error {
+			launches.Add(1)
+			go func() { exited <- echoWorker(ctx, tr, addr, rank) }()
+			return nil
+		},
+		Obs: obs.Sink{Metrics: m},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	for joined := 0; joined < 2; {
+		if ev := waitEvent(t, co); ev.Kind == PeerJoined {
+			joined++
+		}
+	}
+	spawned := launches.Load()
+	co.Stop(Msg{Type: FrameApp + 7})
+	for range 2 {
+		select {
+		case err := <-exited:
+			if err != nil {
+				t.Fatalf("worker exit: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("workers did not exit on stop")
+		}
+	}
+	time.Sleep(3 * 100 * time.Millisecond) // a lease check or three
+	select {
+	case ev := <-co.Events():
+		t.Fatalf("event after Stop: %+v", ev)
+	default:
+	}
+	if got := launches.Load(); got != spawned {
+		t.Fatalf("Spawn called %d times after Stop", got-spawned)
+	}
+	if st := co.Stats(); st.Deaths != 0 {
+		t.Fatalf("clean exits counted as deaths: %+v", st)
+	}
+	if d := m.Counter("net.deaths").Value(); d != 0 {
+		t.Fatalf("net.deaths = %d after Stop", d)
+	}
 }
 
 func TestFleetWorkerSurvivesCoordinatorRestart(t *testing.T) {

@@ -29,8 +29,9 @@ type Msg struct {
 var ErrTimeout = fmt.Errorf("net: receive timed out")
 
 // Conn is one framed, bidirectional connection. Send is safe for
-// concurrent use (heartbeats and application traffic share a conn);
-// Recv must be called from one goroutine at a time.
+// concurrent use (heartbeats and application traffic share a conn) and
+// does not retain m.Payload once it returns; Recv must be called from
+// one goroutine at a time.
 type Conn interface {
 	Send(m Msg) error
 	// Recv returns the next application or control frame. timeout 0
