@@ -1,7 +1,7 @@
 # Tier-1 verification plus race detection in one command: `make check`.
 GO ?= go
 
-.PHONY: build test race vet check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd bench-e2e bench-baseline bench-compare
+.PHONY: build test race vet check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd fuzz-smoke bench-e2e bench-baseline bench-compare
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,13 @@ smoke-fleet:
 soak-peachyd:
 	./scripts/peachyd_soak.sh
 
+# A short fuzzing budget for each fuzz target: the Time Warp kernel at
+# two workers against the sequential kernel, and the fleet worker's
+# frame decoder. `go test` takes one -fuzz target per command.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
+	$(GO) test -run '^$$' -fuzz '^FuzzServeRound$$' -fuzztime 20s ./internal/ghost
+
 # The end-to-end benchmark (bench/, run by `bash bench/run.sh`) is its
 # own Go module, so the root `go test ./...` never reaches it. Vet it
 # and run its tests: the per-workload oracle smoke test and the check
@@ -72,6 +79,8 @@ bench-e2e:
 
 # Record the perf trajectory future PRs diff against. -benchtime=100ms
 # keeps the sweep to a couple of minutes; bump it for headline numbers.
+# The output, BENCH_baseline.json, is scratch: to commit a snapshot,
+# rename it to BENCH_prN.json and point BASELINE below at it.
 # -count=$(BENCH_COUNT) runs each benchmark several times and benchjson
 # keeps the fastest — min-of-N filters scheduler noise on small/shared
 # machines, where a single 100ms sample can swing well past the 10% gate.
@@ -84,12 +93,12 @@ bench-baseline:
 # Sweep the current tree and diff it against the recorded baseline;
 # fails if any benchmark regressed more than 10%. Override BASELINE to
 # diff against a specific snapshot, e.g.
-# `make bench-compare BASELINE=BENCH_pr2.json`. BENCH_pr9.json is the
-# current reference: it adds the Time Warp planet-scale sweep
-# (BenchmarkTimeWarpSweep, workers 1/2/4/8) to the PR 7 suite. The
-# parallel entries were recorded on a single-vCPU runner, so they
-# price optimism overhead, not speedup; see EXPERIMENTS.md E28.
-BASELINE ?= BENCH_pr9.json
+# `make bench-compare BASELINE=BENCH_pr2.json`. BENCH_pr14.json is the
+# current reference, recorded with bench-baseline on a 2-vCPU runner
+# after the Time Warp kernel lost its per-event allocations (see
+# EXPERIMENTS.md E28). BENCH_pr9.json's Time Warp rows came from a
+# single-vCPU runner, so they no longer compare like for like.
+BASELINE ?= BENCH_pr14.json
 
 bench-compare:
 	$(GO) test -run '^$$' -bench . -benchtime=100ms -count=$(BENCH_COUNT) ./... \

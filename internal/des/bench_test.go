@@ -1,6 +1,10 @@
 package des
 
-import "testing"
+import (
+	"context"
+	"fmt"
+	"testing"
+)
 
 // Event-kernel benchmarks: the per-event overheads that bound
 // simulator throughput (E20's exhaustive sweep runs ~10^7 events).
@@ -47,5 +51,47 @@ func BenchmarkCancelHeavy(b *testing.B) {
 			s.Cancel(events[e])
 		}
 		s.Run()
+	}
+}
+
+// kernelModel builds a Warp whose handlers only forward: each of
+// chains seed events hops hops times, to an LP and after a quantized
+// delay both derived from its payload. LP state is nil, so nothing is
+// cloned and the model costs next to nothing: the run prices the
+// kernel's queues, snapshots, rollbacks and GVT alone.
+func kernelModel(workers, nLP, chains, hops int) *Warp {
+	w := NewWarp(WarpConfig{Workers: workers, Window: 0.5})
+	h := func(p *Proc, at float64, pl Payload) {
+		if pl.A == 0 {
+			return
+		}
+		x := mix(uint64(uint32(pl.B)), uint64(pl.A))
+		p.Send(LPID(x%uint64(nLP)), float64(1+(x>>8)%4)/4, Payload{A: pl.A - 1, B: int32(x)})
+	}
+	for i := 0; i < nLP; i++ {
+		w.AddLP(fmt.Sprintf("lp%d", i), nil, h)
+	}
+	for c := 0; c < chains; c++ {
+		w.SeedAt(LPID(c%nLP), float64(c%4)/4, Payload{A: int32(hops), B: int32(c)})
+	}
+	return w
+}
+
+// BenchmarkWarp runs kernelModel (8 LPs, 64 chains of 256 hops, about
+// 16k events) on the sequential kernel and on two Time Warp workers.
+func BenchmarkWarp(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var st WarpStats
+			for i := 0; i < b.N; i++ {
+				w := kernelModel(workers, 8, 64, 256)
+				if err := w.Run(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+				st = w.Stats()
+			}
+			b.ReportMetric(float64(st.RolledBack)/float64(st.Committed), "rolledback/event")
+		})
 	}
 }

@@ -33,7 +33,6 @@
 package des
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -106,9 +105,12 @@ type message struct {
 // procRec is one processed (possibly still speculative) event plus
 // everything needed to un-process it: the message itself (re-queued
 // on rollback) and the sends it produced (anti-messaged on rollback).
+// The sends live in the LP's send log, a slab shared by all records:
+// they are p.sendLog[lo:hi], so recording them allocates nothing once
+// the log has grown to the LP's speculative depth.
 type procRec struct {
-	m     message
-	sends []message
+	m      message
+	lo, hi int32
 }
 
 // snapRec is a state snapshot taken before processing absolute event
@@ -132,10 +134,10 @@ type Proc struct {
 	mu        sync.Mutex
 	state     State
 	pending   msgHeap
-	pendKeys  map[Key]uint64      // uid of each pending positive, by canonical key
-	dead      map[uint64]struct{} // annihilated uids not yet popped / not yet arrived
+	dead      uidSet // annihilated uids not yet popped / not yet arrived
 	processed []procRec
-	base      int64 // fossil-collected events before processed[0]
+	sendLog   []message // sends of processed, in order; see procRec
+	base      int64     // fossil-collected events before processed[0]
 	snaps     []snapRec
 	sinceSnap int
 	sendSeq   uint64
@@ -242,7 +244,9 @@ type Warp struct {
 	gvtPasses  atomic.Int64
 	batches    atomic.Int64
 
-	runq    lpHeap
+	// runq holds runnable LPs: dst is the LP, key its queued key.
+	// Stale entries are skipped at pop.
+	runq    msgHeap
 	qmu     sync.Mutex
 	qcond   *sync.Cond
 	waiting int
@@ -263,7 +267,8 @@ type Warp struct {
 }
 
 type warpWorker struct {
-	queue []message // undelivered sends + cascading anti-messages
+	queue  []message // undelivered sends + cascading anti-messages
+	outbox []message // lent to the LP running a batch; reused across batches
 }
 
 // NewWarp creates an empty Time Warp simulation.
@@ -299,10 +304,7 @@ func (w *Warp) AddLP(name string, st State, h Handler) LPID {
 		panic("des: nil LP handler")
 	}
 	id := LPID(len(w.lps))
-	p := &Proc{
-		id: id, name: name, w: w, h: h, state: st,
-		pendKeys: map[Key]uint64{}, dead: map[uint64]struct{}{},
-	}
+	p := &Proc{id: id, name: name, w: w, h: h, state: st}
 	w.lps = append(w.lps, p)
 	return id
 }
@@ -367,9 +369,9 @@ func (w *Warp) Run(ctx context.Context) error {
 // ---------------------------------------------------------------
 
 func (w *Warp) runSequential(ctx context.Context) error {
-	var q msgHeap
+	q := make(msgHeap, 0, len(w.seed))
 	for _, m := range w.seed {
-		heap.Push(&q, m)
+		q.push(m)
 	}
 	var steps int64
 	for i := 0; ; i++ {
@@ -379,10 +381,10 @@ func (w *Warp) runSequential(ctx context.Context) error {
 				return err
 			}
 		}
-		if q.Len() == 0 {
+		if len(q) == 0 {
 			break
 		}
-		m := heap.Pop(&q).(message)
+		m := q.pop()
 		p := w.lps[m.dst]
 		p.curTime = m.key.At
 		p.curDepth = m.key.Depth
@@ -391,7 +393,7 @@ func (w *Warp) runSequential(ctx context.Context) error {
 		p.base++ // base doubles as the committed count here
 		steps++
 		for _, s := range p.outbox {
-			heap.Push(&q, s)
+			q.push(s)
 		}
 		p.outbox = p.outbox[:0]
 	}
@@ -424,11 +426,11 @@ func (w *Warp) runParallel(ctx context.Context) error {
 		w.lps[m.dst].pushPending(m)
 	}
 	for _, p := range w.lps {
-		if p.pending.Len() > 0 {
-			k, _ := p.pending.peekKey()
+		if len(p.pending) > 0 {
+			k := p.pending[0].key
 			p.inQueue = true
 			p.queuedKey = k
-			heap.Push(&w.runq, lpEntry{p: p, key: k})
+			w.runq.push(message{key: k, dst: p.id})
 		}
 	}
 	var wg sync.WaitGroup
@@ -507,7 +509,7 @@ func (w *Warp) acquire() *Proc {
 				w.gvtSafe--
 				continue
 			}
-			if w.runq.Len() > 0 {
+			if len(w.runq) > 0 {
 				break
 			}
 			// Queue empty: if every other worker is also waiting,
@@ -527,25 +529,39 @@ func (w *Warp) acquire() *Proc {
 			w.qmu.Unlock()
 			return nil
 		}
-		e := heap.Pop(&w.runq).(lpEntry)
+		e := w.runq.pop()
 		w.qmu.Unlock()
-		p := e.p
+		p := w.lps[e.dst]
 		p.mu.Lock()
 		if p.running || !p.inQueue || e.key != p.queuedKey {
 			p.mu.Unlock() // stale entry
 			continue
 		}
-		// Window throttle: defer LPs too far past GVT. The minimum
-		// LP is always within the window (GVT never trails it), so a
-		// GVT pass here makes progress, never livelock: either this
-		// call runs one, or the concurrent pass it yields to
-		// publishes a fresh GVT before this worker's next attempt.
+		// Window throttle: defer LPs too far past GVT. The LP holding
+		// the minimum live event is always within the window (GVT
+		// never trails it), so a GVT pass here makes progress, never
+		// livelock: either this call runs one, or the concurrent pass
+		// it yields to publishes a fresh GVT before this worker's next
+		// attempt. The queued key may be gone, though: anti-messages
+		// annihilate pending events without re-queueing the LP, and
+		// throttling on a dead key livelocks once nothing live
+		// remains, because the pass then finds no minimum and leaves
+		// GVT where it was. So an LP with no live event is dropped
+		// (the next delivery re-queues it), and one with a later live
+		// minimum is re-queued at that key.
 		if w.cfg.Window > 0 {
 			gvt := math.Float64frombits(w.gvtBits.Load())
 			if !math.IsInf(gvt, -1) && e.key.At > gvt+w.cfg.Window {
+				k, ok := p.peekPending()
+				if !ok {
+					p.inQueue = false
+					p.mu.Unlock()
+					continue
+				}
+				p.queuedKey = k
 				p.mu.Unlock()
 				w.qmu.Lock()
-				heap.Push(&w.runq, e)
+				w.runq.push(message{key: k, dst: p.id})
 				w.qmu.Unlock()
 				w.gvtPass()
 				runtime.Gosched()
@@ -571,7 +587,7 @@ func (w *Warp) enqueueLocked(p *Proc) {
 	p.inQueue = true
 	p.queuedKey = k
 	w.qmu.Lock()
-	heap.Push(&w.runq, lpEntry{p: p, key: k})
+	w.runq.push(message{key: k, dst: p.id})
 	w.qmu.Unlock()
 	w.qcond.Signal()
 }
@@ -579,17 +595,19 @@ func (w *Warp) enqueueLocked(p *Proc) {
 // runBatch processes up to batchSize events on p, then delivers the
 // sends they produced.
 func (w *Warp) runBatch(p *Proc, ww *warpWorker) {
-	sends := w.runBatchLocked(p)
-	w.deliverAll(ww, sends)
+	w.runBatchLocked(p, ww)
+	w.deliverAll(ww, ww.outbox)
 }
 
-// runBatchLocked is the under-lock half of runBatch. The unlock is
-// deferred (not inline) so that a panicking model handler releases
-// p.mu on the way out — sibling workers then observe the abort
-// instead of deadlocking on the LP.
-func (w *Warp) runBatchLocked(p *Proc) []message {
+// runBatchLocked is the under-lock half of runBatch. p borrows the
+// worker's outbox for the batch and hands it back holding the batch's
+// cross-LP sends. The unlock is deferred (not inline) so that a
+// panicking model handler releases p.mu on the way out — sibling
+// workers then observe the abort instead of deadlocking on the LP.
+func (w *Warp) runBatchLocked(p *Proc, ww *warpWorker) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.outbox = ww.outbox[:0]
 	var horizon float64
 	if w.cfg.Window > 0 {
 		gvt := math.Float64frombits(w.gvtBits.Load())
@@ -612,11 +630,10 @@ func (w *Warp) runBatchLocked(p *Proc) []message {
 		}
 		w.execLocked(p, m)
 	}
-	sends := p.outbox
+	ww.outbox = p.outbox
 	p.outbox = nil
 	p.running = false
 	w.enqueueLocked(p)
-	return sends
 }
 
 // execLocked runs one event on p (p.mu held), recording it for
@@ -642,9 +659,9 @@ func (w *Warp) execLocked(p *Proc, m message) {
 	mark := len(p.outbox)
 	p.h(p, m.key.At, m.payload)
 	sends := p.outbox[mark:]
-	rec := procRec{m: m}
+	rec := procRec{m: m, lo: int32(len(p.sendLog))}
 	if len(sends) > 0 {
-		rec.sends = append([]message(nil), sends...)
+		p.sendLog = append(p.sendLog, sends...)
 		// Self-sends go straight into this LP's pending queue: their
 		// keys are strictly after the current event's, so they can
 		// never be stragglers, and skipping the delivery round-trip
@@ -659,6 +676,7 @@ func (w *Warp) execLocked(p *Proc, m message) {
 		}
 		p.outbox = kept
 	}
+	rec.hi = int32(len(p.sendLog))
 	p.processed = append(p.processed, rec)
 	p.lastKey = m.key
 	p.hasRun = true
@@ -685,10 +703,9 @@ func (w *Warp) deliver(ww *warpWorker, m message) {
 	if m.neg {
 		w.antis.Add(1)
 		w.cAntis.Inc()
-		if _, dead := p.dead[m.uid]; dead {
-			// The positive was already annihilated (a stale
-			// incarnation dropped by pushPending).
-			delete(p.dead, m.uid)
+		if p.dead.take(m.uid) {
+			// The positive was already annihilated: a stale
+			// incarnation dropped on arrival or at pop.
 			return
 		}
 		// Annihilate: processed -> roll back past it, then kill the
@@ -700,13 +717,12 @@ func (w *Warp) deliver(ww *warpWorker, m message) {
 				w.rollbackLocked(p, ww, p.base+int64(i))
 			}
 		}
-		p.dead[m.uid] = struct{}{}
+		p.dead.add(m.uid)
 		w.enqueueLocked(p) // min key may have changed
 		return
 	}
-	if _, dead := p.dead[m.uid]; dead {
-		delete(p.dead, m.uid) // annihilated before arrival
-		return
+	if p.dead.take(m.uid) {
+		return // annihilated before arrival
 	}
 	if p.hasRun && !p.lastKey.Before(m.key) {
 		i := p.searchProcessed(m.key)
@@ -714,13 +730,13 @@ func (w *Warp) deliver(ww *warpWorker, m message) {
 			if p.processed[i].m.uid > m.uid {
 				// m is a stale incarnation of an already-executed
 				// event; drop it and let its in-flight anti consume
-				// the tombstone.
-				p.tombstone(m.uid)
+				// the mark.
+				p.dead.add(m.uid)
 				return
 			}
 			// The processed copy is the stale incarnation: roll back
-			// past it. Its re-queued positive collides with m in
-			// pushPending below and is annihilated there.
+			// past it. Its re-queued positive lands next to m in the
+			// pending heap and popPending annihilates it.
 			w.rollbackLocked(p, ww, p.base+int64(i))
 		} else if m.key.Before(p.lastKey) {
 			w.rollbackLocked(p, ww, p.base+int64(i)) // straggler
@@ -730,52 +746,75 @@ func (w *Warp) deliver(ww *warpWorker, m message) {
 	w.enqueueLocked(p)
 }
 
-// tombstone flips a uid's annihilation parity: the first of the pair
-// (a dropped positive, or its anti-message) to be seen sets the mark,
-// the second consumes it. Every uid sees at most one positive drop
-// and at most one anti, so the mark never dangles ambiguously.
-func (p *Proc) tombstone(uid uint64) {
-	if _, ok := p.dead[uid]; ok {
-		delete(p.dead, uid)
-	} else {
-		p.dead[uid] = struct{}{}
-	}
+// uidSet holds an LP's annihilation marks. A mark pairs a positive
+// with its anti-message: whichever of the two is dealt with first
+// leaves it (an anti ahead of its positive, or a stale positive
+// dropped ahead of its anti), and the other takes it. Every uid has
+// at most one positive and one anti, and callers take before they
+// add, so add never sees a marked uid.
+//
+// The set is small but seldom empty: an anti-message can precede its
+// positive by a long stretch of simulated time, and the mark waits
+// that long. Nearly every lookup is a miss, so a per-bucket count of
+// marks by uid%64 answers most of them without hashing; the map is
+// the authority.
+type uidSet struct {
+	m   map[uint64]struct{}
+	occ [64]int32
 }
 
-// pushPending inserts a positive message into p's pending queue,
-// annihilating stale incarnations first. Canonical keys are unique
-// per logical event, so two positives sharing a key are an old and a
-// new incarnation of a send that was rolled back and re-issued at its
-// source; only the largest uid can be live, and an anti-message for
-// each smaller one is already in flight. Annihilating the loser here
-// — rather than when that anti lands — keeps duplicate keys out of
-// the LP's executed sequence, so speculative model state never sees
-// the same logical event twice. p.mu must be held.
-func (p *Proc) pushPending(m message) {
-	if old, ok := p.pendKeys[m.key]; ok {
-		if old > m.uid {
-			// m itself is the stale incarnation, arriving late.
-			p.tombstone(m.uid)
-			return
-		}
-		p.pending.removeUID(old)
-		p.tombstone(old)
+func (s *uidSet) add(uid uint64) {
+	if s.m == nil {
+		s.m = map[uint64]struct{}{}
 	}
-	p.pendKeys[m.key] = m.uid
-	heap.Push(&p.pending, m)
+	s.m[uid] = struct{}{}
+	s.occ[uid%64]++
 }
+
+// take removes uid and reports whether it was present.
+func (s *uidSet) take(uid uint64) bool {
+	if s.occ[uid%64] == 0 {
+		return false
+	}
+	if _, ok := s.m[uid]; !ok {
+		return false
+	}
+	delete(s.m, uid)
+	s.occ[uid%64]--
+	return true
+}
+
+// pushPending inserts a positive message into p's pending queue.
+// Stale incarnations are not looked for here: popPending resolves
+// them. p.mu must be held.
+func (p *Proc) pushPending(m message) { p.pending.push(m) }
 
 // popPending pops the minimum live pending message, lazily discarding
-// annihilated entries. p.mu must be held.
+// annihilated entries, and resolves stale incarnations. Canonical keys
+// are unique per logical event, so two positives sharing a key are an
+// old and a new incarnation of a send that was rolled back and
+// re-issued at its source; only the largest uid can be live, and an
+// anti-message for each smaller one is already in flight. Equal keys
+// sit together at the top of the heap, so the pop takes them all,
+// keeps the largest live uid and marks the rest dead for their antis
+// to consume. The LP's executed sequence therefore never holds a key
+// twice, and speculative model state never sees one logical event
+// twice. p.mu must be held.
 func (p *Proc) popPending() (message, bool) {
-	for p.pending.Len() > 0 {
-		m := heap.Pop(&p.pending).(message)
-		if p.pendKeys[m.key] == m.uid {
-			delete(p.pendKeys, m.key)
-		}
-		if _, d := p.dead[m.uid]; d {
-			delete(p.dead, m.uid)
+	for len(p.pending) > 0 {
+		m := p.pending.pop()
+		if p.dead.take(m.uid) {
 			continue
+		}
+		for len(p.pending) > 0 && p.pending[0].key == m.key {
+			x := p.pending.pop()
+			if p.dead.take(x.uid) {
+				continue
+			}
+			if x.uid > m.uid {
+				m, x = x, m
+			}
+			p.dead.add(x.uid)
 		}
 		return m, true
 	}
@@ -783,18 +822,16 @@ func (p *Proc) popPending() (message, bool) {
 }
 
 // peekPending returns the minimum live pending key, lazily discarding
-// annihilated entries from the top. p.mu must be held.
+// annihilated entries from the top. Incarnations share their key, so
+// the answer does not depend on which of them survives. p.mu must be
+// held.
 func (p *Proc) peekPending() (Key, bool) {
-	for p.pending.Len() > 0 {
-		top := p.pending[0]
-		if _, d := p.dead[top.uid]; !d {
+	for len(p.pending) > 0 {
+		top := &p.pending[0]
+		if !p.dead.take(top.uid) {
 			return top.key, true
 		}
-		delete(p.dead, top.uid)
-		if p.pendKeys[top.key] == top.uid {
-			delete(p.pendKeys, top.key)
-		}
-		heap.Pop(&p.pending)
+		p.pending.pop()
 	}
 	return Key{}, false
 }
@@ -852,6 +889,7 @@ func (w *Warp) rollbackLocked(p *Proc, ww *warpWorker, pos int64) {
 		panic(fmt.Sprintf("des: no snapshot for rollback of %q to pos %d", p.name, pos))
 	}
 	snap := p.snaps[s]
+	clear(p.snaps[s+1:]) // release the dropped states
 	p.snaps = p.snaps[:s+1]
 	if p.state != nil {
 		p.state = snap.state.Clone()
@@ -870,7 +908,7 @@ func (w *Warp) rollbackLocked(p *Proc, ww *warpWorker, pos int64) {
 		p.curDepth = rec.m.key.Depth
 		seq0 := p.sendSeq
 		p.h(p, rec.m.key.At, rec.m.payload)
-		if got, want := int(p.sendSeq-seq0), len(rec.sends); got != want {
+		if got, want := int(p.sendSeq-seq0), int(rec.hi-rec.lo); got != want {
 			panic(fmt.Sprintf("des: nondeterministic handler on %q: replay sent %d messages, original sent %d", p.name, got, want))
 		}
 		p.lastKey = rec.m.key
@@ -880,17 +918,16 @@ func (w *Warp) rollbackLocked(p *Proc, ww *warpWorker, pos int64) {
 	p.sinceSnap = i - from
 
 	// Undo the rolled-back suffix: messages back to pending, sends
-	// anti-messaged.
-	undone := p.processed[i:]
-	for j := range undone {
-		p.pushPending(undone[j].m)
-		for _, sm := range undone[j].sends {
-			anti := sm
-			anti.neg = true
-			ww.queue = append(ww.queue, anti)
-		}
-		undone[j].sends = nil
+	// anti-messaged and cut from the send log.
+	lo := p.processed[i].lo
+	for _, rec := range p.processed[i:] {
+		p.pushPending(rec.m)
 	}
+	for _, sm := range p.sendLog[lo:] {
+		sm.neg = true
+		ww.queue = append(ww.queue, sm)
+	}
+	p.sendLog = p.sendLog[:lo]
 	p.processed = p.processed[:i]
 }
 
@@ -971,71 +1008,85 @@ func (w *Warp) gvtPass() {
 			s--
 		}
 		if s > 0 {
-			drop := int(p.snaps[s].pos - p.base)
-			p.snaps = p.snaps[s:]
-			p.processed = p.processed[drop:]
-			p.base += int64(drop)
+			p.fossilCollect(s)
 		}
 		p.mu.Unlock()
 	}
+}
+
+// fossilCollect drops the history before snapshot s, compacting
+// snaps, processed and the send log in place so their backing arrays
+// are reused rather than re-grown. p.mu must be held.
+func (p *Proc) fossilCollect(s int) {
+	drop := int(p.snaps[s].pos - p.base)
+	n := copy(p.snaps, p.snaps[s:])
+	clear(p.snaps[n:]) // release the dropped states
+	p.snaps = p.snaps[:n]
+
+	cut := int32(len(p.sendLog))
+	if drop < len(p.processed) {
+		cut = p.processed[drop].lo
+	}
+	p.sendLog = p.sendLog[:copy(p.sendLog, p.sendLog[cut:])]
+	p.processed = p.processed[:copy(p.processed, p.processed[drop:])]
+	for j := range p.processed {
+		p.processed[j].lo -= cut
+		p.processed[j].hi -= cut
+	}
+	p.base += int64(drop)
 }
 
 // ---------------------------------------------------------------
 // Heaps.
 // ---------------------------------------------------------------
 
-// msgHeap orders messages by canonical key.
+// msgHeap is a binary min-heap of messages by canonical key. It is
+// typed rather than built on the standard heap package, whose
+// interface boxing allocates on every push and pop. Sifting moves a
+// hole rather than swapping, so each level copies one element. The
+// run queue reuses it with one entry per runnable LP.
 type msgHeap []message
 
-func (h msgHeap) Len() int           { return len(h) }
-func (h msgHeap) Less(i, j int) bool { return h[i].key.Before(h[j].key) }
-func (h msgHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *msgHeap) Push(x any)        { *h = append(*h, x.(message)) }
-func (h *msgHeap) Pop() any {
-	old := *h
-	n := len(old)
-	m := old[n-1]
-	*h = old[:n-1]
-	return m
-}
-
-// peekKey returns the minimum key without skipping dead entries.
-func (h *msgHeap) peekKey() (Key, bool) {
-	if len(*h) == 0 {
-		return Key{}, false
-	}
-	return (*h)[0].key, true
-}
-
-// removeUID deletes the entry with the given uid, if present. Linear
-// — only stale-incarnation annihilation pays it, and duplicates are
-// rare (they need a rollback racing its own anti-messages).
-func (h *msgHeap) removeUID(uid uint64) {
-	for i := range *h {
-		if (*h)[i].uid == uid {
-			heap.Remove(h, i)
-			return
+func (h *msgHeap) push(m message) {
+	*h = append(*h, m)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !m.key.Before(s[up].key) {
+			break
 		}
+		s[i] = s[up]
+		i = up
 	}
+	s[i] = m
 }
 
-// lpEntry is one run-queue entry; stale entries (key no longer the
-// LP's queued key) are dropped at pop.
-type lpEntry struct {
-	p   *Proc
-	key Key
-}
-
-type lpHeap []lpEntry
-
-func (h lpHeap) Len() int           { return len(h) }
-func (h lpHeap) Less(i, j int) bool { return h[i].key.Before(h[j].key) }
-func (h lpHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *lpHeap) Push(x any)        { *h = append(*h, x.(lpEntry)) }
-func (h *lpHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+func (h *msgHeap) pop() message {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].key.Before(s[c].key) {
+			c = r
+		}
+		if !s[c].key.Before(last.key) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
+	return top
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -152,6 +153,7 @@ func TestWarpFuzzCrossWorkers(t *testing.T) {
 				t.Fatalf("trial %d workers=%d: committed %d steps, sequential did %d",
 					trial, workers, st.Committed, wantSteps)
 			}
+			assertDrained(t, w)
 			totalRollbacks += st.Rollbacks
 		}
 	}
@@ -161,6 +163,91 @@ func TestWarpFuzzCrossWorkers(t *testing.T) {
 		t.Log("warning: no rollbacks across the whole fuzz suite; oracle ran but speculation untested")
 	} else {
 		t.Logf("fuzz suite exercised %d rollbacks", totalRollbacks)
+	}
+}
+
+// FuzzWarpCrossWorkers is TestWarpFuzzCrossWorkers with the schedule
+// chosen by the fuzzer: the seed, the LP and seed-event counts, the
+// snapshot cadence and the optimism window. Workers=2 must match the
+// sequential kernel on every LP's final state and on the committed
+// count, and must leave no pending entries or annihilation marks.
+func FuzzWarpCrossWorkers(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, lps, seeds, snap, window uint8) {
+		nLP := 1 + int(lps%8)
+		nSeeds := 1 + int(seeds%8)
+		snapEvery := 1 + int(snap%64)
+		win := []float64{0, 0.5, 1.5, 2.5}[window%4]
+
+		ref := fuzzModel(t, seed, nLP, nSeeds, 1, 64, 0, obs.Sink{})
+		if err := ref.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		w := fuzzModel(t, seed, nLP, nSeeds, 2, snapEvery, win, obs.Sink{})
+		if err := w.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprint(w), fingerprint(ref); got != want {
+			t.Fatalf("snap=%d window=%v: outcome diverged\n got:\n%s\nwant:\n%s", snapEvery, win, got, want)
+		}
+		if got, want := w.Stats().Committed, ref.Stats().Committed; got != want {
+			t.Fatalf("snap=%d window=%v: committed %d, sequential did %d", snapEvery, win, got, want)
+		}
+		assertDrained(t, w)
+	})
+}
+
+// TestWarpThrottleSkipsAnnihilatedEntry builds by hand the state a
+// fuzzed schedule reached: an LP queued for an event beyond the
+// optimism window, whose event an anti-message then annihilated, with
+// nothing live left anywhere. Throttling on the queued key would run
+// a GVT pass that finds no minimum, cannot advance GVT, and retries
+// forever; acquire must drop the entry and report the drain.
+func TestWarpThrottleSkipsAnnihilatedEntry(t *testing.T) {
+	// One worker in the config, so the GVT pass waits for no one while
+	// the test drives the parallel path's internals on one goroutine.
+	w := NewWarp(WarpConfig{Workers: 1, Window: 1})
+	w.AddLP("a", nil, func(*Proc, float64, Payload) {})
+	w.AddLP("src", nil, func(*Proc, float64, Payload) {})
+	w.gvtBits.Store(math.Float64bits(0))
+	m := message{key: Key{At: 5, Src: 1}, dst: 0, uid: 1}
+	anti := m
+	anti.neg = true
+	w.deliverAll(&warpWorker{}, []message{m})
+	w.deliverAll(&warpWorker{}, []message{anti})
+	if !w.lps[0].inQueue || len(w.runq) == 0 {
+		t.Fatal("setup: the LP should still be queued for the annihilated event")
+	}
+
+	got := make(chan *Proc, 1)
+	go func() { got <- w.acquire() }()
+	select {
+	case p := <-got:
+		if p != nil {
+			t.Fatalf("acquire returned LP %s with nothing live to run", p.name)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("acquire livelocked on an annihilated run-queue entry")
+	}
+	assertDrained(t, w)
+}
+
+// TestWarpSequentialAllocsFlat pins the sequential kernel's
+// allocations as independent of the event count: at steady state an
+// event allocates nothing, so ten times the events may cost only a
+// few more heap-growth allocations, not one per event.
+func TestWarpSequentialAllocsFlat(t *testing.T) {
+	const chains = 64
+	allocs := func(events int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			w := kernelModel(1, 8, chains, events/chains)
+			if err := w.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(10_000), allocs(100_000)
+	if large > small+4 {
+		t.Fatalf("sequential kernel allocs grow with events: %v at 10k events, %v at 100k", small, large)
 	}
 }
 
@@ -204,6 +291,7 @@ func TestWarpGVTStress(t *testing.T) {
 				if w.Stats().GVTPasses == 0 {
 					t.Fatalf("trial %d workers=%d: no GVT passes despite gvtEvery=1", trial, workers)
 				}
+				assertDrained(t, w)
 			}
 		}
 	}
