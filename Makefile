@@ -63,11 +63,13 @@ soak-peachyd:
 	./scripts/peachyd_soak.sh
 
 # A short fuzzing budget for each fuzz target: the Time Warp kernel at
-# two workers against the sequential kernel, and the fleet worker's
-# frame decoder. `go test` takes one -fuzz target per command.
+# two workers against the sequential kernel, and the ghost and
+# MapReduce fleet workers' frame decoders. `go test` takes one -fuzz
+# target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRound$$' -fuzztime 20s ./internal/ghost
+	$(GO) test -run '^$$' -fuzz '^FuzzServeTask$$' -fuzztime 20s ./internal/mapreduce
 
 # The end-to-end benchmark (bench/, run by `bash bench/run.sh`) is its
 # own Go module, so the root `go test ./...` never reaches it. Vet it

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"os/exec"
-	"slices"
 	"strings"
 )
 
@@ -104,29 +103,16 @@ func RunStreamingPipeline(inputs []string, mapperArgv, reducerArgv []string, cfg
 		}
 		stats.MapInputs += len(split)
 		stats.MapOutputs += len(lines)
-		flat := make([][]prefKV[string, string], cfg.ReduceTasks)
-		for i, l := range lines {
-			k, v := ParseKV(l)
-			p := cfg.Partitioner(k, cfg.ReduceTasks)
-			if p < 0 || p >= cfg.ReduceTasks {
-				return nil, stats, fmt.Errorf("mapreduce: partitioner returned %d", p)
-			}
-			flat[p] = append(flat[p], prefKV[string, string]{pref: keyPrefix(k), seq: int32(i), kv: KV[string, string]{k, v}})
+		// Subprocess output arrives in print order; the collector groups
+		// it into sorted runs exactly as runMapTask does for Go mappers.
+		c := &collector[string, string]{part: cfg.Partitioner, parts: make([]partBuf[string, string], cfg.ReduceTasks)}
+		for _, l := range lines {
+			c.emit(ParseKV(l))
 		}
-		// The shuffle merges sorted runs; subprocess output arrives in
-		// print order, so sort and span-compress it here, exactly as
-		// runMapTask does for Go mappers.
-		parts := make([]run[string, string], cfg.ReduceTasks)
-		cmpPairs := pairCmp[string, string]()
-		for p, fp := range flat {
-			slices.SortFunc(fp, cmpPairs)
-			r, err := buildRun(fp, nil)
-			if err != nil {
-				return nil, stats, err
-			}
-			parts[p] = r
+		if c.err != nil {
+			return nil, stats, fmt.Errorf("mapreduce: map task %d: %w", t, c.err)
 		}
-		mapOut[t] = parts
+		mapOut[t], _ = c.runs(nil) // only a combiner can fail
 	}
 
 	// Shuffle + reduce via the engine's shared phase, with the

@@ -48,6 +48,7 @@ const (
 // intermediate pairs, and outputs between processes. Append functions
 // extend a buffer; Read functions consume their encoding and return
 // the remainder (the same inverse contract as External's codecs).
+// Every encoding takes at least one byte: decoders bound counts by it.
 type Wire[I any, K cmp.Ordered, V, O any] struct {
 	AppendIn  func([]byte, I) []byte
 	ReadIn    func([]byte) (I, []byte, error)
@@ -91,71 +92,12 @@ func StringIntWire() *Wire[string, string, int, KV[string, int]] {
 	}
 }
 
-// appendRun serializes one sorted run. Prefixes are not shipped — the
-// receiver recomputes them from the keys, keeping the wire format
-// independent of the accelerator encoding.
-func appendRun[I any, K cmp.Ordered, V, O any](buf []byte, r *run[K, V], w *Wire[I, K, V, O]) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.keys)))
-	for _, k := range r.keys {
-		buf = w.AppendKey(buf, k)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.offs)))
-	for _, off := range r.offs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(off))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.vals)))
-	for _, v := range r.vals {
-		buf = w.AppendVal(buf, v)
-	}
-	return buf
-}
+// errPartitions rejects a map frame's partition count.
+var errPartitions = fmt.Errorf("%w: reduce partition count out of range", errMalformed)
 
-func readRun[I any, K cmp.Ordered, V, O any](buf []byte, w *Wire[I, K, V, O]) (run[K, V], []byte, error) {
-	var r run[K, V]
-	u32 := func() (uint32, error) {
-		if len(buf) < 4 {
-			return 0, errors.New("mapreduce: truncated run")
-		}
-		v := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		return v, nil
-	}
-	nk, err := u32()
-	if err != nil {
-		return r, buf, err
-	}
-	r.keys = make([]K, nk)
-	r.prefs = make([]uint64, nk)
-	for i := range r.keys {
-		if r.keys[i], buf, err = w.ReadKey(buf); err != nil {
-			return r, buf, err
-		}
-		r.prefs[i] = keyPrefix(r.keys[i])
-	}
-	no, err := u32()
-	if err != nil {
-		return r, buf, err
-	}
-	r.offs = make([]int32, no)
-	for i := range r.offs {
-		v, err := u32()
-		if err != nil {
-			return r, buf, err
-		}
-		r.offs[i] = int32(v)
-	}
-	nv, err := u32()
-	if err != nil {
-		return r, buf, err
-	}
-	r.vals = make([]V, nv)
-	for i := range r.vals {
-		if r.vals[i], buf, err = w.ReadVal(buf); err != nil {
-			return r, buf, err
-		}
-	}
-	return r, buf, nil
-}
+// maxFleetPartitions caps the partition count a map frame may ask a
+// worker to build runs for.
+const maxFleetPartitions = 1 << 16
 
 // FleetWorker joins the fleet at cfg.Join and executes map and reduce
 // tasks until the coordinator sends stop. The worker process must
@@ -169,87 +111,103 @@ func (j *Job[I, K, V, O]) FleetWorker(ctx context.Context, cfg pnet.WorkerConfig
 		cfg.Proto = MRProto
 	}
 	return pnet.RunWorker(ctx, cfg, func(m pnet.Msg, send func(pnet.Msg) error) error {
-		switch m.Type {
-		case mrMap:
-			buf := m.Payload
-			if len(buf) < 12 {
-				return errors.New("mapreduce: truncated map message")
-			}
-			task := int(binary.LittleEndian.Uint32(buf))
-			nReduce := int(binary.LittleEndian.Uint32(buf[4:]))
-			nRec := int(binary.LittleEndian.Uint32(buf[8:]))
-			buf = buf[12:]
-			records := make([]I, nRec)
-			var err error
-			for i := range records {
-				if records[i], buf, err = w.ReadIn(buf); err != nil {
-					return err
-				}
-			}
-			cfg := j.Config.withDefaults()
-			cfg.ReduceTasks = nReduce
-			out, emitted, _, err := j.runMapTask(ctx, task, records, cfg, nil)
-			if err != nil {
-				return err
-			}
-			reply := binary.LittleEndian.AppendUint32(nil, uint32(task))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(emitted))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(len(out)))
-			for p := range out {
-				reply = appendRun(reply, &out[p], w)
-			}
-			return send(pnet.Msg{Type: mrMapDone, Payload: reply})
-		case mrReduce:
-			buf := m.Payload
-			if len(buf) < 8 {
-				return errors.New("mapreduce: truncated reduce message")
-			}
-			p := int(binary.LittleEndian.Uint32(buf))
-			nRuns := int(binary.LittleEndian.Uint32(buf[4:]))
-			buf = buf[8:]
-			runs := make([]*run[K, V], nRuns)
-			for i := range runs {
-				var r run[K, V]
-				var err error
-				if r, buf, err = readRun(buf, w); err != nil {
-					return err
-				}
-				runs[i] = &r
-			}
-			var outs []O
-			emit := func(o O) { outs = append(outs, o) }
-			pairs, groups, err := mergeRuns(runs, func(key K, values []V, gi int) error {
-				return j.Reduce(key, values, emit)
-			})
-			if err != nil {
-				return err
-			}
-			reply := binary.LittleEndian.AppendUint32(nil, uint32(p))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(pairs))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(groups))
-			reply = binary.LittleEndian.AppendUint32(reply, uint32(len(outs)))
-			for _, o := range outs {
-				reply = w.AppendOut(reply, o)
-			}
-			return send(pnet.Msg{Type: mrReduceDone, Payload: reply})
-		case mrStop:
-			return pnet.ErrWorkerDone
-		default:
-			return fmt.Errorf("mapreduce: unexpected frame type %d", m.Type)
+		reply, err := j.serveTask(ctx, m, w)
+		if err != nil {
+			return err
 		}
+		return send(reply)
 	})
+}
+
+// serveTask is a worker's handling of one coordinator frame: a map
+// task or a reduce partition, decoded, executed and encoded as the
+// reply; stop yields pnet.ErrWorkerDone.
+func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, K, V, O]) (pnet.Msg, error) {
+	buf := m.Payload
+	switch m.Type {
+	case mrMap:
+		if len(buf) < 8 {
+			return pnet.Msg{}, fmt.Errorf("%w: truncated map message", errMalformed)
+		}
+		task := int(binary.LittleEndian.Uint32(buf))
+		nReduce := int(binary.LittleEndian.Uint32(buf[4:]))
+		if nReduce < 1 || nReduce > maxFleetPartitions {
+			return pnet.Msg{}, fmt.Errorf("%w: %d", errPartitions, nReduce)
+		}
+		nRec, buf, err := readCount(buf[8:], 1)
+		if err != nil {
+			return pnet.Msg{}, err
+		}
+		records := make([]I, nRec)
+		for i := range records {
+			if records[i], buf, err = w.ReadIn(buf); err != nil {
+				return pnet.Msg{}, fmt.Errorf("%w: record %d: %w", errMalformed, i, err)
+			}
+		}
+		cfg := j.Config.withDefaults()
+		cfg.ReduceTasks = nReduce
+		out, emitted, _, err := j.runMapTask(ctx, task, records, cfg, nil)
+		if err != nil {
+			return pnet.Msg{}, err
+		}
+		reply := binary.LittleEndian.AppendUint32(nil, uint32(task))
+		reply = binary.LittleEndian.AppendUint32(reply, uint32(emitted))
+		reply = binary.LittleEndian.AppendUint32(reply, uint32(len(out)))
+		for p := range out {
+			reply = appendRun(reply, &out[p], w.AppendKey, w.AppendVal)
+		}
+		return pnet.Msg{Type: mrMapDone, Payload: reply}, nil
+	case mrReduce:
+		if len(buf) < 4 {
+			return pnet.Msg{}, fmt.Errorf("%w: truncated reduce message", errMalformed)
+		}
+		p := int(binary.LittleEndian.Uint32(buf))
+		nRuns, buf, err := readCount(buf[4:], 12)
+		if err != nil {
+			return pnet.Msg{}, err
+		}
+		runs := make([]*run[K, V], nRuns)
+		for i := range runs {
+			var r run[K, V]
+			if r, buf, err = readRun(buf, w.ReadKey, w.ReadVal); err != nil {
+				return pnet.Msg{}, err
+			}
+			runs[i] = &r
+		}
+		var outs []O
+		emit := func(o O) { outs = append(outs, o) }
+		pairs, groups, err := mergeRuns(runs, func(key K, values []V, gi int) error {
+			return j.Reduce(key, values, emit)
+		})
+		if err != nil {
+			return pnet.Msg{}, err
+		}
+		reply := binary.LittleEndian.AppendUint32(nil, uint32(p))
+		reply = binary.LittleEndian.AppendUint32(reply, uint32(pairs))
+		reply = binary.LittleEndian.AppendUint32(reply, uint32(groups))
+		reply = binary.LittleEndian.AppendUint32(reply, uint32(len(outs)))
+		for _, o := range outs {
+			reply = w.AppendOut(reply, o)
+		}
+		return pnet.Msg{Type: mrReduceDone, Payload: reply}, nil
+	case mrStop:
+		return pnet.Msg{}, pnet.ErrWorkerDone
+	default:
+		return pnet.Msg{}, fmt.Errorf("mapreduce: unexpected frame type %d", m.Type)
+	}
 }
 
 // fleetPhase dispatches tasks [0, n) across the fleet: every idle
 // worker gets a task, a dead worker's task goes back to the pending
 // pool (re-dispatched to whoever is free — the deterministic task
 // makes duplicate execution harmless, and completion is recorded only
-// once), and when every rank is lost the coordinator inlines the rest.
+// once), and when every rank is lost the coordinator serves the rest of
+// the frames itself, through the worker's own code.
 // retries counts re-dispatches caused by deaths.
 func fleetPhase(ctx context.Context, co *pnet.Coordinator, workers int, n int,
 	mkMsg func(task int) pnet.Msg,
 	done func(task int, payload []byte) error,
-	inline func(task int) error,
+	serve func(pnet.Msg) (pnet.Msg, error),
 	doneType uint8, lost []bool, sink obs.Sink) (retries int, err error) {
 
 	if n == 0 {
@@ -279,8 +237,12 @@ func fleetPhase(ctx context.Context, co *pnet.Coordinator, workers int, n int,
 			if completed[t] {
 				continue
 			}
-			if err := inline(t); err != nil {
-				return err
+			reply, err := serve(mkMsg(t))
+			if err == nil {
+				err = done(t, reply.Payload[4:])
+			}
+			if err != nil {
+				return fmt.Errorf("mapreduce: inline task %d: %w", t, err)
 			}
 			completed[t] = true
 			remaining--
@@ -391,8 +353,9 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 	if j.Map == nil || j.Reduce == nil {
 		return nil, Stats{}, errors.New("mapreduce: job needs both Map and Reduce")
 	}
-	if j.Config.Faults != nil || j.Spill != nil || j.Config.MaxShuffleBytes > 0 || j.Config.ReferenceShuffle {
-		return nil, Stats{}, errors.New("mapreduce: fleet mode excludes Faults/Spill/External/ReferenceShuffle")
+	if j.Config.Faults != nil || j.Spill != nil || j.Config.MaxShuffleBytes > 0 || j.Config.ReferenceShuffle ||
+		j.Config.ReduceTasks > maxFleetPartitions {
+		return nil, Stats{}, errors.New("mapreduce: fleet mode excludes Faults/Spill/External/ReferenceShuffle and over 65536 reduce tasks")
 	}
 	if j.Counters == nil {
 		j.Counters = NewCounters()
@@ -418,12 +381,8 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 	}
 	defer co.Close()
 	lost := make([]bool, conf.Workers)
-	pr := cfg.Obs.Progress
-	pr.Update("mapreduce",
-		obs.F("map_tasks", float64(len(splits))),
-		obs.F("map_done", 0),
-		obs.F("reduce_tasks", float64(cfg.ReduceTasks)),
-		obs.F("reduce_done", 0))
+	serve := func(m pnet.Msg) (pnet.Msg, error) { return j.serveTask(ctx, m, w) }
+	pr := startProgress(cfg.Obs.Progress, len(splits), cfg.ReduceTasks)
 
 	// ---- Map phase over the fleet -----------------------------------
 	mapOut := make([][]run[K, V], len(splits))
@@ -451,7 +410,7 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 			out := make([]run[K, V], nParts)
 			var err error
 			for p := range out {
-				if out[p], buf, err = readRun(buf, w); err != nil {
+				if out[p], buf, err = readRun(buf, w.ReadKey, w.ReadVal); err != nil {
 					return err
 				}
 			}
@@ -462,31 +421,15 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 			pr.Update("mapreduce", obs.F("map_done", float64(mapDone)))
 			return nil
 		},
-		func(t int) error {
-			out, emitted, _, err := j.runMapTask(ctx, t, splits[t], cfg, nil)
-			if err != nil {
-				return fmt.Errorf("mapreduce: map task %d: %w", t, err)
-			}
-			mapOut[t] = out
-			stats.MapOutputs += emitted
-			j.Counters.Add("map.outputs", int64(emitted))
-			mapDone++
-			pr.Update("mapreduce", obs.F("map_done", float64(mapDone)))
-			return nil
-		},
-		mrMapDone, lost, cfg.Obs)
+		serve, mrMapDone, lost, cfg.Obs)
 	if err != nil {
 		return nil, stats, err
 	}
 
 	// ---- Reduce phase over the fleet --------------------------------
 	partRuns := make([][]*run[K, V], cfg.ReduceTasks)
-	for p := 0; p < cfg.ReduceTasks; p++ {
-		for t := range mapOut {
-			if p < len(mapOut[t]) && len(mapOut[t][p].keys) > 0 {
-				partRuns[p] = append(partRuns[p], &mapOut[t][p])
-			}
-		}
+	for p := range partRuns {
+		partRuns[p] = partitionRuns(mapOut, p)
 		stats.ShuffleRuns += len(partRuns[p])
 		if len(partRuns[p]) > 0 {
 			stats.MergePasses++
@@ -494,19 +437,12 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 	}
 	partOut := make([][]O, cfg.ReduceTasks)
 	redDone := 0
-	record := func(p, pairs, groups int, outs []O) {
-		partOut[p] = outs
-		stats.CombineOutputs += pairs
-		stats.ReduceGroups += groups
-		redDone++
-		pr.Update("mapreduce", obs.F("reduce_done", float64(redDone)))
-	}
 	redRetries, err := fleetPhase(ctx, co, conf.Workers, cfg.ReduceTasks,
 		func(p int) pnet.Msg {
 			buf := binary.LittleEndian.AppendUint32(nil, uint32(p))
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(partRuns[p])))
 			for _, r := range partRuns[p] {
-				buf = appendRun(buf, r, w)
+				buf = appendRun(buf, r, w.AppendKey, w.AppendVal)
 			}
 			return pnet.Msg{Type: mrReduce, Payload: buf}
 		},
@@ -516,31 +452,24 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 			}
 			pairs := int(binary.LittleEndian.Uint32(payload))
 			groups := int(binary.LittleEndian.Uint32(payload[4:]))
-			nOut := int(binary.LittleEndian.Uint32(payload[8:]))
-			buf := payload[12:]
+			nOut, buf, err := readCount(payload[8:], 1)
+			if err != nil {
+				return err
+			}
 			outs := make([]O, nOut)
-			var err error
 			for i := range outs {
 				if outs[i], buf, err = w.ReadOut(buf); err != nil {
 					return err
 				}
 			}
-			record(p, pairs, groups, outs)
+			partOut[p] = outs
+			stats.CombineOutputs += pairs
+			stats.ReduceGroups += groups
+			redDone++
+			pr.Update("mapreduce", obs.F("reduce_done", float64(redDone)))
 			return nil
 		},
-		func(p int) error {
-			var outs []O
-			emit := func(o O) { outs = append(outs, o) }
-			pairs, groups, err := mergeRuns(partRuns[p], func(key K, values []V, gi int) error {
-				return j.Reduce(key, values, emit)
-			})
-			if err != nil {
-				return fmt.Errorf("mapreduce: reduce partition %d: %w", p, err)
-			}
-			record(p, pairs, groups, outs)
-			return nil
-		},
-		mrReduceDone, lost, cfg.Obs)
+		serve, mrReduceDone, lost, cfg.Obs)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -552,15 +481,6 @@ func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.Fle
 		out = append(out, po...)
 	}
 	stats.Outputs = len(out)
-	if m := cfg.Obs.Metrics; m != nil {
-		m.Counter("mapreduce.tasks.map").Add(int64(stats.MapTasks))
-		m.Counter("mapreduce.tasks.reduce").Add(int64(stats.ReduceTasks))
-		m.Counter("mapreduce.records.in").Add(int64(stats.MapInputs))
-		m.Counter("mapreduce.records.out").Add(int64(stats.Outputs))
-		m.Counter("mapreduce.groups").Add(int64(stats.ReduceGroups))
-		m.Counter("mapreduce.retries").Add(int64(stats.TaskRetries))
-		m.Counter("mapreduce.shuffle.runs").Add(int64(stats.ShuffleRuns))
-		m.Counter("mapreduce.shuffle.merge_passes").Add(int64(stats.MergePasses))
-	}
+	stats.publish(cfg.Obs.Metrics, false)
 	return out, stats, nil
 }

@@ -1,7 +1,11 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,14 +184,16 @@ func TestFleetAllWorkersLostFallsBackInline(t *testing.T) {
 }
 
 // TestFleetRejectsSingleProcessFeatures: fault injection, spilling and
-// the reference shuffle are single-process concerns.
+// the reference shuffle are single-process concerns, and a worker builds
+// runs for at most maxFleetPartitions partitions.
 func TestFleetRejectsSingleProcessFeatures(t *testing.T) {
 	tr, _ := pnet.New("chan")
 	fc := &pnet.FleetConfig{Transport: tr, Listen: "mr-fleet-rej", Workers: 1}
 	for name, cfg := range map[string]Config[string]{
-		"faults":    {Faults: &fault.Plan{Seed: 1}},
-		"reference": {ReferenceShuffle: true},
-		"external":  {MaxShuffleBytes: 1 << 20},
+		"faults":     {Faults: &fault.Plan{Seed: 1}},
+		"reference":  {ReferenceShuffle: true},
+		"external":   {MaxShuffleBytes: 1 << 20},
+		"partitions": {ReduceTasks: maxFleetPartitions + 1},
 	} {
 		_, _, err := wordCountJob(cfg).RunFleet(context.Background(), fleetCorpus(4), fc, StringIntWire())
 		if err == nil {
@@ -201,16 +207,9 @@ func TestFleetRejectsSingleProcessFeatures(t *testing.T) {
 func TestRunRoundTrip(t *testing.T) {
 	w := StringIntWire()
 	kvs := []KV[string, int]{{"alpha", 1}, {"alpha", 2}, {"beta", 7}, {"longerkeythanprefix", 3}}
-	pairs := make([]prefKV[string, int], len(kvs))
-	for i, kv := range kvs {
-		pairs[i] = prefKV[string, int]{pref: keyPrefix(kv.Key), seq: int32(i), kv: kv}
-	}
-	r, err := buildRun(pairs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := appendRun(nil, &r, w)
-	got, rest, err := readRun(buf, w)
+	r := makeRun(kvs)
+	buf := appendRun(nil, &r, w.AppendKey, w.AppendVal)
+	got, rest, err := readRun(buf, w.ReadKey, w.ReadVal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,8 +230,111 @@ func TestRunRoundTrip(t *testing.T) {
 		}
 	}
 	// Empty run round-trips too.
-	empty, rest, err := readRun(appendRun(nil, &run[string, int]{}, w), w)
+	empty, rest, err := readRun(appendRun(nil, &run[string, int]{}, w.AppendKey, w.AppendVal), w.ReadKey, w.ReadVal)
 	if err != nil || len(rest) != 0 || len(empty.keys) != 0 {
 		t.Fatalf("empty run: %v %d %d", err, len(rest), len(empty.keys))
+	}
+}
+
+// mapFrame encodes the coordinator's map frame for a split.
+func mapFrame(task, nReduce int, split []string) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(task))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(nReduce))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(split)))
+	for _, rec := range split {
+		buf = AppendString(buf, rec)
+	}
+	return buf
+}
+
+// FuzzServeTask feeds arbitrary frames to a word-count worker. No input
+// may panic or exhaust memory; a rejected frame fails with a named
+// decoding error. An accepted map frame's reply must equal what the
+// coordinator computes in process for the same records, and an
+// accepted reduce frame's reply must decode with nothing left over.
+// testdata/fuzz/FuzzServeTask holds the crafted inputs: a run header
+// claiming 2^31 keys, offsets past the values, and a map frame for 0
+// (or 2^32-1) reduce partitions.
+func FuzzServeTask(f *testing.F) {
+	w := StringIntWire()
+	job := wordCountJob(Config[string]{})
+	runs, _, _, err := job.runMapTask(context.Background(), 0, corpus, Config[string]{ReduceTasks: 2}.withDefaults(), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	reduce := binary.LittleEndian.AppendUint32(nil, 1)
+	reduce = binary.LittleEndian.AppendUint32(reduce, 2)
+	reduce = appendRun(appendRun(reduce, &runs[0], w.AppendKey, w.AppendVal), &runs[1], w.AppendKey, w.AppendVal)
+	f.Add(mrMap, mapFrame(3, 2, corpus))
+	f.Add(mrReduce, reduce)
+	f.Add(mrStop, []byte{})
+
+	f.Fuzz(func(t *testing.T, typ byte, p []byte) {
+		reply, err := job.serveTask(context.Background(), pnet.Msg{Type: typ, Payload: p}, w)
+		if err != nil {
+			if !errors.Is(err, errMalformed) && !errors.Is(err, pnet.ErrWorkerDone) &&
+				!strings.Contains(err.Error(), "unexpected frame type") {
+				t.Fatalf("unnamed error: %v", err)
+			}
+			return
+		}
+		switch typ {
+		case mrMap:
+			nReduce := int(binary.LittleEndian.Uint32(p[4:]))
+			var records []string
+			for rest := p[12:]; len(records) < int(binary.LittleEndian.Uint32(p[8:])); {
+				var rec string
+				rec, rest, _ = ReadString(rest)
+				records = append(records, rec)
+			}
+			cfg := Config[string]{ReduceTasks: nReduce}.withDefaults()
+			out, emitted, _, err := job.runMapTask(context.Background(), 0, records, cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := binary.LittleEndian.AppendUint32(nil, binary.LittleEndian.Uint32(p))
+			want = binary.LittleEndian.AppendUint32(want, uint32(emitted))
+			want = binary.LittleEndian.AppendUint32(want, uint32(nReduce))
+			for i := range out {
+				want = appendRun(want, &out[i], w.AppendKey, w.AppendVal)
+			}
+			if reply.Type != mrMapDone || !bytes.Equal(reply.Payload, want) {
+				t.Fatalf("map reply differs from the in-process map task")
+			}
+		case mrReduce:
+			nOut, rest, err := readCount(reply.Payload[12:], 1)
+			for i := 0; err == nil && i < nOut; i++ {
+				_, rest, err = w.ReadOut(rest)
+			}
+			if reply.Type != mrReduceDone || err != nil || len(rest) != 0 {
+				t.Fatalf("reduce reply does not decode: %v, %d bytes left", err, len(rest))
+			}
+		}
+	})
+}
+
+// TestServeTaskRejectsCraftedFrames pins the named error for each
+// crafted frame that once crashed a worker: an allocation sized by an
+// unchecked count, offsets the merge would slice past, and a division
+// by zero partitions.
+func TestServeTaskRejectsCraftedFrames(t *testing.T) {
+	u32 := binary.LittleEndian.AppendUint32
+	run := AppendString(u32(nil, 1), "a")
+	run = AppendInt(u32(u32(u32(u32(run, 2), 0), 5), 1), 7)
+	for _, tc := range []struct {
+		name string
+		typ  uint8
+		p    []byte
+		want error
+	}{
+		{"run claims 2^31 keys", mrReduce, append(u32(u32(u32(nil, 0), 1), 1<<31), make([]byte, 8)...), errCount},
+		{"offsets past the values", mrReduce, append(u32(u32(nil, 0), 1), run...), errOffsets},
+		{"zero partitions", mrMap, mapFrame(0, 0, []string{"a b"}), errPartitions},
+		{"2^32-1 partitions", mrMap, mapFrame(0, 1<<32-1, []string{"a b"}), errPartitions},
+	} {
+		_, err := wordCountJob(Config[string]{}).serveTask(context.Background(), pnet.Msg{Type: tc.typ, Payload: tc.p}, StringIntWire())
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }

@@ -5,13 +5,15 @@
 // discusses: hash partitioning, combiners, counters, configurable map
 // and reduce parallelism, and bounded task retry.
 //
-// The shuffle is Hadoop's sort-merge design: each map task emits
-// per-partition sorted runs (sorted inside the parallel map phase,
-// combiner applied to the run), and the reduce phase k-way merges a
-// partition's runs in one streaming pass that feeds equal keys
-// directly into the reducer — partitions concurrently, no hash-map
-// grouping, no global re-sort (merge.go; the retired hash-group
-// shuffle survives in naive.go as a validation oracle).
+// The shuffle pairs Spark's map-side grouping with Hadoop's reduce-side
+// merge: each map task groups its pairs by key as they are emitted
+// (collect.go), sorts only the distinct keys into per-partition runs
+// inside the parallel map phase (combiner applied per key), and the
+// reduce phase k-way merges a partition's runs in one streaming pass
+// that feeds equal keys directly into the reducer — partitions
+// concurrently, no reduce-side hash grouping, no global re-sort
+// (merge.go; the retired hash-group shuffle survives in naive.go as a
+// validation oracle). NaN keys are refused at emit (ErrNaNKey).
 //
 // The engine is deliberately deterministic: reduce input groups are
 // ordered by key, and within a group values appear in (map-task,
@@ -28,6 +30,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,12 +66,36 @@ type Combiner[K cmp.Ordered, V any] func(key K, values []V) ([]V, error)
 // deterministic and return a value in [0, nReduce).
 type Partitioner[K cmp.Ordered] func(key K, nReduce int) int
 
-// HashPartitioner is the default: FNV-1a over the key's string form,
-// Hadoop's HashPartitioner in spirit.
+// HashPartitioner is the default: FNV-1a over the key's string form
+// ("%v"), Hadoop's HashPartitioner in spirit. Strings and the built-in
+// integer kinds hash their form inline, without fmt or boxing; every
+// other type (named types, floats) goes through fmt. Both routes give
+// the same partition.
 func HashPartitioner[K cmp.Ordered](key K, nReduce int) int {
-	h := fnv.New32a()
-	fmt.Fprintf(h, "%v", key)
-	return int(h.Sum32() % uint32(nReduce))
+	var digits [20]byte
+	var form []byte
+	switch k := any(key).(type) {
+	case string:
+		return int(fnv1a(k) % uint32(nReduce))
+	case int, int8, int16, int32, int64:
+		form = strconv.AppendInt(digits[:0], int64(keyPrefix(key)^1<<63), 10)
+	case uint, uint8, uint16, uint32, uint64, uintptr:
+		form = strconv.AppendUint(digits[:0], keyPrefix(key), 10)
+	default:
+		h := fnv.New32a()
+		fmt.Fprintf(h, "%v", key)
+		return int(h.Sum32() % uint32(nReduce))
+	}
+	return int(fnv1a(form) % uint32(nReduce))
+}
+
+// fnv1a is 32-bit FNV-1a, the hash/fnv New32a sum, over s.
+func fnv1a[S string | []byte](s S) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
 }
 
 // Config tunes a job run.
@@ -205,6 +232,44 @@ type Stats struct {
 	SpilledBytes int64
 }
 
+// publish adds a finished job's stats to the mapreduce.* counters; the
+// spill counters only for a job that could spill.
+func (s Stats) publish(m *obs.Registry, external bool) {
+	if m == nil {
+		return
+	}
+	m.Counter("mapreduce.tasks.map").Add(int64(s.MapTasks))
+	m.Counter("mapreduce.tasks.reduce").Add(int64(s.ReduceTasks))
+	m.Counter("mapreduce.records.in").Add(int64(s.MapInputs))
+	m.Counter("mapreduce.records.out").Add(int64(s.Outputs))
+	m.Counter("mapreduce.groups").Add(int64(s.ReduceGroups))
+	m.Counter("mapreduce.retries").Add(int64(s.TaskRetries))
+	m.Counter("mapreduce.shuffle.runs").Add(int64(s.ShuffleRuns))
+	m.Counter("mapreduce.shuffle.merge_passes").Add(int64(s.MergePasses))
+	if external {
+		m.Counter("mapreduce.shuffle.spilled_runs").Add(int64(s.SpilledRuns))
+		m.Counter("mapreduce.shuffle.spilled_bytes").Add(s.SpilledBytes)
+	}
+}
+
+// startProgress announces a job's task counts on the progress board.
+func startProgress(pr *obs.Progress, maps, reduces int) *obs.Progress {
+	pr.Update("mapreduce", obs.F("map_tasks", float64(maps)), obs.F("map_done", 0),
+		obs.F("reduce_tasks", float64(reduces)), obs.F("reduce_done", 0))
+	return pr
+}
+
+// partitionRuns gathers partition p's non-empty runs in map-task order.
+func partitionRuns[K cmp.Ordered, V any](mapOut [][]run[K, V], p int) []*run[K, V] {
+	runs := make([]*run[K, V], 0, len(mapOut))
+	for t := range mapOut {
+		if p < len(mapOut[t]) && len(mapOut[t][p].keys) > 0 {
+			runs = append(runs, &mapOut[t][p])
+		}
+	}
+	return runs
+}
+
 // Job binds the phases of one MapReduce computation.
 type Job[I any, K cmp.Ordered, V, O any] struct {
 	Name     string
@@ -280,56 +345,34 @@ func (j *Job[I, K, V, O]) RunContext(ctx context.Context, inputs []I) ([]O, Stat
 		mapDone atomic.Int64
 	)
 	tr := cfg.Obs.Tracer
-	pr := cfg.Obs.Progress
-	pr.Update("mapreduce",
-		obs.F("map_tasks", float64(len(splits))),
-		obs.F("map_done", 0),
-		obs.F("reduce_tasks", float64(cfg.ReduceTasks)),
-		obs.F("reduce_done", 0))
+	pr := startProgress(cfg.Obs.Progress, len(splits), cfg.ReduceTasks)
 	err := runTasks(ctx, len(splits), cfg.Parallelism, func(t int) error {
 		split := splits[t]
 		mapTS := tr.Now()
+		var out []run[K, V]
+		emitted, attempts, resumed := 0, 1, false
 		if j.Spill != nil {
-			if out, emitted, ok := j.Spill.load(t, cfg.ReduceTasks); ok {
-				mapOut[t] = out
-				if ext != nil {
-					if err := ext.admit(t, mapOut[t]); err != nil {
-						return err
-					}
+			out, emitted, resumed = j.Spill.load(t, cfg.ReduceTasks)
+		}
+		if !resumed {
+			var err error
+			out, emitted, attempts, err = j.runMapTask(ctx, t, split, cfg, inj)
+			if tr != nil {
+				tr.Span(tr.Track("mapreduce-map", t, fmt.Sprintf("map task %d", t)),
+					"map", mapTS, tr.Now()-mapTS,
+					obs.Arg{Key: "records", Value: int64(len(split))},
+					obs.Arg{Key: "emitted", Value: int64(emitted)})
+			}
+			if err != nil {
+				return fmt.Errorf("mapreduce: map task %d: %w", t, err)
+			}
+			if j.Spill != nil {
+				if err := j.Spill.save(t, out, emitted); err != nil {
+					return fmt.Errorf("mapreduce: map task %d spill: %w", t, err)
 				}
-				statsMu.Lock()
-				stats.MapOutputs += emitted
-				stats.MapTasksResumed++
-				statsMu.Unlock()
-				j.Counters.Add("map.outputs", int64(emitted))
 				if m := cfg.Obs.Metrics; m != nil {
-					m.Counter("ckpt.spill_resumed").Inc()
+					m.Counter("ckpt.spill_saves").Inc()
 				}
-				if tr != nil {
-					tr.Span(tr.Track("mapreduce-map", t, fmt.Sprintf("map task %d", t)),
-						"map(resumed)", mapTS, tr.Now()-mapTS,
-						obs.Arg{Key: "emitted", Value: int64(emitted)})
-				}
-				pr.Update("mapreduce", obs.F("map_done", float64(mapDone.Add(1))))
-				return nil
-			}
-		}
-		out, emitted, attempts, err := j.runMapTask(ctx, t, split, cfg, inj)
-		if tr != nil {
-			tr.Span(tr.Track("mapreduce-map", t, fmt.Sprintf("map task %d", t)),
-				"map", mapTS, tr.Now()-mapTS,
-				obs.Arg{Key: "records", Value: int64(len(split))},
-				obs.Arg{Key: "emitted", Value: int64(emitted)})
-		}
-		if err != nil {
-			return fmt.Errorf("mapreduce: map task %d: %w", t, err)
-		}
-		if j.Spill != nil {
-			if err := j.Spill.save(t, out, emitted); err != nil {
-				return fmt.Errorf("mapreduce: map task %d spill: %w", t, err)
-			}
-			if m := cfg.Obs.Metrics; m != nil {
-				m.Counter("ckpt.spill_saves").Inc()
 			}
 		}
 		mapOut[t] = out
@@ -341,8 +384,21 @@ func (j *Job[I, K, V, O]) RunContext(ctx context.Context, inputs []I) ([]O, Stat
 		statsMu.Lock()
 		retries += int64(attempts - 1)
 		stats.MapOutputs += emitted
+		if resumed {
+			stats.MapTasksResumed++
+		}
 		statsMu.Unlock()
 		j.Counters.Add("map.outputs", int64(emitted))
+		if resumed {
+			if m := cfg.Obs.Metrics; m != nil {
+				m.Counter("ckpt.spill_resumed").Inc()
+			}
+			if tr != nil {
+				tr.Span(tr.Track("mapreduce-map", t, fmt.Sprintf("map task %d", t)),
+					"map(resumed)", mapTS, tr.Now()-mapTS,
+					obs.Arg{Key: "emitted", Value: int64(emitted)})
+			}
+		}
 		pr.Update("mapreduce", obs.F("map_done", float64(mapDone.Add(1))))
 		return nil
 	})
@@ -367,20 +423,7 @@ func (j *Job[I, K, V, O]) RunContext(ctx context.Context, inputs []I) ([]O, Stat
 		stats.SpilledRuns = int(ext.spilledRuns.Load())
 		stats.SpilledBytes = ext.spilledBytes.Load()
 	}
-	if m := cfg.Obs.Metrics; m != nil {
-		m.Counter("mapreduce.tasks.map").Add(int64(stats.MapTasks))
-		m.Counter("mapreduce.tasks.reduce").Add(int64(stats.ReduceTasks))
-		m.Counter("mapreduce.records.in").Add(int64(stats.MapInputs))
-		m.Counter("mapreduce.records.out").Add(int64(stats.Outputs))
-		m.Counter("mapreduce.groups").Add(int64(stats.ReduceGroups))
-		m.Counter("mapreduce.retries").Add(int64(stats.TaskRetries))
-		m.Counter("mapreduce.shuffle.runs").Add(int64(stats.ShuffleRuns))
-		m.Counter("mapreduce.shuffle.merge_passes").Add(int64(stats.MergePasses))
-		if ext != nil {
-			m.Counter("mapreduce.shuffle.spilled_runs").Add(int64(stats.SpilledRuns))
-			m.Counter("mapreduce.shuffle.spilled_bytes").Add(stats.SpilledBytes)
-		}
-	}
+	stats.publish(cfg.Obs.Metrics, ext != nil)
 	return out, stats, nil
 }
 
@@ -439,12 +482,7 @@ func (j *Job[I, K, V, O]) reducePhase(ctx context.Context, mapOut [][]run[K, V],
 		if ext != nil && ext.hasDisk(p) {
 			pairs, groups, nRuns, passes, err = ext.mergePartition(p, mapOut, group)
 		} else {
-			runs := make([]*run[K, V], 0, len(mapOut))
-			for t := range mapOut {
-				if p < len(mapOut[t]) && len(mapOut[t][p].keys) > 0 {
-					runs = append(runs, &mapOut[t][p])
-				}
-			}
+			runs := partitionRuns(mapOut, p)
 			nRuns = len(runs)
 			if nRuns > 0 {
 				passes = 1
@@ -529,11 +567,11 @@ func runTasks(ctx context.Context, n, parallelism int, fn func(task int) error) 
 	return firstEr
 }
 
-// runMapTask executes one map task (with retry): maps every record of
-// the split, partitions the result, and turns each partition slice
-// into a sorted, span-compressed run (with map-side combining applied
-// as the spans are built, so combiner jobs shrink data before the
-// shuffle ever sees it). The sort happens here, at map-task
+// runMapTask executes one map task (with retry): a fresh collector per
+// attempt groups the split's emissions by key as the mapper emits
+// them, then builds each partition's sorted, span-compressed run (with
+// map-side combining applied per key, so combiner jobs shrink data
+// before the shuffle ever sees it). This happens at map-task
 // granularity, inside the already-parallel map phase — the shuffle
 // then only merges. It returns the per-partition runs, the raw
 // emission count, the number of attempts, and the final error.
@@ -542,40 +580,24 @@ func (j *Job[I, K, V, O]) runMapTask(ctx context.Context, t int, split []I, cfg 
 	emitted := 0
 	attempts, err := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
 		retrySeed(cfg), fmt.Sprintf("map:%d", t), func(attempt int) error {
-		if inj.TaskFails("map", attempt, t) {
-			return fault.ErrInjected
-		}
-		var pairs []KV[K, V]
-		emit := func(k K, v V) { pairs = append(pairs, KV[K, V]{k, v}) }
-		for _, rec := range split {
-			if err := j.Map(rec, emit); err != nil {
-				return err
+			if inj.TaskFails("map", attempt, t) {
+				return fault.ErrInjected
 			}
-		}
-		emitted = len(pairs)
-
-		flat := make([][]prefKV[K, V], cfg.ReduceTasks)
-		for i, kv := range pairs {
-			p := cfg.Partitioner(kv.Key, cfg.ReduceTasks)
-			if p < 0 || p >= cfg.ReduceTasks {
-				return fmt.Errorf("partitioner returned %d for %d partitions", p, cfg.ReduceTasks)
+			c := &collector[K, V]{part: cfg.Partitioner, parts: make([]partBuf[K, V], cfg.ReduceTasks)}
+			emit := c.emit
+			for _, rec := range split {
+				if err := j.Map(rec, emit); err != nil {
+					return err
+				}
 			}
-			flat[p] = append(flat[p], prefKV[K, V]{pref: keyPrefix(kv.Key), seq: int32(i), kv: kv})
-		}
-		parts = make([]run[K, V], cfg.ReduceTasks)
-		cmpPairs := pairCmp[K, V]()
-		for p, fp := range flat {
-			// The emission-sequence tie-break makes this unstable (and
-			// faster) sort produce a stable order.
-			slices.SortFunc(fp, cmpPairs)
-			r, err := buildRun(fp, j.Combine)
-			if err != nil {
-				return err
+			emitted = c.emitted
+			if c.err != nil {
+				return c.err
 			}
-			parts[p] = r
-		}
-		return nil
-	})
+			var err error
+			parts, err = c.runs(j.Combine)
+			return err
+		})
 	return parts, emitted, attempts, err
 }
 

@@ -1,14 +1,15 @@
 package mapreduce
 
-// merge.go is the shuffle's data plane: sorted, span-compressed runs
-// and the k-way merge over them. Each map task hands the reduce phase
-// one run per partition (sorted at map-task granularity, inside the
-// already-parallel map phase, combiner applied during span building),
-// and the shuffle merges a partition's runs in a single streaming
-// pass that feeds equal keys directly into the reducer. Nothing is
-// re-grouped through a hash map and nothing is globally re-sorted —
-// the per-run sort plus a stable merge is the whole shuffle, exactly
-// Hadoop's sort-merge design.
+// merge.go is the shuffle's data plane: sorted, span-compressed runs,
+// their wire and spill encoding, and the k-way merge over them. Each
+// map task hands the reduce phase one run per partition, built by the
+// task's collector (collect.go: pairs hash-grouped by key as they are
+// emitted, then only the distinct keys sorted, combiner applied per
+// key), and the shuffle merges a partition's runs in a single
+// streaming pass that feeds equal keys directly into the reducer. The
+// map side groups through a hash map; the reduce side never does, and
+// nothing is globally re-sorted — per-run key order plus a stable
+// merge is the whole reduce side, exactly Hadoop's sort-merge design.
 //
 // Two representation choices carry the performance:
 //
@@ -19,8 +20,8 @@ package mapreduce
 //     bytes — drops out of the shuffle entirely.
 //   - Every key carries an 8-byte order-preserving prefix. For short
 //     strings and all integer widths the prefix is EXACT: prefix
-//     equality proves key equality, so both the map-side sort and the
-//     merge run on nothing but inline uint64 compares — no string
+//     equality proves key equality, so both the map-side key sort and
+//     the merge run on nothing but inline uint64 compares — no string
 //     bytes are touched at all unless keys are 8+ characters and share
 //     their first 7.
 //
@@ -31,15 +32,20 @@ package mapreduce
 // binary min-heap of cursors takes over past scanMaxRuns, restoring
 // O(log k) per step for very wide merges.
 //
-// Stability argument (why outputs are byte-identical to the old
-// hash-group shuffle): within a run, equal keys keep emission order
-// because the map-side sort breaks key ties by emission sequence;
-// across runs, the merge drains a key's spans in task-index order, so
-// a group's values appear in (map-task, emission) order — the same
-// order the old shuffle produced by concatenating task outputs before
-// grouping.
+// Stability argument (why outputs are byte-identical to the reference
+// hash-group shuffle): within a run, a key's values keep emission
+// order because the collector places them with a stable counting
+// sort; across runs, the merge drains a key's spans in task-index
+// order, so a group's values appear in (map-task, emission) order —
+// the same order the reference shuffle produces by concatenating task
+// outputs before grouping.
 
-import "cmp"
+import (
+	"cmp"
+	"encoding/binary"
+	"errors"
+	"fmt"
+)
 
 // Prefix exactness classes: what a prefix tie proves about the keys.
 const (
@@ -141,102 +147,100 @@ type run[K cmp.Ordered, V any] struct {
 
 func (r *run[K, V]) pairs() int { return len(r.vals) }
 
-// prefKV is the map side's sortable pair: the key's prefix, the
-// emission sequence (the stable-sort tie-break, so an unstable — and
-// faster — sort yields a stable order), and the pair itself.
-type prefKV[K cmp.Ordered, V any] struct {
-	pref uint64
-	seq  int32
-	kv   KV[K, V]
-}
+// Decoding errors for runs and fleet frames: every count is checked
+// against the bytes left before anything is allocated, and a run's
+// offsets must span its values exactly, so corrupt bytes are an error,
+// never a panic or an out-of-memory kill.
+var (
+	errMalformed = errors.New("mapreduce: malformed run or fleet frame")
+	errCount     = fmt.Errorf("%w: count exceeds the bytes left", errMalformed)
+	errOffsets   = fmt.Errorf("%w: run offsets do not span its values", errMalformed)
+)
 
-// pairCmp returns the map-side sort order for prefKVs: (prefix, key,
-// emission sequence) — never 0 for distinct elements, which is what
-// makes the unstable sort stable. The key compare is skipped entirely
-// when the prefix tie already proves the keys equal.
-func pairCmp[K cmp.Ordered, V any]() func(a, b prefKV[K, V]) int {
-	class := prefixClass[K]()
-	return func(a, b prefKV[K, V]) int {
-		if a.pref != b.pref {
-			if a.pref < b.pref {
-				return -1
-			}
-			return 1
-		}
-		if !prefProvesEqual(class, a.pref) {
-			if c := cmp.Compare(a.kv.Key, b.kv.Key); c != 0 {
-				return c
-			}
-		}
-		return cmp.Compare(a.seq, b.seq)
+// readCount consumes a u32 count of items that each take at least unit
+// bytes, rejecting a count the rest of buf cannot hold.
+func readCount(buf []byte, unit int) (int, []byte, error) {
+	if len(buf) < 4 {
+		return 0, buf, fmt.Errorf("%w: truncated count", errMalformed)
 	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	if n > (len(buf)-4)/unit {
+		return 0, buf, fmt.Errorf("%w: %d items in %d bytes", errCount, n, len(buf)-4)
+	}
+	return n, buf[4:], nil
 }
 
-// sameKey reports whether two adjacent sorted pairs share a key.
-func sameKey[K cmp.Ordered, V any](class int, a, b *prefKV[K, V]) bool {
-	return a.pref == b.pref && (prefProvesEqual(class, a.pref) || a.kv.Key == b.kv.Key)
+// appendRun encodes one run: u32 nkeys | keys | u32 noffs | offs (u32
+// each) | u32 nvals | vals — the layout of spill files and fleet
+// frames alike. Prefixes are not stored: readRun recomputes them from
+// the keys, keeping the bytes independent of the accelerator encoding.
+func appendRun[K cmp.Ordered, V any](buf []byte, r *run[K, V], appendKey func([]byte, K) []byte, appendVal func([]byte, V) []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.keys)))
+	for _, k := range r.keys {
+		buf = appendKey(buf, k)
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.offs)))
+	for _, off := range r.offs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(off))
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.vals)))
+	for _, v := range r.vals {
+		buf = appendVal(buf, v)
+	}
+	return buf
 }
 
-// buildRun span-compresses sorted pairs into a run, applying the
-// combiner (when non-nil) to each key's values as the span is formed.
-// A combiner returning zero values drops its key from the run.
-func buildRun[K cmp.Ordered, V any](pairs []prefKV[K, V], combine Combiner[K, V]) (run[K, V], error) {
+// readRun decodes one appendRun encoding and returns the rest of buf.
+// Counts are bounded by the bytes left (every key and value encoding
+// takes at least one byte), NaN keys are refused, and the offsets must
+// start at 0, never decrease, number nkeys+1 (0 or 1 for an empty run)
+// and end at nvals, so whatever it accepts the merge can walk.
+func readRun[K cmp.Ordered, V any](buf []byte, readKey func([]byte) (K, []byte, error), readVal func([]byte) (V, []byte, error)) (run[K, V], []byte, error) {
 	var r run[K, V]
-	if len(pairs) == 0 {
-		return r, nil
+	nk, buf, err := readCount(buf, 1)
+	if err != nil {
+		return r, buf, err
 	}
-	class := prefixClass[K]()
-	nk := countSpans(class, pairs)
-	r.keys = make([]K, 0, nk)
-	r.prefs = make([]uint64, 0, nk)
-	r.offs = make([]int32, 1, nk+1)
-	r.vals = make([]V, 0, len(pairs))
-	var values []V // combiner scratch
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && sameKey(class, &pairs[j], &pairs[i]) {
-			j++
+	r.keys, r.prefs = make([]K, nk), make([]uint64, nk)
+	for i := range r.keys {
+		if r.keys[i], buf, err = readKey(buf); err != nil {
+			return r, buf, fmt.Errorf("%w: key %d: %w", errMalformed, i, err)
 		}
-		if combine == nil {
-			for _, p := range pairs[i:j] {
-				r.vals = append(r.vals, p.kv.Value)
-			}
-		} else {
-			values = values[:0]
-			for _, p := range pairs[i:j] {
-				values = append(values, p.kv.Value)
-			}
-			vs, err := combine(pairs[i].kv.Key, values)
-			if err != nil {
-				return run[K, V]{}, err
-			}
-			if len(vs) == 0 {
-				i = j
-				continue
-			}
-			r.vals = append(r.vals, vs...)
+		if r.keys[i] != r.keys[i] {
+			return r, buf, fmt.Errorf("%w: key %d: %w", errMalformed, i, ErrNaNKey)
 		}
-		r.keys = append(r.keys, pairs[i].kv.Key)
-		r.prefs = append(r.prefs, pairs[i].pref)
-		r.offs = append(r.offs, int32(len(r.vals)))
-		i = j
+		r.prefs[i] = keyPrefix(r.keys[i])
 	}
-	return r, nil
-}
-
-// countSpans counts the distinct keys of sorted pairs, sizing
-// buildRun's allocations exactly.
-func countSpans[K cmp.Ordered, V any](class int, pairs []prefKV[K, V]) int {
-	n := 0
-	for i := 0; i < len(pairs); {
-		j := i + 1
-		for j < len(pairs) && sameKey(class, &pairs[j], &pairs[i]) {
-			j++
-		}
-		n++
-		i = j
+	no, buf, err := readCount(buf, 4)
+	if err != nil {
+		return r, buf, err
 	}
-	return n
+	if no != nk+1 && (nk > 0 || no > 1) {
+		return r, buf, fmt.Errorf("%w: %d offsets for %d keys", errOffsets, no, nk)
+	}
+	r.offs = make([]int32, no)
+	last := int32(0)
+	for i := range r.offs {
+		r.offs[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
+		if r.offs[i] < last || (i == 0 && r.offs[i] != 0) {
+			return r, buf, fmt.Errorf("%w: offset %d is %d", errOffsets, i, r.offs[i])
+		}
+		last = r.offs[i]
+	}
+	nv, buf, err := readCount(buf[4*no:], 1)
+	if err != nil {
+		return r, buf, err
+	}
+	if int(last) != nv {
+		return r, buf, fmt.Errorf("%w: offsets end at %d, %d values", errOffsets, last, nv)
+	}
+	r.vals = make([]V, nv)
+	for i := range r.vals {
+		if r.vals[i], buf, err = readVal(buf); err != nil {
+			return r, buf, fmt.Errorf("%w: value %d: %w", errMalformed, i, err)
+		}
+	}
+	return r, buf, nil
 }
 
 // cursor is one run's read position (a span index) inside a merge.

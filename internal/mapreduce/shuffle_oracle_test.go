@@ -121,18 +121,17 @@ func TestShuffleOracleRandomizedEquivalence(t *testing.T) {
 }
 
 // makeRun builds a span-compressed run from raw (unsorted) pairs the
-// way the map side does: prefix + emission sequence, sort, compress.
+// way the map side does: through a one-partition collector.
 func makeRun[K cmp.Ordered, V any](pairs []KV[K, V]) run[K, V] {
-	fp := make([]prefKV[K, V], len(pairs))
-	for i, kv := range pairs {
-		fp[i] = prefKV[K, V]{pref: keyPrefix(kv.Key), seq: int32(i), kv: kv}
+	c := &collector[K, V]{part: func(K, int) int { return 0 }, parts: make([]partBuf[K, V], 1)}
+	for _, kv := range pairs {
+		c.emit(kv.Key, kv.Value)
 	}
-	slices.SortFunc(fp, pairCmp[K, V]())
-	r, err := buildRun(fp, nil)
+	parts, err := c.runs(nil)
 	if err != nil {
 		panic(err)
 	}
-	return r
+	return parts[0]
 }
 
 // The oracle above runs jobs end to end; this pins the merge itself

@@ -16,7 +16,7 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -63,59 +63,37 @@ func (j *Job[I, K, V, O]) RunSpeculative(inputs []I, spec SpecConfig) ([]O, Spec
 		attempt int
 	}
 	results := make([]taskResult, len(splits))
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, cfg.Parallelism+len(splits)) // backups must not starve
-		mu      sync.Mutex
-		settled = make([]bool, len(splits))
-	)
-
-	runAttempt := func(t int, attempt int, done chan<- struct{}) {
-		sem <- struct{}{}
-		defer func() { <-sem }()
-		if spec.InjectDelay != nil {
-			if d := spec.InjectDelay(t, attempt); d > 0 {
-				time.Sleep(d)
+	var launched atomic.Int64
+	// A task holds its parallelism slot until its first attempt
+	// finishes; the backup runs outside the bound, so it never waits on
+	// a slot its own straggler holds. Attempt errors travel in results,
+	// so runTasks itself cannot fail.
+	_ = runTasks(context.Background(), len(splits), cfg.Parallelism, func(t int) error {
+		done := make(chan taskResult, 2)
+		runAttempt := func(attempt int) {
+			if spec.InjectDelay != nil {
+				time.Sleep(spec.InjectDelay(t, attempt))
 			}
+			parts, emitted, _, err := j.runMapTask(context.Background(), t, splits[t], cfg, nil)
+			done <- taskResult{parts, emitted, err, attempt}
 		}
-		parts, emitted, _, err := j.runMapTask(context.Background(), t, splits[t], cfg, nil)
-		mu.Lock()
-		if !settled[t] {
-			settled[t] = true
-			results[t] = taskResult{parts, emitted, err, attempt}
+		go runAttempt(0)
+		var late <-chan time.Time
+		if spec.SpeculationAfter > 0 {
+			late = time.After(spec.SpeculationAfter)
 		}
-		mu.Unlock()
 		select {
-		case done <- struct{}{}:
-		default:
+		case results[t] = <-done:
+		case <-late:
+			launched.Add(1)
+			go runAttempt(1)
+			results[t] = <-done
 		}
-	}
-
-	for t := range splits {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			done := make(chan struct{}, 2)
-			go runAttempt(t, 0, done)
-			if spec.SpeculationAfter <= 0 {
-				<-done
-				return
-			}
-			select {
-			case <-done:
-				return
-			case <-time.After(spec.SpeculationAfter):
-				mu.Lock()
-				stats.BackupsLaunched++
-				mu.Unlock()
-				go runAttempt(t, 1, done)
-				<-done
-			}
-		}(t)
-	}
-	wg.Wait()
+		return nil
+	})
 
 	// Aggregate, honoring the winner of each race.
+	stats.BackupsLaunched = int(launched.Load())
 	mapOut := make([][]run[K, V], len(splits))
 	for t, r := range results {
 		if r.err != nil {

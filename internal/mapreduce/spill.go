@@ -82,19 +82,8 @@ func (s *Spill[K, V]) save(task int, parts []run[K, V], emitted int) error {
 	buf = binary.LittleEndian.AppendUint32(buf, spillVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(parts)))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(emitted))
-	for _, r := range parts {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.keys)))
-		for _, k := range r.keys {
-			buf = s.AppendKey(buf, k)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.offs)))
-		for _, o := range r.offs {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(o))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.vals)))
-		for _, v := range r.vals {
-			buf = s.AppendVal(buf, v)
-		}
+	for p := range parts {
+		buf = appendRun(buf, &parts[p], s.AppendKey, s.AppendVal)
 	}
 	return ckpt.WriteFile(s.path(task), uint64(task), buf)
 }
@@ -108,66 +97,16 @@ func (s *Spill[K, V]) load(task, nparts int) (parts []run[K, V], emitted int, ok
 	if err != nil || epoch != uint64(task) {
 		return nil, 0, false
 	}
-	u32 := func() (uint32, bool) {
-		if len(buf) < 4 {
-			return 0, false
-		}
-		v := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		return v, true
-	}
-	ver, ok1 := u32()
-	np, ok2 := u32()
-	if !ok1 || !ok2 || ver != spillVersion || int(np) != nparts || len(buf) < 8 {
+	if len(buf) < 16 || binary.LittleEndian.Uint32(buf) != spillVersion || int(binary.LittleEndian.Uint32(buf[4:])) != nparts {
 		return nil, 0, false
 	}
-	emitted = int(binary.LittleEndian.Uint64(buf))
-	buf = buf[8:]
+	emitted = int(binary.LittleEndian.Uint64(buf[8:]))
+	buf = buf[16:]
 	parts = make([]run[K, V], nparts)
 	for p := range parts {
-		nk, ok := u32()
-		if !ok {
+		if parts[p], buf, err = readRun(buf, s.ReadKey, s.ReadVal); err != nil {
 			return nil, 0, false
 		}
-		r := run[K, V]{keys: make([]K, nk), prefs: make([]uint64, nk)}
-		for i := range r.keys {
-			k, rest, err := s.ReadKey(buf)
-			if err != nil {
-				return nil, 0, false
-			}
-			r.keys[i] = k
-			r.prefs[i] = keyPrefix(k)
-			buf = rest
-		}
-		no, ok := u32()
-		if !ok || (nk > 0 && int(no) != int(nk)+1) || (nk == 0 && no > 1) {
-			return nil, 0, false
-		}
-		r.offs = make([]int32, no)
-		for i := range r.offs {
-			o, ok := u32()
-			if !ok {
-				return nil, 0, false
-			}
-			r.offs[i] = int32(o)
-		}
-		nv, ok := u32()
-		if !ok {
-			return nil, 0, false
-		}
-		r.vals = make([]V, nv)
-		for i := range r.vals {
-			v, rest, err := s.ReadVal(buf)
-			if err != nil {
-				return nil, 0, false
-			}
-			r.vals[i] = v
-			buf = rest
-		}
-		if nk > 0 && int(r.offs[nk]) != int(nv) {
-			return nil, 0, false
-		}
-		parts[p] = r
 	}
 	return parts, emitted, len(buf) == 0
 }

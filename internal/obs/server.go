@@ -191,7 +191,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
-	fmt.Fprintf(w, ": stream open subscribers=%d\n\n", s.sink.Log.Subscribers()+1)
+	// Subscribe before announcing the stream: every event logged after
+	// the client reads the open comment is delivered, and the count
+	// includes this stream.
+	ch, cancel := s.sink.Log.Subscribe(256)
+	defer cancel()
+	fmt.Fprintf(w, ": stream open subscribers=%d\n\n", s.sink.Log.Subscribers())
 	flusher.Flush()
 
 	if s.sink.Log == nil {
@@ -201,8 +206,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ch, cancel := s.sink.Log.Subscribe(256)
-	defer cancel()
 	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 	for {

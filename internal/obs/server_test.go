@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -184,6 +185,37 @@ func TestEventsSSEStream(t *testing.T) {
 		case <-deadline:
 			t.Fatal("timed out waiting for SSE event")
 		}
+	}
+}
+
+// TestEventsOpenCommentFollowsSubscribe pins the order the SSE test
+// relies on: by the time a client reads the ": stream open" comment,
+// its subscription exists, and the comment's count says so.
+func TestEventsOpenCommentFollowsSubscribe(t *testing.T) {
+	log := NewLogger()
+	ts := newTestServer(t, Sink{Log: log}, WithCollectInterval(0))
+	for want := 1; want <= 2; want++ {
+		resp, err := http.Get(ts.URL + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		line, err := bufio.NewReader(resp.Body).ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := log.Subscribers(); got != want || line != fmt.Sprintf(": stream open subscribers=%d\n", want) {
+			t.Fatalf("stream %d opened with %q while %d subscribed", want, line, got)
+		}
+	}
+	bare := newTestServer(t, Sink{}, WithCollectInterval(0))
+	resp, err := http.Get(bare.URL + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if line, _ := bufio.NewReader(resp.Body).ReadString('\n'); line != ": stream open subscribers=0\n" {
+		t.Fatalf("stream without a logger opened with %q", line)
 	}
 }
 
