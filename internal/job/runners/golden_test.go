@@ -3,6 +3,7 @@ package runners
 import (
 	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,8 +32,40 @@ func TestSandpileRanksGolden(t *testing.T) {
 		}
 		sb.WriteString(params + "\n" + string(res.Output) + "\n")
 	}
-	got := sb.String()
-	path := filepath.Join("testdata", "sandpile_ranks.golden")
+	checkGolden(t, "sandpile_ranks.golden", sb.String())
+}
+
+// TestWfsimGolden pins the wfsim result bytes of each simulating mode
+// — a Tab 1 cluster, a Tab 2 placement with and without host
+// failures, and the greedy optimizer — on the sequential kernel and
+// on Time Warp, one spec per line followed by its result.
+func TestWfsimGolden(t *testing.T) {
+	const half = `"fractions":[0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5]`
+	specs := []string{
+		`{"mode":"tab1","nodes":48,"pstate":4`,
+		`{"mode":"tab2",` + half,
+		`{"mode":"tab2",` + half + `,"faults":"seed=11,hostfail=0.1,repair=6,retrybase=2"`,
+		`{"mode":"greedy"`,
+	}
+	var sb strings.Builder
+	for _, workers := range []int{0, 2} {
+		for _, s := range specs {
+			params := fmt.Sprintf(`%s,"desWorkers":%d}`, s, workers)
+			res, err := (&Wfsim{}).Run(context.Background(), spec("wfsim", params), obs.NewProgress(nil))
+			if err != nil {
+				t.Fatalf("%s: %v", params, err)
+			}
+			sb.WriteString(params + "\n" + string(res.Output) + "\n")
+		}
+	}
+	checkGolden(t, "wfsim.golden", sb.String())
+}
+
+// checkGolden compares got with testdata/name, rewriting the file
+// first under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -46,6 +79,6 @@ func TestSandpileRanksGolden(t *testing.T) {
 		t.Fatalf("reading golden (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("ranks-mode results drifted from golden:\n--- got ---\n%s--- want ---\n%s", got, want)
+		t.Errorf("%s drifted from golden:\n--- got ---\n%s--- want ---\n%s", name, got, want)
 	}
 }
