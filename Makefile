@@ -1,7 +1,12 @@
-# Tier-1 verification plus race detection in one command: `make check`.
+# Tier-1 verification plus formatting and race detection in one
+# command: `make check`.
 GO ?= go
 
-.PHONY: build test race vet check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd fuzz-smoke bench-e2e bench-baseline bench-compare
+.PHONY: fmt build test race vet check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd fuzz-smoke bench-e2e bench-baseline bench-compare
+
+# Fails listing the files gofmt would rewrite (bench/ included).
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -15,7 +20,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race
+check: fmt build vet test race
 
 # Kill–resume soak: SIGKILL each durable workload at random points,
 # resume it from its snapshots, and assert the final state is
@@ -63,11 +68,12 @@ soak-peachyd:
 	./scripts/peachyd_soak.sh
 
 # A short fuzzing budget for each fuzz target: the Time Warp kernel at
-# two workers against the sequential kernel, and the ghost and
-# MapReduce fleet workers' frame decoders. `go test` takes one -fuzz
-# target per command.
+# two workers against the sequential kernel, the -faults spec parser,
+# and the ghost and MapReduce fleet workers' frame decoders. `go test`
+# takes one -fuzz target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime 20s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRound$$' -fuzztime 20s ./internal/ghost
 	$(GO) test -run '^$$' -fuzz '^FuzzServeTask$$' -fuzztime 20s ./internal/mapreduce
 

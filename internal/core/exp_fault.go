@@ -11,6 +11,7 @@ package core
 // post-recovery result".
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -85,7 +86,12 @@ func runFaultDemo(cfg Config) (*Result, error) {
 	if fsc.Faults == nil {
 		fsc.Faults = &fault.Plan{Seed: 9, HostFail: 0.1}
 	}
-	faultOut := wfsched.Simulate(fsc, wfsched.AllCloud)
+	// A plan whose attempts cap runs out fails the experiment, not the
+	// process.
+	faultOut, err := wfsched.SimulateContext(context.Background(), fsc, wfsched.AllCloud)
+	if err != nil {
+		return nil, err
+	}
 	tbl.AddRow("wfsched (cloud)",
 		fmt.Sprintf("%.0f%% host-fail", 100*fsc.Faults.HostFail),
 		fmt.Sprintf("%d retries", faultOut.Retries),

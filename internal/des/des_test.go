@@ -9,194 +9,174 @@ import (
 	"testing/quick"
 )
 
+// The sequential kernel's contract: des.Warp at Workers <= 1 runs
+// every event on one heap in canonical key order. Handlers here keep
+// test-side effects outside the LP state, which is safe only because
+// the sequential kernel never rolls back.
+
+// seqWarp builds a sequential Warp with one stateless LP running h.
+func seqWarp(h Handler) (*Warp, LPID) {
+	w := NewWarp(WarpConfig{Workers: 1})
+	return w, w.AddLP("lp", nil, h)
+}
+
+func mustRun(t *testing.T, w *Warp) {
+	t.Helper()
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestClockStartsAtZero(t *testing.T) {
-	var s Simulation
-	if s.Now() != 0 {
-		t.Fatalf("Now = %v", s.Now())
+	var times []float64
+	w, lp := seqWarp(func(p *Proc, at float64, pl Payload) {
+		times = append(times, p.Now())
+		if pl.A == 0 {
+			p.Send(p.ID(), 0, Payload{A: 1}) // zero delay stays at 0
+		}
+	})
+	if now := w.lps[lp].Now(); now != 0 {
+		t.Fatalf("Now before the run = %v", now)
+	}
+	w.SeedAt(lp, 0, Payload{})
+	mustRun(t, w)
+	if len(times) != 2 || times[0] != 0 || times[1] != 0 {
+		t.Fatalf("times = %v, want [0 0]", times)
 	}
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
-	var s Simulation
 	var order []float64
+	w, lp := seqWarp(func(p *Proc, at float64, pl Payload) { order = append(order, at) })
 	for _, d := range []float64{5, 1, 3, 2, 4} {
-		d := d
-		s.Schedule(d, func() { order = append(order, d) })
+		w.SeedAt(lp, d, Payload{})
 	}
-	s.Run()
-	if !sort.Float64sAreSorted(order) {
+	mustRun(t, w)
+	if !sort.Float64sAreSorted(order) || len(order) != 5 {
 		t.Fatalf("events out of order: %v", order)
 	}
-	if s.Now() != 5 {
-		t.Fatalf("final time %v, want 5", s.Now())
+	if last := order[len(order)-1]; last != 5 {
+		t.Fatalf("final time %v, want 5", last)
 	}
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
-	var s Simulation
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		s.Schedule(1, func() { order = append(order, i) })
+	var order []int32
+	w, lp := seqWarp(func(p *Proc, at float64, pl Payload) {
+		order = append(order, pl.A)
+		if pl.B == 0 && pl.A == 0 {
+			// Same-time sends from one event fire in send order.
+			for i := int32(0); i < 5; i++ {
+				p.Send(p.ID(), 1, Payload{A: 10 + i, B: 1})
+			}
+		}
+	})
+	for i := int32(0); i < 10; i++ {
+		w.SeedAt(lp, 1, Payload{A: i})
 	}
-	s.Run()
-	for i, v := range order {
-		if v != i {
+	mustRun(t, w)
+	want := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
 			t.Fatalf("ties not FIFO: %v", order)
 		}
 	}
 }
 
 func TestNestedScheduling(t *testing.T) {
-	var s Simulation
 	var times []float64
-	s.Schedule(1, func() {
-		times = append(times, s.Now())
-		s.Schedule(2, func() {
-			times = append(times, s.Now())
-		})
+	w, lp := seqWarp(func(p *Proc, at float64, pl Payload) {
+		times = append(times, p.Now())
+		if pl.A == 0 {
+			p.Send(p.ID(), 2, Payload{A: 1})
+		}
 	})
-	s.Run()
+	w.SeedAt(lp, 1, Payload{})
+	mustRun(t, w)
 	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
 		t.Fatalf("nested times = %v, want [1 3]", times)
 	}
 }
 
-func TestCancelledEventSkipped(t *testing.T) {
-	var s Simulation
-	fired := false
-	e := s.Schedule(1, func() { fired = true })
-	s.Cancel(e)
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !e.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
-	s.Cancel(nil) // must not panic
-}
-
-func TestRunUntil(t *testing.T) {
-	var s Simulation
-	var fired []float64
-	for _, d := range []float64{1, 2, 3, 4} {
-		d := d
-		s.Schedule(d, func() { fired = append(fired, d) })
-	}
-	s.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Fatalf("fired = %v, want events at 1 and 2", fired)
-	}
-	if s.Now() != 2.5 {
-		t.Fatalf("clock = %v, want 2.5", s.Now())
-	}
-	if s.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", s.Pending())
-	}
-	s.Run()
-	if len(fired) != 4 {
-		t.Fatalf("remaining events lost: %v", fired)
-	}
-}
-
-func TestRunUntilAdvancesIdleClock(t *testing.T) {
-	var s Simulation
-	s.RunUntil(10)
-	if s.Now() != 10 {
-		t.Fatalf("idle clock = %v, want 10", s.Now())
-	}
-	// RunUntil into the past does not rewind.
-	s.RunUntil(5)
-	if s.Now() != 10 {
-		t.Fatalf("clock rewound to %v", s.Now())
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
-	var s Simulation
-	for _, bad := range []float64{-1, math.NaN()} {
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("delay %v did not panic", bad)
 				}
 			}()
-			s.Schedule(bad, func() {})
+			w, lp := seqWarp(func(p *Proc, at float64, pl Payload) { p.Send(p.ID(), bad, Payload{}) })
+			w.SeedAt(lp, 0, Payload{})
+			_ = w.Run(context.Background())
 		}()
 	}
 }
 
 func TestAtBeforeNowPanics(t *testing.T) {
-	var s Simulation
-	s.Schedule(5, func() {})
-	s.Run()
+	w, lp := seqWarp(func(*Proc, float64, Payload) {})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("At in the past did not panic")
+			t.Fatal("seed before time zero did not panic")
 		}
 	}()
-	s.At(1, func() {})
+	w.SeedAt(lp, -1, Payload{})
 }
 
 func TestNilFnPanics(t *testing.T) {
-	var s Simulation
 	defer func() {
 		if recover() == nil {
-			t.Fatal("nil fn did not panic")
+			t.Fatal("nil handler did not panic")
 		}
 	}()
-	s.Schedule(1, nil)
+	NewWarp(WarpConfig{}).AddLP("lp", nil, nil)
 }
 
 func TestStepReturnsFalseWhenDrained(t *testing.T) {
-	var s Simulation
-	if s.Step() {
-		t.Fatal("empty queue stepped")
+	ran := 0
+	w, _ := seqWarp(func(*Proc, float64, Payload) { ran++ })
+	mustRun(t, w)
+	if ran != 0 || w.Stats().Committed != 0 {
+		t.Fatalf("empty simulation ran %d events, committed %d", ran, w.Stats().Committed)
 	}
-	s.Schedule(1, func() {})
-	if !s.Step() {
-		t.Fatal("step with pending event returned false")
-	}
-	if s.Steps() != 1 {
-		t.Fatalf("steps = %d", s.Steps())
-	}
-}
-
-func TestPendingExcludesCancelled(t *testing.T) {
-	var s Simulation
-	e1 := s.Schedule(1, func() {})
-	s.Schedule(2, func() {})
-	s.Cancel(e1)
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
+	w, lp := seqWarp(func(*Proc, float64, Payload) { ran++ })
+	w.SeedAt(lp, 1, Payload{})
+	mustRun(t, w)
+	if ran != 1 || w.Stats().Committed != 1 {
+		t.Fatalf("ran %d events, committed %d, want 1 and 1", ran, w.Stats().Committed)
 	}
 }
 
-// quick-check: time is non-decreasing across any random schedule,
-// including events scheduled from inside events.
+// quick-check: time is non-decreasing across any random schedule on
+// several LPs, including events scheduled from inside events.
 func TestQuickMonotonicClock(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var s Simulation
+		w := NewWarp(WarpConfig{Workers: 1})
 		ok := true
 		last := -1.0
-		var spawn func(depth int)
-		spawn = func(depth int) {
-			if s.Now() < last {
+		h := func(p *Proc, at float64, pl Payload) {
+			if at < last || p.Now() != at {
 				ok = false
 			}
-			last = s.Now()
-			if depth < 3 {
+			last = at
+			if pl.A < 3 {
 				for i := 0; i < rng.Intn(3); i++ {
-					s.Schedule(rng.Float64()*10, func() { spawn(depth + 1) })
+					dst := LPID(rng.Intn(len(w.lps)))
+					p.Send(dst, rng.Float64()*10, Payload{A: pl.A + 1})
 				}
 			}
 		}
+		lps := []LPID{w.AddLP("a", nil, h), w.AddLP("b", nil, h), w.AddLP("c", nil, h)}
 		for i := 0; i < 5+rng.Intn(10); i++ {
-			s.Schedule(rng.Float64()*100, func() { spawn(0) })
+			w.SeedAt(lps[rng.Intn(len(lps))], rng.Float64()*100, Payload{})
 		}
-		s.Run()
+		if err := w.Run(context.Background()); err != nil {
+			return false
+		}
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -205,21 +185,45 @@ func TestQuickMonotonicClock(t *testing.T) {
 }
 
 func TestEventTimeAccessor(t *testing.T) {
-	var s Simulation
-	e := s.Schedule(3.5, func() {})
-	if e.Time() != 3.5 {
-		t.Fatalf("Time = %v", e.Time())
+	var keys []Key
+	w, lp := seqWarp(func(p *Proc, at float64, pl Payload) {
+		if p.Key().At != at || p.Now() != at {
+			t.Errorf("Key().At = %v, Now = %v, at = %v", p.Key().At, p.Now(), at)
+		}
+		keys = append(keys, p.Key())
+		if pl.A == 0 {
+			p.Send(p.ID(), 0, Payload{A: 1})
+			p.Send(p.ID(), 1.5, Payload{A: 2})
+		}
+	})
+	w.SeedAt(lp, 3.5, Payload{})
+	mustRun(t, w)
+	want := []Key{
+		{At: 3.5, Depth: 0, Src: initSrc, Seq: 0},
+		{At: 3.5, Depth: 1, Src: lp, Seq: 0},
+		{At: 5, Depth: 0, Src: lp, Seq: 1},
+	}
+	if len(keys) != len(want) {
+		t.Fatalf("keys = %v, want %v", keys, want)
+	}
+	for i := range want {
+		if keys[i] != want[i] {
+			t.Fatalf("key %d = %+v, want %+v", i, keys[i], want[i])
+		}
+		if i > 0 && !keys[i-1].Before(keys[i]) {
+			t.Fatalf("keys not ascending: %v", keys)
+		}
 	}
 }
 
 func TestRunContextDrainsWhenUncancelled(t *testing.T) {
-	var s Simulation
 	ran := 0
+	w, lp := seqWarp(func(*Proc, float64, Payload) { ran++ })
 	for i := 0; i < 200; i++ {
-		s.Schedule(float64(i), func() { ran++ })
+		w.SeedAt(lp, float64(i), Payload{})
 	}
-	if err := s.RunContext(context.Background()); err != nil {
-		t.Fatalf("RunContext = %v", err)
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("Run = %v", err)
 	}
 	if ran != 200 {
 		t.Fatalf("ran %d of 200 events", ran)
@@ -227,24 +231,23 @@ func TestRunContextDrainsWhenUncancelled(t *testing.T) {
 }
 
 func TestRunContextStopsOnCancel(t *testing.T) {
-	var s Simulation
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	ran := 0
 	// A self-perpetuating event stream: without cancellation this
 	// would never drain.
-	var tick func()
-	tick = func() {
+	w, lp := seqWarp(func(p *Proc, at float64, pl Payload) {
 		ran++
 		if ran == 100 {
 			cancel()
 		}
-		s.Schedule(1, tick)
+		p.Send(p.ID(), 1, Payload{})
+	})
+	w.SeedAt(lp, 0, Payload{})
+	if err := w.Run(ctx); err != context.Canceled {
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
-	s.Schedule(0, tick)
-	if err := s.RunContext(ctx); err != context.Canceled {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
-	}
-	// Cancellation is polled every 64 steps, so at most one extra
+	// Cancellation is polled every 64 events, so at most one extra
 	// batch runs past the cancel point.
 	if ran < 100 || ran > 200 {
 		t.Fatalf("ran %d events, want ~100", ran)
@@ -252,100 +255,11 @@ func TestRunContextStopsOnCancel(t *testing.T) {
 }
 
 func TestRunContextAlreadyCancelled(t *testing.T) {
-	var s Simulation
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	s.Schedule(0, func() { t.Fatal("event ran under cancelled context") })
-	if err := s.RunContext(ctx); err != context.Canceled {
-		t.Fatalf("RunContext = %v, want context.Canceled", err)
-	}
-}
-
-// The live counter behind O(1) Pending must survive every transition:
-// double cancels, cancels after firing, and queues reduced to an
-// all-cancelled residue.
-func TestPendingCounterTransitions(t *testing.T) {
-	var s Simulation
-	e1 := s.Schedule(1, func() {})
-	e2 := s.Schedule(2, func() {})
-	e3 := s.Schedule(3, func() {})
-	if s.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", s.Pending())
-	}
-	s.Cancel(e2)
-	s.Cancel(e2) // double cancel must not decrement twice
-	if s.Pending() != 2 {
-		t.Fatalf("pending after double cancel = %d, want 2", s.Pending())
-	}
-	if !s.Step() { // fires e1
-		t.Fatal("step returned false with live events")
-	}
-	s.Cancel(e1) // cancel after firing must not decrement
-	if s.Pending() != 1 {
-		t.Fatalf("pending after fire = %d, want 1", s.Pending())
-	}
-	s.Cancel(e3)
-	if s.Pending() != 0 {
-		t.Fatalf("pending after last cancel = %d, want 0", s.Pending())
-	}
-	if s.Step() { // only cancelled residue left
-		t.Fatal("step fired a cancelled event")
-	}
-	if s.Now() != 1 {
-		t.Fatalf("clock moved by cancelled events: now = %v", s.Now())
-	}
-}
-
-// RunUntil on a queue whose prefix (or entirety) is cancelled must
-// stop via the live counter, not execute anything, and still advance
-// the clock to the target time.
-func TestRunUntilAllCancelled(t *testing.T) {
-	var s Simulation
-	var fired bool
-	events := make([]*Event, 10)
-	for i := range events {
-		events[i] = s.Schedule(float64(i), func() { fired = true })
-	}
-	for _, e := range events {
-		s.Cancel(e)
-	}
-	s.RunUntil(100)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if s.Pending() != 0 || s.Now() != 100 {
-		t.Fatalf("pending = %d now = %v, want 0 and 100", s.Pending(), s.Now())
-	}
-	if s.Steps() != 0 {
-		t.Fatalf("steps = %d, want 0", s.Steps())
-	}
-}
-
-// Pending must agree with a brute-force queue scan under a random
-// interleaving of schedules, cancels, and steps.
-func TestQuickPendingMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	var s Simulation
-	var handles []*Event
-	for op := 0; op < 5000; op++ {
-		switch rng.Intn(4) {
-		case 0, 1:
-			handles = append(handles, s.Schedule(rng.Float64()*10, func() {}))
-		case 2:
-			if len(handles) > 0 {
-				s.Cancel(handles[rng.Intn(len(handles))])
-			}
-		case 3:
-			s.Step()
-		}
-		n := 0
-		for _, e := range s.queue {
-			if !e.cancelled {
-				n++
-			}
-		}
-		if n != s.Pending() {
-			t.Fatalf("op %d: Pending() = %d, scan = %d", op, s.Pending(), n)
-		}
+	w, lp := seqWarp(func(*Proc, float64, Payload) { t.Fatal("event ran under cancelled context") })
+	w.SeedAt(lp, 0, Payload{})
+	if err := w.Run(ctx); err != context.Canceled {
+		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 }

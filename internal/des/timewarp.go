@@ -1,13 +1,16 @@
-// timewarp.go is the optimistic parallel execution mode of the DES
-// kernel: Jefferson's Time Warp. A simulation is partitioned into
-// logical processes (LPs), each owning a disjoint slice of model
-// state and a local virtual clock. LPs run speculatively on a worker
-// pool, exchanging timestamped messages; when a message arrives in an
-// LP's simulated past (a straggler), the LP rolls back to a saved
-// state, un-sends what it sent since (anti-messages), and re-executes.
-// A periodically computed global virtual time (GVT) lower-bounds every
-// future message, letting the kernel reclaim history (fossil
-// collection) and bound optimism (the window throttle).
+// Package des is the discrete-event simulation kernel underneath the
+// carbon-footprint workflow assignment, the stand-in for SimGrid. A
+// simulation is partitioned into logical processes (LPs), each owning
+// a disjoint slice of model state and a local virtual clock, that
+// exchange timestamped messages. Warp executes it either sequentially
+// on one event heap (Workers <= 1) or optimistically in parallel:
+// Jefferson's Time Warp. There, LPs run speculatively on a worker
+// pool; when a message arrives in an LP's simulated past (a
+// straggler), the LP rolls back to a saved state, un-sends what it
+// sent since (anti-messages), and re-executes. A periodically
+// computed global virtual time (GVT) lower-bounds every future
+// message, letting the kernel reclaim history (fossil collection) and
+// bound optimism (the window throttle).
 //
 // # Determinism
 //
@@ -150,8 +153,7 @@ type Proc struct {
 	// per-event scratch, owned by the executing worker:
 	outbox    []message
 	replaying bool
-	curDepth  int32
-	curTime   float64
+	curKey    Key // of the event being processed
 }
 
 // ID returns the LP's identifier.
@@ -162,7 +164,13 @@ func (p *Proc) Name() string { return p.name }
 
 // Now returns the LP's local virtual time: the timestamp of the event
 // being processed.
-func (p *Proc) Now() float64 { return p.curTime }
+func (p *Proc) Now() float64 { return p.curKey.At }
+
+// Key returns the canonical key of the event being processed. Keys
+// order every LP's committed events into one global sequence, so a
+// model can tag what a handler records with it and merge the records
+// of several LPs after the run.
+func (p *Proc) Key() Key { return p.curKey }
 
 // State returns the LP's model state for the handler to mutate.
 func (p *Proc) State() State { return p.state }
@@ -182,9 +190,9 @@ func (p *Proc) Send(dst LPID, delay float64, pl Payload) {
 	}
 	depth := int32(0)
 	if delay == 0 {
-		depth = p.curDepth + 1
+		depth = p.curKey.Depth + 1
 	}
-	k := Key{At: p.curTime + delay, Depth: depth, Src: p.id, Seq: p.sendSeq}
+	k := Key{At: p.curKey.At + delay, Depth: depth, Src: p.id, Seq: p.sendSeq}
 	p.sendSeq++
 	if p.replaying {
 		return // coast-forward: the original sends still stand
@@ -386,8 +394,7 @@ func (w *Warp) runSequential(ctx context.Context) error {
 		}
 		m := q.pop()
 		p := w.lps[m.dst]
-		p.curTime = m.key.At
-		p.curDepth = m.key.Depth
+		p.curKey = m.key
 		p.outbox = p.outbox[:0]
 		p.h(p, m.key.At, m.payload)
 		p.base++ // base doubles as the committed count here
@@ -654,8 +661,7 @@ func (w *Warp) execLocked(p *Proc, m message) {
 		p.sinceSnap = 0
 	}
 	p.sinceSnap++
-	p.curTime = m.key.At
-	p.curDepth = m.key.Depth
+	p.curKey = m.key
 	mark := len(p.outbox)
 	p.h(p, m.key.At, m.payload)
 	sends := p.outbox[mark:]
@@ -904,8 +910,7 @@ func (w *Warp) rollbackLocked(p *Proc, ww *warpWorker, pos int64) {
 	from := int(snap.pos - p.base)
 	for j := from; j < i; j++ {
 		rec := &p.processed[j]
-		p.curTime = rec.m.key.At
-		p.curDepth = rec.m.key.Depth
+		p.curKey = rec.m.key
 		seq0 := p.sendSeq
 		p.h(p, rec.m.key.At, rec.m.payload)
 		if got, want := int(p.sendSeq-seq0), int(rec.hi-rec.lo); got != want {

@@ -437,47 +437,3 @@ func TestWarpPanics(t *testing.T) {
 	w2.SeedAt(lp2, 0, Payload{})
 	expectPanic("model panic propagates from workers", func() { _ = w2.Run(context.Background()) })
 }
-
-// TestRunUntilContext covers the satellite: cancellable RunUntil with
-// identical semantics to RunUntil on a clean drain.
-func TestRunUntilContext(t *testing.T) {
-	build := func() (*Simulation, *[]float64) {
-		s := &Simulation{}
-		var fired []float64
-		for i := 1; i <= 10; i++ {
-			tt := float64(i)
-			s.Schedule(tt, func() { fired = append(fired, tt) })
-		}
-		ev := s.Schedule(4.5, func() { fired = append(fired, -1) })
-		s.Cancel(ev)
-		return s, &fired
-	}
-
-	// Clean drain matches RunUntil.
-	s1, f1 := build()
-	s1.RunUntil(5.5)
-	s2, f2 := build()
-	if err := s2.RunUntilContext(context.Background(), 5.5); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(*f1) != fmt.Sprint(*f2) || s1.Now() != s2.Now() {
-		t.Fatalf("RunUntilContext diverged: %v@%v vs %v@%v", *f2, s2.Now(), *f1, s1.Now())
-	}
-	if s2.Now() != 5.5 {
-		t.Fatalf("clock = %v, want 5.5", s2.Now())
-	}
-
-	// Pre-cancelled ctx stops before any step and reports the error.
-	s3, f3 := build()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := s3.RunUntilContext(ctx, 5.5); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if len(*f3) != 0 {
-		t.Fatalf("cancelled run fired events: %v", *f3)
-	}
-	if s3.Now() == 5.5 {
-		t.Fatal("cancelled run advanced the clock to the target")
-	}
-}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -156,7 +157,15 @@ func Parse(spec string) (*Plan, error) {
 			return nil, fmt.Errorf("fault: duplicate key %q (each key may appear once; join crashes with +)", key)
 		}
 		seen[key] = true
-		num := func() (float64, error) { return strconv.ParseFloat(val, 64) }
+		// num parses a float value; NaN and ±Inf are errors, so every
+		// float key reports them as a bad value of that key.
+		num := func() (float64, error) {
+			v, err := strconv.ParseFloat(val, 64)
+			if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				err = fmt.Errorf("fault: non-finite %s %q", key, val)
+			}
+			return v, err
+		}
 		switch key {
 		case "seed":
 			n, err := strconv.ParseInt(val, 10, 64)

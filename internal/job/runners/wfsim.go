@@ -29,9 +29,9 @@ type WfsimParams struct {
 	AllCloud bool `json:"allCloud,omitempty"`
 	// Faults is a host-failure plan string (see internal/fault).
 	Faults string `json:"faults,omitempty"`
-	// DESWorkers selects the simulator's execution kernel: > 1 runs
-	// the optimistic Time Warp engine with that many workers, 0 or 1
-	// the sequential fast path. Outcomes are byte-identical either
+	// DESWorkers picks how the DES kernel executes the simulator's
+	// model: > 1 as optimistic Time Warp with that many workers, 0 or
+	// 1 on its sequential heap. Outcomes are byte-identical either
 	// way, so this is purely a throughput knob.
 	DESWorkers *int `json:"desWorkers,omitempty"`
 }
@@ -102,8 +102,14 @@ func (r *Wfsim) decode(spec job.Spec) (WfsimParams, error) {
 		return p, job.Badf("unknown wfsim mode %q", p.Mode)
 	}
 	if p.Faults != "" {
-		if _, err := fault.Parse(p.Faults); err != nil {
+		plan, err := fault.Parse(p.Faults)
+		if err != nil {
 			return p, job.Badf("%v", err)
+		}
+		if plan.HostFail >= 1 && plan.Retry.MaxAttempts == 0 {
+			// Every attempt fails and nothing caps the retries: the
+			// simulation would never finish.
+			return p, job.Badf("faults: hostfail=1 needs an attempts cap")
 		}
 	}
 	if p.DESWorkers != nil && *p.DESWorkers < 0 {
@@ -173,7 +179,10 @@ func (r *Wfsim) Run(ctx context.Context, spec job.Spec, prog *obs.Progress) (job
 		}
 		out.Outcome = o
 	case "greedy":
-		best, sims := wfsched.GreedyFractions(sc, wfsched.Tab2Choices(sc.Workflow))
+		best, sims, err := wfsched.GreedyFractionsContext(ctx, sc, wfsched.Tab2Choices(sc.Workflow))
+		if err != nil {
+			return job.Result{}, err
+		}
 		out.Outcome = best.Outcome
 		out.Fractions = best.Fractions
 		out.Simulations = sims

@@ -461,16 +461,16 @@ func (j *Job[I, K, V, O]) reducePhase(ctx context.Context, mapOut [][]run[K, V],
 			hGroup.Observe(float64(len(values)))
 			attempts, rerr := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
 				retrySeed(cfg), fmt.Sprintf("reduce:%d:%d", p, gi), func(attempt int) error {
-				if inj.TaskFails("reduce", attempt, p, gi) {
-					return fault.ErrInjected
-				}
-				checkpoint := len(out)
-				if err := j.Reduce(key, values, emit); err != nil {
-					out = out[:checkpoint] // discard partial emissions
-					return err
-				}
-				return nil
-			})
+					if inj.TaskFails("reduce", attempt, p, gi) {
+						return fault.ErrInjected
+					}
+					checkpoint := len(out)
+					if err := j.Reduce(key, values, emit); err != nil {
+						out = out[:checkpoint] // discard partial emissions
+						return err
+					}
+					return nil
+				})
 			retries += attempts - 1
 			if rerr != nil {
 				return fmt.Errorf("mapreduce: reduce partition %d key %v: %w", p, key, rerr)

@@ -81,16 +81,16 @@ func (j *Job[I, K, V, O]) naiveReducePhase(ctx context.Context, mapOut [][]run[K
 		for gi, g := range partGroups[p] {
 			attempts, err := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
 				retrySeed(cfg), fmt.Sprintf("reduce:%d:%d", p, gi), func(attempt int) error {
-				if inj.TaskFails("reduce", attempt, p, gi) {
-					return fault.ErrInjected
-				}
-				checkpoint := len(out)
-				if err := j.Reduce(g.key, g.values, emit); err != nil {
-					out = out[:checkpoint] // discard partial emissions
-					return err
-				}
-				return nil
-			})
+					if inj.TaskFails("reduce", attempt, p, gi) {
+						return fault.ErrInjected
+					}
+					checkpoint := len(out)
+					if err := j.Reduce(g.key, g.values, emit); err != nil {
+						out = out[:checkpoint] // discard partial emissions
+						return err
+					}
+					return nil
+				})
 			statsMu.Lock()
 			retries += int64(attempts - 1)
 			statsMu.Unlock()

@@ -23,10 +23,17 @@ const wfPayload uint32 = 3
 // a non-positive value picks 64), the completed prefix is persisted
 // through ck at its cadence after each chunk, and a resuming
 // checkpointer restores the newest valid prefix instead of
-// re-simulating it. A nil ck degrades to EvaluateFractions.
+// re-simulating it. A nil ck evaluates the whole space in one pass.
+// Unlike EvaluateFractions it returns a failed simulation's error
+// (ErrAttemptsExhausted) instead of panicking.
 func EvaluateFractionsCheckpointed(sc Scenario, choices [][]float64, ck *ckpt.Checkpointer, chunk int) ([]FractionResult, error) {
 	if ck == nil {
-		return EvaluateFractions(sc, choices), nil
+		total, _ := fractionSpace(choices)
+		results := make([]FractionResult, total)
+		if err := evaluateRange(sc, choices, results, 0, total); err != nil {
+			return nil, err
+		}
+		return results, nil
 	}
 	if chunk <= 0 {
 		chunk = 64
@@ -45,7 +52,9 @@ func EvaluateFractionsCheckpointed(sc Scenario, choices [][]float64, ck *ckpt.Ch
 		if hi > total {
 			hi = total
 		}
-		evaluateRange(sc, choices, results, done, hi)
+		if err := evaluateRange(sc, choices, results, done, hi); err != nil {
+			return nil, err
+		}
 		done = hi
 		// The finished sweep is not saved: the caller has the results,
 		// and the snapshots only exist to shorten a re-run.

@@ -93,10 +93,10 @@ func WithFaults(plan *fault.Plan) ScenarioOption {
 	return func(sc *Scenario) { sc.Faults = plan }
 }
 
-// WithDESWorkers selects the DES execution mode: n > 1 runs the
-// simulation on the optimistic Time Warp kernel with n workers; 0 or
-// 1 keeps the sequential fast path. Outcomes are byte-identical
-// either way.
+// WithDESWorkers picks how the des.Warp kernel executes the
+// simulator's model: n > 1 as optimistic Time Warp with n workers, 0
+// or 1 on its sequential heap. Outcomes are byte-identical either
+// way.
 func WithDESWorkers(n int) ScenarioOption {
 	return func(sc *Scenario) { sc.DESWorkers = n }
 }

@@ -7,6 +7,7 @@ package wfsched
 // Pareto frontier over the exhaustive sweep makes that explicit.
 
 import (
+	"context"
 	"runtime"
 	"sort"
 	"sync"
@@ -21,9 +22,10 @@ import (
 // CPUs. It is the data source for ParetoFrontier and for exhaustive
 // optimization over criteria other than CO2.
 func EvaluateFractions(sc Scenario, choices [][]float64) []FractionResult {
-	total, _ := fractionSpace(choices)
-	results := make([]FractionResult, total)
-	evaluateRange(sc, choices, results, 0, total)
+	results, err := EvaluateFractionsCheckpointed(sc, choices, nil, 0)
+	if err != nil {
+		panic(err) // as Simulate does
+	}
 	return results
 }
 
@@ -52,8 +54,10 @@ func fractionSpace(choices [][]float64) (total int, decode func(int) []float64) 
 
 // evaluateRange simulates placements [lo, hi) into results, fanning
 // out over all CPUs. Entries outside the range are left untouched, so
-// a checkpointed sweep can fill the space chunk by chunk.
-func evaluateRange(sc Scenario, choices [][]float64, results []FractionResult, lo, hi int) {
+// a checkpointed sweep can fill the space chunk by chunk. The first
+// simulation error (ErrAttemptsExhausted) stops the sweep and is
+// returned.
+func evaluateRange(sc Scenario, choices [][]float64, results []FractionResult, lo, hi int) error {
 	total, decode := fractionSpace(choices)
 	next := atomic.Int64{}
 	next.Store(int64(lo))
@@ -76,7 +80,11 @@ func evaluateRange(sc Scenario, choices [][]float64, results []FractionResult, l
 	if pr != nil {
 		publish(0)
 	}
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
 	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
 		wg.Add(1)
 		go func() {
@@ -87,7 +95,13 @@ func evaluateRange(sc Scenario, choices [][]float64, results []FractionResult, l
 					return
 				}
 				fr := decode(i)
-				results[i] = FractionResult{fr, Simulate(sc, LevelFractions(sc.Workflow, fr))}
+				out, err := SimulateContext(context.Background(), sc, LevelFractions(sc.Workflow, fr))
+				if err != nil {
+					errOnce.Do(func() { firstErr = err })
+					next.Store(int64(hi)) // stop handing out placements
+					return
+				}
+				results[i] = FractionResult{fr, out}
 				if n := done.Add(1); pr != nil && (n%pubEvery == 0 || int(n) == hi-lo) {
 					publish(n)
 				}
@@ -95,6 +109,7 @@ func evaluateRange(sc Scenario, choices [][]float64, results []FractionResult, l
 		}()
 	}
 	wg.Wait()
+	return firstErr
 }
 
 // ParetoFrontier filters results down to the placements that are not

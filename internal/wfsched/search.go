@@ -190,9 +190,22 @@ func ExhaustiveFractions(sc Scenario, choices [][]float64) FractionResult {
 // the exhaustive search and the natural "smart student" strategy of
 // the treasure hunt.
 func GreedyFractions(sc Scenario, choices [][]float64) (FractionResult, int) {
+	res, sims, err := GreedyFractionsContext(context.Background(), sc, choices)
+	if err != nil {
+		panic(err) // as Simulate does
+	}
+	return res, sims
+}
+
+// GreedyFractionsContext is GreedyFractions with cancellation and
+// simulation errors, mirroring SimulateContext's contract.
+func GreedyFractionsContext(ctx context.Context, sc Scenario, choices [][]float64) (FractionResult, int, error) {
 	depth := len(choices)
 	cur := make([]float64, depth)
-	best := Simulate(sc, LevelFractions(sc.Workflow, cur))
+	best, err := SimulateContext(ctx, sc, LevelFractions(sc.Workflow, cur))
+	if err != nil {
+		return FractionResult{}, 1, err
+	}
 	sims := 1
 	for {
 		improved := false
@@ -205,8 +218,11 @@ func GreedyFractions(sc Scenario, choices [][]float64) (FractionResult, int) {
 				}
 				trial := append([]float64(nil), cur...)
 				trial[l] = v
-				res := Simulate(sc, LevelFractions(sc.Workflow, trial))
+				res, err := SimulateContext(ctx, sc, LevelFractions(sc.Workflow, trial))
 				sims++
+				if err != nil {
+					return FractionResult{}, sims, err
+				}
 				if res.CO2 < bestCO2 {
 					bestCO2, bestLevel, bestVal = res.CO2, l, v
 					improved = true
@@ -214,10 +230,12 @@ func GreedyFractions(sc Scenario, choices [][]float64) (FractionResult, int) {
 			}
 		}
 		if !improved {
-			return FractionResult{cur, best}, sims
+			return FractionResult{cur, best}, sims, nil
 		}
 		cur[bestLevel] = bestVal
-		best = Simulate(sc, LevelFractions(sc.Workflow, cur))
+		if best, err = SimulateContext(ctx, sc, LevelFractions(sc.Workflow, cur)); err != nil {
+			return FractionResult{}, sims + 1, err
+		}
 		sims++
 	}
 }

@@ -1,10 +1,12 @@
-// Package wfsched binds the workflow DAG to the platform model and
-// implements the scheduling/placement policies of the carbon-footprint
-// assignment: Tab 1's cluster sizing and p-state selection (including
-// the binary searches and the boss heuristic that combines powering
-// off with downclocking) and Tab 2's local-vs-cloud task placement
-// with per-level cloud fractions, data locality, and the exhaustive
-// CO2 optimizer the paper lists as future work.
+// Package wfsched simulates the carbon-footprint assignment's
+// workflow executions — a DAG on a local cluster and a green cloud
+// joined by a shared link, modelled as logical processes on the des
+// kernel (warp.go) — and implements the assignment's scheduling and
+// placement policies: Tab 1's cluster sizing and p-state selection
+// (including the binary searches and the boss heuristic that combines
+// powering off with downclocking) and Tab 2's local-vs-cloud task
+// placement with per-level cloud fractions, data locality, and the
+// exhaustive CO2 optimizer the paper lists as future work.
 package wfsched
 
 import (
@@ -13,7 +15,6 @@ import (
 	"math"
 
 	"repro/internal/carbon"
-	"repro/internal/des"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/platform"
@@ -79,13 +80,12 @@ type Scenario struct {
 	// energy is reported separately in the Outcome. nil disables.
 	Faults *fault.Plan
 
-	// DESWorkers selects the DES execution mode: values > 1 run the
-	// simulation on the optimistic Time Warp kernel (des.Warp) with
-	// that many workers — outcomes stay byte-identical to the
-	// sequential kernel. 0 or 1 is the sequential fast path. The
-	// Placement must be a pure function of the task (every Placement
-	// in this package is) — Time Warp may evaluate it on speculative
-	// paths.
+	// DESWorkers picks how the des.Warp kernel executes the model:
+	// values > 1 run it as optimistic Time Warp with that many
+	// workers, 0 or 1 on the kernel's sequential heap. Outcomes are
+	// byte-identical either way. The Placement must be a pure function
+	// of the task (every Placement in this package is) — Time Warp
+	// may evaluate it on speculative paths.
 	DESWorkers int
 }
 
@@ -175,193 +175,39 @@ func (o Outcome) String() string {
 // all parents finish; a ready task's missing input files are staged
 // to its site over the link (concurrently, fair-shared); it then
 // occupies one slot until its compute finishes; outputs materialize
-// at its site. Workflow input files start on local storage.
+// at its site. Workflow input files start on local storage. Simulate
+// panics where SimulateContext returns an error: when host failures
+// exhaust a task's attempts (ErrAttemptsExhausted).
 func Simulate(sc Scenario, place Placement) Outcome {
 	out, err := SimulateContext(context.Background(), sc, place)
 	if err != nil {
-		// Unreachable: only cancellation produces an error, and the
-		// background context cannot be cancelled.
 		panic(err)
 	}
 	return out
 }
 
-// SimulateContext is Simulate with cancellation: the event loop stops
-// promptly once ctx is cancelled and the (partial, unfinalized)
-// outcome is returned alongside ctx.Err().
+// SimulateContext is Simulate with cancellation and fault errors: the
+// run stops promptly once ctx is cancelled and returns the (partial,
+// unfinalized) outcome alongside ctx.Err(); a task whose attempts run
+// out under the fault plan's cap fails the run with an error wrapping
+// ErrAttemptsExhausted.
 func SimulateContext(ctx context.Context, sc Scenario, place Placement) (Outcome, error) {
 	sc = sc.withDefaults()
-	w := sc.Workflow
-	if w == nil {
+	if sc.Workflow == nil {
 		panic("wfsched: nil workflow")
 	}
 	if sc.LocalNodes <= 0 && sc.CloudVMs <= 0 {
 		panic("wfsched: no compute anywhere")
 	}
-	if sc.DESWorkers > 1 {
-		return simulateWarp(ctx, sc, place)
-	}
-
-	sim := &des.Simulation{}
-	meter := carbon.NewMeter()
-	sim.Observe(sc.Obs)
-	inj := fault.NewInjector(sc.Faults, sc.Obs)
-
-	local := platform.NewSite(sim, meter, "local", sc.LocalNodes,
-		sc.PState.Speed, sc.PState.BusyPower, sc.PState.IdlePower, sc.LocalIntensity)
-	local.Observe(sc.Obs)
-	local.SetFaults(inj)
-	var cloud *platform.Site
-	var link *platform.Link
+	var sites [2]*siteModel
+	sites[Local] = newSiteModel("local", sc.LocalIntensity,
+		slotGroup{sc.LocalNodes, sc.PState.Speed, sc.PState.BusyPower, sc.PState.IdlePower})
 	if sc.CloudVMs > 0 {
-		cloud = platform.NewSite(sim, meter, "cloud", sc.CloudVMs,
-			sc.VMSpeed, sc.VMBusyPower, sc.VMIdlePower, sc.CloudIntensity)
-		cloud.Observe(sc.Obs)
-		cloud.SetFaults(inj)
-		link = platform.NewLink(sim, sc.LinkBandwidth, sc.LinkLatency)
-	}
-
-	// File presence per site, plus in-flight transfer deduplication.
-	present := map[SiteID]map[*workflow.File]bool{Local: {}, Cloud: {}}
-	for _, f := range w.Files {
-		if f.Producer == nil {
-			present[Local][f] = true // inputs staged on local storage
+		if sc.LinkBandwidth <= 0 || sc.LinkLatency < 0 {
+			panic(fmt.Sprintf("wfsched: invalid link bw=%v lat=%v", sc.LinkBandwidth, sc.LinkLatency))
 		}
+		sites[Cloud] = newSiteModel("cloud", sc.CloudIntensity,
+			slotGroup{sc.CloudVMs, sc.VMSpeed, sc.VMBusyPower, sc.VMIdlePower})
 	}
-	type xferKey struct {
-		file *workflow.File
-		to   SiteID
-	}
-	inflight := map[xferKey][]func(){}
-
-	var out Outcome
-	pendingParents := make(map[*workflow.Task]int, len(w.Tasks))
-	done := 0
-	// The makespan is the last task completion, NOT the last DES
-	// event: trailing slot repairs after the final task must not
-	// inflate it.
-	lastDone := 0.0
-
-	var runTask func(t *workflow.Task)
-	taskFinished := func(t *workflow.Task) {
-		done++
-		if now := sim.Now(); now > lastDone {
-			lastDone = now
-		}
-		for _, c := range t.Children {
-			pendingParents[c]--
-			if pendingParents[c] == 0 {
-				runTask(c)
-			}
-		}
-	}
-
-	runTask = func(t *workflow.Task) {
-		site := place(t)
-		if site == Cloud && cloud == nil {
-			panic(fmt.Sprintf("wfsched: task %s placed on absent cloud", t.ID))
-		}
-		if site == Local && sc.LocalNodes == 0 {
-			panic(fmt.Sprintf("wfsched: task %s placed on powered-off cluster", t.ID))
-		}
-		// Stage missing inputs, then submit.
-		missing := 0
-		submit := func() {
-			target := local
-			if site == Cloud {
-				target = cloud
-			}
-			target.Submit(t.Gflop, func() {
-				for _, f := range t.Outputs {
-					present[site][f] = true
-				}
-				taskFinished(t)
-			})
-		}
-		onStaged := func() {
-			missing--
-			if missing == 0 {
-				submit()
-			}
-		}
-		for _, f := range t.Inputs {
-			if present[site][f] {
-				continue
-			}
-			missing++
-			key := xferKey{f, site}
-			if waiters, ok := inflight[key]; ok {
-				inflight[key] = append(waiters, onStaged)
-				continue
-			}
-			inflight[key] = []func(){onStaged}
-			f := f
-			site := site
-			link.Transfer(f.Bytes, func() {
-				present[site][f] = true
-				out.BytesTransferred += f.Bytes
-				out.Transfers++
-				waiters := inflight[xferKey{f, site}]
-				delete(inflight, xferKey{f, site})
-				for _, w := range waiters {
-					w()
-				}
-			})
-		}
-		if missing == 0 {
-			submit()
-		}
-	}
-
-	// Seed: count parents, launch the roots.
-	for _, t := range w.Tasks {
-		pendingParents[t] = len(t.Parents)
-		if place(t) == Cloud {
-			out.TasksCloud++
-		} else {
-			out.TasksLocal++
-		}
-	}
-	for _, t := range w.Tasks {
-		if pendingParents[t] == 0 {
-			t := t
-			sim.Schedule(0, func() { runTask(t) })
-		}
-	}
-
-	if err := sim.RunContext(ctx); err != nil {
-		return out, err
-	}
-	if done != len(w.Tasks) {
-		panic(fmt.Sprintf("wfsched: deadlock: %d of %d tasks completed", done, len(w.Tasks)))
-	}
-	out.Makespan = lastDone
-
-	wastedJ := 0.0
-	local.FinalizeIdle(out.Makespan)
-	out.EnergyLocalKWh = meter.EnergyKWh("local")
-	out.CO2Local = meter.SourceEmissions("local")
-	out.Retries = local.Retries()
-	wastedJ = local.WastedJoules()
-	if cloud != nil {
-		cloud.FinalizeIdle(out.Makespan)
-		out.EnergyCloudKWh = meter.EnergyKWh("cloud")
-		out.CO2Cloud = meter.SourceEmissions("cloud")
-		out.Retries += cloud.Retries()
-		wastedJ += cloud.WastedJoules()
-	}
-	out.EnergyWastedKWh = wastedJ / 3.6e6
-	out.CO2 = out.CO2Local + out.CO2Cloud
-	if m := sc.Obs.Metrics; m != nil {
-		m.Gauge("wfsched.makespan_s").Set(out.Makespan)
-		m.Gauge("wfsched.energy.local_kwh").Set(out.EnergyLocalKWh)
-		m.Gauge("wfsched.energy.cloud_kwh").Set(out.EnergyCloudKWh)
-		m.Gauge("wfsched.co2.total_g").Set(out.CO2)
-		m.Counter("wfsched.tasks.local").Add(int64(out.TasksLocal))
-		m.Counter("wfsched.tasks.cloud").Add(int64(out.TasksCloud))
-		m.Counter("wfsched.transfers").Add(int64(out.Transfers))
-		m.Counter("wfsched.retries").Add(int64(out.Retries))
-		m.Gauge("fault.energy.wasted_kwh").Set(out.EnergyWastedKWh)
-	}
-	return out, nil
+	return simulate(ctx, sc, place, sites)
 }

@@ -9,12 +9,11 @@ package wfsched
 // ablation quantifies by how much.
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/carbon"
-	"repro/internal/des"
+	"repro/internal/obs"
 	"repro/internal/platform"
-	"repro/internal/workflow"
 )
 
 // SplitConfig is a two-group cluster configuration.
@@ -30,114 +29,35 @@ func (s SplitConfig) String() string {
 }
 
 // SimulateSplitCluster executes the workflow all-local on a cluster
-// split into two p-state groups. Ready tasks go to the fastest free
-// slot; when no slot is free they wait in a FIFO queue drained on
-// completions.
+// split into two p-state groups: one site whose slots come in the two
+// groups. Ready tasks go to the fastest free slot; when no slot is
+// free they wait in a FIFO queue, and a freed slot serves the
+// finished task's newly ready children before the queue head (see
+// warp.go). The split cluster is simulated fault-free and unobserved:
+// base.Faults and base.Obs are ignored.
 func SimulateSplitCluster(base Scenario, pstates []platform.PState, cfg SplitConfig) Outcome {
 	base = base.withDefaults()
-	w := base.Workflow
-	if w == nil {
+	if base.Workflow == nil {
 		panic("wfsched: nil workflow")
 	}
 	if cfg.A.Nodes <= 0 {
 		panic("wfsched: split group A must have nodes")
 	}
-
-	sim := &des.Simulation{}
-	meter := carbon.NewMeter()
-	psA := pstates[cfg.A.PState]
-	siteA := platform.NewSite(sim, meter, "local-a", cfg.A.Nodes,
-		psA.Speed, psA.BusyPower, psA.IdlePower, base.LocalIntensity)
-	var siteB *platform.Site
-	var psB platform.PState
+	group := func(c ClusterConfig) slotGroup {
+		ps := pstates[c.PState]
+		return slotGroup{c.Nodes, ps.Speed, ps.BusyPower, ps.IdlePower}
+	}
+	groups := []slotGroup{group(cfg.A)}
 	if cfg.B.Nodes > 0 {
-		psB = pstates[cfg.B.PState]
-		siteB = platform.NewSite(sim, meter, "local-b", cfg.B.Nodes,
-			psB.Speed, psB.BusyPower, psB.IdlePower, base.LocalIntensity)
+		groups = append(groups, group(cfg.B))
 	}
-
-	freeA, freeB := cfg.A.Nodes, cfg.B.Nodes
-	var pending []*workflow.Task
-	pendingParents := make(map[*workflow.Task]int, len(w.Tasks))
-	done := 0
-	var out Outcome
-
-	var dispatch func(t *workflow.Task)
-	var onReady func(t *workflow.Task)
-
-	finish := func(t *workflow.Task) {
-		done++
-		for _, c := range t.Children {
-			pendingParents[c]--
-			if pendingParents[c] == 0 {
-				onReady(c)
-			}
-		}
+	local := newSiteModel("local", base.LocalIntensity, groups...)
+	local.readyFirst = true
+	base.Faults, base.Obs, base.CloudVMs = nil, obs.Sink{}, 0
+	out, err := simulate(context.Background(), base, AllLocal, [2]*siteModel{Local: local})
+	if err != nil {
+		panic(err) // unreachable: no faults, and the context never ends
 	}
-
-	dispatch = func(t *workflow.Task) {
-		// Prefer the faster group among those with a free slot.
-		useA := freeA > 0
-		if useA && freeB > 0 && psB.Speed > psA.Speed {
-			useA = false
-		}
-		if useA {
-			freeA--
-			siteA.Submit(t.Gflop, func() {
-				freeA++
-				finish(t)
-				if len(pending) > 0 && (freeA > 0 || freeB > 0) {
-					next := pending[0]
-					pending = pending[1:]
-					dispatch(next)
-				}
-			})
-			return
-		}
-		freeB--
-		siteB.Submit(t.Gflop, func() {
-			freeB++
-			finish(t)
-			if len(pending) > 0 && (freeA > 0 || freeB > 0) {
-				next := pending[0]
-				pending = pending[1:]
-				dispatch(next)
-			}
-		})
-	}
-
-	onReady = func(t *workflow.Task) {
-		if freeA > 0 || freeB > 0 {
-			dispatch(t)
-		} else {
-			pending = append(pending, t)
-		}
-	}
-
-	out.TasksLocal = len(w.Tasks)
-	for _, t := range w.Tasks {
-		pendingParents[t] = len(t.Parents)
-	}
-	for _, t := range w.Tasks {
-		if pendingParents[t] == 0 {
-			t := t
-			sim.Schedule(0, func() { onReady(t) })
-		}
-	}
-	sim.Run()
-	if done != len(w.Tasks) {
-		panic(fmt.Sprintf("wfsched: split deadlock: %d of %d tasks completed", done, len(w.Tasks)))
-	}
-	out.Makespan = sim.Now()
-	siteA.FinalizeIdle(out.Makespan)
-	out.EnergyLocalKWh = meter.EnergyKWh("local-a")
-	out.CO2Local = meter.SourceEmissions("local-a")
-	if siteB != nil {
-		siteB.FinalizeIdle(out.Makespan)
-		out.EnergyLocalKWh += meter.EnergyKWh("local-b")
-		out.CO2Local += meter.SourceEmissions("local-b")
-	}
-	out.CO2 = out.CO2Local
 	return out
 }
 

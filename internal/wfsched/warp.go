@@ -1,8 +1,9 @@
-// warp.go is the Time Warp execution mode of the workflow simulator:
-// the same model Simulate runs on one goroutine, re-expressed as
-// three logical processes on des.Warp so one big simulation can use
-// every core. Scenario.DESWorkers > 1 selects it; the sequential
-// kernel stays the workers<=1 fast path.
+// warp.go is the workflow simulator's model: the execution semantics
+// Simulate documents, expressed as logical processes on the des.Warp
+// kernel. Every Simulate, SimulateContext and SimulateSplitCluster
+// call runs it. Scenario.DESWorkers only picks how the kernel
+// executes it — its sequential heap at workers <= 1, optimistic Time
+// Warp above — and outcomes are byte-identical either way.
 //
 // # LP partition
 //
@@ -11,7 +12,7 @@
 //	ctl   — the scheduler: DAG readiness, file presence, in-flight
 //	        transfer dedup, and the fluid link model (the link lives
 //	        inside ctl so flow arithmetic is single-owner).
-//	local — the cluster's slots, queue, energy meter, fault machinery.
+//	local — the cluster's slots, queue, energy, fault machinery.
 //	cloud — ditto for the VMs (only when the scenario has a cloud).
 //
 // Cross-LP edges are exactly the model's natural messages: ctl
@@ -19,48 +20,76 @@
 // back (zero-delay), and each site talks only to itself for compute
 // completions, kills, repairs, and retry backoffs.
 //
-// # Why outcomes are byte-identical to Simulate
+// # Sites
+//
+// A site is a pool of slots running one task each, with a FIFO queue
+// when every slot is busy. Its slots come in groups of identical
+// slots: the Tab 1/Tab 2 cluster and the cloud have one group, E23's
+// split cluster two. A task starts on the fastest group with a free
+// slot. Energy is "busy power while computing, idle power otherwise":
+// each completion or kill charges the busy-above-idle draw, and after
+// the run every slot is charged its idle draw over the makespan minus
+// its repair downtime (a slot under repair is powered off). Joules
+// are kept per group, so a site's energy and emissions are sums over
+// its groups.
+//
+// A freed slot normally goes to the queue head at once. A ready-first
+// site (the split cluster's list scheduler) instead hands it to the
+// finished task's newly ready children first: its completion does
+// not free the slot, and ctl brackets the children's submits with a
+// kRelease of the slot and a kDrain of the queue.
+//
+// # Determinism
 //
 // Every float accumulator has a single owner (a site owns its joules,
 // wasted energy, and downtime; ctl owns transferred bytes and the
 // flow remainders), so each accumulation sequence happens in its
-// owner's committed event order — ascending canonical key — which for
-// same-site same-time events equals the legacy kernel's (time, seq)
-// order. The Outcome is assembled after the run by the identical
-// arithmetic, in the identical order, Simulate uses. Host-failure
+// owner's committed event order: ascending canonical key. The Outcome
+// is assembled after the run from the committed states. Host-failure
 // decisions use the injector's pure half (HostFailureDecision) during
-// speculation, and the fired-fault schedule is replayed from
-// committed state afterwards, so fault.Schedule() is byte-identical
-// too.
+// the run; fault notes, trace spans and attempts exhaustion are
+// recorded in committed state tagged with their event's key, and
+// replayed after the run merged across sites in key order — the order
+// a sequential run executes them in.
 package wfsched
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/carbon"
-	"repro/internal/ckpt"
 	"repro/internal/des"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/workflow"
 )
 
-// Message kinds of the wfsched Time Warp protocol.
+// ErrAttemptsExhausted reports that a task's hosts kept failing until
+// the fault plan's attempts cap (fault.RetryPolicy.MaxAttempts) ran
+// out, so the workflow cannot complete.
+var ErrAttemptsExhausted = errors.New("wfsched: task attempts exhausted")
+
+// Message kinds of the simulator's LP protocol.
 const (
 	kReady    = iota // ctl: a root task becomes ready (seed)
-	kFinished        // ctl: site reports task A finished
+	kFinished        // ctl: site B reports task A finished on slot C
 	kJoin            // ctl: transfer of file A to site B joins the link
 	kWake            // ctl: link wake for settle epoch A
 	kSubmit          // site: ctl submits task A
-	kDone            // site: compute of task A completes
-	kKill            // site: host failure kills task A (ord B, attempt C) at frac F
-	kRepair          // site: a failed slot comes back
+	kDone            // site: the attempt on slot A completes
+	kKill            // site: host failure kills the attempt on slot A at fraction F
+	kRepair          // site: failed slot A comes back
 	kRetry           // site: task A (ord B, attempt C) re-enters the queue
+	kRelease         // ready-first site: slot A is free again
+	kDrain           // ready-first site: start queued tasks on free slots
 )
 
-// twFlow mirrors platform.Link's flow: one in-flight file transfer.
+// twFlow is one in-flight file transfer on the link.
 type twFlow struct {
 	key                 int32 // fileIdx*2 + destination site
 	original, remaining float64
@@ -77,7 +106,8 @@ type ctlState struct {
 	present  [2][]byte         // [site][fileIdx]: 1 if staged there
 	inflight map[int32][]int32 // fileIdx*2+site -> tasks awaiting it
 
-	// The fluid link (platform.Link's model, single-owner here).
+	// The fluid link: concurrent transfers share the bandwidth
+	// equally, recomputed whenever a flow starts or finishes.
 	flows     []twFlow
 	lastTouch float64
 	wakeEpoch int32
@@ -87,190 +117,161 @@ type ctlState struct {
 }
 
 func (s *ctlState) Clone() des.State {
-	// Snapshot via the ckpt codec: encode to the same byte layout a
-	// durable checkpoint would use, decode into a fresh state. Keeps
-	// Clone honest (no shared mutable memory survives a round-trip).
-	var e ckpt.Enc
-	s.encode(&e)
-	c := &ctlState{}
-	d := ckpt.NewDec(e.Bytes())
-	c.decode(d)
-	if d.Err() != nil {
-		panic("wfsched: ctl snapshot codec mismatch")
+	c := *s
+	c.pending = slices.Clone(s.pending)
+	c.missing = slices.Clone(s.missing)
+	c.finished = slices.Clone(s.finished)
+	c.present = [2][]byte{slices.Clone(s.present[0]), slices.Clone(s.present[1])}
+	c.inflight = maps.Clone(s.inflight)
+	for k, v := range c.inflight {
+		c.inflight[k] = slices.Clone(v)
 	}
-	return c
+	c.flows = slices.Clone(s.flows)
+	return &c
 }
 
-func (s *ctlState) encode(e *ckpt.Enc) {
-	e.I32s(s.pending)
-	e.I32s(s.missing)
-	e.Str(string(s.finished))
-	e.I64(int64(s.done))
-	e.F64(s.lastDone)
-	e.Str(string(s.present[0]))
-	e.Str(string(s.present[1]))
-	keys := make([]int32, 0, len(s.inflight))
-	for k := range s.inflight {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		e.U32(uint32(k))
-		e.I32s(s.inflight[k])
-	}
-	e.U32(uint32(len(s.flows)))
-	for _, f := range s.flows {
-		e.U32(uint32(f.key))
-		e.F64(f.original)
-		e.F64(f.remaining)
-	}
-	e.F64(s.lastTouch)
-	e.U32(uint32(s.wakeEpoch))
-	e.F64(s.bytes)
-	e.I64(int64(s.transfers))
-}
-
-func (s *ctlState) decode(d *ckpt.Dec) {
-	s.pending = d.I32s()
-	s.missing = d.I32s()
-	s.finished = []byte(d.Str())
-	s.done = int32(d.I64())
-	s.lastDone = d.F64()
-	s.present[0] = []byte(d.Str())
-	s.present[1] = []byte(d.Str())
-	n := int(d.U32())
-	s.inflight = make(map[int32][]int32, n)
-	for i := 0; i < n; i++ {
-		k := int32(d.U32())
-		s.inflight[k] = d.I32s()
-	}
-	s.flows = make([]twFlow, d.U32())
-	for i := range s.flows {
-		s.flows[i] = twFlow{key: int32(d.U32()), original: d.F64(), remaining: d.F64()}
-	}
-	s.lastTouch = d.F64()
-	s.wakeEpoch = int32(d.U32())
-	s.bytes = d.F64()
-	s.transfers = int32(d.I64())
-}
-
-// twQueued mirrors platform.Site's queuedTask.
+// twQueued is a task waiting for (or, in siteState.running, holding)
+// a slot. attempt counts attempts made so far; a running entry's
+// attempt is the one in progress.
 type twQueued struct {
 	task, ord, attempt int32
 }
 
 // twDown is one slot-repair window.
 type twDown struct {
+	slot       int32
 	start, dur float64
 }
 
-// twKill records a committed host failure for post-run note replay.
-type twKill struct {
-	ord, attempt int32
-	frac         float64
+// Record kinds: what a site reports after the run.
+const (
+	recHostFail  = iota // fault note: attempt of task ord failed at fraction val
+	recRetry            // fault note: task ord re-queued after attempt
+	recExhausted        // task ord used up its attempts
+	recTask             // trace span: task on slot, lasting val seconds
+	recKilled           // trace span: killed attempt on slot, lasting val
+	recRepair           // trace span: slot under repair for val seconds
+)
+
+// twRecord is one committed report, tagged with the key of the event
+// that made it. Spans start at key.At.
+type twRecord struct {
+	key                      des.Key
+	kind                     uint8
+	slot, task, ord, attempt int32
+	val                      float64
 }
 
-// siteState is a site LP's rollback-able state — platform.Site's
-// mutable half. Slot identity is dropped (free slots are a count):
-// it only ever keyed trace lanes, never outcomes.
+// siteState is a site LP's rollback-able state.
 type siteState struct {
-	freeSlots int32
-	queue     []twQueued
-	nextOrd   int32
-	retries   int32
-	tasksRun  int32
-	wastedJ   float64
-	meterJ    float64 // joules, accumulated in legacy add order
-	downtime  []twDown
-
-	// Post-run reporting, accumulated speculatively and committed
-	// with the state: fired-fault notes and an attempts-exhausted
-	// task (legacy panics inline; Time Warp panics after the run).
-	kills            []twKill
-	retryNotes       []twQueued
-	exhausted        bool
-	exhaustedOrd     int32
-	exhaustedAttempt int32
+	free     [][]int32  // per group: free slot ids, popped from the end
+	running  []twQueued // per slot: the attempt occupying it
+	queue    []twQueued
+	nextOrd  int32 // task ordinals key the injector's failure decisions
+	retries  int32
+	tasksRun int32
+	wastedJ  float64   // drawn by killed attempts (also in joules)
+	joules   []float64 // per group
+	downtime []twDown
+	log      []twRecord
 }
 
 func (s *siteState) Clone() des.State {
-	var e ckpt.Enc
-	s.encode(&e)
-	c := &siteState{}
-	d := ckpt.NewDec(e.Bytes())
-	c.decode(d)
-	if d.Err() != nil {
-		panic("wfsched: site snapshot codec mismatch")
+	c := *s
+	c.free = make([][]int32, len(s.free))
+	for g := range s.free {
+		c.free[g] = slices.Clone(s.free[g])
 	}
-	return c
+	c.running = slices.Clone(s.running)
+	c.queue = slices.Clone(s.queue)
+	c.joules = slices.Clone(s.joules)
+	c.downtime = slices.Clone(s.downtime)
+	c.log = slices.Clone(s.log)
+	return &c
 }
 
-func (s *siteState) encode(e *ckpt.Enc) {
-	e.I64(int64(s.freeSlots))
-	e.I64(int64(s.nextOrd))
-	e.I64(int64(s.retries))
-	e.I64(int64(s.tasksRun))
-	e.F64(s.wastedJ)
-	e.F64(s.meterJ)
-	e.U32(uint32(len(s.queue)))
-	for _, q := range s.queue {
-		e.U32(uint32(q.task))
-		e.U32(uint32(q.ord))
-		e.U32(uint32(q.attempt))
-	}
-	e.U32(uint32(len(s.downtime)))
-	for _, dn := range s.downtime {
-		e.F64(dn.start)
-		e.F64(dn.dur)
-	}
-	e.U32(uint32(len(s.kills)))
-	for _, k := range s.kills {
-		e.U32(uint32(k.ord))
-		e.U32(uint32(k.attempt))
-		e.F64(k.frac)
-	}
-	e.U32(uint32(len(s.retryNotes)))
-	for _, q := range s.retryNotes {
-		e.U32(uint32(q.task))
-		e.U32(uint32(q.ord))
-		e.U32(uint32(q.attempt))
-	}
-	flag := uint8(0)
-	if s.exhausted {
-		flag = 1
-	}
-	e.U8(flag)
-	e.U32(uint32(s.exhaustedOrd))
-	e.U32(uint32(s.exhaustedAttempt))
+// slotGroup is a run of identical slots within a site.
+type slotGroup struct {
+	slots      int
+	speed      float64 // Gflop/s per slot
+	busy, idle float64 // W per computing / powered-on slot
 }
 
-func (s *siteState) decode(d *ckpt.Dec) {
-	s.freeSlots = int32(d.I64())
-	s.nextOrd = int32(d.I64())
-	s.retries = int32(d.I64())
-	s.tasksRun = int32(d.I64())
-	s.wastedJ = d.F64()
-	s.meterJ = d.F64()
-	s.queue = make([]twQueued, d.U32())
-	for i := range s.queue {
-		s.queue[i] = twQueued{task: int32(d.U32()), ord: int32(d.U32()), attempt: int32(d.U32())}
+// siteModel is a site's static description.
+type siteModel struct {
+	name       string // fault-decision key and trace track prefix
+	intensity  carbon.Intensity
+	groups     []slotGroup
+	groupOf    []int32 // per slot
+	readyFirst bool    // see the file comment
+	lp         des.LPID
+	tracks     []obs.TrackID // per slot, when tracing
+}
+
+// newSiteModel numbers the groups' slots consecutively. Negative slot
+// counts and non-positive speeds panic.
+func newSiteModel(name string, intensity carbon.Intensity, groups ...slotGroup) *siteModel {
+	s := &siteModel{name: name, intensity: intensity, groups: groups}
+	for g, gr := range groups {
+		if gr.slots < 0 || gr.speed <= 0 {
+			panic(fmt.Sprintf("wfsched: invalid site %q: slots=%d speed=%v", name, gr.slots, gr.speed))
+		}
+		for i := 0; i < gr.slots; i++ {
+			s.groupOf = append(s.groupOf, int32(g))
+		}
 	}
-	s.downtime = make([]twDown, d.U32())
-	for i := range s.downtime {
-		s.downtime[i] = twDown{start: d.F64(), dur: d.F64()}
+	return s
+}
+
+// newState returns the site's initial state: every slot free, each
+// group handing out its lowest slot id first.
+func (s *siteModel) newState() *siteState {
+	st := &siteState{
+		free:    make([][]int32, len(s.groups)),
+		running: make([]twQueued, len(s.groupOf)),
+		joules:  make([]float64, len(s.groups)),
 	}
-	s.kills = make([]twKill, d.U32())
-	for i := range s.kills {
-		s.kills[i] = twKill{ord: int32(d.U32()), attempt: int32(d.U32()), frac: d.F64()}
+	for slot := len(s.groupOf) - 1; slot >= 0; slot-- {
+		g := s.groupOf[slot]
+		st.free[g] = append(st.free[g], int32(slot))
 	}
-	s.retryNotes = make([]twQueued, d.U32())
-	for i := range s.retryNotes {
-		s.retryNotes[i] = twQueued{task: int32(d.U32()), ord: int32(d.U32()), attempt: int32(d.U32())}
+	return st
+}
+
+// freeGroup returns the fastest group with a free slot (the first on
+// ties), or -1 when every slot is busy.
+func (s *siteModel) freeGroup(st *siteState) int {
+	best := -1
+	for g := range s.groups {
+		if len(st.free[g]) > 0 && (best < 0 || s.groups[g].speed > s.groups[best].speed) {
+			best = g
+		}
 	}
-	s.exhausted = d.U8() != 0
-	s.exhaustedOrd = int32(d.U32())
-	s.exhaustedAttempt = int32(d.U32())
+	return best
+}
+
+// finalize charges each group's idle draw over the makespan, minus
+// repair downtime clamped to the makespan, and returns the site's
+// energy and emissions summed over its groups.
+func (s *siteModel) finalize(st *siteState, makespan float64) (kwh, co2 float64) {
+	for g, gr := range s.groups {
+		idleSec := float64(gr.slots) * makespan
+		for _, d := range st.downtime {
+			if s.groupOf[d.slot] != int32(g) {
+				continue
+			}
+			if end := min(d.start+d.dur, makespan); end > d.start {
+				idleSec -= end - d.start
+			}
+		}
+		if idleSec < 0 {
+			idleSec = 0
+		}
+		j := st.joules[g] + gr.idle*idleSec
+		kwh += carbon.JoulesToKWh(j)
+		co2 += carbon.Emissions(j, s.intensity)
+	}
+	return kwh, co2
 }
 
 // warpModel is the immutable context every handler closes over:
@@ -279,7 +280,7 @@ func (s *siteState) decode(d *ckpt.Dec) {
 type warpModel struct {
 	sc    Scenario
 	tasks []*workflow.Task
-	files []*workflow.File
+	sites [2]*siteModel // per SiteID; nil when absent
 
 	gflop     []float64 // per task
 	inputs    [][]int32 // per task: file indices
@@ -288,31 +289,15 @@ type warpModel struct {
 	placement []SiteID
 	fileBytes []float64
 
-	siteLP [2]des.LPID // des LP id per SiteID (cloud unset if absent)
-	ctl    des.LPID
-
+	ctl des.LPID
 	inj *fault.Injector
+	tr  *obs.Tracer
 }
 
-type siteParams struct {
-	name       string
-	slots      int
-	speed      float64
-	busy, idle float64
-}
-
-func (m *warpModel) params(s SiteID) siteParams {
-	if s == Local {
-		return siteParams{"local", m.sc.LocalNodes, m.sc.PState.Speed, m.sc.PState.BusyPower, m.sc.PState.IdlePower}
-	}
-	return siteParams{"cloud", m.sc.CloudVMs, m.sc.VMSpeed, m.sc.VMBusyPower, m.sc.VMIdlePower}
-}
-
-// simulateWarp runs the scenario on the Time Warp kernel. Reached
-// from SimulateContext when sc.DESWorkers > 1.
-func simulateWarp(ctx context.Context, sc Scenario, place Placement) (Outcome, error) {
+// simulate runs the workflow on the given sites.
+func simulate(ctx context.Context, sc Scenario, place Placement, sites [2]*siteModel) (Outcome, error) {
 	w := sc.Workflow
-	m := &warpModel{sc: sc, tasks: w.Tasks, files: w.Files}
+	m := &warpModel{sc: sc, tasks: w.Tasks, sites: sites, tr: sc.Obs.Tracer}
 	m.inj = fault.NewInjector(sc.Faults, sc.Obs)
 
 	// Index the DAG into flat tables the handlers can share.
@@ -329,18 +314,31 @@ func simulateWarp(ctx context.Context, sc Scenario, place Placement) (Outcome, e
 	m.outputs = make([][]int32, len(w.Tasks))
 	m.children = make([][]int32, len(w.Tasks))
 	m.placement = make([]SiteID, len(w.Tasks))
+	// The per-task index lists share one backing array.
+	n := 0
+	for _, t := range w.Tasks {
+		n += len(t.Inputs) + len(t.Outputs) + len(t.Children)
+	}
+	idx := make([]int32, 0, n)
+	list := func(lo int) []int32 { return idx[lo:len(idx):len(idx)] }
 	var out Outcome
 	for i, t := range w.Tasks {
 		m.gflop[i] = t.Gflop
+		lo := len(idx)
 		for _, f := range t.Inputs {
-			m.inputs[i] = append(m.inputs[i], fileIdx[f])
+			idx = append(idx, fileIdx[f])
 		}
+		m.inputs[i] = list(lo)
+		lo = len(idx)
 		for _, f := range t.Outputs {
-			m.outputs[i] = append(m.outputs[i], fileIdx[f])
+			idx = append(idx, fileIdx[f])
 		}
+		m.outputs[i] = list(lo)
+		lo = len(idx)
 		for _, c := range t.Children {
-			m.children[i] = append(m.children[i], taskIdx[c])
+			idx = append(idx, taskIdx[c])
 		}
+		m.children[i] = list(lo)
 		m.placement[i] = place(t)
 		if m.placement[i] == Cloud {
 			out.TasksCloud++
@@ -350,7 +348,21 @@ func simulateWarp(ctx context.Context, sc Scenario, place Placement) (Outcome, e
 	}
 	m.fileBytes = make([]float64, len(w.Files))
 	for i, f := range w.Files {
+		if f.Bytes < 0 || math.IsNaN(f.Bytes) {
+			panic(fmt.Sprintf("wfsched: file %s has invalid size %v", f.Name, f.Bytes))
+		}
 		m.fileBytes[i] = f.Bytes
+	}
+	if m.tr != nil {
+		for _, site := range sites {
+			if site == nil {
+				continue
+			}
+			site.tracks = make([]obs.TrackID, len(site.groupOf))
+			for i := range site.tracks {
+				site.tracks[i] = m.tr.Track("site:"+site.name, i, fmt.Sprintf("slot %d", i))
+			}
+		}
 	}
 
 	// Build the LPs.
@@ -372,101 +384,66 @@ func simulateWarp(ctx context.Context, sc Scenario, place Placement) (Outcome, e
 		cst.pending[i] = int32(len(t.Parents))
 	}
 	m.ctl = eng.AddLP("ctl", cst, m.ctlHandler)
-	m.siteLP[Local] = eng.AddLP("local", &siteState{freeSlots: int32(sc.LocalNodes)},
-		m.siteHandler(Local))
-	if sc.CloudVMs > 0 {
-		m.siteLP[Cloud] = eng.AddLP("cloud", &siteState{freeSlots: int32(sc.CloudVMs)},
-			m.siteHandler(Cloud))
+	for s, site := range sites {
+		if site != nil {
+			site.lp = eng.AddLP(site.name, site.newState(), m.siteHandler(site, SiteID(s)))
+		}
 	}
 
-	// Seed the roots in task order, as Simulate schedules them.
+	// Seed the roots in task order.
 	for i := range w.Tasks {
 		if cst.pending[i] == 0 {
 			eng.SeedAt(m.ctl, 0, des.Payload{Kind: kReady, A: int32(i)})
 		}
 	}
 
-	if err := eng.Run(ctx); err != nil {
+	err := eng.Run(ctx)
+	sc.Obs.Metrics.Counter("des.events").Add(eng.Stats().Committed)
+	if err != nil {
 		return out, err
 	}
 
-	// Commit: read the final LP states and assemble the Outcome with
-	// Simulate's exact arithmetic, in Simulate's exact order.
+	// Read the committed states back.
 	ctl := eng.LPState(m.ctl).(*ctlState)
-	local := eng.LPState(m.siteLP[Local]).(*siteState)
-	var cloud *siteState
-	if sc.CloudVMs > 0 {
-		cloud = eng.LPState(m.siteLP[Cloud]).(*siteState)
-	}
-	for _, st := range []*siteState{local, cloud} {
-		if st != nil && st.exhausted {
-			name := "local"
-			if st == cloud {
-				name = "cloud"
-			}
-			panic(fmt.Sprintf("platform: task %d on %q exhausted %d attempts",
-				st.exhaustedOrd, name, st.exhaustedAttempt))
+	var states [2]*siteState
+	for s, site := range sites {
+		if site != nil {
+			states[s] = eng.LPState(site.lp).(*siteState)
 		}
+	}
+	if err := m.replay(states); err != nil {
+		return out, err
 	}
 	if int(ctl.done) != len(w.Tasks) {
 		panic(fmt.Sprintf("wfsched: deadlock: %d of %d tasks completed", ctl.done, len(w.Tasks)))
 	}
+	// The makespan is the last task completion, not the last event:
+	// trailing slot repairs must not inflate it.
 	out.Makespan = ctl.lastDone
 	out.BytesTransferred = ctl.bytes
 	out.Transfers = int(ctl.transfers)
 
-	// Replay committed fault notes so Schedule(), counters, and the
-	// live event stream match a sequential run's (Schedule sorts, so
-	// replay order is immaterial).
-	for _, st := range []*siteState{local, cloud} {
-		if st == nil {
+	wastedJ := 0.0
+	tasksRun := int64(0)
+	for s, site := range sites {
+		if site == nil {
 			continue
 		}
-		name := "local"
-		if st == cloud {
-			name = "cloud"
+		st := states[s]
+		kwh, co2 := site.finalize(st, out.Makespan)
+		if SiteID(s) == Local {
+			out.EnergyLocalKWh, out.CO2Local = kwh, co2
+		} else {
+			out.EnergyCloudKWh, out.CO2Cloud = kwh, co2
 		}
-		for _, k := range st.kills {
-			m.inj.NoteHostFailure(name, int(k.ord), int(k.attempt), k.frac)
-		}
-		for _, r := range st.retryNotes {
-			m.inj.NoteTaskRetry(name, int(r.ord), int(r.attempt))
-		}
-	}
-
-	// FinalizeIdle, re-expressed on the committed joules.
-	finalize := func(st *siteState, p siteParams) {
-		idleSec := float64(p.slots) * out.Makespan
-		for _, d := range st.downtime {
-			end := d.start + d.dur
-			if end > out.Makespan {
-				end = out.Makespan
-			}
-			if end > d.start {
-				idleSec -= end - d.start
-			}
-		}
-		if idleSec < 0 {
-			idleSec = 0
-		}
-		st.meterJ += p.idle * idleSec
-	}
-	wastedJ := 0.0
-	finalize(local, m.params(Local))
-	out.EnergyLocalKWh = carbon.JoulesToKWh(local.meterJ)
-	out.CO2Local = carbon.Emissions(local.meterJ, sc.LocalIntensity)
-	out.Retries = int(local.retries)
-	wastedJ = local.wastedJ
-	if cloud != nil {
-		finalize(cloud, m.params(Cloud))
-		out.EnergyCloudKWh = carbon.JoulesToKWh(cloud.meterJ)
-		out.CO2Cloud = carbon.Emissions(cloud.meterJ, sc.CloudIntensity)
-		out.Retries += int(cloud.retries)
-		wastedJ += cloud.wastedJ
+		out.Retries += int(st.retries)
+		wastedJ += st.wastedJ
+		tasksRun += int64(st.tasksRun)
 	}
 	out.EnergyWastedKWh = wastedJ / 3.6e6
 	out.CO2 = out.CO2Local + out.CO2Cloud
 	if reg := sc.Obs.Metrics; reg != nil {
+		reg.Counter("platform.tasks").Add(tasksRun)
 		reg.Gauge("wfsched.makespan_s").Set(out.Makespan)
 		reg.Gauge("wfsched.energy.local_kwh").Set(out.EnergyLocalKWh)
 		reg.Gauge("wfsched.energy.cloud_kwh").Set(out.EnergyCloudKWh)
@@ -478,6 +455,50 @@ func simulateWarp(ctx context.Context, sc Scenario, place Placement) (Outcome, e
 		reg.Gauge("fault.energy.wasted_kwh").Set(out.EnergyWastedKWh)
 	}
 	return out, nil
+}
+
+// replay emits the sites' committed records merged in key order:
+// fault notes to the injector (so Schedule(), counters and the live
+// event stream match a sequential run's) and spans to the tracer. It
+// stops at the first attempts exhaustion and reports it.
+func (m *warpModel) replay(states [2]*siteState) error {
+	type rec struct {
+		twRecord
+		site *siteModel
+	}
+	var all []rec
+	for s, st := range states {
+		if st == nil {
+			continue
+		}
+		for _, r := range st.log {
+			all = append(all, rec{r, m.sites[s]})
+		}
+	}
+	// Each site's log is already in key order; keys are unique.
+	sort.SliceStable(all, func(i, j int) bool { return all[i].key.Before(all[j].key) })
+	for _, r := range all {
+		name := r.site.name
+		switch r.kind {
+		case recHostFail:
+			m.inj.NoteHostFailure(name, int(r.ord), int(r.attempt), r.val)
+		case recRetry:
+			m.inj.NoteTaskRetry(name, int(r.ord), int(r.attempt))
+		case recExhausted:
+			return fmt.Errorf("%w: task %d on %q failed all %d attempts",
+				ErrAttemptsExhausted, r.ord, name, r.attempt)
+		case recTask:
+			m.tr.Span(r.site.tracks[r.slot], "task", obs.Seconds(r.key.At), obs.Seconds(r.val),
+				obs.Arg{Key: "gflop", Value: int64(m.gflop[r.task])})
+		case recKilled:
+			m.tr.Span(r.site.tracks[r.slot], "task (killed)", obs.Seconds(r.key.At), obs.Seconds(r.val),
+				obs.Arg{Key: "gflop", Value: int64(m.gflop[r.task])},
+				obs.Arg{Key: "attempt", Value: int64(r.attempt)})
+		case recRepair:
+			m.tr.Span(r.site.tracks[r.slot], "repair", obs.Seconds(r.key.At), obs.Seconds(r.val))
+		}
+	}
+	return nil
 }
 
 // ctlHandler is the controller LP: DAG readiness, staging, and the
@@ -498,19 +519,25 @@ func (m *warpModel) ctlHandler(p *des.Proc, at float64, pl des.Payload) {
 			return
 		}
 		st.finished[pl.A] = 1
-		site := SiteID(pl.B)
+		site := m.sites[pl.B]
 		for _, f := range m.outputs[pl.A] {
-			st.present[site][f] = 1
+			st.present[pl.B][f] = 1
 		}
 		st.done++
 		if at > st.lastDone {
 			st.lastDone = at
+		}
+		if site.readyFirst {
+			p.Send(site.lp, 0, des.Payload{Kind: kRelease, A: pl.C})
 		}
 		for _, c := range m.children[pl.A] {
 			st.pending[c]--
 			if st.pending[c] == 0 {
 				m.runTask(p, st, c)
 			}
+		}
+		if site.readyFirst {
+			p.Send(site.lp, 0, des.Payload{Kind: kDrain})
 		}
 	case kJoin:
 		key := pl.A*2 + pl.B
@@ -519,7 +546,7 @@ func (m *warpModel) ctlHandler(p *des.Proc, at float64, pl des.Payload) {
 		m.settle(p, st)
 	case kWake:
 		if pl.A != st.wakeEpoch {
-			return // superseded wake (platform.Link cancels; we epoch)
+			return // superseded by a later settle
 		}
 		m.advance(p, st)
 		m.settle(p, st)
@@ -528,15 +555,16 @@ func (m *warpModel) ctlHandler(p *des.Proc, at float64, pl des.Payload) {
 	}
 }
 
-// runTask mirrors Simulate's runTask closure: stage missing inputs,
-// then submit to the placed site.
+// runTask stages a ready task's missing inputs to its site, then
+// submits it there.
 func (m *warpModel) runTask(p *des.Proc, st *ctlState, task int32) {
 	site := m.placement[task]
-	if site == Cloud && m.sc.CloudVMs == 0 {
-		panic(fmt.Sprintf("wfsched: task %s placed on absent cloud", m.tasks[task].ID))
-	}
-	if site == Local && m.sc.LocalNodes == 0 {
-		panic(fmt.Sprintf("wfsched: task %s placed on powered-off cluster", m.tasks[task].ID))
+	if s := m.sites[site]; s == nil || len(s.groupOf) == 0 {
+		where := "absent cloud"
+		if site == Local {
+			where = "powered-off cluster"
+		}
+		panic(fmt.Sprintf("wfsched: task %s placed on %s", m.tasks[task].ID, where))
 	}
 	missing := int32(0)
 	for _, f := range m.inputs[task] {
@@ -550,21 +578,21 @@ func (m *warpModel) runTask(p *des.Proc, st *ctlState, task int32) {
 			continue
 		}
 		st.inflight[key] = []int32{task}
-		// platform.Link.Transfer: the flow joins after the latency.
+		// Each transfer pays the link latency before its flow joins.
 		p.Send(m.ctl, m.sc.LinkLatency, des.Payload{Kind: kJoin, A: f, B: int32(site)})
 	}
 	st.missing[task] = missing
 	if missing == 0 {
-		m.submit(p, st, task)
+		m.submit(p, task)
 	}
 }
 
-func (m *warpModel) submit(p *des.Proc, st *ctlState, task int32) {
-	p.Send(m.siteLP[m.placement[task]], 0, des.Payload{Kind: kSubmit, A: task})
+func (m *warpModel) submit(p *des.Proc, task int32) {
+	p.Send(m.sites[m.placement[task]].lp, 0, des.Payload{Kind: kSubmit, A: task})
 }
 
-// advance and settle are platform.Link's fluid model verbatim, over
-// ctl-owned state.
+// advance drains every active flow by the time elapsed since the last
+// link event, at the equal-share rate that was in force.
 func (m *warpModel) advance(p *des.Proc, st *ctlState) {
 	now := p.Now()
 	if n := len(st.flows); n > 0 {
@@ -577,10 +605,17 @@ func (m *warpModel) advance(p *des.Proc, st *ctlState) {
 	st.lastTouch = now
 }
 
-const twFinishEps = 1e-6 // platform.Link's finishEps
+// twFinishEps absorbs float round-off when deciding a flow has drained.
+const twFinishEps = 1e-6
 
+// settle completes drained flows (which raises the share of the
+// survivors) and schedules one wake at the next earliest completion,
+// superseding any earlier wake. A flow also counts as drained when its
+// remaining ETA is under a microsecond: round-off can leave a residual
+// whose ETA is below the clock's resolution at large timestamps, and
+// a wake that cannot advance the clock would loop forever.
 func (m *warpModel) settle(p *des.Proc, st *ctlState) {
-	st.wakeEpoch++ // supersede any outstanding wake (Link cancels it)
+	st.wakeEpoch++
 	var finished []twFlow
 	for {
 		n := len(st.flows)
@@ -615,8 +650,7 @@ func (m *warpModel) settle(p *des.Proc, st *ctlState) {
 	for _, f := range finished {
 		st.bytes += f.original
 		st.transfers++
-		// The transfer's done callback: the file is now present; wake
-		// the tasks that were waiting on it.
+		// The file is now present; wake the tasks waiting on it.
 		file, site := f.key/2, SiteID(f.key%2)
 		st.present[site][file] = 1
 		waiters := st.inflight[f.key]
@@ -627,93 +661,119 @@ func (m *warpModel) settle(p *des.Proc, st *ctlState) {
 			}
 			st.missing[t]--
 			if st.missing[t] == 0 {
-				m.submit(p, st, t)
+				m.submit(p, t)
 			}
 		}
 	}
 }
 
-// siteHandler builds the handler for one site LP — platform.Site's
-// submit/start/kill/repair/retry machinery over siteState.
-func (m *warpModel) siteHandler(site SiteID) des.Handler {
-	sp := m.params(site)
+// siteHandler builds the handler for one site LP: submit, start,
+// complete, kill, repair and retry over siteState.
+func (m *warpModel) siteHandler(site *siteModel, id SiteID) des.Handler {
 	return func(p *des.Proc, at float64, pl des.Payload) {
 		st := p.State().(*siteState)
 		switch pl.Kind {
 		case kSubmit:
-			if sp.slots == 0 {
-				panic(fmt.Sprintf("platform: submit to powered-off site %q", sp.name))
-			}
 			q := twQueued{task: pl.A, ord: st.nextOrd}
 			st.nextOrd++
-			m.enqueue(p, st, sp, q)
+			m.enqueue(p, st, site, q)
 		case kDone:
-			duration := m.gflop[pl.A] / sp.speed
-			st.meterJ += (sp.busy - sp.idle) * duration
+			r := st.running[pl.A]
+			g := site.groupOf[pl.A]
+			gr := site.groups[g]
+			duration := m.gflop[r.task] / gr.speed
+			st.joules[g] += (gr.busy - gr.idle) * duration
 			st.tasksRun++
-			m.release(p, st, sp)
-			p.Send(m.ctl, 0, des.Payload{Kind: kFinished, A: pl.A, B: int32(site)})
+			if !site.readyFirst {
+				m.release(p, st, site, pl.A)
+			}
+			p.Send(m.ctl, 0, des.Payload{Kind: kFinished, A: r.task, B: int32(id), C: pl.A})
 		case kKill:
-			duration := m.gflop[pl.A] / sp.speed
-			partial := pl.F * duration
-			st.meterJ += (sp.busy - sp.idle) * partial
-			st.wastedJ += sp.busy * partial
+			r := st.running[pl.A]
+			g := site.groupOf[pl.A]
+			gr := site.groups[g]
+			partial := pl.F * (m.gflop[r.task] / gr.speed)
+			st.joules[g] += (gr.busy - gr.idle) * partial
+			st.wastedJ += gr.busy * partial
 			repair := m.inj.RepairSec()
-			st.downtime = append(st.downtime, twDown{start: at, dur: repair})
-			p.Send(p.ID(), repair, des.Payload{Kind: kRepair})
+			st.downtime = append(st.downtime, twDown{slot: pl.A, start: at, dur: repair})
+			m.trace(p, st, twRecord{kind: recRepair, slot: pl.A, val: repair})
+			p.Send(p.ID(), repair, des.Payload{Kind: kRepair, A: pl.A})
 
 			retry := m.inj.Retry()
-			if retry.MaxAttempts > 0 && int(pl.C) >= retry.MaxAttempts {
-				// Simulate panics here; under speculation the verdict
-				// only stands if this event commits, so record it and
-				// let simulateWarp panic after the run.
-				if !st.exhausted {
-					st.exhausted = true
-					st.exhaustedOrd = pl.B
-					st.exhaustedAttempt = pl.C
-				}
+			if retry.MaxAttempts > 0 && int(r.attempt) >= retry.MaxAttempts {
+				st.log = append(st.log, twRecord{key: p.Key(), kind: recExhausted, ord: r.ord, attempt: r.attempt})
 				return
 			}
 			st.retries++
-			st.retryNotes = append(st.retryNotes, twQueued{task: pl.A, ord: pl.B, attempt: pl.C})
-			p.Send(p.ID(), retry.Backoff(int(pl.C)),
-				des.Payload{Kind: kRetry, A: pl.A, B: pl.B, C: pl.C})
+			st.log = append(st.log, twRecord{key: p.Key(), kind: recRetry, ord: r.ord, attempt: r.attempt})
+			p.Send(p.ID(), retry.Backoff(int(r.attempt)),
+				des.Payload{Kind: kRetry, A: r.task, B: r.ord, C: r.attempt})
 		case kRepair:
-			m.release(p, st, sp)
+			m.release(p, st, site, pl.A)
 		case kRetry:
-			m.enqueue(p, st, sp, twQueued{task: pl.A, ord: pl.B, attempt: pl.C})
+			m.enqueue(p, st, site, twQueued{task: pl.A, ord: pl.B, attempt: pl.C})
+		case kRelease:
+			g := site.groupOf[pl.A]
+			st.free[g] = append(st.free[g], pl.A)
+		case kDrain:
+			for len(st.queue) > 0 && site.freeGroup(st) >= 0 {
+				next := st.queue[0]
+				st.queue = st.queue[1:]
+				m.start(p, st, site, next)
+			}
 		default:
-			panic(fmt.Sprintf("wfsched: site %q got unknown message kind %d", sp.name, pl.Kind))
+			panic(fmt.Sprintf("wfsched: site %q got unknown message kind %d", site.name, pl.Kind))
 		}
 	}
 }
 
-func (m *warpModel) enqueue(p *des.Proc, st *siteState, sp siteParams, q twQueued) {
-	if st.freeSlots > 0 {
-		m.start(p, st, sp, q)
+// enqueue starts the task if a slot is free, else queues it FIFO.
+func (m *warpModel) enqueue(p *des.Proc, st *siteState, site *siteModel, q twQueued) {
+	if site.freeGroup(st) >= 0 {
+		m.start(p, st, site, q)
 		return
 	}
 	st.queue = append(st.queue, q)
 }
 
-func (m *warpModel) release(p *des.Proc, st *siteState, sp siteParams) {
-	st.freeSlots++
+// release returns a slot to its group and starts the queue head.
+func (m *warpModel) release(p *des.Proc, st *siteState, site *siteModel, slot int32) {
+	g := site.groupOf[slot]
+	st.free[g] = append(st.free[g], slot)
 	if len(st.queue) > 0 {
 		next := st.queue[0]
 		st.queue = st.queue[1:]
-		m.start(p, st, sp, next)
+		m.start(p, st, site, next)
 	}
 }
 
-func (m *warpModel) start(p *des.Proc, st *siteState, sp siteParams, q twQueued) {
-	st.freeSlots--
-	duration := m.gflop[q.task] / sp.speed
-	attempt := q.attempt + 1
-	if frac, fails := m.inj.HostFailureDecision(sp.name, int(q.ord), int(attempt)); fails {
+// start runs the next attempt of q on a slot of the fastest free
+// group. A host failure the injector decides for this attempt
+// schedules a kill partway through it instead of a completion.
+func (m *warpModel) start(p *des.Proc, st *siteState, site *siteModel, q twQueued) {
+	g := site.freeGroup(st)
+	free := st.free[g]
+	slot := free[len(free)-1]
+	st.free[g] = free[:len(free)-1]
+	duration := m.gflop[q.task] / site.groups[g].speed
+	q.attempt++
+	st.running[slot] = q
+	if frac, fails := m.inj.HostFailureDecision(site.name, int(q.ord), int(q.attempt)); fails {
 		partial := frac * duration
-		st.kills = append(st.kills, twKill{ord: q.ord, attempt: attempt, frac: frac})
-		p.Send(p.ID(), partial, des.Payload{Kind: kKill, A: q.task, B: q.ord, C: attempt, F: frac})
+		st.log = append(st.log, twRecord{key: p.Key(), kind: recHostFail, ord: q.ord, attempt: q.attempt, val: frac})
+		m.trace(p, st, twRecord{kind: recKilled, slot: slot, task: q.task, attempt: q.attempt, val: partial})
+		p.Send(p.ID(), partial, des.Payload{Kind: kKill, A: slot, F: frac})
 		return
 	}
-	p.Send(p.ID(), duration, des.Payload{Kind: kDone, A: q.task})
+	m.trace(p, st, twRecord{kind: recTask, slot: slot, task: q.task, val: duration})
+	p.Send(p.ID(), duration, des.Payload{Kind: kDone, A: slot})
+}
+
+// trace records a span for replay when a tracer is attached.
+func (m *warpModel) trace(p *des.Proc, st *siteState, r twRecord) {
+	if m.tr != nil {
+		r.key = p.Key()
+		st.log = append(st.log, r)
+	}
 }
