@@ -21,6 +21,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -57,11 +58,14 @@ func main() {
 		ckptEvery = flag.Int64("checkpoint-every", 256, "placements evaluated between sweep snapshots")
 	)
 	flag.Parse()
+	if err := checkFlags(*split, *faults); err != nil {
+		fmt.Fprintf(os.Stderr, "wfsim: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	var plan *fault.Plan
 	if *faults != "" {
-		var err error
-		if plan, err = fault.Parse(*faults); err != nil {
+		if _, err := fault.Parse(*faults); err != nil {
 			fatalf("%v", err)
 		}
 	}
@@ -94,7 +98,6 @@ func main() {
 	if *split {
 		base, _ := wfsched.Tab1Base()
 		base.Obs = sink
-		base.Faults = plan
 		base.DESWorkers = *desWorker
 		res, err := wfsched.HeterogeneousAblation(base, wfsched.Tab1MaxNodes, wfsched.Tab1BoundSec)
 		if err != nil {
@@ -197,6 +200,15 @@ func main() {
 			fmt.Printf("all-local: %v\n", out.Outcome)
 		}
 	}
+}
+
+// checkFlags rejects flag combinations no mode runs: -split compares
+// fault-free clusters, so it takes no -faults plan.
+func checkFlags(split bool, faults string) error {
+	if split && faults != "" {
+		return errors.New("-split simulates fault-free clusters and cannot take -faults")
+	}
+	return nil
 }
 
 func fatalf(format string, args ...any) {

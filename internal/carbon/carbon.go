@@ -5,8 +5,6 @@
 // the remote cloud is green.
 package carbon
 
-import "fmt"
-
 // Intensity is a power source's carbon intensity in gCO2e per kWh.
 type Intensity float64
 
@@ -26,66 +24,4 @@ func JoulesToKWh(j float64) float64 { return j / 3.6e6 }
 // Emissions returns gCO2e for the given energy at the given intensity.
 func Emissions(joules float64, i Intensity) float64 {
 	return JoulesToKWh(joules) * float64(i)
-}
-
-// Meter accumulates energy per named source and reports emissions.
-type Meter struct {
-	joules    map[string]float64
-	intensity map[string]Intensity
-}
-
-// NewMeter returns an empty meter.
-func NewMeter() *Meter {
-	return &Meter{joules: map[string]float64{}, intensity: map[string]Intensity{}}
-}
-
-// Register declares a source with its carbon intensity. Re-registering
-// a source with a different intensity panics: accounting would become
-// ambiguous.
-func (m *Meter) Register(source string, i Intensity) {
-	if prev, ok := m.intensity[source]; ok && prev != i {
-		panic(fmt.Sprintf("carbon: source %q re-registered with intensity %v (was %v)", source, i, prev))
-	}
-	m.intensity[source] = i
-}
-
-// Add charges joules of energy to a registered source. Negative
-// energy panics.
-func (m *Meter) Add(source string, joules float64) {
-	if joules < 0 {
-		panic(fmt.Sprintf("carbon: negative energy %v for %q", joules, source))
-	}
-	if _, ok := m.intensity[source]; !ok {
-		panic(fmt.Sprintf("carbon: unregistered source %q", source))
-	}
-	m.joules[source] += joules
-}
-
-// Energy returns the accumulated joules for a source.
-func (m *Meter) Energy(source string) float64 { return m.joules[source] }
-
-// EnergyKWh returns the accumulated kWh for a source.
-func (m *Meter) EnergyKWh(source string) float64 { return JoulesToKWh(m.joules[source]) }
-
-// SourceEmissions returns gCO2e accumulated by one source.
-func (m *Meter) SourceEmissions(source string) float64 {
-	return Emissions(m.joules[source], m.intensity[source])
-}
-
-// TotalEmissions returns gCO2e summed over all sources.
-func (m *Meter) TotalEmissions() float64 {
-	var total float64
-	for s, j := range m.joules {
-		total += Emissions(j, m.intensity[s])
-	}
-	return total
-}
-
-// TotalEnergyKWh returns total energy over all sources in kWh.
-func (m *Meter) TotalEnergyKWh() float64 {
-	var total float64
-	for _, j := range m.joules {
-		total += j
-	}
-	return JoulesToKWh(total)
 }

@@ -22,62 +22,11 @@ func TestEmissionsMatchesPaperPlant(t *testing.T) {
 	if got := Emissions(3.6e6, LocalGrid); !almost(got, 291) {
 		t.Fatalf("1 kWh local = %v g, want 291", got)
 	}
+	if got := Emissions(3.6e6, GreenCloud); !almost(got, 5) {
+		t.Fatalf("1 kWh cloud = %v g, want 5", got)
+	}
 	if Emissions(3.6e6, GreenCloud) >= Emissions(3.6e6, LocalGrid)/10 {
 		t.Fatal("green cloud should be far cleaner than the local grid")
-	}
-}
-
-func TestMeterAccumulation(t *testing.T) {
-	m := NewMeter()
-	m.Register("cluster", LocalGrid)
-	m.Register("cloud", GreenCloud)
-	m.Add("cluster", 1.8e6) // 0.5 kWh
-	m.Add("cluster", 1.8e6) // +0.5 kWh
-	m.Add("cloud", 3.6e6)   // 1 kWh
-	if !almost(m.EnergyKWh("cluster"), 1) {
-		t.Fatalf("cluster kWh = %v", m.EnergyKWh("cluster"))
-	}
-	if !almost(m.SourceEmissions("cluster"), 291) {
-		t.Fatalf("cluster emissions = %v", m.SourceEmissions("cluster"))
-	}
-	if !almost(m.SourceEmissions("cloud"), 5) {
-		t.Fatalf("cloud emissions = %v", m.SourceEmissions("cloud"))
-	}
-	if !almost(m.TotalEmissions(), 296) {
-		t.Fatalf("total = %v, want 296", m.TotalEmissions())
-	}
-	if !almost(m.TotalEnergyKWh(), 2) {
-		t.Fatalf("total kWh = %v, want 2", m.TotalEnergyKWh())
-	}
-}
-
-func TestMeterGuards(t *testing.T) {
-	m := NewMeter()
-	m.Register("a", 100)
-	m.Register("a", 100) // same intensity: fine
-	for name, fn := range map[string]func(){
-		"negative energy":     func() { m.Add("a", -1) },
-		"unregistered source": func() { m.Add("ghost", 1) },
-		"conflicting reregister": func() {
-			m.Register("a", 200)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestMeterZeroSource(t *testing.T) {
-	m := NewMeter()
-	m.Register("a", 100)
-	if m.Energy("a") != 0 || m.SourceEmissions("a") != 0 {
-		t.Fatal("fresh source not zero")
 	}
 }
 

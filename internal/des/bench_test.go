@@ -9,8 +9,8 @@ import (
 // kernelModel builds a Warp whose handlers only forward: each of
 // chains seed events hops hops times, to an LP and after a quantized
 // delay both derived from its payload. LP state is nil, so nothing is
-// cloned and the model costs next to nothing: the run prices the
-// kernel's queues, snapshots, rollbacks and GVT alone.
+// saved and the model costs next to nothing: the run prices the
+// kernel's queues, rollbacks and GVT alone.
 func kernelModel(workers, nLP, chains, hops int) *Warp {
 	w := NewWarp(WarpConfig{Workers: workers, Window: 0.5})
 	h := func(p *Proc, at float64, pl Payload) {

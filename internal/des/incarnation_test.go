@@ -17,12 +17,11 @@ import (
 
 // histState is the destination's model state: the payloads it has
 // executed, in order. Rollback restores it with the rest of the state,
-// so it is always the LP's current speculative history.
+// so it is always the LP's current speculative history. seen only
+// grows by append, so its one undo slot is its length.
 type histState struct{ seen []Payload }
 
-func (s *histState) Clone() State {
-	return &histState{seen: append([]Payload(nil), s.seen...)}
-}
+func (s *histState) Undo(_ int32, old uint64) { s.seen = s.seen[:old] }
 
 // incarnationRig is a Warp with a destination LP (0) that records its
 // history and a source LP (1) that never runs; messages from the
@@ -38,6 +37,7 @@ func newIncarnationRig(t *testing.T) *incarnationRig {
 	w := NewWarp(WarpConfig{Workers: 2})
 	w.AddLP("dst", &histState{}, func(p *Proc, at float64, pl Payload) {
 		st := p.State().(*histState)
+		p.Save(0, uint64(len(st.seen)))
 		st.seen = append(st.seen, pl)
 	})
 	w.AddLP("src", nil, func(*Proc, float64, Payload) {})

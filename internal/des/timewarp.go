@@ -6,11 +6,12 @@
 // on one event heap (Workers <= 1) or optimistically in parallel:
 // Jefferson's Time Warp. There, LPs run speculatively on a worker
 // pool; when a message arrives in an LP's simulated past (a
-// straggler), the LP rolls back to a saved state, un-sends what it
-// sent since (anti-messages), and re-executes. A periodically
-// computed global virtual time (GVT) lower-bounds every future
-// message, letting the kernel reclaim history (fossil collection) and
-// bound optimism (the window throttle).
+// straggler), the LP rolls back: it unwinds an undo log of the state
+// slots its handlers overwrote, newest first, un-sends what it sent
+// since (anti-messages), and re-executes. A periodically computed
+// global virtual time (GVT) lower-bounds every future message,
+// letting the kernel reclaim history and undo records older than it
+// (fossil collection) and bound optimism (the window throttle).
 //
 // # Determinism
 //
@@ -85,15 +86,18 @@ type Payload struct {
 	F       float64
 }
 
-// State is the rollback-able model state of one LP. Clone must return
-// a deep copy sharing no mutable memory with the receiver; the kernel
-// snapshots by cloning and restores by cloning back.
-type State interface{ Clone() State }
+// State is the rollback-able model state of one LP. The model names
+// each scalar field and slice element it writes by a slot of its own
+// choosing. Undo writes old back into slot; rollback calls it with the
+// records p.Save took, newest first.
+type State interface{ Undo(slot int32, old uint64) }
 
 // Handler processes one event for one LP. It must be deterministic —
-// a pure function of the LP state and the payload — because rollback
-// re-executes it during coast-forward, and it must touch no state
-// outside p.State() other than sending messages via p.Send.
+// a pure function of the LP state and the payload — and it must save
+// before it writes: every write to p.State() is preceded by a p.Save
+// of the value it overwrites, so that rollback can put it back. It
+// must touch no state outside p.State() other than sending messages
+// via p.Send.
 type Handler func(p *Proc, at float64, pl Payload)
 
 // message is one timestamped event in flight or queued.
@@ -107,27 +111,28 @@ type message struct {
 
 // procRec is one processed (possibly still speculative) event plus
 // everything needed to un-process it: the message itself (re-queued
-// on rollback) and the sends it produced (anti-messaged on rollback).
-// The sends live in the LP's send log, a slab shared by all records:
-// they are p.sendLog[lo:hi], so recording them allocates nothing once
-// the log has grown to the LP's speculative depth.
+// on rollback), the sends it produced (anti-messaged on rollback),
+// the state slots it overwrote (undone on rollback) and the send
+// sequence it started from. The sends and undo records live in the
+// LP's send log and undo log, slabs shared by all records: an event's
+// entries run from its lo (ulo) up to the next record's lo (ulo), so
+// recording them allocates nothing once the logs have grown to the
+// LP's speculative depth.
 type procRec struct {
-	m      message
-	lo, hi int32
+	m       message
+	lo, ulo int32
+	seq0    uint64
 }
 
-// snapRec is a state snapshot taken before processing absolute event
-// position pos.
-type snapRec struct {
-	pos     int64
-	state   State
-	sendSeq uint64
-	lastKey Key
-	hasRun  bool
+// undoRec is one saved state slot: the value slot held before a
+// handler overwrote it.
+type undoRec struct {
+	slot int32
+	old  uint64
 }
 
 // Proc is one logical process: state, clock, input/output queues, and
-// the snapshot stack. All fields below mu are guarded by it.
+// the history and undo log. All fields below mu are guarded by it.
 type Proc struct {
 	id   LPID
 	name string
@@ -140,20 +145,17 @@ type Proc struct {
 	dead      uidSet // annihilated uids not yet popped / not yet arrived
 	processed []procRec
 	sendLog   []message // sends of processed, in order; see procRec
+	undo      []undoRec // saved slots of processed, in order; see procRec
+	saving    bool      // Save records: false on the sequential kernel
 	base      int64     // fossil-collected events before processed[0]
-	snaps     []snapRec
-	sinceSnap int
 	sendSeq   uint64
-	lastKey   Key
-	hasRun    bool
 	running   bool
 	inQueue   bool
 	queuedKey Key
 
 	// per-event scratch, owned by the executing worker:
-	outbox    []message
-	replaying bool
-	curKey    Key // of the event being processed
+	outbox []message
+	curKey Key // of the event being processed
 }
 
 // ID returns the LP's identifier.
@@ -175,6 +177,15 @@ func (p *Proc) Key() Key { return p.curKey }
 // State returns the LP's model state for the handler to mutate.
 func (p *Proc) State() State { return p.state }
 
+// Save records that the handler is about to overwrite state slot,
+// which holds old. Rollback hands the record back to State.Undo. The
+// sequential kernel never rolls back, so there Save does nothing.
+func (p *Proc) Save(slot int32, old uint64) {
+	if p.saving {
+		p.undo = append(p.undo, undoRec{slot: slot, old: old})
+	}
+}
+
 // Send schedules a payload on dst after delay simulated seconds.
 // Zero-delay sends are ordered after their cause by the depth field
 // of the canonical key. Negative and NaN delays panic as in the
@@ -194,9 +205,6 @@ func (p *Proc) Send(dst LPID, delay float64, pl Payload) {
 	}
 	k := Key{At: p.curKey.At + delay, Depth: depth, Src: p.id, Seq: p.sendSeq}
 	p.sendSeq++
-	if p.replaying {
-		return // coast-forward: the original sends still stand
-	}
 	p.outbox = append(p.outbox, message{
 		key: k, dst: dst, uid: p.w.uid.Add(1), payload: pl,
 	})
@@ -205,12 +213,8 @@ func (p *Proc) Send(dst LPID, delay float64, pl Payload) {
 // WarpConfig configures a Warp.
 type WarpConfig struct {
 	// Workers is the parallelism. Values <= 1 select the sequential
-	// fast path: one event heap, no snapshots, no rollback machinery.
+	// fast path: one event heap, no undo log, no rollback machinery.
 	Workers int
-	// SnapEvery is how many events an LP processes between state
-	// snapshots (coast-forward re-executes at most SnapEvery-1 events
-	// on rollback). 0 means 64.
-	SnapEvery int
 	// Window bounds optimism: no LP executes an event more than
 	// Window simulated seconds past the current GVT. 0 disables the
 	// throttle.
@@ -281,9 +285,6 @@ type warpWorker struct {
 
 // NewWarp creates an empty Time Warp simulation.
 func NewWarp(cfg WarpConfig) *Warp {
-	if cfg.SnapEvery <= 0 {
-		cfg.SnapEvery = 64
-	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
@@ -304,15 +305,15 @@ func NewWarp(cfg WarpConfig) *Warp {
 }
 
 // AddLP registers a logical process with its state and handler and
-// returns its id. State may be nil for stateless LPs (then nothing is
-// snapshotted and the handler must be memoryless). All LPs must be
+// returns its id. State may be nil for stateless LPs (then the
+// handler must be memoryless and never call Save). All LPs must be
 // added before Run.
 func (w *Warp) AddLP(name string, st State, h Handler) LPID {
 	if h == nil {
 		panic("des: nil LP handler")
 	}
 	id := LPID(len(w.lps))
-	p := &Proc{id: id, name: name, w: w, h: h, state: st}
+	p := &Proc{id: id, name: name, w: w, h: h, state: st, saving: w.cfg.Workers > 1}
 	w.lps = append(w.lps, p)
 	return id
 }
@@ -372,7 +373,7 @@ func (w *Warp) Run(ctx context.Context) error {
 
 // ---------------------------------------------------------------
 // Sequential fast path: the plain kernel. One heap ordered by the
-// canonical key, no locks, no snapshots, no rollbacks — and exactly
+// canonical key, no locks, no undo log, no rollbacks — and exactly
 // the per-LP event order the parallel path commits.
 // ---------------------------------------------------------------
 
@@ -647,25 +648,11 @@ func (w *Warp) runBatchLocked(p *Proc, ww *warpWorker) {
 // rollback. Cross-LP sends accumulate in p.outbox for delivery after
 // the batch releases p.
 func (w *Warp) execLocked(p *Proc, m message) {
-	// Snapshot before the event when the cadence says so (and always
-	// before the very first).
-	pos := p.base + int64(len(p.processed))
-	if p.sinceSnap >= w.cfg.SnapEvery || len(p.snaps) == 0 {
-		var st State
-		if p.state != nil {
-			st = p.state.Clone()
-		}
-		p.snaps = append(p.snaps, snapRec{
-			pos: pos, state: st, sendSeq: p.sendSeq, lastKey: p.lastKey, hasRun: p.hasRun,
-		})
-		p.sinceSnap = 0
-	}
-	p.sinceSnap++
+	rec := procRec{m: m, lo: int32(len(p.sendLog)), ulo: int32(len(p.undo)), seq0: p.sendSeq}
 	p.curKey = m.key
 	mark := len(p.outbox)
 	p.h(p, m.key.At, m.payload)
 	sends := p.outbox[mark:]
-	rec := procRec{m: m, lo: int32(len(p.sendLog))}
 	if len(sends) > 0 {
 		p.sendLog = append(p.sendLog, sends...)
 		// Self-sends go straight into this LP's pending queue: their
@@ -682,10 +669,7 @@ func (w *Warp) execLocked(p *Proc, m message) {
 		}
 		p.outbox = kept
 	}
-	rec.hi = int32(len(p.sendLog))
 	p.processed = append(p.processed, rec)
-	p.lastKey = m.key
-	p.hasRun = true
 }
 
 // deliverAll routes messages (and any antis cascading from the
@@ -704,7 +688,7 @@ func (w *Warp) deliverAll(ww *warpWorker, msgs []message) {
 func (w *Warp) deliver(ww *warpWorker, m message) {
 	p := w.lps[m.dst]
 	p.mu.Lock()
-	// Deferred so a handler panic during coast-forward releases p.mu.
+	// Deferred so a panicking State.Undo releases p.mu.
 	defer p.mu.Unlock()
 	if m.neg {
 		w.antis.Add(1)
@@ -718,9 +702,9 @@ func (w *Warp) deliver(ww *warpWorker, m message) {
 		// re-queued positive; pending or not-yet-arrived -> dead set.
 		// The uid must match: a same-key processed event may be a
 		// newer (live) incarnation this anti has no business undoing.
-		if p.hasRun && !p.lastKey.Before(m.key) {
+		if p.inPast(m.key) {
 			if i, ok := p.findProcessed(m.key); ok && p.processed[i].m.uid == m.uid {
-				w.rollbackLocked(p, ww, p.base+int64(i))
+				w.rollbackLocked(p, ww, i)
 			}
 		}
 		p.dead.add(m.uid)
@@ -730,23 +714,19 @@ func (w *Warp) deliver(ww *warpWorker, m message) {
 	if p.dead.take(m.uid) {
 		return // annihilated before arrival
 	}
-	if p.hasRun && !p.lastKey.Before(m.key) {
-		i := p.searchProcessed(m.key)
-		if i < len(p.processed) && p.processed[i].m.key == m.key {
-			if p.processed[i].m.uid > m.uid {
-				// m is a stale incarnation of an already-executed
-				// event; drop it and let its in-flight anti consume
-				// the mark.
-				p.dead.add(m.uid)
-				return
-			}
-			// The processed copy is the stale incarnation: roll back
-			// past it. Its re-queued positive lands next to m in the
-			// pending heap and popPending annihilates it.
-			w.rollbackLocked(p, ww, p.base+int64(i))
-		} else if m.key.Before(p.lastKey) {
-			w.rollbackLocked(p, ww, p.base+int64(i)) // straggler
+	if p.inPast(m.key) {
+		i := p.searchProcessed(m.key) // < len(p.processed): m is in the past
+		if rec := &p.processed[i]; rec.m.key == m.key && rec.m.uid > m.uid {
+			// m is a stale incarnation of an already-executed event;
+			// drop it and let its in-flight anti consume the mark.
+			p.dead.add(m.uid)
+			return
 		}
+		// Either m is a straggler, or the processed copy with m's key
+		// is the stale incarnation: roll back past it. Its re-queued
+		// positive lands next to m in the pending heap and popPending
+		// annihilates it.
+		w.rollbackLocked(p, ww, i)
 	}
 	p.pushPending(m)
 	w.enqueueLocked(p)
@@ -842,6 +822,13 @@ func (p *Proc) peekPending() (Key, bool) {
 	return Key{}, false
 }
 
+// inPast reports whether k orders at or before p's last processed
+// event, so that delivering it means rolling back.
+func (p *Proc) inPast(k Key) bool {
+	n := len(p.processed)
+	return n > 0 && !p.processed[n-1].m.key.Before(k)
+}
+
 // searchProcessed returns the first index whose key is >= k.
 func (p *Proc) searchProcessed(k Key) int {
 	lo, hi := 0, len(p.processed)
@@ -865,74 +852,38 @@ func (p *Proc) findProcessed(k Key) (int, bool) {
 	return 0, false
 }
 
-// rollbackLocked rewinds p to just before absolute position pos:
-// restore the latest snapshot at or before pos, coast-forward re-run
-// (sends suppressed) up to pos, re-queue the undone events' messages,
-// and anti-message their sends. p.mu must be held; antis go out via
-// the worker's delivery queue after the caller releases p.
-func (w *Warp) rollbackLocked(p *Proc, ww *warpWorker, pos int64) {
-	i := int(pos - p.base)
-	if i < 0 {
-		panic(fmt.Sprintf("des: rollback of %q below GVT (pos %d < base %d)", p.name, pos, p.base))
-	}
-	if i >= len(p.processed) {
-		return
-	}
+// rollbackLocked rewinds p to just before processed[i]: unwind the
+// undo log newest-first down to that event's first record, restore
+// its send sequence, re-queue the undone events' messages, and
+// anti-message their sends. p.mu must be held; antis go out via the
+// worker's delivery queue after the caller releases p.
+func (w *Warp) rollbackLocked(p *Proc, ww *warpWorker, i int) {
+	n := len(p.processed) - i
 	w.rollbacks.Add(1)
-	w.rolledBack.Add(int64(len(p.processed) - i))
+	w.rolledBack.Add(int64(n))
 	w.cRollbacks.Inc()
-	w.cRolled.Add(int64(len(p.processed) - i))
+	w.cRolled.Add(int64(n))
 	if w.tr != nil {
-		w.tr.Instant(w.track, fmt.Sprintf("rollback %s depth=%d", p.name, len(p.processed)-i), w.tr.Now())
+		w.tr.Instant(w.track, fmt.Sprintf("rollback %s depth=%d", p.name, n), w.tr.Now())
 	}
 
-	// Latest snapshot at or before pos.
-	s := len(p.snaps) - 1
-	for s >= 0 && p.snaps[s].pos > pos {
-		s--
+	rec := p.processed[i]
+	for j := len(p.undo) - 1; j >= int(rec.ulo); j-- {
+		p.state.Undo(p.undo[j].slot, p.undo[j].old)
 	}
-	if s < 0 {
-		panic(fmt.Sprintf("des: no snapshot for rollback of %q to pos %d", p.name, pos))
-	}
-	snap := p.snaps[s]
-	clear(p.snaps[s+1:]) // release the dropped states
-	p.snaps = p.snaps[:s+1]
-	if p.state != nil {
-		p.state = snap.state.Clone()
-	}
-	p.sendSeq = snap.sendSeq
-	p.lastKey = snap.lastKey
-	p.hasRun = snap.hasRun
-
-	// Coast-forward: re-execute the surviving suffix without
-	// re-sending (the original sends still stand).
-	p.replaying = true
-	from := int(snap.pos - p.base)
-	for j := from; j < i; j++ {
-		rec := &p.processed[j]
-		p.curKey = rec.m.key
-		seq0 := p.sendSeq
-		p.h(p, rec.m.key.At, rec.m.payload)
-		if got, want := int(p.sendSeq-seq0), int(rec.hi-rec.lo); got != want {
-			panic(fmt.Sprintf("des: nondeterministic handler on %q: replay sent %d messages, original sent %d", p.name, got, want))
-		}
-		p.lastKey = rec.m.key
-		p.hasRun = true
-	}
-	p.replaying = false
-	p.sinceSnap = i - from
+	p.undo = p.undo[:rec.ulo]
+	p.sendSeq = rec.seq0
 
 	// Undo the rolled-back suffix: messages back to pending, sends
 	// anti-messaged and cut from the send log.
-	lo := p.processed[i].lo
-	for _, rec := range p.processed[i:] {
-		p.pushPending(rec.m)
+	for _, r := range p.processed[i:] {
+		p.pushPending(r.m)
 	}
-	for _, sm := range p.sendLog[lo:] {
+	for _, sm := range p.sendLog[rec.lo:] {
 		sm.neg = true
 		ww.queue = append(ww.queue, sm)
 	}
-	p.sendLog = p.sendLog[:lo]
+	p.sendLog = p.sendLog[:rec.lo]
 	p.processed = p.processed[:i]
 }
 
@@ -999,46 +950,37 @@ func (w *Warp) gvtPass() {
 	w.gvtBits.Store(math.Float64bits(min))
 	w.gGVT.Set(min)
 
-	// Fossil collection: drop history strictly older than GVT. Events
-	// at or after GVT stay, as do the snapshot they coast-forward
-	// from and everything after it.
+	// Fossil collection: no rollback reaches an event older than GVT,
+	// so its history record, sends and undo records are dropped.
 	for _, p := range w.lps {
 		p.mu.Lock()
 		cut := 0
 		for cut < len(p.processed) && p.processed[cut].m.key.At < min {
 			cut++
 		}
-		s := len(p.snaps) - 1
-		for s >= 0 && p.snaps[s].pos > p.base+int64(cut) {
-			s--
-		}
-		if s > 0 {
-			p.fossilCollect(s)
+		if cut > 0 {
+			p.fossilCollect(cut)
 		}
 		p.mu.Unlock()
 	}
 }
 
-// fossilCollect drops the history before snapshot s, compacting
-// snaps, processed and the send log in place so their backing arrays
-// are reused rather than re-grown. p.mu must be held.
-func (p *Proc) fossilCollect(s int) {
-	drop := int(p.snaps[s].pos - p.base)
-	n := copy(p.snaps, p.snaps[s:])
-	clear(p.snaps[n:]) // release the dropped states
-	p.snaps = p.snaps[:n]
-
-	cut := int32(len(p.sendLog))
-	if drop < len(p.processed) {
-		cut = p.processed[drop].lo
+// fossilCollect drops the first cut history records, compacting the
+// history, the send log and the undo log in place so their backing
+// arrays are reused rather than re-grown. p.mu must be held.
+func (p *Proc) fossilCollect(cut int) {
+	lo, ulo := int32(len(p.sendLog)), int32(len(p.undo))
+	if cut < len(p.processed) {
+		lo, ulo = p.processed[cut].lo, p.processed[cut].ulo
 	}
-	p.sendLog = p.sendLog[:copy(p.sendLog, p.sendLog[cut:])]
-	p.processed = p.processed[:copy(p.processed, p.processed[drop:])]
+	p.sendLog = p.sendLog[:copy(p.sendLog, p.sendLog[lo:])]
+	p.undo = p.undo[:copy(p.undo, p.undo[ulo:])]
+	p.processed = p.processed[:copy(p.processed, p.processed[cut:])]
 	for j := range p.processed {
-		p.processed[j].lo -= cut
-		p.processed[j].hi -= cut
+		p.processed[j].lo -= lo
+		p.processed[j].ulo -= ulo
 	}
-	p.base += int64(drop)
+	p.base += int64(cut)
 }
 
 // ---------------------------------------------------------------

@@ -30,17 +30,29 @@ const (
 type fuzzState struct {
 	hash      uint64
 	events    int64
-	cancelled map[int32]bool // epochs switched off by fuzzKindCancel
+	cancelled uint64 // bit e: epoch e switched off by fuzzKindCancel
 	skipped   int64
 }
 
-func (s *fuzzState) Clone() State {
-	c := &fuzzState{hash: s.hash, events: s.events, skipped: s.skipped}
-	c.cancelled = make(map[int32]bool, len(s.cancelled))
-	for k, v := range s.cancelled {
-		c.cancelled[k] = v
+// fuzzState's undo slots: one per field.
+const (
+	fuzzSlotHash = iota
+	fuzzSlotEvents
+	fuzzSlotCancelled
+	fuzzSlotSkipped
+)
+
+func (s *fuzzState) Undo(slot int32, old uint64) {
+	switch slot {
+	case fuzzSlotHash:
+		s.hash = old
+	case fuzzSlotEvents:
+		s.events = int64(old)
+	case fuzzSlotCancelled:
+		s.cancelled = old
+	case fuzzSlotSkipped:
+		s.skipped = int64(old)
 	}
-	return c
 }
 
 func mix(h uint64, vs ...uint64) uint64 {
@@ -53,23 +65,27 @@ func mix(h uint64, vs ...uint64) uint64 {
 }
 
 // fuzzModel builds a Warp over nLP hash LPs seeded from seed.
-func fuzzModel(t *testing.T, seed uint64, nLP, nSeeds, workers int, snapEvery int, window float64, sink obs.Sink) *Warp {
+func fuzzModel(t *testing.T, seed uint64, nLP, nSeeds, workers int, window float64, sink obs.Sink) *Warp {
 	t.Helper()
-	w := NewWarp(WarpConfig{Workers: workers, SnapEvery: snapEvery, Window: window, Obs: sink})
+	w := NewWarp(WarpConfig{Workers: workers, Window: window, Obs: sink})
 	for i := 0; i < nLP; i++ {
 		w.AddLP(fmt.Sprintf("lp%d", i),
-			&fuzzState{cancelled: map[int32]bool{}},
+			&fuzzState{},
 			func(p *Proc, at float64, pl Payload) {
 				st := p.State().(*fuzzState)
+				p.Save(fuzzSlotEvents, uint64(st.events))
 				st.events++
 				if pl.Kind == fuzzKindCancel {
-					st.cancelled[pl.A] = true
+					p.Save(fuzzSlotCancelled, st.cancelled)
+					st.cancelled |= 1 << uint(pl.A)
 					return
 				}
-				if st.cancelled[pl.B] {
+				if st.cancelled&(1<<uint(pl.B)) != 0 {
+					p.Save(fuzzSlotSkipped, uint64(st.skipped))
 					st.skipped++ // event arrived after its epoch was cancelled
 					return
 				}
+				p.Save(fuzzSlotHash, st.hash)
 				st.hash = mix(st.hash, math.Float64bits(at), uint64(pl.A), uint64(pl.B), math.Float64bits(pl.F))
 				ttl := pl.A
 				if ttl <= 0 {
@@ -115,21 +131,31 @@ func fingerprint(w *Warp) string {
 	return out
 }
 
+// withBatchSize runs f with the parallel kernel's batch size set to n.
+func withBatchSize(n int, f func()) {
+	old := batchSize
+	batchSize = n
+	defer func() { batchSize = old }()
+	f()
+}
+
 // TestWarpFuzzCrossWorkers is the kernel half of the randomized
 // cross-kernel oracle: random event schedules (simultaneous
 // timestamps, zero-delay chains, model-level cancellation) must
 // produce byte-equal outcomes and identical committed step counts at
 // workers 1, 2, 4 and 8 — workers=1 being the sequential kernel path.
+// The batch size varies with the trial: how far an LP runs ahead
+// before its sends go out.
 func TestWarpFuzzCrossWorkers(t *testing.T) {
 	var totalRollbacks int64
 	for trial := 0; trial < 12; trial++ {
 		seed := mix(0xC0FFEE, uint64(trial))
 		nLP := 2 + int(seed%7)
 		nSeeds := 3 + int((seed>>8)%6)
-		snapEvery := []int{1, 4, 64}[trial%3]
+		batch := []int{1, 4, 32}[trial%3]
 		window := []float64{0, 2.5}[trial%2]
 
-		ref := fuzzModel(t, seed, nLP, nSeeds, 1, 64, 0, obs.Sink{})
+		ref := fuzzModel(t, seed, nLP, nSeeds, 1, 0, obs.Sink{})
 		if err := ref.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -140,13 +166,15 @@ func TestWarpFuzzCrossWorkers(t *testing.T) {
 		}
 
 		for _, workers := range []int{2, 4, 8} {
-			w := fuzzModel(t, seed, nLP, nSeeds, workers, snapEvery, window, obs.Sink{})
-			if err := w.Run(context.Background()); err != nil {
+			w := fuzzModel(t, seed, nLP, nSeeds, workers, window, obs.Sink{})
+			var err error
+			withBatchSize(batch, func() { err = w.Run(context.Background()) })
+			if err != nil {
 				t.Fatal(err)
 			}
 			if got := fingerprint(w); got != want {
-				t.Fatalf("trial %d workers=%d snap=%d window=%v: outcome diverged\n got:\n%s\nwant:\n%s",
-					trial, workers, snapEvery, window, got, want)
+				t.Fatalf("trial %d workers=%d batch=%d window=%v: outcome diverged\n got:\n%s\nwant:\n%s",
+					trial, workers, batch, window, got, want)
 			}
 			st := w.Stats()
 			if st.Committed != wantSteps {
@@ -168,29 +196,32 @@ func TestWarpFuzzCrossWorkers(t *testing.T) {
 
 // FuzzWarpCrossWorkers is TestWarpFuzzCrossWorkers with the schedule
 // chosen by the fuzzer: the seed, the LP and seed-event counts, the
-// snapshot cadence and the optimism window. Workers=2 must match the
-// sequential kernel on every LP's final state and on the committed
-// count, and must leave no pending entries or annihilation marks.
+// batch size (1-32 events an LP runs before its sends go out) and the
+// optimism window. Workers=2 must match the sequential kernel on
+// every LP's final state and on the committed count, and must leave
+// no pending entries or annihilation marks.
 func FuzzWarpCrossWorkers(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed uint64, lps, seeds, snap, window uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, lps, seeds, batch, window uint8) {
 		nLP := 1 + int(lps%8)
 		nSeeds := 1 + int(seeds%8)
-		snapEvery := 1 + int(snap%64)
+		n := 1 + int(batch%32)
 		win := []float64{0, 0.5, 1.5, 2.5}[window%4]
 
-		ref := fuzzModel(t, seed, nLP, nSeeds, 1, 64, 0, obs.Sink{})
+		ref := fuzzModel(t, seed, nLP, nSeeds, 1, 0, obs.Sink{})
 		if err := ref.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		w := fuzzModel(t, seed, nLP, nSeeds, 2, snapEvery, win, obs.Sink{})
-		if err := w.Run(context.Background()); err != nil {
+		w := fuzzModel(t, seed, nLP, nSeeds, 2, win, obs.Sink{})
+		var err error
+		withBatchSize(n, func() { err = w.Run(context.Background()) })
+		if err != nil {
 			t.Fatal(err)
 		}
 		if got, want := fingerprint(w), fingerprint(ref); got != want {
-			t.Fatalf("snap=%d window=%v: outcome diverged\n got:\n%s\nwant:\n%s", snapEvery, win, got, want)
+			t.Fatalf("batch=%d window=%v: outcome diverged\n got:\n%s\nwant:\n%s", n, win, got, want)
 		}
 		if got, want := w.Stats().Committed, ref.Stats().Committed; got != want {
-			t.Fatalf("snap=%d window=%v: committed %d, sequential did %d", snapEvery, win, got, want)
+			t.Fatalf("batch=%d window=%v: committed %d, sequential did %d", n, win, got, want)
 		}
 		assertDrained(t, w)
 	})
@@ -251,13 +282,21 @@ func TestWarpSequentialAllocsFlat(t *testing.T) {
 	}
 }
 
+// GVTStressModels are further models TestWarpGVTStress runs at each
+// of its worker counts, registered by external test files (the planet
+// scenario lives in a package that imports this one). Each runs its
+// model at the given worker count and checks it against the
+// sequential kernel.
+var GVTStressModels []func(t *testing.T, workers int)
+
 // TestWarpGVTStress shrinks the batch size and GVT cadence to one so
 // passes interleave with nearly every event, hammering the quiesce
-// rendezvous and the transient-message window a non-quiescing scan
+// rendezvous, the transient-message window a non-quiescing scan
 // would race against (an event executed from a not-yet-scanned LP
-// delivering into an already-scanned one). Byte-equality with the
-// sequential kernel plus the absence of the rollback-below-GVT panic
-// is the oracle; CI runs this under -race.
+// delivering into an already-scanned one), and fossil collection's
+// compaction of the history, send log and undo log between almost
+// every pair of events. Byte-equality with the sequential kernel is
+// the oracle; CI runs this under -race.
 func TestWarpGVTStress(t *testing.T) {
 	oldBatch, oldEvery := batchSize, gvtEvery
 	batchSize, gvtEvery = 1, 1
@@ -268,7 +307,7 @@ func TestWarpGVTStress(t *testing.T) {
 		nLP := 3 + int(seed%5)
 		nSeeds := 4 + int((seed>>8)%5)
 
-		ref := fuzzModel(t, seed, nLP, nSeeds, 1, 64, 0, obs.Sink{})
+		ref := fuzzModel(t, seed, nLP, nSeeds, 1, 0, obs.Sink{})
 		if err := ref.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -276,7 +315,7 @@ func TestWarpGVTStress(t *testing.T) {
 
 		for _, workers := range []int{2, 8} {
 			for _, window := range []float64{0, 1.5} {
-				w := fuzzModel(t, seed, nLP, nSeeds, workers, 2, window, obs.Sink{})
+				w := fuzzModel(t, seed, nLP, nSeeds, workers, window, obs.Sink{})
 				if err := w.Run(context.Background()); err != nil {
 					t.Fatal(err)
 				}
@@ -295,6 +334,11 @@ func TestWarpGVTStress(t *testing.T) {
 			}
 		}
 	}
+	for _, workers := range []int{2, 8} {
+		for _, model := range GVTStressModels {
+			model(t, workers)
+		}
+	}
 }
 
 // TestWarpPingPong checks a minimal two-LP exchange commits the exact
@@ -305,15 +349,17 @@ func TestWarpPingPong(t *testing.T) {
 		mk := func(self string) Handler {
 			return func(p *Proc, at float64, pl Payload) {
 				st := p.State().(*fuzzState)
+				p.Save(fuzzSlotEvents, uint64(st.events))
 				st.events++
+				p.Save(fuzzSlotHash, st.hash)
 				st.hash = mix(st.hash, math.Float64bits(at), uint64(pl.A))
 				if pl.A > 0 {
 					p.Send(1-p.ID(), 0.5, Payload{A: pl.A - 1})
 				}
 			}
 		}
-		a := w.AddLP("a", &fuzzState{cancelled: map[int32]bool{}}, mk("a"))
-		w.AddLP("b", &fuzzState{cancelled: map[int32]bool{}}, mk("b"))
+		a := w.AddLP("a", &fuzzState{}, mk("a"))
+		w.AddLP("b", &fuzzState{}, mk("b"))
 		w.SeedAt(a, 0, Payload{A: 100})
 		if err := w.Run(context.Background()); err != nil {
 			t.Fatal(err)
@@ -386,7 +432,7 @@ func TestWarpContextCancel(t *testing.T) {
 func TestWarpMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	seed := mix(0xC0FFEE, 3)
-	w := fuzzModel(t, seed, 6, 6, 4, 4, 0, obs.Sink{Metrics: reg})
+	w := fuzzModel(t, seed, 6, 6, 4, 0, obs.Sink{Metrics: reg})
 	if err := w.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -425,23 +425,13 @@ func (in *Injector) MessageDelay() time.Duration {
 	return in.plan.Delay
 }
 
-// HostFailure decides whether the attempt-th execution of a site's
-// task fails mid-run, and if so at which fraction of its duration.
-// The failure is realized by the platform as a DES event.
-func (in *Injector) HostFailure(site string, task, attempt int) (frac float64, fails bool) {
-	frac, fails = in.HostFailureDecision(site, task, attempt)
-	if fails {
-		in.NoteHostFailure(site, task, attempt, frac)
-	}
-	return frac, fails
-}
-
-// HostFailureDecision is the pure half of HostFailure: the same
-// deterministic verdict with no side effects (no schedule entry,
-// counters, or live events). Speculative executors — the Time Warp
-// wfsched model — query this on possibly-rolled-back paths and report
-// only committed failures via NoteHostFailure, so the fired-fault
-// schedule stays identical to a sequential run's.
+// HostFailureDecision decides whether the attempt-th execution of a
+// site's task fails mid-run, and if so at which fraction of its
+// duration. It has no side effects (no schedule entry, counters, or
+// live events): speculative executors — the Time Warp wfsched model —
+// query it on possibly-rolled-back paths and report only committed
+// failures via NoteHostFailure, so the fired-fault schedule stays
+// identical to a sequential run's.
 func (in *Injector) HostFailureDecision(site string, task, attempt int) (frac float64, fails bool) {
 	if in == nil || in.plan.HostFail <= 0 {
 		return 0, false
@@ -456,8 +446,7 @@ func (in *Injector) HostFailureDecision(site string, task, attempt int) (frac fl
 }
 
 // NoteHostFailure records a committed host failure decided earlier by
-// HostFailureDecision, producing the exact schedule entry HostFailure
-// would have written.
+// HostFailureDecision: its schedule entry, counters and live event.
 func (in *Injector) NoteHostFailure(site string, task, attempt int, frac float64) {
 	if in == nil {
 		return

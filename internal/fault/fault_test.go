@@ -118,7 +118,7 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if f := in.MessageFate(0, 1, 1); f != Deliver {
 		t.Fatalf("nil injector fate = %v, want Deliver", f)
 	}
-	if _, fails := in.HostFailure("site", 0, 1); fails {
+	if _, fails := in.HostFailureDecision("site", 0, 1); fails {
 		t.Fatal("nil injector host failure")
 	}
 	if s := in.Schedule(); s != nil {
@@ -147,7 +147,9 @@ func drive(t *testing.T, plan Plan) []string {
 			}
 			for task := 0; task < 20; task++ {
 				for attempt := 1; attempt <= 3; attempt++ {
-					in.HostFailure("local", w*20+task, attempt)
+					if frac, fails := in.HostFailureDecision("local", w*20+task, attempt); fails {
+						in.NoteHostFailure("local", w*20+task, attempt, frac)
+					}
 					in.TaskFails("map", attempt, w, task)
 				}
 			}

@@ -50,7 +50,9 @@ func TestSnapshotWhileInjectingRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				in.MessageFate(w, w+1, uint64(i))
-				in.HostFailure("local", i, w)
+				if frac, fails := in.HostFailureDecision("local", i, w); fails {
+					in.NoteHostFailure("local", i, w, frac)
+				}
 				in.TaskFails("map", w, i)
 			}
 		}(w)

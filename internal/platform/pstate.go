@@ -1,9 +1,9 @@
-// Package platform models the hardware of the workflow assignment on
-// top of the DES kernel: a local cluster whose nodes expose seven
-// p-states (each a speed/power trade-off) and can be powered off, a
-// remote green cloud with fixed-speed VMs, and the bandwidth-limited
-// network link between them with max–min fair sharing. Energy flows
-// into a carbon.Meter, which turns it into gCO2e.
+// Package platform describes the hardware of the workflow assignment:
+// the seven p-states (each a speed/power trade-off) a local cluster
+// node can run at. The workflow simulator (internal/wfsched) models
+// the cluster, the cloud and the link between them on the DES kernel,
+// charging each node's busy and idle draw; carbon.Emissions turns the
+// joules into gCO2e.
 package platform
 
 import "fmt"

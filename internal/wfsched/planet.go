@@ -16,6 +16,7 @@ package wfsched
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/des"
@@ -36,10 +37,9 @@ type PlanetConfig struct {
 
 	Seed uint64 // topology and duration randomness
 
-	Workers   int     // DES workers; <= 1 runs the sequential kernel
-	SnapEvery int     // snapshot cadence override (0 = kernel default)
-	Window    float64 // optimism window in simulated seconds (0 = off)
-	Obs       obs.Sink
+	Workers int     // DES workers; <= 1 runs the sequential kernel
+	Window  float64 // optimism window in simulated seconds (0 = off)
+	Obs     obs.Sink
 }
 
 func (c PlanetConfig) withDefaults() PlanetConfig {
@@ -102,28 +102,54 @@ func planetMix(x uint64) uint64 {
 	return x
 }
 
-// planetState is one cluster's rollback-able state. Cloned by direct
-// deep copy: at planet scale the state is two flat slices and a few
-// scalars, and the copy is what a codec round-trip would produce
-// anyway — minus the megabytes of transient encoding.
+// planetState is one cluster's rollback-able state: a flat slice of
+// credit counters and a few scalars, so an event saves the handful of
+// slots it writes rather than the kernel copying the cluster. The
+// ready queue is a FIFO from head that only grows by append, so its
+// length and head are the only queue slots saved.
 type planetState struct {
 	pending  []int32 // per local task: unsatisfied parent credits
 	free     int32
-	queue    []int32 // ready local tasks, FIFO
+	queue    []int32 // ready local tasks; queue[head:] are waiting
+	head     int32
 	tasksRun int64
 	energyJ  float64
 	lastDone float64
 	digest   uint64
 }
 
-func (s *planetState) Clone() des.State {
-	c := &planetState{
-		pending: append([]int32(nil), s.pending...),
-		free:    s.free, queue: append([]int32(nil), s.queue...),
-		tasksRun: s.tasksRun, energyJ: s.energyJ,
-		lastDone: s.lastDone, digest: s.digest,
+// planetState's undo slot kinds; a pending slot's index is the task.
+const (
+	psPending = iota
+	psFree
+	psQueueLen
+	psHead
+	psTasksRun
+	psEnergy
+	psLastDone
+	psDigest
+)
+
+func (s *planetState) Undo(slot int32, old uint64) {
+	kind, i := splitSlot(slot)
+	switch kind {
+	case psPending:
+		s.pending[i] = int32(old)
+	case psFree:
+		s.free = int32(old)
+	case psQueueLen:
+		s.queue = s.queue[:old]
+	case psHead:
+		s.head = int32(old)
+	case psTasksRun:
+		s.tasksRun = int64(old)
+	case psEnergy:
+		s.energyJ = math.Float64frombits(old)
+	case psLastDone:
+		s.lastDone = math.Float64frombits(old)
+	case psDigest:
+		s.digest = old
 	}
-	return c
 }
 
 // planetModel is the immutable context: sizing, the seed, and the LP
@@ -174,29 +200,41 @@ func (m *planetModel) handler(cluster int) des.Handler {
 			if st.pending[i] == 0 {
 				return // duplicate credit from false speculation
 			}
+			saveI32(p, psPending, i, st.pending[i])
 			st.pending[i]--
 			if st.pending[i] > 0 {
 				return
 			}
 			if st.free > 0 {
-				m.start(p, st, i)
+				saveI32(p, psFree, 0, st.free)
+				st.free--
+				m.start(p, i)
 			} else {
+				saveLen(p, psQueueLen, len(st.queue))
 				st.queue = append(st.queue, pl.A)
 			}
 		case kPDone:
 			i := int(pl.A)
 			g := cluster*cfg.Tasks + i
+			p.Save(undoSlot(psTasksRun, 0), uint64(st.tasksRun))
 			st.tasksRun++
+			saveF64(p, psEnergy, 0, st.energyJ)
 			st.energyJ += cfg.BusyW * m.duration(g)
 			if at > st.lastDone {
+				saveF64(p, psLastDone, 0, st.lastDone)
 				st.lastDone = at
 			}
+			p.Save(undoSlot(psDigest, 0), st.digest)
 			st.digest = planetMix(st.digest ^ uint64(g)<<1 ^ math.Float64bits(at))
-			st.free++
-			if len(st.queue) > 0 {
-				next := st.queue[0]
-				st.queue = st.queue[1:]
-				m.start(p, st, int(next))
+			if int(st.head) < len(st.queue) {
+				// The freed host goes straight to the queue head.
+				next := st.queue[st.head]
+				saveI32(p, psHead, 0, st.head)
+				st.head++
+				m.start(p, int(next))
+			} else {
+				saveI32(p, psFree, 0, st.free)
+				st.free++
 			}
 			m.successors(g, func(cc, li int) {
 				p.Send(m.lps[cc], cfg.Latency, des.Payload{Kind: kPCredit, A: int32(li)})
@@ -205,8 +243,8 @@ func (m *planetModel) handler(cluster int) des.Handler {
 	}
 }
 
-func (m *planetModel) start(p *des.Proc, st *planetState, i int) {
-	st.free--
+// start runs local task i on a host its caller has taken.
+func (m *planetModel) start(p *des.Proc, i int) {
 	g := int(p.ID())*m.cfg.Tasks + i
 	p.Send(p.ID(), m.duration(g), des.Payload{Kind: kPDone, A: int32(i)})
 }
@@ -224,6 +262,9 @@ func SimulatePlanet(cfg PlanetConfig) PlanetOutcome {
 // SimulatePlanetContext is SimulatePlanet with cancellation.
 func SimulatePlanetContext(ctx context.Context, cfg PlanetConfig) (PlanetOutcome, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Tasks > maxSlotIndex {
+		return PlanetOutcome{}, fmt.Errorf("wfsched: %d tasks per cluster exceed the undo log's %d", cfg.Tasks, maxSlotIndex)
+	}
 	m := &planetModel{cfg: cfg}
 
 	// Count each task's parent credits by walking every edge once.
@@ -240,8 +281,7 @@ func SimulatePlanetContext(ctx context.Context, cfg PlanetConfig) (PlanetOutcome
 	}
 
 	eng := des.NewWarp(des.WarpConfig{
-		Workers: cfg.Workers, SnapEvery: cfg.SnapEvery,
-		Window: cfg.Window, Obs: cfg.Obs,
+		Workers: cfg.Workers, Window: cfg.Window, Obs: cfg.Obs,
 	})
 	m.lps = make([]des.LPID, cfg.Clusters)
 	for c := range m.lps {

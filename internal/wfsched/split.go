@@ -10,6 +10,7 @@ package wfsched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/obs"
@@ -61,6 +62,11 @@ func SimulateSplitCluster(base Scenario, pstates []platform.PState, cfg SplitCon
 	return out
 }
 
+// ErrAblationFaults reports a HeterogeneousAblation call with a fault
+// plan: the split cluster is simulated fault-free, so its optimum
+// would be compared against a faulty homogeneous one.
+var ErrAblationFaults = errors.New("wfsched: the heterogeneity ablation simulates fault-free clusters; base.Faults must be nil")
+
 // AblationResult compares the homogeneous and split-cluster optima.
 type AblationResult struct {
 	Homogeneous        ClusterConfig
@@ -73,8 +79,13 @@ type AblationResult struct {
 // configuration in both decision spaces: homogeneous (nodes, p-state)
 // and split (two groups, node counts in steps of nodeStep). The split
 // space contains every homogeneous point, so SplitOutcome.CO2 ≤
-// HomogeneousOutcome.CO2 whenever both are feasible.
+// HomogeneousOutcome.CO2 whenever both are feasible. Both spaces are
+// simulated fault-free: a base with Faults set is rejected with
+// ErrAblationFaults.
 func HeterogeneousAblation(base Scenario, maxNodes int, bound float64) (AblationResult, error) {
+	if base.Faults != nil {
+		return AblationResult{}, ErrAblationFaults
+	}
 	pstates := platform.DefaultPStates()
 	homCfg, homOut, ok := ExhaustiveCluster(base, pstates, maxNodes, bound)
 	if !ok {

@@ -1,9 +1,11 @@
 package wfsched
 
 import (
+	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/platform"
 	"repro/internal/workflow"
 )
@@ -107,5 +109,16 @@ func TestSplitConfigString(t *testing.T) {
 	homog := SplitConfig{A: ClusterConfig{8, 6}}
 	if homog.String() != "8 nodes @ p6" {
 		t.Fatalf("homogeneous String = %q", homog.String())
+	}
+}
+
+// TestHeterogeneousAblationRejectsFaults: the split cluster runs
+// fault-free, so a faulty base would compare unlike runs (and could
+// exhaust its attempts cap in the homogeneous half).
+func TestHeterogeneousAblationRejectsFaults(t *testing.T) {
+	base := splitBase()
+	base.Faults = &fault.Plan{Seed: 1, HostFail: 0.9, Retry: fault.RetryPolicy{MaxAttempts: 1}}
+	if _, err := HeterogeneousAblation(base, 8, 1e9); !errors.Is(err, ErrAblationFaults) {
+		t.Fatalf("err = %v, want ErrAblationFaults", err)
 	}
 }

@@ -57,9 +57,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/carbon"
@@ -91,11 +89,12 @@ const (
 
 // twFlow is one in-flight file transfer on the link.
 type twFlow struct {
-	key                 int32 // fileIdx*2 + destination site
-	original, remaining float64
+	key       int32 // fileIdx*2 + destination site: the transfer key
+	remaining float64
 }
 
-// ctlState is the controller LP's rollback-able state.
+// ctlState is the controller LP's rollback-able state. Its handlers
+// save every slot they write (see undo.go); Undo puts it back.
 type ctlState struct {
 	pending  []int32 // per task: unfinished parent count
 	missing  []int32 // per task: inputs still staging
@@ -103,8 +102,13 @@ type ctlState struct {
 	done     int32
 	lastDone float64
 
-	present  [2][]byte         // [site][fileIdx]: 1 if staged there
-	inflight map[int32][]int32 // fileIdx*2+site -> tasks awaiting it
+	present [2][]byte // [site][fileIdx]: 1 if staged there
+
+	// Tasks awaiting each in-flight transfer, in submission order:
+	// key k's are waiters[waitAt[k]:][:nwait[k]] (waitAt is in
+	// warpModel). A transfer is in flight while it has waiters.
+	waiters []int32
+	nwait   []int32 // per transfer key
 
 	// The fluid link: concurrent transfers share the bandwidth
 	// equally, recomputed whenever a flow starts or finishes.
@@ -116,18 +120,89 @@ type ctlState struct {
 	transfers int32
 }
 
-func (s *ctlState) Clone() des.State {
-	c := *s
-	c.pending = slices.Clone(s.pending)
-	c.missing = slices.Clone(s.missing)
-	c.finished = slices.Clone(s.finished)
-	c.present = [2][]byte{slices.Clone(s.present[0]), slices.Clone(s.present[1])}
-	c.inflight = maps.Clone(s.inflight)
-	for k, v := range c.inflight {
-		c.inflight[k] = slices.Clone(v)
+// ctlState's undo slot kinds, with what a slot's index names.
+const (
+	csPending  = iota // task
+	csMissing         // task
+	csFinished        // task
+	csDone
+	csLastDone
+	csPresent // transfer key
+	csWaiter  // position in waiters
+	csWaitLen // transfer key
+	csFlowKey // flow
+	csFlowRem // flow
+	csFlowLen
+	csLastTouch
+	csWakeEpoch
+	csBytes
+	csTransfers
+)
+
+func (s *ctlState) Undo(slot int32, old uint64) {
+	kind, i := splitSlot(slot)
+	switch kind {
+	case csPending:
+		s.pending[i] = int32(old)
+	case csMissing:
+		s.missing[i] = int32(old)
+	case csFinished:
+		s.finished[i] = byte(old)
+	case csDone:
+		s.done = int32(old)
+	case csLastDone:
+		s.lastDone = math.Float64frombits(old)
+	case csPresent:
+		s.present[i%2][i/2] = byte(old)
+	case csWaiter:
+		s.waiters[i] = int32(old)
+	case csWaitLen:
+		s.nwait[i] = int32(old)
+	case csFlowKey:
+		s.flows[:cap(s.flows)][i].key = int32(old)
+	case csFlowRem:
+		s.flows[:cap(s.flows)][i].remaining = math.Float64frombits(old)
+	case csFlowLen:
+		s.flows = s.flows[:old]
+	case csLastTouch:
+		s.lastTouch = math.Float64frombits(old)
+	case csWakeEpoch:
+		s.wakeEpoch = int32(old)
+	case csBytes:
+		s.bytes = math.Float64frombits(old)
+	case csTransfers:
+		s.transfers = int32(old)
 	}
-	c.flows = slices.Clone(s.flows)
-	return &c
+}
+
+// setFlow overwrites flows[i], which may lie past the length but not
+// past the capacity, saving the flow it replaces.
+func (s *ctlState) setFlow(p *des.Proc, i int, f twFlow) {
+	all := s.flows[:cap(s.flows)]
+	saveI32(p, csFlowKey, i, all[i].key)
+	saveF64(p, csFlowRem, i, all[i].remaining)
+	all[i] = f
+}
+
+// appendFlow adds f to the link. flows is compacted in place, so the
+// position f takes may hold a flow an earlier state still needs.
+func (s *ctlState) appendFlow(p *des.Proc, f twFlow) {
+	n := len(s.flows)
+	saveLen(p, csFlowLen, n)
+	if n == cap(s.flows) {
+		s.flows = append(s.flows, f)
+		return
+	}
+	s.setFlow(p, n, f)
+	s.flows = s.flows[:n+1]
+}
+
+// setPresent marks file staged at site.
+func (s *ctlState) setPresent(p *des.Proc, site SiteID, file int32) {
+	if s.present[site][file] == 0 {
+		p.Save(undoSlot(csPresent, int(file)*2+int(site)), 0)
+		s.present[site][file] = 1
+	}
 }
 
 // twQueued is a task waiting for (or, in siteState.running, holding)
@@ -162,11 +237,16 @@ type twRecord struct {
 	val                      float64
 }
 
-// siteState is a site LP's rollback-able state.
+// siteState is a site LP's rollback-able state. Its handlers save
+// every slot they write (see undo.go); Undo puts it back. The queue,
+// downtime and log only grow by append, so saving their lengths (and
+// the queue head) is enough; the free stacks are popped and pushed,
+// so a push saves the element it overwrites.
 type siteState struct {
 	free     [][]int32  // per group: free slot ids, popped from the end
 	running  []twQueued // per slot: the attempt occupying it
-	queue    []twQueued
+	queue    []twQueued // queue[head:] wait for a slot, FIFO
+	head     int32
 	nextOrd  int32 // task ordinals key the injector's failure decisions
 	retries  int32
 	tasksRun int32
@@ -176,18 +256,102 @@ type siteState struct {
 	log      []twRecord
 }
 
-func (s *siteState) Clone() des.State {
-	c := *s
-	c.free = make([][]int32, len(s.free))
-	for g := range s.free {
-		c.free[g] = slices.Clone(s.free[g])
+// siteState's undo slot kinds, with what a slot's index names.
+const (
+	ssFree       = iota // position*groups + group in the free stacks
+	ssFreeLen           // group
+	ssRunning           // slot: task<<32 | ord
+	ssRunAttempt        // slot
+	ssQueueLen
+	ssHead
+	ssNextOrd
+	ssRetries
+	ssTasksRun
+	ssWastedJ
+	ssJoules // group
+	ssDowntimeLen
+	ssLogLen
+)
+
+func (s *siteState) Undo(slot int32, old uint64) {
+	kind, i := splitSlot(slot)
+	switch kind {
+	case ssFree:
+		g := i % len(s.free)
+		s.free[g][:cap(s.free[g])][i/len(s.free)] = int32(old)
+	case ssFreeLen:
+		s.free[i] = s.free[i][:old]
+	case ssRunning:
+		s.running[i].task, s.running[i].ord = int32(old>>32), int32(old)
+	case ssRunAttempt:
+		s.running[i].attempt = int32(old)
+	case ssQueueLen:
+		s.queue = s.queue[:old]
+	case ssHead:
+		s.head = int32(old)
+	case ssNextOrd:
+		s.nextOrd = int32(old)
+	case ssRetries:
+		s.retries = int32(old)
+	case ssTasksRun:
+		s.tasksRun = int32(old)
+	case ssWastedJ:
+		s.wastedJ = math.Float64frombits(old)
+	case ssJoules:
+		s.joules[i] = math.Float64frombits(old)
+	case ssDowntimeLen:
+		s.downtime = s.downtime[:old]
+	case ssLogLen:
+		s.log = s.log[:old]
 	}
-	c.running = slices.Clone(s.running)
-	c.queue = slices.Clone(s.queue)
-	c.joules = slices.Clone(s.joules)
-	c.downtime = slices.Clone(s.downtime)
-	c.log = slices.Clone(s.log)
-	return &c
+}
+
+// pushFree returns slot to group g's free stack.
+func (s *siteState) pushFree(p *des.Proc, g int, slot int32) {
+	f := s.free[g]
+	n := len(f)
+	saveI32(p, ssFreeLen, g, int32(n))
+	if n < cap(f) {
+		saveI32(p, ssFree, n*len(s.free)+g, f[:n+1][n])
+	}
+	s.free[g] = append(f, slot)
+}
+
+// popFree takes the top of group g's free stack.
+func (s *siteState) popFree(p *des.Proc, g int) int32 {
+	f := s.free[g]
+	n := len(f)
+	saveI32(p, ssFreeLen, g, int32(n))
+	s.free[g] = f[:n-1]
+	return f[n-1]
+}
+
+// setRunning records q as the attempt occupying slot.
+func (s *siteState) setRunning(p *des.Proc, slot int32, q twQueued) {
+	r := s.running[slot]
+	p.Save(undoSlot(ssRunning, int(slot)), uint64(uint32(r.task))<<32|uint64(uint32(r.ord)))
+	saveI32(p, ssRunAttempt, int(slot), r.attempt)
+	s.running[slot] = q
+}
+
+func (s *siteState) push(p *des.Proc, q twQueued) {
+	saveLen(p, ssQueueLen, len(s.queue))
+	s.queue = append(s.queue, q)
+}
+
+func (s *siteState) queued() bool { return int(s.head) < len(s.queue) }
+
+func (s *siteState) pop(p *des.Proc) twQueued {
+	saveI32(p, ssHead, 0, s.head)
+	s.head++
+	return s.queue[s.head-1]
+}
+
+// record appends a committed report to the log.
+func (s *siteState) record(p *des.Proc, r twRecord) {
+	r.key = p.Key()
+	saveLen(p, ssLogLen, len(s.log))
+	s.log = append(s.log, r)
 }
 
 // slotGroup is a run of identical slots within a site.
@@ -289,6 +453,10 @@ type warpModel struct {
 	placement []SiteID
 	fileBytes []float64
 
+	// waitAt[k] is where transfer key k's waiters start in
+	// ctlState.waiters: each task input can wait on its key once.
+	waitAt []int32
+
 	ctl des.LPID
 	inj *fault.Injector
 	tr  *obs.Tracer
@@ -346,6 +514,15 @@ func simulate(ctx context.Context, sc Scenario, place Placement, sites [2]*siteM
 			out.TasksLocal++
 		}
 	}
+	m.waitAt = make([]int32, 2*len(w.Files)+1)
+	for i := range w.Tasks {
+		for _, f := range m.inputs[i] {
+			m.waitAt[f*2+int32(m.placement[i])+1]++
+		}
+	}
+	for k := 1; k < len(m.waitAt); k++ {
+		m.waitAt[k] += m.waitAt[k-1]
+	}
 	m.fileBytes = make([]float64, len(w.Files))
 	for i, f := range w.Files {
 		if f.Bytes < 0 || math.IsNaN(f.Bytes) {
@@ -371,7 +548,8 @@ func simulate(ctx context.Context, sc Scenario, place Placement, sites [2]*siteM
 		pending:  make([]int32, len(w.Tasks)),
 		missing:  make([]int32, len(w.Tasks)),
 		finished: make([]byte, len(w.Tasks)),
-		inflight: map[int32][]int32{},
+		waiters:  make([]int32, m.waitAt[len(m.waitAt)-1]),
+		nwait:    make([]int32, 2*len(w.Files)),
 	}
 	cst.present[Local] = make([]byte, len(w.Files))
 	cst.present[Cloud] = make([]byte, len(w.Files))
@@ -518,19 +696,23 @@ func (m *warpModel) ctlHandler(p *des.Proc, at float64, pl des.Payload) {
 		if st.finished[pl.A] != 0 {
 			return
 		}
+		p.Save(undoSlot(csFinished, int(pl.A)), 0)
 		st.finished[pl.A] = 1
 		site := m.sites[pl.B]
 		for _, f := range m.outputs[pl.A] {
-			st.present[pl.B][f] = 1
+			st.setPresent(p, SiteID(pl.B), f)
 		}
+		saveI32(p, csDone, 0, st.done)
 		st.done++
 		if at > st.lastDone {
+			saveF64(p, csLastDone, 0, st.lastDone)
 			st.lastDone = at
 		}
 		if site.readyFirst {
 			p.Send(site.lp, 0, des.Payload{Kind: kRelease, A: pl.C})
 		}
 		for _, c := range m.children[pl.A] {
+			saveI32(p, csPending, int(c), st.pending[c])
 			st.pending[c]--
 			if st.pending[c] == 0 {
 				m.runTask(p, st, c)
@@ -542,7 +724,7 @@ func (m *warpModel) ctlHandler(p *des.Proc, at float64, pl des.Payload) {
 	case kJoin:
 		key := pl.A*2 + pl.B
 		m.advance(p, st)
-		st.flows = append(st.flows, twFlow{key: key, original: m.fileBytes[pl.A], remaining: m.fileBytes[pl.A]})
+		st.appendFlow(p, twFlow{key: key, remaining: m.fileBytes[pl.A]})
 		m.settle(p, st)
 	case kWake:
 		if pl.A != st.wakeEpoch {
@@ -573,14 +755,19 @@ func (m *warpModel) runTask(p *des.Proc, st *ctlState, task int32) {
 		}
 		missing++
 		key := f*2 + int32(site)
-		if waiters, ok := st.inflight[key]; ok {
-			st.inflight[key] = append(waiters, task)
-			continue
+		n := st.nwait[key]
+		i := m.waitAt[key] + n
+		saveI32(p, csWaiter, int(i), st.waiters[i])
+		st.waiters[i] = task
+		saveI32(p, csWaitLen, int(key), n)
+		st.nwait[key] = n + 1
+		if n > 0 {
+			continue // already in flight
 		}
-		st.inflight[key] = []int32{task}
 		// Each transfer pays the link latency before its flow joins.
 		p.Send(m.ctl, m.sc.LinkLatency, des.Payload{Kind: kJoin, A: f, B: int32(site)})
 	}
+	saveI32(p, csMissing, int(task), st.missing[task])
 	st.missing[task] = missing
 	if missing == 0 {
 		m.submit(p, task)
@@ -599,9 +786,11 @@ func (m *warpModel) advance(p *des.Proc, st *ctlState) {
 		rate := m.sc.LinkBandwidth / float64(n)
 		dt := now - st.lastTouch
 		for i := range st.flows {
+			saveF64(p, csFlowRem, i, st.flows[i].remaining)
 			st.flows[i].remaining -= rate * dt
 		}
 	}
+	saveF64(p, csLastTouch, 0, st.lastTouch)
 	st.lastTouch = now
 }
 
@@ -615,6 +804,7 @@ const twFinishEps = 1e-6
 // whose ETA is below the clock's resolution at large timestamps, and
 // a wake that cannot advance the clock would loop forever.
 func (m *warpModel) settle(p *des.Proc, st *ctlState) {
+	saveI32(p, csWakeEpoch, 0, st.wakeEpoch)
 	st.wakeEpoch++
 	var finished []twFlow
 	for {
@@ -624,18 +814,20 @@ func (m *warpModel) settle(p *des.Proc, st *ctlState) {
 		}
 		rate := m.sc.LinkBandwidth / float64(n)
 		thresh := math.Max(twFinishEps, rate*1e-6)
-		kept := st.flows[:0]
-		removed := false
-		for _, f := range st.flows {
+		kept := 0
+		for i, f := range st.flows {
 			if f.remaining <= thresh {
 				finished = append(finished, f)
-				removed = true
-			} else {
-				kept = append(kept, f)
+				continue
 			}
+			if kept != i {
+				st.setFlow(p, kept, f)
+			}
+			kept++
 		}
-		st.flows = kept
-		if removed {
+		if kept < n {
+			saveLen(p, csFlowLen, n)
+			st.flows = st.flows[:kept]
 			continue // survivors' rate rose; re-evaluate thresholds
 		}
 		minRemaining := math.Inf(1)
@@ -648,17 +840,21 @@ func (m *warpModel) settle(p *des.Proc, st *ctlState) {
 		break
 	}
 	for _, f := range finished {
-		st.bytes += f.original
+		file, site := f.key/2, SiteID(f.key%2)
+		saveF64(p, csBytes, 0, st.bytes)
+		st.bytes += m.fileBytes[file]
+		saveI32(p, csTransfers, 0, st.transfers)
 		st.transfers++
 		// The file is now present; wake the tasks waiting on it.
-		file, site := f.key/2, SiteID(f.key%2)
-		st.present[site][file] = 1
-		waiters := st.inflight[f.key]
-		delete(st.inflight, f.key)
+		st.setPresent(p, site, file)
+		waiters := st.waiters[m.waitAt[f.key]:][:st.nwait[f.key]]
+		saveI32(p, csWaitLen, int(f.key), st.nwait[f.key])
+		st.nwait[f.key] = 0
 		for _, t := range waiters {
 			if st.missing[t] == 0 {
 				continue // false duplicate finish (see kFinished guard)
 			}
+			saveI32(p, csMissing, int(t), st.missing[t])
 			st.missing[t]--
 			if st.missing[t] == 0 {
 				m.submit(p, t)
@@ -675,6 +871,7 @@ func (m *warpModel) siteHandler(site *siteModel, id SiteID) des.Handler {
 		switch pl.Kind {
 		case kSubmit:
 			q := twQueued{task: pl.A, ord: st.nextOrd}
+			saveI32(p, ssNextOrd, 0, st.nextOrd)
 			st.nextOrd++
 			m.enqueue(p, st, site, q)
 		case kDone:
@@ -682,7 +879,9 @@ func (m *warpModel) siteHandler(site *siteModel, id SiteID) des.Handler {
 			g := site.groupOf[pl.A]
 			gr := site.groups[g]
 			duration := m.gflop[r.task] / gr.speed
+			saveF64(p, ssJoules, int(g), st.joules[g])
 			st.joules[g] += (gr.busy - gr.idle) * duration
+			saveI32(p, ssTasksRun, 0, st.tasksRun)
 			st.tasksRun++
 			if !site.readyFirst {
 				m.release(p, st, site, pl.A)
@@ -693,20 +892,24 @@ func (m *warpModel) siteHandler(site *siteModel, id SiteID) des.Handler {
 			g := site.groupOf[pl.A]
 			gr := site.groups[g]
 			partial := pl.F * (m.gflop[r.task] / gr.speed)
+			saveF64(p, ssJoules, int(g), st.joules[g])
 			st.joules[g] += (gr.busy - gr.idle) * partial
+			saveF64(p, ssWastedJ, 0, st.wastedJ)
 			st.wastedJ += gr.busy * partial
 			repair := m.inj.RepairSec()
+			saveLen(p, ssDowntimeLen, len(st.downtime))
 			st.downtime = append(st.downtime, twDown{slot: pl.A, start: at, dur: repair})
 			m.trace(p, st, twRecord{kind: recRepair, slot: pl.A, val: repair})
 			p.Send(p.ID(), repair, des.Payload{Kind: kRepair, A: pl.A})
 
 			retry := m.inj.Retry()
 			if retry.MaxAttempts > 0 && int(r.attempt) >= retry.MaxAttempts {
-				st.log = append(st.log, twRecord{key: p.Key(), kind: recExhausted, ord: r.ord, attempt: r.attempt})
+				st.record(p, twRecord{kind: recExhausted, ord: r.ord, attempt: r.attempt})
 				return
 			}
+			saveI32(p, ssRetries, 0, st.retries)
 			st.retries++
-			st.log = append(st.log, twRecord{key: p.Key(), kind: recRetry, ord: r.ord, attempt: r.attempt})
+			st.record(p, twRecord{kind: recRetry, ord: r.ord, attempt: r.attempt})
 			p.Send(p.ID(), retry.Backoff(int(r.attempt)),
 				des.Payload{Kind: kRetry, A: r.task, B: r.ord, C: r.attempt})
 		case kRepair:
@@ -714,13 +917,10 @@ func (m *warpModel) siteHandler(site *siteModel, id SiteID) des.Handler {
 		case kRetry:
 			m.enqueue(p, st, site, twQueued{task: pl.A, ord: pl.B, attempt: pl.C})
 		case kRelease:
-			g := site.groupOf[pl.A]
-			st.free[g] = append(st.free[g], pl.A)
+			st.pushFree(p, int(site.groupOf[pl.A]), pl.A)
 		case kDrain:
-			for len(st.queue) > 0 && site.freeGroup(st) >= 0 {
-				next := st.queue[0]
-				st.queue = st.queue[1:]
-				m.start(p, st, site, next)
+			for st.queued() && site.freeGroup(st) >= 0 {
+				m.start(p, st, site, st.pop(p))
 			}
 		default:
 			panic(fmt.Sprintf("wfsched: site %q got unknown message kind %d", site.name, pl.Kind))
@@ -734,17 +934,14 @@ func (m *warpModel) enqueue(p *des.Proc, st *siteState, site *siteModel, q twQue
 		m.start(p, st, site, q)
 		return
 	}
-	st.queue = append(st.queue, q)
+	st.push(p, q)
 }
 
 // release returns a slot to its group and starts the queue head.
 func (m *warpModel) release(p *des.Proc, st *siteState, site *siteModel, slot int32) {
-	g := site.groupOf[slot]
-	st.free[g] = append(st.free[g], slot)
-	if len(st.queue) > 0 {
-		next := st.queue[0]
-		st.queue = st.queue[1:]
-		m.start(p, st, site, next)
+	st.pushFree(p, int(site.groupOf[slot]), slot)
+	if st.queued() {
+		m.start(p, st, site, st.pop(p))
 	}
 }
 
@@ -753,15 +950,13 @@ func (m *warpModel) release(p *des.Proc, st *siteState, site *siteModel, slot in
 // schedules a kill partway through it instead of a completion.
 func (m *warpModel) start(p *des.Proc, st *siteState, site *siteModel, q twQueued) {
 	g := site.freeGroup(st)
-	free := st.free[g]
-	slot := free[len(free)-1]
-	st.free[g] = free[:len(free)-1]
+	slot := st.popFree(p, g)
 	duration := m.gflop[q.task] / site.groups[g].speed
 	q.attempt++
-	st.running[slot] = q
+	st.setRunning(p, slot, q)
 	if frac, fails := m.inj.HostFailureDecision(site.name, int(q.ord), int(q.attempt)); fails {
 		partial := frac * duration
-		st.log = append(st.log, twRecord{key: p.Key(), kind: recHostFail, ord: q.ord, attempt: q.attempt, val: frac})
+		st.record(p, twRecord{kind: recHostFail, ord: q.ord, attempt: q.attempt, val: frac})
 		m.trace(p, st, twRecord{kind: recKilled, slot: slot, task: q.task, attempt: q.attempt, val: partial})
 		p.Send(p.ID(), partial, des.Payload{Kind: kKill, A: slot, F: frac})
 		return
@@ -773,7 +968,6 @@ func (m *warpModel) start(p *des.Proc, st *siteState, site *siteModel, q twQueue
 // trace records a span for replay when a tracer is attached.
 func (m *warpModel) trace(p *des.Proc, st *siteState, r twRecord) {
 	if m.tr != nil {
-		r.key = p.Key()
-		st.log = append(st.log, r)
+		st.record(p, r)
 	}
 }

@@ -171,3 +171,27 @@ func TestWarpMatchesRandomized(t *testing.T) {
 		assertWarpMatches(t, "randomized", sc, place)
 	}
 }
+
+// TestWarpMatchesSplit pins byte-equality on E23's split cluster: one
+// ready-first site whose slots come in two groups, so rollback
+// unwinds two free stacks and the release/drain protocol.
+func TestWarpMatchesSplit(t *testing.T) {
+	base := splitBase()
+	ps := platform.DefaultPStates()
+	for _, cfg := range []SplitConfig{
+		{A: ClusterConfig{8, 6}, B: ClusterConfig{8, 0}},
+		{A: ClusterConfig{3, 2}, B: ClusterConfig{5, 5}},
+		{A: ClusterConfig{16, 0}, B: ClusterConfig{1, 6}},
+	} {
+		base.DESWorkers = 0
+		want := SimulateSplitCluster(base, ps, cfg)
+		for _, workers := range warpWorkerSweep {
+			b := base
+			b.DESWorkers = workers
+			if got := SimulateSplitCluster(b, ps, cfg); got != want {
+				t.Errorf("%v workers=%d: Time Warp diverged from sequential\n got: %+v\nwant: %+v",
+					cfg, workers, got, want)
+			}
+		}
+	}
+}
