@@ -61,6 +61,25 @@ func TestWfsimGolden(t *testing.T) {
 	checkGolden(t, "wfsim.golden", sb.String())
 }
 
+// TestMapReduceGolden pins the mapreduce result bytes of the word
+// count, clean and under a task-failure plan whose retries are part of
+// the output.
+func TestMapReduceGolden(t *testing.T) {
+	specs := []string{
+		`{"docs":400,"mapTasks":12,"reduceTasks":3}`,
+		`{"docs":400,"mapTasks":12,"reduceTasks":3,"faults":"seed=5,taskfail=0.3,attempts=10"}`,
+	}
+	var sb strings.Builder
+	for _, params := range specs {
+		res, err := (&MapReduce{}).Run(context.Background(), spec("mapreduce", params), obs.NewProgress(nil))
+		if err != nil {
+			t.Fatalf("%s: %v", params, err)
+		}
+		sb.WriteString(params + "\n" + string(res.Output) + "\n")
+	}
+	checkGolden(t, "mapreduce.golden", sb.String())
+}
+
 // checkGolden compares got with testdata/name, rewriting the file
 // first under -update.
 func checkGolden(t *testing.T, name, got string) {
