@@ -154,7 +154,7 @@ func benchShuffle1M(b *testing.B, naive bool) {
 	splits := splitInputs(uniformCorpus1M(), cfg.MapTasks)
 	mapOut := make([][]run[string, int], len(splits))
 	for t, split := range splits {
-		out, _, _, err := job.runMapTask(context.Background(), t, split, cfg, nil)
+		out, _, err := job.runMapTask(t, 1, split, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func benchShuffle1M(b *testing.B, naive bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := job.reducePhase(context.Background(), mapOut, cfg, nil, nil); err != nil {
+		if _, err := job.reducePhase(context.Background(), mapOut, cfg, nil, nil, nil, &Stats{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -272,7 +272,7 @@ func TestMapTaskAllocsIndependentOfEmissions(t *testing.T) {
 			split[i] = i
 		}
 		return testing.AllocsPerRun(5, func() {
-			if _, _, _, err := job.runMapTask(context.Background(), 0, split, cfg, nil); err != nil {
+			if _, _, err := job.runMapTask(0, 1, split, cfg, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -346,9 +346,27 @@ func TestNaNKeyRejectedOnEveryMapPath(t *testing.T) {
 			_, err := job(cfg).serveTask(context.Background(), pnet.Msg{Type: mrMap, Payload: payload}, floatWire())
 			return err
 		},
-		// A worker dies on the NaN and, by the fleet's design, is
-		// respawned for as long as it keeps registering; with no worker
-		// ever joining, the coordinator serves the task inline.
+		// Workers report the NaN in a failure frame and keep serving;
+		// the respawning Spawn would re-run a worker that died on it.
+		"fleet": func() error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			tr, _ := pnet.New("chan")
+			fc := &pnet.FleetConfig{
+				Transport: tr, Listen: "mr-fleet-nan-workers", Workers: 2,
+				Lease: 200 * time.Millisecond, JoinTimeout: 5 * time.Second,
+				Backoff: pnet.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+				Spawn: func(rank int, addr string) error {
+					go job(cfg).FleetWorker(ctx, pnet.WorkerConfig{Transport: tr, Join: addr, Rank: rank,
+						Backoff: pnet.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond}}, floatWire())
+					return nil
+				},
+			}
+			_, _, err := job(cfg).RunFleet(ctx, records, fc, floatWire())
+			return err
+		},
+		// With no worker ever joining, the rest of the phase runs on
+		// the coordinator's goroutines.
 		"fleet-inline": func() error {
 			tr, _ := pnet.New("chan")
 			fc := &pnet.FleetConfig{

@@ -46,7 +46,7 @@ func runCommand(argv []string, input []string) ([]string, error) {
 // prints "key<TAB>value" lines; a line without a tab is a key with an
 // empty value. The command is invoked once per input line, which
 // keeps the adapter simple at the cost of process-launch overhead —
-// batching lives in ExecMapperBatched.
+// RunStreamingPipeline runs one process per map split instead.
 func ExecMapper(argv ...string) StreamMapper {
 	return func(line string, emit func(key, value string)) error {
 		out, err := runCommand(argv, []string{line})
@@ -84,51 +84,28 @@ func ExecReducer(argv ...string) StreamReducer {
 
 // RunStreamingPipeline executes a full streaming job whose mapper and
 // reducer are external commands, invoked once per map split / reduce
-// group batch rather than per record: the mapper command receives the
-// whole split on stdin (exactly how Hadoop Streaming launches one
-// process per task), so per-process overhead is amortized.
+// group rather than per record: the mapper command receives the whole
+// split on stdin (exactly how Hadoop Streaming launches one process
+// per task), so per-process overhead is amortized. It is an ordinary
+// job whose record is one split, so its mappers run up to
+// cfg.Parallelism at once under the shared dispatcher, with retries,
+// fault injection and cfg.Obs; MapInputs still counts lines.
 func RunStreamingPipeline(inputs []string, mapperArgv, reducerArgv []string, cfg Config[string]) ([]string, Stats, error) {
-	cfg = cfg.withDefaults()
-	splits := splitInputs(inputs, cfg.MapTasks)
-	var stats Stats
-	stats.MapTasks = len(splits)
-	stats.ReduceTasks = cfg.ReduceTasks
-
-	// Map phase: one subprocess per split.
-	mapOut := make([][]run[string, string], len(splits))
-	for t, split := range splits {
-		lines, err := runCommand(mapperArgv, split)
-		if err != nil {
-			return nil, stats, fmt.Errorf("mapreduce: map task %d: %w", t, err)
-		}
-		stats.MapInputs += len(split)
-		stats.MapOutputs += len(lines)
-		// Subprocess output arrives in print order; the collector groups
-		// it into sorted runs exactly as runMapTask does for Go mappers.
-		c := &collector[string, string]{part: cfg.Partitioner, parts: make([]partBuf[string, string], cfg.ReduceTasks)}
-		for _, l := range lines {
-			c.emit(ParseKV(l))
-		}
-		if c.err != nil {
-			return nil, stats, fmt.Errorf("mapreduce: map task %d: %w", t, c.err)
-		}
-		mapOut[t], _ = c.runs(nil) // only a combiner can fail
-	}
-
-	// Shuffle + reduce via the engine's shared phase, with the
-	// external reducer adapted per group.
-	job := &Job[string, string, string, string]{
-		Reduce: func(key string, values []string, emit func(string)) error {
-			return ExecReducer(reducerArgv...)(key, values, emit)
+	job := &Job[[]string, string, string, string]{
+		Map: func(split []string, emit func(string, string)) error {
+			lines, err := runCommand(mapperArgv, split)
+			for _, l := range lines {
+				emit(ParseKV(l))
+			}
+			return err
 		},
-		Counters: NewCounters(),
+		Reduce: Reducer[string, string, string](ExecReducer(reducerArgv...)),
+		Config: cfg,
 	}
-	out, redStats, err := job.reducePhase(context.Background(), mapOut, cfg, nil, nil)
-	if err != nil {
-		return nil, stats, err
+	var splits [][][]string
+	for _, split := range splitInputs(inputs, cfg.MapTasks) {
+		splits = append(splits, [][]string{split})
 	}
-	stats.CombineOutputs = redStats.CombineOutputs
-	stats.ReduceGroups = redStats.ReduceGroups
-	stats.Outputs = len(out)
-	return out, stats, nil
+	out, stats, err := job.execute(context.Background(), splits, len(inputs), SpecConfig{}, nil)
+	return out, stats.Stats, err
 }

@@ -202,7 +202,7 @@ func TestExternalShuffleLargerThanBudget(t *testing.T) {
 		mapOut := make([][]run[string, int], 32)
 		splits := splitInputs(corpus, 32)
 		for i, split := range splits {
-			out, _, _, err := probe.runMapTask(t.Context(), i, split, cfg.withDefaults(), nil)
+			out, _, err := probe.runMapTask(i, 1, split, cfg.withDefaults(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

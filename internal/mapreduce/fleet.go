@@ -1,16 +1,18 @@
 package mapreduce
 
-// fleet.go distributes a job over real process boundaries: map tasks
-// and reduce partitions are shipped to fleet workers over internal/net
-// instead of goroutines, with the shuffle's sorted runs serialized
-// across the wire. The coordinator is a plain task dispatcher — a task
-// is idempotent (deterministic map/reduce over deterministic input),
-// so a worker SIGKILLed mid-task is handled by re-dispatching the task
-// after the rejoin, and a rank that never comes back has its tasks
-// reassigned to the survivors. If every worker is lost the coordinator
-// inlines the remaining tasks itself: degraded, never wrong. Output
-// is byte-identical to Job.Run — the fleet changes where tasks
-// execute, not what they compute.
+// fleet.go distributes a job over real process boundaries: the shared
+// dispatcher (dispatch.go) runs map tasks and reduce partitions on the
+// fleet-rank executor, one frame per attempt to an idle worker over
+// internal/net, with the shuffle's sorted runs serialized across the
+// wire. Tasks are idempotent (deterministic map/reduce over
+// deterministic input), so a task whose worker was SIGKILLed is simply
+// dispatched again, to the rejoined rank or a survivor. A task error
+// is the task's, not the worker's: the worker answers mrFailed and
+// keeps serving, and the dispatcher retries the task like any failed
+// attempt. Once every rank is lost the rest of the phase runs on
+// goroutines: degraded, never wrong. Output is byte-identical to
+// Job.Run — the fleet changes where tasks execute, not what they
+// compute.
 
 import (
 	"cmp"
@@ -18,13 +20,15 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 
 	pnet "repro/internal/net"
 	"repro/internal/obs"
 )
 
 // MRProto names the fleet wire protocol version.
-const MRProto = "mapreduce/1"
+const MRProto = "mapreduce/2"
 
 // Fleet application frame types.
 const (
@@ -42,7 +46,19 @@ const (
 	mrReduceDone
 	// mrStop (coordinator -> worker): the job is over; exit cleanly.
 	mrStop
+	// mrFailed (worker -> coordinator): the task failed — its id and
+	// the error text.
+	mrFailed
 )
+
+// taskError is a task failure a fleet worker reported as text. Only
+// text crosses the wire, so it matches ErrNaNKey by the text it names.
+type taskError string
+
+func (e taskError) Error() string { return string(e) }
+func (e taskError) Is(target error) bool {
+	return target == ErrNaNKey && strings.Contains(string(e), ErrNaNKey.Error())
+}
 
 // Wire bundles the codec functions a fleet job needs to move records,
 // intermediate pairs, and outputs between processes. Append functions
@@ -100,9 +116,10 @@ var errPartitions = fmt.Errorf("%w: reduce partition count out of range", errMal
 const maxFleetPartitions = 1 << 16
 
 // FleetWorker joins the fleet at cfg.Join and executes map and reduce
-// tasks until the coordinator sends stop. The worker process must
-// construct the same Job (same Map/Combine/Reduce and Partitioner) the
-// coordinator runs — only data crosses the wire, never code.
+// tasks until the coordinator sends stop; a failed task is answered
+// with an mrFailed frame and the worker keeps serving. The worker
+// process must construct the same Job (same Map/Combine/Reduce and
+// Partitioner) the coordinator runs — only data crosses the wire.
 func (j *Job[I, K, V, O]) FleetWorker(ctx context.Context, cfg pnet.WorkerConfig, w *Wire[I, K, V, O]) error {
 	if err := w.check(); err != nil {
 		return err
@@ -113,7 +130,11 @@ func (j *Job[I, K, V, O]) FleetWorker(ctx context.Context, cfg pnet.WorkerConfig
 	return pnet.RunWorker(ctx, cfg, func(m pnet.Msg, send func(pnet.Msg) error) error {
 		reply, err := j.serveTask(ctx, m, w)
 		if err != nil {
-			return err
+			if errors.Is(err, pnet.ErrWorkerDone) || len(m.Payload) < 4 {
+				return err
+			}
+			// The task's failure, not the worker's: report it and serve on.
+			reply = pnet.Msg{Type: mrFailed, Payload: append(m.Payload[:4:4], err.Error()...)}
 		}
 		return send(reply)
 	})
@@ -146,7 +167,7 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 		}
 		cfg := j.Config.withDefaults()
 		cfg.ReduceTasks = nReduce
-		out, emitted, _, err := j.runMapTask(ctx, task, records, cfg, nil)
+		out, emitted, err := j.runMapTask(task, 1, records, cfg, nil)
 		if err != nil {
 			return pnet.Msg{}, err
 		}
@@ -174,19 +195,17 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 			}
 			runs[i] = &r
 		}
-		var outs []O
-		emit := func(o O) { outs = append(outs, o) }
-		pairs, groups, err := mergeRuns(runs, func(key K, values []V, gi int) error {
-			return j.Reduce(key, values, emit)
+		r, err := j.reducePartition(ctx, p, j.Config.withDefaults(), nil, func(group groupFunc[K, V]) (int, int, int, int, error) {
+			return memMerge(runs, group)
 		})
 		if err != nil {
 			return pnet.Msg{}, err
 		}
 		reply := binary.LittleEndian.AppendUint32(nil, uint32(p))
-		reply = binary.LittleEndian.AppendUint32(reply, uint32(pairs))
-		reply = binary.LittleEndian.AppendUint32(reply, uint32(groups))
-		reply = binary.LittleEndian.AppendUint32(reply, uint32(len(outs)))
-		for _, o := range outs {
+		reply = binary.LittleEndian.AppendUint32(reply, uint32(r.pairs))
+		reply = binary.LittleEndian.AppendUint32(reply, uint32(r.groups))
+		reply = binary.LittleEndian.AppendUint32(reply, uint32(len(r.out)))
+		for _, o := range r.out {
 			reply = w.AppendOut(reply, o)
 		}
 		return pnet.Msg{Type: mrReduceDone, Payload: reply}, nil
@@ -197,290 +216,155 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 	}
 }
 
-// fleetPhase dispatches tasks [0, n) across the fleet: every idle
-// worker gets a task, a dead worker's task goes back to the pending
-// pool (re-dispatched to whoever is free — the deterministic task
-// makes duplicate execution harmless, and completion is recorded only
-// once), and when every rank is lost the coordinator serves the rest of
-// the frames itself, through the worker's own code.
-// retries counts re-dispatches caused by deaths.
-func fleetPhase(ctx context.Context, co *pnet.Coordinator, workers int, n int,
-	mkMsg func(task int) pnet.Msg,
-	done func(task int, payload []byte) error,
-	serve func(pnet.Msg) (pnet.Msg, error),
-	doneType uint8, lost []bool, sink obs.Sink) (retries int, err error) {
+// fleetExec is the fleet-rank executor: it ships one frame per
+// attempt, at most one attempt per rank, and knows which ranks the
+// supervisor has given up on.
+type fleetExec struct {
+	co       *pnet.Coordinator
+	sink     obs.Sink
+	ranks    []attempt // the attempt in flight per rank, or idle
+	lost     []bool
+	msg      func(task int) pnet.Msg // the phase's task frame
+	doneType uint8                   // the phase's reply frame
+}
 
-	if n == 0 {
-		return 0, nil
-	}
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = n - 1 - i // pop order = task order
-	}
-	assigned := make([]int, workers) // rank -> task, -1 = idle
-	for i := range assigned {
-		assigned[i] = -1
-	}
-	completed := make([]bool, n)
-	remaining := n
+func (f *fleetExec) allLost() bool { return !slices.Contains(f.lost, false) }
 
-	allLost := func() bool {
-		for _, l := range lost {
-			if !l {
-				return false
-			}
+// send ships a to the first idle rank whose connection takes the
+// frame; a disconnected rank gets work again once it rejoins.
+func (f *fleetExec) send(a attempt) bool {
+	var m pnet.Msg
+	for r, cur := range f.ranks {
+		if f.lost[r] || cur.task >= 0 {
+			continue
 		}
-		return true
-	}
-	inlineRest := func() error {
-		for t := 0; t < n; t++ {
-			if completed[t] {
-				continue
-			}
-			reply, err := serve(mkMsg(t))
-			if err == nil {
-				err = done(t, reply.Payload[4:])
-			}
-			if err != nil {
-				return fmt.Errorf("mapreduce: inline task %d: %w", t, err)
-			}
-			completed[t] = true
-			remaining--
+		if m.Payload == nil {
+			m = f.msg(a.task)
 		}
-		return nil
-	}
-	assign := func(rank int) {
-		if lost[rank] || assigned[rank] >= 0 {
-			return
-		}
-		for len(pending) > 0 {
-			t := pending[len(pending)-1]
-			pending = pending[:len(pending)-1]
-			if completed[t] {
-				continue
-			}
-			if co.Send(rank, mkMsg(t)) == nil {
-				assigned[rank] = t
-			} else {
-				pending = append(pending, t)
-			}
-			return
+		if f.co.Send(r, m) == nil {
+			f.ranks[r] = a
+			return true
 		}
 	}
-	release := func(rank int) {
-		if t := assigned[rank]; t >= 0 {
-			assigned[rank] = -1
-			if !completed[t] {
-				pending = append(pending, t)
-				retries++
-			}
-		}
-	}
+	return false
+}
 
-	for r := 0; r < workers; r++ {
-		assign(r)
+// fleetRun puts a job's phases on the fleet-rank executor: it builds
+// each task's frame and decodes each reply with the job's wire. A nil
+// fleetRun leaves a phase on goroutines.
+type fleetRun[I any, K cmp.Ordered, V, O any] struct {
+	*fleetExec
+	w *Wire[I, K, V, O]
+}
+
+// maps puts the map phase over splits on the fleet.
+func (f *fleetRun[I, K, V, O]) maps(d *dispatcher[mapResult[K, V]], splits [][]I, nReduce int) {
+	if f == nil {
+		return
 	}
-	for remaining > 0 {
-		if allLost() {
-			sink.Log.Event(obs.LevelError, "mapreduce", "all fleet workers lost; finishing inline",
-				obs.Arg{Key: "remaining", Value: int64(remaining)})
-			return retries, inlineRest()
+	d.fleet, f.doneType = f.fleetExec, mrMapDone
+	f.msg = func(t int) pnet.Msg {
+		buf := binary.LittleEndian.AppendUint32(nil, uint32(t))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(nReduce))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(splits[t])))
+		for _, rec := range splits[t] {
+			buf = f.w.AppendIn(buf, rec)
 		}
-		select {
-		case <-ctx.Done():
-			return retries, ctx.Err()
-		case ev, ok := <-co.Events():
-			if !ok {
-				return retries, errors.New("mapreduce: fleet coordinator closed")
-			}
-			switch ev.Kind {
-			case pnet.PeerJoined:
-				// A rejoining rank lost its in-flight task with its
-				// process; hand it (or the next pending one) out again.
-				release(ev.Rank)
-				assign(ev.Rank)
-			case pnet.PeerDead:
-				release(ev.Rank)
-				sink.Log.Event(obs.LevelWarn, "mapreduce", "fleet worker died",
-					obs.Arg{Key: "rank", Value: int64(ev.Rank)})
-				// Reassign to an idle survivor right away rather than
-				// waiting for the respawn.
-				for r := 0; r < workers; r++ {
-					assign(r)
-				}
-			case pnet.PeerLost:
-				lost[ev.Rank] = true
-				release(ev.Rank)
-				for r := 0; r < workers; r++ {
-					assign(r)
-				}
-			case pnet.PeerMsg:
-				if ev.Msg.Type != doneType || len(ev.Msg.Payload) < 4 {
-					continue
-				}
-				t := int(binary.LittleEndian.Uint32(ev.Msg.Payload))
-				if t < 0 || t >= n {
-					return retries, fmt.Errorf("mapreduce: fleet done for unknown task %d", t)
-				}
-				if assigned[ev.Rank] == t {
-					assigned[ev.Rank] = -1
-				}
-				if completed[t] {
-					assign(ev.Rank) // duplicate after a re-dispatch race
-					continue
-				}
-				if err := done(t, ev.Msg.Payload[4:]); err != nil {
-					return retries, err
-				}
-				completed[t] = true
-				remaining--
-				assign(ev.Rank)
+		return pnet.Msg{Type: mrMap, Payload: buf}
+	}
+	d.decode = func(_ int, p []byte) (r mapResult[K, V], err error) {
+		if len(p) < 8 {
+			return r, errors.New("mapreduce: truncated map reply")
+		}
+		r.emitted = int(binary.LittleEndian.Uint32(p))
+		if n := int(binary.LittleEndian.Uint32(p[4:])); n != nReduce {
+			return r, fmt.Errorf("mapreduce: map reply has %d partitions, want %d", n, nReduce)
+		}
+		r.runs, p = make([]run[K, V], nReduce), p[8:]
+		for i := range r.runs {
+			if r.runs[i], p, err = readRun(p, f.w.ReadKey, f.w.ReadVal); err != nil {
+				return r, err
 			}
 		}
+		return r, nil
 	}
-	return retries, nil
+}
+
+// reduces puts the reduce phase over mapOut's partitions on the fleet.
+func (f *fleetRun[I, K, V, O]) reduces(d *dispatcher[partResult[O]], mapOut [][]run[K, V], nReduce int) {
+	if f == nil {
+		return
+	}
+	partRuns := make([][]*run[K, V], nReduce)
+	for p := range partRuns {
+		partRuns[p] = partitionRuns(mapOut, p)
+	}
+	d.fleet, f.doneType = f.fleetExec, mrReduceDone
+	f.msg = func(p int) pnet.Msg {
+		buf := binary.LittleEndian.AppendUint32(nil, uint32(p))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(partRuns[p])))
+		for _, r := range partRuns[p] {
+			buf = appendRun(buf, r, f.w.AppendKey, f.w.AppendVal)
+		}
+		return pnet.Msg{Type: mrReduce, Payload: buf}
+	}
+	d.decode = func(p int, payload []byte) (r partResult[O], err error) {
+		if len(payload) < 12 {
+			return r, errors.New("mapreduce: truncated reduce reply")
+		}
+		r.pairs = int(binary.LittleEndian.Uint32(payload))
+		r.groups = int(binary.LittleEndian.Uint32(payload[4:]))
+		r.runs = len(partRuns[p])
+		r.passes = min(r.runs, 1)
+		nOut, buf, err := readCount(payload[8:], 1)
+		if err != nil {
+			return r, err
+		}
+		r.out = make([]O, nOut)
+		for i := range r.out {
+			if r.out[i], buf, err = f.w.ReadOut(buf); err != nil {
+				return r, err
+			}
+		}
+		return r, nil
+	}
 }
 
 // RunFleet executes the job over a worker fleet and returns outputs in
 // the same deterministic order as Run: reduce partitions in index
-// order, keys ascending within each. Spill, External, ReferenceShuffle
-// and fault injection are single-process features and are rejected
-// here; fleet crashes are real worker deaths.
+// order, keys ascending within each. It is Run with the fleet-rank
+// executor under both phases. Spill, External, ReferenceShuffle and
+// fault injection are single-process features and are rejected here;
+// fleet crashes are real worker deaths.
 func (j *Job[I, K, V, O]) RunFleet(ctx context.Context, inputs []I, fc *pnet.FleetConfig, w *Wire[I, K, V, O]) ([]O, Stats, error) {
 	if err := w.check(); err != nil {
 		return nil, Stats{}, err
 	}
 	if j.Map == nil || j.Reduce == nil {
-		return nil, Stats{}, errors.New("mapreduce: job needs both Map and Reduce")
+		return nil, Stats{}, errNoPhases
 	}
 	if j.Config.Faults != nil || j.Spill != nil || j.Config.MaxShuffleBytes > 0 || j.Config.ReferenceShuffle ||
 		j.Config.ReduceTasks > maxFleetPartitions {
 		return nil, Stats{}, errors.New("mapreduce: fleet mode excludes Faults/Spill/External/ReferenceShuffle and over 65536 reduce tasks")
 	}
-	if j.Counters == nil {
-		j.Counters = NewCounters()
-	}
-	cfg := j.Config.withDefaults()
-	splits := splitInputs(inputs, cfg.MapTasks)
-	stats := Stats{MapTasks: len(splits), ReduceTasks: cfg.ReduceTasks}
-	for _, s := range splits {
-		stats.MapInputs += len(s)
-	}
-
 	conf := *fc
 	conf.Proto = MRProto
 	if conf.Workers <= 0 {
-		return nil, stats, errors.New("mapreduce: fleet needs FleetConfig.Workers >= 1")
+		return nil, Stats{}, errors.New("mapreduce: fleet needs FleetConfig.Workers >= 1")
 	}
 	if !conf.Obs.Enabled() {
-		conf.Obs = cfg.Obs
+		conf.Obs = j.Config.Obs
 	}
 	co, err := pnet.NewCoordinator(conf)
 	if err != nil {
-		return nil, stats, err
+		return nil, Stats{}, err
 	}
 	defer co.Close()
-	lost := make([]bool, conf.Workers)
-	serve := func(m pnet.Msg) (pnet.Msg, error) { return j.serveTask(ctx, m, w) }
-	pr := startProgress(cfg.Obs.Progress, len(splits), cfg.ReduceTasks)
-
-	// ---- Map phase over the fleet -----------------------------------
-	mapOut := make([][]run[K, V], len(splits))
-	mapDone := 0
-	mapRetries, err := fleetPhase(ctx, co, conf.Workers, len(splits),
-		func(t int) pnet.Msg {
-			buf := binary.LittleEndian.AppendUint32(nil, uint32(t))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(cfg.ReduceTasks))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(splits[t])))
-			for _, rec := range splits[t] {
-				buf = w.AppendIn(buf, rec)
-			}
-			return pnet.Msg{Type: mrMap, Payload: buf}
-		},
-		func(t int, payload []byte) error {
-			if len(payload) < 8 {
-				return errors.New("mapreduce: truncated map reply")
-			}
-			emitted := int(binary.LittleEndian.Uint32(payload))
-			nParts := int(binary.LittleEndian.Uint32(payload[4:]))
-			buf := payload[8:]
-			if nParts != cfg.ReduceTasks {
-				return fmt.Errorf("mapreduce: map reply has %d partitions, want %d", nParts, cfg.ReduceTasks)
-			}
-			out := make([]run[K, V], nParts)
-			var err error
-			for p := range out {
-				if out[p], buf, err = readRun(buf, w.ReadKey, w.ReadVal); err != nil {
-					return err
-				}
-			}
-			mapOut[t] = out
-			stats.MapOutputs += emitted
-			j.Counters.Add("map.outputs", int64(emitted))
-			mapDone++
-			pr.Update("mapreduce", obs.F("map_done", float64(mapDone)))
-			return nil
-		},
-		serve, mrMapDone, lost, cfg.Obs)
-	if err != nil {
-		return nil, stats, err
+	f := &fleetExec{co: co, sink: j.Config.Obs, ranks: make([]attempt, conf.Workers), lost: make([]bool, conf.Workers)}
+	out, stats, err := j.execute(ctx, splitInputs(inputs, j.Config.MapTasks), len(inputs), SpecConfig{},
+		&fleetRun[I, K, V, O]{f, w})
+	if err == nil {
+		co.Stop(pnet.Msg{Type: mrStop})
 	}
-
-	// ---- Reduce phase over the fleet --------------------------------
-	partRuns := make([][]*run[K, V], cfg.ReduceTasks)
-	for p := range partRuns {
-		partRuns[p] = partitionRuns(mapOut, p)
-		stats.ShuffleRuns += len(partRuns[p])
-		if len(partRuns[p]) > 0 {
-			stats.MergePasses++
-		}
-	}
-	partOut := make([][]O, cfg.ReduceTasks)
-	redDone := 0
-	redRetries, err := fleetPhase(ctx, co, conf.Workers, cfg.ReduceTasks,
-		func(p int) pnet.Msg {
-			buf := binary.LittleEndian.AppendUint32(nil, uint32(p))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(partRuns[p])))
-			for _, r := range partRuns[p] {
-				buf = appendRun(buf, r, w.AppendKey, w.AppendVal)
-			}
-			return pnet.Msg{Type: mrReduce, Payload: buf}
-		},
-		func(p int, payload []byte) error {
-			if len(payload) < 12 {
-				return errors.New("mapreduce: truncated reduce reply")
-			}
-			pairs := int(binary.LittleEndian.Uint32(payload))
-			groups := int(binary.LittleEndian.Uint32(payload[4:]))
-			nOut, buf, err := readCount(payload[8:], 1)
-			if err != nil {
-				return err
-			}
-			outs := make([]O, nOut)
-			for i := range outs {
-				if outs[i], buf, err = w.ReadOut(buf); err != nil {
-					return err
-				}
-			}
-			partOut[p] = outs
-			stats.CombineOutputs += pairs
-			stats.ReduceGroups += groups
-			redDone++
-			pr.Update("mapreduce", obs.F("reduce_done", float64(redDone)))
-			return nil
-		},
-		serve, mrReduceDone, lost, cfg.Obs)
-	if err != nil {
-		return nil, stats, err
-	}
-
-	co.Stop(pnet.Msg{Type: mrStop})
-	stats.TaskRetries = mapRetries + redRetries
-	var out []O
-	for _, po := range partOut {
-		out = append(out, po...)
-	}
-	stats.Outputs = len(out)
-	stats.publish(cfg.Obs.Metrics, false)
-	return out, stats, nil
+	return out, stats.Stats, err
 }

@@ -258,7 +258,7 @@ func mapFrame(task, nReduce int, split []string) []byte {
 func FuzzServeTask(f *testing.F) {
 	w := StringIntWire()
 	job := wordCountJob(Config[string]{})
-	runs, _, _, err := job.runMapTask(context.Background(), 0, corpus, Config[string]{ReduceTasks: 2}.withDefaults(), nil)
+	runs, _, err := job.runMapTask(0, 1, corpus, Config[string]{ReduceTasks: 2}.withDefaults(), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func FuzzServeTask(f *testing.F) {
 				records = append(records, rec)
 			}
 			cfg := Config[string]{ReduceTasks: nReduce}.withDefaults()
-			out, emitted, _, err := job.runMapTask(context.Background(), 0, records, cfg, nil)
+			out, emitted, err := job.runMapTask(0, 1, records, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -335,6 +335,70 @@ func TestServeTaskRejectsCraftedFrames(t *testing.T) {
 		_, err := wordCountJob(Config[string]{}).serveTask(context.Background(), pnet.Msg{Type: tc.typ, Payload: tc.p}, StringIntWire())
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestFleetPoisonTaskFailsJob: a map task that fails on every attempt
+// ends RunFleet with the mapper's error once MaxAttempts is spent. Its
+// worker answers each attempt with a failure frame and keeps serving,
+// so no respawn ever re-runs the task behind the dispatcher's back.
+func TestFleetPoisonTaskFailsJob(t *testing.T) {
+	cfg := Config[string]{MapTasks: 4, ReduceTasks: 2, MaxAttempts: 3}
+	poisoned := func() *Job[string, string, int, KV[string, int]] {
+		job := wordCountJob(cfg)
+		mapper := job.Map
+		job.Map = func(line string, emit func(string, int)) error {
+			if strings.Contains(line, "poison") {
+				return errors.New("poison record")
+			}
+			return mapper(line, emit)
+		}
+		return job
+	}
+	var attempts atomic.Int64
+	tr, _ := pnet.New("chan")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	fc := &pnet.FleetConfig{
+		Transport: tr, Listen: "mr-fleet-poison", Workers: 2,
+		Lease: 300 * time.Millisecond, JoinTimeout: 5 * time.Second,
+		Spawn: func(rank int, addr string) error {
+			job := poisoned()
+			mapper := job.Map
+			job.Map = func(line string, emit func(string, int)) error {
+				if strings.Contains(line, "poison") {
+					attempts.Add(1)
+				}
+				return mapper(line, emit)
+			}
+			go job.FleetWorker(ctx, pnet.WorkerConfig{Transport: tr, Join: addr, Rank: rank,
+				Backoff: pnet.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond}}, StringIntWire())
+			return nil
+		},
+	}
+	lines := append(fleetCorpus(40), "poison pill")
+	_, _, err := poisoned().RunFleet(ctx, lines, fc, StringIntWire())
+	if err == nil || !strings.Contains(err.Error(), "poison record") || !strings.Contains(err.Error(), "map task 3") {
+		t.Fatalf("err = %v, want map task 3's poison record error", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("RunFleet outlived its 20 s deadline")
+	}
+	if n := attempts.Load(); n != 3 {
+		t.Fatalf("poison task ran %d times on the workers, want MaxAttempts = 3", n)
+	}
+}
+
+// TestFleetCleanRunNoRedispatch: with no worker dying, no task is
+// dispatched twice — a worker's first join is not a rejoin.
+func TestFleetCleanRunNoRedispatch(t *testing.T) {
+	cfg := Config[string]{MapTasks: 8, ReduceTasks: 3}
+	for i := 0; i < 5; i++ {
+		tr, _ := pnet.New("chan")
+		_, stats := runFleetWordCount(t, cfg, fleetCorpus(200), fleetWorkers(tr, cfg, 3))
+		if stats.TaskRetries != 0 {
+			t.Fatalf("run %d: clean fleet run re-dispatched %d tasks", i, stats.TaskRetries)
 		}
 	}
 }

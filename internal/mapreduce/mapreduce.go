@@ -3,7 +3,10 @@
 // teaches: a map phase over input splits, a group-by-keys shuffle, and
 // a reduce phase — plus the pieces a real runtime has and the course
 // discusses: hash partitioning, combiners, counters, configurable map
-// and reduce parallelism, and bounded task retry.
+// and reduce parallelism, and bounded task retry. Every way of running
+// a job — Run, RunSpeculative, RunStreamingPipeline and RunFleet —
+// hands its tasks to one dispatcher (dispatch.go) and differs only in
+// where attempts execute: goroutines here or fleet worker processes.
 //
 // The shuffle pairs Spark's map-side grouping with Hadoop's reduce-side
 // merge: each map task groups its pairs by key as they are emitted
@@ -32,7 +35,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -301,23 +303,38 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Stats, error) {
 // attempts finish — map and reduce functions are not interrupted
 // mid-record).
 func (j *Job[I, K, V, O]) RunContext(ctx context.Context, inputs []I) ([]O, Stats, error) {
+	out, stats, err := j.execute(ctx, splitInputs(inputs, j.Config.MapTasks), len(inputs), SpecConfig{}, nil)
+	return out, stats.Stats, err
+}
+
+// mapResult is a map task's runs, raw emission count, and resume flag.
+type mapResult[K cmp.Ordered, V any] struct {
+	runs    []run[K, V]
+	emitted int
+	resumed bool
+}
+
+var errNoPhases = errors.New("mapreduce: job needs both Map and Reduce")
+
+// execute is every run: the map phase over splits on the shared
+// dispatcher (with speculative backups when spec asks for them), then
+// the shuffle and reduce; a non-nil fleet runs both phases' tasks on
+// its workers. records is what MapInputs reports.
+func (j *Job[I, K, V, O]) execute(ctx context.Context, splits [][]I, records int, spec SpecConfig, fleet *fleetRun[I, K, V, O]) ([]O, SpecStats, error) {
 	cfg := j.Config.withDefaults()
 	if j.Map == nil || j.Reduce == nil {
-		return nil, Stats{}, errors.New("mapreduce: job needs both Map and Reduce")
+		return nil, SpecStats{}, errNoPhases
 	}
 	if j.Counters == nil {
 		j.Counters = NewCounters()
 	}
 	inj := fault.NewInjector(cfg.Faults, cfg.Obs)
+	stats := SpecStats{Stats: Stats{MapTasks: len(splits), ReduceTasks: cfg.ReduceTasks}}
 	if j.Spill != nil {
 		if err := j.Spill.prepare(); err != nil {
-			return nil, Stats{}, err
+			return nil, stats, err
 		}
 	}
-
-	splits := splitInputs(inputs, cfg.MapTasks)
-	stats := Stats{MapTasks: len(splits), ReduceTasks: cfg.ReduceTasks}
-
 	var ext *extShuffle[K, V]
 	if cfg.MaxShuffleBytes > 0 {
 		if j.External == nil {
@@ -326,99 +343,50 @@ func (j *Job[I, K, V, O]) RunContext(ctx context.Context, inputs []I) ([]O, Stat
 		if cfg.ReferenceShuffle {
 			return nil, stats, errors.New("mapreduce: ReferenceShuffle cannot run out-of-core; unset Config.MaxShuffleBytes")
 		}
-		var eerr error
-		ext, eerr = newExtShuffle(j.External, cfg.MaxShuffleBytes, cfg.MergeFanIn, len(splits), cfg.ReduceTasks)
-		if eerr != nil {
-			return nil, stats, eerr
+		var err error
+		if ext, err = newExtShuffle(j.External, cfg.MaxShuffleBytes, cfg.MergeFanIn, len(splits), cfg.ReduceTasks); err != nil {
+			return nil, stats, err
 		}
 		defer ext.cleanup()
 	}
 
-	// ---- Map phase -------------------------------------------------
 	// mapOut[task][partition] holds the sorted run task t routed to
 	// partition p, kept per-task so the shuffle merge can break key
 	// ties by task index for deterministic value ordering.
 	mapOut := make([][]run[K, V], len(splits))
-	var (
-		retries int64
-		statsMu sync.Mutex
-		mapDone atomic.Int64
-	)
-	tr := cfg.Obs.Tracer
 	pr := startProgress(cfg.Obs.Progress, len(splits), cfg.ReduceTasks)
-	err := runTasks(ctx, len(splits), cfg.Parallelism, func(t int) error {
-		split := splits[t]
-		mapTS := tr.Now()
-		var out []run[K, V]
-		emitted, attempts, resumed := 0, 1, false
-		if j.Spill != nil {
-			out, emitted, resumed = j.Spill.load(t, cfg.ReduceTasks)
-		}
-		if !resumed {
-			var err error
-			out, emitted, attempts, err = j.runMapTask(ctx, t, split, cfg, inj)
-			if tr != nil {
-				tr.Span(tr.Track("mapreduce-map", t, fmt.Sprintf("map task %d", t)),
-					"map", mapTS, tr.Now()-mapTS,
-					obs.Arg{Key: "records", Value: int64(len(split))},
-					obs.Arg{Key: "emitted", Value: int64(emitted)})
-			}
-			if err != nil {
-				return fmt.Errorf("mapreduce: map task %d: %w", t, err)
-			}
-			if j.Spill != nil {
-				if err := j.Spill.save(t, out, emitted); err != nil {
-					return fmt.Errorf("mapreduce: map task %d spill: %w", t, err)
-				}
-				if m := cfg.Obs.Metrics; m != nil {
-					m.Counter("ckpt.spill_saves").Inc()
-				}
-			}
-		}
-		mapOut[t] = out
+	mapDone := 0
+	d := newDispatcher(ctx, "map", len(splits), cfg, func(a attempt) (mapResult[K, V], error) {
+		return j.mapAttempt(a, splits[a.task], cfg, inj, spec)
+	}, func(a attempt, r mapResult[K, V]) error {
+		mapOut[a.task] = r.runs
 		if ext != nil {
-			if err := ext.admit(t, mapOut[t]); err != nil {
+			if err := ext.admit(a.task, r.runs); err != nil {
 				return err
 			}
 		}
-		statsMu.Lock()
-		retries += int64(attempts - 1)
-		stats.MapOutputs += emitted
-		if resumed {
+		stats.MapOutputs += r.emitted
+		if r.resumed {
 			stats.MapTasksResumed++
 		}
-		statsMu.Unlock()
-		j.Counters.Add("map.outputs", int64(emitted))
-		if resumed {
-			if m := cfg.Obs.Metrics; m != nil {
-				m.Counter("ckpt.spill_resumed").Inc()
-			}
-			if tr != nil {
-				tr.Span(tr.Track("mapreduce-map", t, fmt.Sprintf("map task %d", t)),
-					"map(resumed)", mapTS, tr.Now()-mapTS,
-					obs.Arg{Key: "emitted", Value: int64(emitted)})
-			}
-		}
-		pr.Update("mapreduce", obs.F("map_done", float64(mapDone.Add(1))))
+		j.Counters.Add("map.outputs", int64(r.emitted))
+		mapDone++
+		pr.Update("mapreduce", obs.F("map_done", float64(mapDone)))
 		return nil
 	})
+	d.speculate = spec.SpeculationAfter
+	fleet.maps(d, splits, cfg.ReduceTasks)
+	var err error
+	stats.TaskRetries, err = d.dispatch()
+	stats.BackupsLaunched, stats.BackupsWon, stats.MapInputs = d.backups, d.wins, records
 	if err != nil {
 		return nil, stats, err
 	}
-	for _, split := range splits {
-		stats.MapInputs += len(split)
-	}
-
-	out, redStats, err := j.reducePhase(ctx, mapOut, cfg, inj, ext)
+	out, err := j.reducePhase(ctx, mapOut, cfg, inj, ext, fleet, &stats.Stats)
 	if err != nil {
 		return nil, stats, err
 	}
-	stats.CombineOutputs = redStats.CombineOutputs
-	stats.ReduceGroups = redStats.ReduceGroups
 	stats.Outputs = len(out)
-	stats.TaskRetries = int(retries) + redStats.TaskRetries
-	stats.ShuffleRuns = redStats.ShuffleRuns
-	stats.MergePasses = redStats.MergePasses
 	if ext != nil {
 		stats.SpilledRuns = int(ext.spilledRuns.Load())
 		stats.SpilledBytes = ext.spilledBytes.Load()
@@ -427,178 +395,187 @@ func (j *Job[I, K, V, O]) RunContext(ctx context.Context, inputs []I) ([]O, Stat
 	return out, stats, nil
 }
 
-// reducePhase runs the shuffle and reduce over already-partitioned,
-// per-task-sorted map output. Partitions are processed concurrently
-// under cfg.Parallelism; within a partition the k-way merge of the
-// task runs streams each key's values (in map-task order) directly
-// into the reducer — shuffle and reduce are one fused pass with no
-// group materialization. The returned Stats carries only the fields
-// this phase owns: CombineOutputs, ReduceGroups, TaskRetries,
-// ShuffleRuns, MergePasses. A non-nil ext routes partitions with
-// spilled runs through the multi-pass external merge; output and
-// group ordinals are identical to the in-memory path.
-func (j *Job[I, K, V, O]) reducePhase(ctx context.Context, mapOut [][]run[K, V], cfg Config[K], inj *fault.Injector, ext *extShuffle[K, V]) ([]O, Stats, error) {
-	if cfg.ReferenceShuffle {
-		return j.naiveReducePhase(ctx, mapOut, cfg, inj)
+// mapAttempt runs one attempt of map task a.task over split: from the
+// task's spill file when a valid one exists, else through the mapper,
+// persisting the runs when the job spills.
+func (j *Job[I, K, V, O]) mapAttempt(a attempt, split []I, cfg Config[K], inj *fault.Injector, spec SpecConfig) (r mapResult[K, V], err error) {
+	if spec.InjectDelay != nil {
+		time.Sleep(spec.InjectDelay(a.task, a.copy))
 	}
-	var (
-		stats   Stats
-		statsMu sync.Mutex
-		redDone atomic.Int64
-	)
+	tr, m := cfg.Obs.Tracer, cfg.Obs.Metrics
+	ts := tr.Now()
+	span := func(name string, args ...obs.Arg) {
+		if tr != nil {
+			tr.Span(tr.Track("mapreduce-map", a.task, fmt.Sprintf("map task %d", a.task)), name, ts, tr.Now()-ts, args...)
+		}
+	}
+	if j.Spill != nil {
+		if r.runs, r.emitted, r.resumed = j.Spill.load(a.task, cfg.ReduceTasks); r.resumed {
+			m.Counter("ckpt.spill_resumed").Inc() // nil-safe
+			span("map(resumed)", obs.Arg{Key: "emitted", Value: int64(r.emitted)})
+			return r, nil
+		}
+	}
+	r.runs, r.emitted, err = j.runMapTask(a.task, a.n, split, cfg, inj)
+	span("map", obs.Arg{Key: "records", Value: int64(len(split))}, obs.Arg{Key: "emitted", Value: int64(r.emitted)})
+	if err != nil || j.Spill == nil {
+		return r, err
+	}
+	if err = j.Spill.save(a.task, r.runs, r.emitted); err != nil {
+		return r, fmt.Errorf("spill: %w", err)
+	}
+	m.Counter("ckpt.spill_saves").Inc()
+	return r, nil
+}
+
+// partResult is one reduce partition's output and shuffle shape.
+type partResult[O any] struct {
+	out                                  []O
+	pairs, groups, runs, passes, retries int
+}
+
+// reducePhase runs the shuffle and reduce over already-partitioned,
+// per-task-sorted map output, one dispatched task per partition;
+// within a partition the k-way merge of the task runs streams each
+// key's values (in map-task order) directly into the reducer — shuffle
+// and reduce are one fused pass with no group materialization. It adds
+// to the stats this phase owns: CombineOutputs, ReduceGroups,
+// TaskRetries, ShuffleRuns, MergePasses. A non-nil ext routes
+// partitions with spilled runs through the multi-pass external merge;
+// output and group ordinals are identical to the in-memory path.
+func (j *Job[I, K, V, O]) reducePhase(ctx context.Context, mapOut [][]run[K, V], cfg Config[K], inj *fault.Injector,
+	ext *extShuffle[K, V], fleet *fleetRun[I, K, V, O], stats *Stats) ([]O, error) {
+	if cfg.ReferenceShuffle {
+		return j.naiveReducePhase(ctx, mapOut, cfg, inj, stats)
+	}
 	tr := cfg.Obs.Tracer
-	pr := cfg.Obs.Progress
-	hGroup := cfg.Obs.Metrics.Histogram("mapreduce.group_size", nil) // nil-safe
-	partOut := make([][]O, cfg.ReduceTasks)
-	err := runTasks(ctx, cfg.ReduceTasks, cfg.Parallelism, func(p int) error {
-		shufTS := tr.Now()
-		var (
-			out     []O
-			retries int
-		)
-		emit := func(o O) { out = append(out, o) }
-		group := func(key K, values []V, gi int) error {
-			hGroup.Observe(float64(len(values)))
-			attempts, rerr := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
-				retrySeed(cfg), fmt.Sprintf("reduce:%d:%d", p, gi), func(attempt int) error {
-					if inj.TaskFails("reduce", attempt, p, gi) {
-						return fault.ErrInjected
-					}
-					checkpoint := len(out)
-					if err := j.Reduce(key, values, emit); err != nil {
-						out = out[:checkpoint] // discard partial emissions
-						return err
-					}
-					return nil
-				})
-			retries += attempts - 1
-			if rerr != nil {
-				return fmt.Errorf("mapreduce: reduce partition %d key %v: %w", p, key, rerr)
+	return j.reduceTasks(ctx, cfg, mapOut, fleet, stats, func(p int) (partResult[O], error) {
+		ts := tr.Now()
+		r, err := j.reducePartition(ctx, p, cfg, inj, func(group groupFunc[K, V]) (int, int, int, int, error) {
+			if ext != nil && ext.hasDisk(p) {
+				return ext.mergePartition(p, mapOut, group)
 			}
-			return nil
-		}
-		var pairs, groups, nRuns, passes int
-		var err error
-		if ext != nil && ext.hasDisk(p) {
-			pairs, groups, nRuns, passes, err = ext.mergePartition(p, mapOut, group)
-		} else {
-			runs := partitionRuns(mapOut, p)
-			nRuns = len(runs)
-			if nRuns > 0 {
-				passes = 1
-			}
-			pairs, groups, err = mergeRuns(runs, group)
-		}
+			return memMerge(partitionRuns(mapOut, p), group)
+		})
 		if tr != nil {
 			now := tr.Now()
 			// Shuffle and reduce are fused, so the per-partition spans
 			// cover the same interval on their two tracks; the shuffle
 			// span carries the merge shape.
 			tr.Span(tr.Track("mapreduce-shuffle", p, fmt.Sprintf("shuffle %d", p)),
-				"shuffle", shufTS, now-shufTS,
-				obs.Arg{Key: "runs", Value: int64(nRuns)},
-				obs.Arg{Key: "pairs", Value: int64(pairs)},
-				obs.Arg{Key: "groups", Value: int64(groups)})
+				"shuffle", ts, now-ts,
+				obs.Arg{Key: "runs", Value: int64(r.runs)},
+				obs.Arg{Key: "pairs", Value: int64(r.pairs)},
+				obs.Arg{Key: "groups", Value: int64(r.groups)})
 			tr.Span(tr.Track("mapreduce-reduce", p, fmt.Sprintf("reduce %d", p)),
-				"reduce", shufTS, now-shufTS,
-				obs.Arg{Key: "groups", Value: int64(groups)})
+				"reduce", ts, now-ts,
+				obs.Arg{Key: "groups", Value: int64(r.groups)})
 		}
-		statsMu.Lock()
-		stats.CombineOutputs += pairs
-		stats.ReduceGroups += groups
-		stats.TaskRetries += retries
-		stats.ShuffleRuns += nRuns
-		stats.MergePasses += passes
-		statsMu.Unlock()
-		if err != nil {
-			return err
+		return r, err
+	})
+}
+
+// memMerge is the in-memory shuffle of one partition: a single
+// k-way merge pass over its runs.
+func memMerge[K cmp.Ordered, V any](runs []*run[K, V], group groupFunc[K, V]) (pairs, groups, nRuns, passes int, err error) {
+	pairs, groups, err = mergeRuns(runs, group)
+	return pairs, groups, len(runs), min(len(runs), 1), err
+}
+
+// groupFunc receives one key's values and the group's ordinal within
+// its partition.
+type groupFunc[K cmp.Ordered, V any] func(key K, values []V, gi int) error
+
+// reducePartition is the body of one reduce task wherever it runs —
+// in process, on a fleet worker, or behind the reference shuffle:
+// merge streams partition p's groups into the reducer, each group
+// retried under cfg's budget with fault injection keyed by (partition,
+// group ordinal), and a failed attempt's partial emissions discarded.
+func (j *Job[I, K, V, O]) reducePartition(ctx context.Context, p int, cfg Config[K], inj *fault.Injector,
+	merge func(groupFunc[K, V]) (pairs, groups, runs, passes int, err error)) (partResult[O], error) {
+	var r partResult[O]
+	hGroup := cfg.Obs.Metrics.Histogram("mapreduce.group_size", nil) // nil-safe
+	emit := func(o O) { r.out = append(r.out, o) }
+	var err error
+	r.pairs, r.groups, r.runs, r.passes, err = merge(func(key K, values []V, gi int) error {
+		hGroup.Observe(float64(len(values)))
+		attempts, rerr := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff, retrySeed(cfg),
+			func() string { return fmt.Sprintf("reduce:%d:%d", p, gi) }, func(attempt int) error {
+				// Guarded: the variadic key escapes, so an unguarded call
+				// allocates per group even with injection off.
+				if inj != nil && inj.TaskFails("reduce", attempt, p, gi) {
+					return fault.ErrInjected
+				}
+				checkpoint := len(r.out)
+				if err := j.Reduce(key, values, emit); err != nil {
+					r.out = r.out[:checkpoint] // discard partial emissions
+					return err
+				}
+				return nil
+			})
+		r.retries += attempts - 1
+		if rerr != nil {
+			return fmt.Errorf("mapreduce: reduce partition %d key %v: %w", p, key, rerr)
 		}
-		partOut[p] = out
-		pr.Update("mapreduce", obs.F("reduce_done", float64(redDone.Add(1))))
 		return nil
 	})
-	if err != nil {
-		return nil, stats, err
-	}
+	return r, err
+}
 
+// reduceTasks dispatches one reduce task per partition (on the fleet
+// when one is given) and gathers their outputs in partition order and
+// their shapes into stats.
+func (j *Job[I, K, V, O]) reduceTasks(ctx context.Context, cfg Config[K], mapOut [][]run[K, V], fleet *fleetRun[I, K, V, O],
+	stats *Stats, task func(p int) (partResult[O], error)) ([]O, error) {
+	partOut := make([][]O, cfg.ReduceTasks)
+	done := 0
+	d := newDispatcher(ctx, "reduce", cfg.ReduceTasks, cfg, func(a attempt) (partResult[O], error) {
+		return task(a.task)
+	}, func(a attempt, r partResult[O]) error {
+		partOut[a.task] = r.out
+		stats.CombineOutputs += r.pairs
+		stats.ReduceGroups += r.groups
+		stats.TaskRetries += r.retries
+		stats.ShuffleRuns += r.runs
+		stats.MergePasses += r.passes
+		done++
+		cfg.Obs.Progress.Update("mapreduce", obs.F("reduce_done", float64(done)))
+		return nil
+	})
+	fleet.reduces(d, mapOut, cfg.ReduceTasks)
+	retries, err := d.dispatch()
+	stats.TaskRetries += retries
 	var out []O
 	for _, po := range partOut {
 		out = append(out, po...)
 	}
-	return out, stats, nil
+	return out, err
 }
 
-// runTasks executes fn(task) for task in [0, n), at most parallelism
-// at a time, skipping tasks queued after ctx is cancelled (ctx.Err()
-// becomes the result). The first error wins; later tasks still run —
-// the map/reduce retry semantics are per task, not per phase. It is
-// the shared skeleton of the map phase, the shuffle-reduce phase, and
-// the naive reference reduce loop.
-func runTasks(ctx context.Context, n, parallelism int, fn func(task int) error) error {
-	var (
-		wg      sync.WaitGroup
-		sem     = make(chan struct{}, parallelism)
-		errMu   sync.Mutex
-		firstEr error
-	)
-	record := func(err error) {
-		errMu.Lock()
-		if firstEr == nil {
-			firstEr = err
+// runMapTask executes one attempt of map task t: a fresh collector
+// groups the split's emissions by key as the mapper emits them, then
+// builds each partition's sorted, span-compressed run (with map-side
+// combining applied per key, so combiner jobs shrink data before the
+// shuffle ever sees it). This happens at map-task granularity, inside
+// the already-parallel map phase — the shuffle then only merges.
+// Injected failures are keyed by (map, attempt, task). It returns the
+// per-partition runs and the raw emission count.
+func (j *Job[I, K, V, O]) runMapTask(t, attempt int, split []I, cfg Config[K], inj *fault.Injector) ([]run[K, V], int, error) {
+	if inj.TaskFails("map", attempt, t) {
+		return nil, 0, fault.ErrInjected
+	}
+	c := &collector[K, V]{part: cfg.Partitioner, parts: make([]partBuf[K, V], cfg.ReduceTasks)}
+	emit := c.emit // one method value for the whole split
+	for _, rec := range split {
+		if err := j.Map(rec, emit); err != nil {
+			return nil, c.emitted, err
 		}
-		errMu.Unlock()
 	}
-	for t := 0; t < n; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				record(err)
-				return
-			}
-			if err := fn(t); err != nil {
-				record(err)
-			}
-		}(t)
+	if c.err != nil {
+		return nil, c.emitted, c.err
 	}
-	wg.Wait()
-	return firstEr
-}
-
-// runMapTask executes one map task (with retry): a fresh collector per
-// attempt groups the split's emissions by key as the mapper emits
-// them, then builds each partition's sorted, span-compressed run (with
-// map-side combining applied per key, so combiner jobs shrink data
-// before the shuffle ever sees it). This happens at map-task
-// granularity, inside the already-parallel map phase — the shuffle
-// then only merges. It returns the per-partition runs, the raw
-// emission count, the number of attempts, and the final error.
-func (j *Job[I, K, V, O]) runMapTask(ctx context.Context, t int, split []I, cfg Config[K], inj *fault.Injector) ([]run[K, V], int, int, error) {
-	var parts []run[K, V]
-	emitted := 0
-	attempts, err := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
-		retrySeed(cfg), fmt.Sprintf("map:%d", t), func(attempt int) error {
-			if inj.TaskFails("map", attempt, t) {
-				return fault.ErrInjected
-			}
-			c := &collector[K, V]{part: cfg.Partitioner, parts: make([]partBuf[K, V], cfg.ReduceTasks)}
-			emit := c.emit
-			for _, rec := range split {
-				if err := j.Map(rec, emit); err != nil {
-					return err
-				}
-			}
-			emitted = c.emitted
-			if c.err != nil {
-				return c.err
-			}
-			var err error
-			parts, err = c.runs(j.Combine)
-			return err
-		})
-	return parts, emitted, attempts, err
+	parts, err := c.runs(j.Combine)
+	return parts, c.emitted, err
 }
 
 // retrySeed picks the jitter seed for a config: the fault plan's seed
@@ -611,27 +588,28 @@ func retrySeed[K cmp.Ordered](cfg Config[K]) int64 {
 	return 0
 }
 
-// retryTask runs fn up to maxAttempts times (fn receives the 1-based
-// attempt number), returning the number of attempts made and the last
-// error (nil on success). Between attempts it sleeps a jittered
-// exponential backoff keyed by the task identity (see backoffDelay;
-// zero backoff disables the sleep) — and the sleep is context-aware:
-// ctx cancellation aborts the wait immediately and surfaces ctx.Err()
-// instead of burning the remaining attempts.
-func retryTask(ctx context.Context, maxAttempts int, backoff time.Duration, seed int64, key string, fn func(attempt int) error) (int, error) {
-	var err error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		if err = fn(attempt); err == nil {
-			return attempt, nil
+// retryTask runs fn (given the 1-based attempt number) until it
+// succeeds or maxAttempts are spent, returning the attempts made and
+// the last error. Between attempts it waits backoffDelay keyed by
+// key(), built only once a retry is due; a cancelled ctx ends the
+// wait, or prevents the next attempt, with ctx.Err(). It retries one
+// reduce group inside its reduce task.
+func retryTask(ctx context.Context, maxAttempts int, backoff time.Duration, seed int64, key func() string, fn func(attempt int) error) (int, error) {
+	for attempt := 1; ; attempt++ {
+		if err := fn(attempt); err == nil || attempt >= maxAttempts {
+			return attempt, err
 		}
-		if attempt == maxAttempts {
-			break
+		if ctx.Err() != nil {
+			return attempt, ctx.Err()
 		}
-		if cerr := sleepContext(ctx, backoffDelay(backoff, seed, key, attempt)); cerr != nil {
-			return attempt, cerr
+		wait := time.NewTimer(backoffDelay(backoff, seed, key(), attempt))
+		select {
+		case <-ctx.Done():
+			wait.Stop()
+			return attempt, ctx.Err()
+		case <-wait.C:
 		}
 	}
-	return maxAttempts, err
 }
 
 // backoffDelay is the attempt'th retry delay: base·2^(attempt-1)
@@ -645,24 +623,6 @@ func backoffDelay(base time.Duration, seed int64, key string, attempt int) time.
 		return 0
 	}
 	return pnet.Backoff{Base: base, Max: base << 5, Seed: seed}.Delay(key, attempt)
-}
-
-// sleepContext waits d or until ctx is cancelled, whichever comes
-// first, returning ctx.Err() on cancellation (also when d is zero and
-// ctx is already dead — a cancelled job never starts another
-// attempt).
-func sleepContext(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // splitInputs partitions inputs into n contiguous splits (or one

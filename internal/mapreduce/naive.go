@@ -16,22 +16,20 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
-func (j *Job[I, K, V, O]) naiveReducePhase(ctx context.Context, mapOut [][]run[K, V], cfg Config[K], inj *fault.Injector) ([]O, Stats, error) {
-	var stats Stats
+func (j *Job[I, K, V, O]) naiveReducePhase(ctx context.Context, mapOut [][]run[K, V], cfg Config[K], inj *fault.Injector, stats *Stats) ([]O, error) {
 	type group struct {
 		key    K
 		values []V
 	}
 	tr := cfg.Obs.Tracer
-	hGroup := cfg.Obs.Metrics.Histogram("mapreduce.group_size", nil) // nil-safe
 	shufTS := tr.Now()
 	partGroups := make([][]group, cfg.ReduceTasks)
+	total := 0
 	for p := 0; p < cfg.ReduceTasks; p++ {
 		idx := map[K]int{}
 		var groups []group
@@ -44,72 +42,35 @@ func (j *Job[I, K, V, O]) naiveReducePhase(ctx context.Context, mapOut [][]run[K
 					idx[key] = g
 					groups = append(groups, group{key: key})
 				}
-				span := r.vals[r.offs[si]:r.offs[si+1]]
-				groups[g].values = append(groups[g].values, span...)
-				stats.CombineOutputs += len(span)
+				groups[g].values = append(groups[g].values, r.vals[r.offs[si]:r.offs[si+1]]...)
 			}
 		}
 		sort.Slice(groups, func(a, b int) bool { return groups[a].key < groups[b].key })
 		partGroups[p] = groups
-		stats.ReduceGroups += len(groups)
-		for _, g := range groups {
-			hGroup.Observe(float64(len(g.values)))
-		}
+		total += len(groups)
 	}
 	if tr != nil {
 		tr.Span(tr.Track("mapreduce-shuffle", 0, "shuffle"),
 			"shuffle", shufTS, tr.Now()-shufTS,
-			obs.Arg{Key: "groups", Value: int64(stats.ReduceGroups)})
+			obs.Arg{Key: "groups", Value: int64(total)})
 	}
 
-	var (
-		retries int64
-		statsMu sync.Mutex
-	)
-	partOut := make([][]O, cfg.ReduceTasks)
-	err := runTasks(ctx, cfg.ReduceTasks, cfg.Parallelism, func(p int) error {
+	return j.reduceTasks(ctx, cfg, nil, nil, stats, func(p int) (partResult[O], error) {
 		redTS := tr.Now()
-		defer func() {
-			if tr != nil {
-				tr.Span(tr.Track("mapreduce-reduce", p, fmt.Sprintf("reduce %d", p)),
-					"reduce", redTS, tr.Now()-redTS,
-					obs.Arg{Key: "groups", Value: int64(len(partGroups[p]))})
+		r, err := j.reducePartition(ctx, p, cfg, inj, func(reduce groupFunc[K, V]) (pairs, groups, runs, passes int, err error) {
+			for gi, g := range partGroups[p] {
+				if err := reduce(g.key, g.values, gi); err != nil {
+					return pairs, gi, 0, 0, err
+				}
+				pairs += len(g.values)
 			}
-		}()
-		var out []O
-		emit := func(o O) { out = append(out, o) }
-		for gi, g := range partGroups[p] {
-			attempts, err := retryTask(ctx, cfg.MaxAttempts, cfg.RetryBackoff,
-				retrySeed(cfg), fmt.Sprintf("reduce:%d:%d", p, gi), func(attempt int) error {
-					if inj.TaskFails("reduce", attempt, p, gi) {
-						return fault.ErrInjected
-					}
-					checkpoint := len(out)
-					if err := j.Reduce(g.key, g.values, emit); err != nil {
-						out = out[:checkpoint] // discard partial emissions
-						return err
-					}
-					return nil
-				})
-			statsMu.Lock()
-			retries += int64(attempts - 1)
-			statsMu.Unlock()
-			if err != nil {
-				return fmt.Errorf("mapreduce: reduce partition %d key %v: %w", p, g.key, err)
-			}
+			return pairs, len(partGroups[p]), 0, 0, nil
+		})
+		if tr != nil {
+			tr.Span(tr.Track("mapreduce-reduce", p, fmt.Sprintf("reduce %d", p)),
+				"reduce", redTS, tr.Now()-redTS,
+				obs.Arg{Key: "groups", Value: int64(len(partGroups[p]))})
 		}
-		partOut[p] = out
-		return nil
+		return r, err
 	})
-	if err != nil {
-		stats.TaskRetries = int(retries)
-		return nil, stats, err
-	}
-
-	var out []O
-	for _, po := range partOut {
-		out = append(out, po...)
-	}
-	stats.TaskRetries = int(retries)
-	return out, stats, nil
 }

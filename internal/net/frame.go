@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame layout (little-endian):
@@ -38,6 +39,10 @@ const (
 	// maxFramePayload bounds a frame so a corrupt length field cannot
 	// trigger a giant allocation.
 	maxFramePayload = 1 << 28
+	// firstChunk caps the body buffer readFrame allocates before any
+	// body byte has arrived; past it the buffer doubles as bytes come
+	// in, so a header's length claim alone never costs more than this.
+	firstChunk = 64 << 10
 )
 
 // Control frame types. Application messages must use types >= FrameApp;
@@ -96,9 +101,19 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrCorrupt, n, maxFramePayload)
 	}
-	body := make([]byte, n+4) // payload + trailing CRC
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, truncated(err)
+	// payload + trailing CRC, allocated as it arrives: one allocation
+	// up to firstChunk, then doubling.
+	total := int(n) + 4
+	body := make([]byte, 0, min(total, firstChunk))
+	for len(body) < total {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(total-len(body), len(body)))
+		}
+		got, err := io.ReadFull(r, body[len(body):min(total, cap(body))])
+		body = body[:len(body)+got]
+		if err != nil {
+			return 0, nil, truncated(err)
+		}
 	}
 	sum := crc32.ChecksumIEEE(head)
 	sum = crc32.Update(sum, crc32.IEEETable, body[:n])
