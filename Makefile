@@ -69,13 +69,14 @@ soak-peachyd:
 
 # A short fuzzing budget for each fuzz target: the Time Warp kernel
 # and the workflow simulator on it, each at two workers against the
-# sequential kernel, the -faults spec parser, the PFR1 frame codec
-# under every fleet protocol, and the ghost and MapReduce fleet
-# workers' frame decoders. `go test` takes one -fuzz target per
-# command.
+# sequential kernel, the sweep checkpoint decoder, the -faults spec
+# parser, the PFR1 frame codec under every fleet protocol, and the
+# ghost and MapReduce fleet workers' frame decoders. `go test` takes
+# one -fuzz target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpWorkflow$$' -fuzztime 20s ./internal/wfsched
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSweep$$' -fuzztime 20s ./internal/wfsched
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime 20s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 20s ./internal/net
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRound$$' -fuzztime 20s ./internal/ghost

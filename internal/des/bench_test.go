@@ -47,3 +47,35 @@ func BenchmarkWarp(b *testing.B) {
 		})
 	}
 }
+
+// holdDelay returns the next of a seeded stream of planet-like event
+// delays: half are a 0.05 s credit latency, half a task of 0.2–2.2 s.
+func holdDelay(x *uint64) float64 {
+	*x = mix(*x, 0x9E3779B97F4A7C15)
+	if *x&1 == 0 {
+		return 0.05
+	}
+	return 0.2 + 2*float64(*x>>11)/(1<<53)
+}
+
+// BenchmarkEventQueue prices the event queue alone on the hold model
+// at the planet scenario's average depth: about 600 events queued,
+// and each pop followed by a push at the popped time plus a delay
+// from holdDelay, the steady state of the sequential kernel.
+func BenchmarkEventQueue(b *testing.B) {
+	const size = 600
+	var q eventQueue
+	x, seq := uint64(1), uint64(0)
+	for i := 0; i < size; i++ {
+		q.push(message{key: Key{At: holdDelay(&x), Src: LPID(i % 16), Seq: seq}, dst: LPID(i % 16)})
+		seq++
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := q.pop()
+		m.key = Key{At: m.key.At + holdDelay(&x), Src: m.dst, Seq: seq}
+		q.push(m)
+		seq++
+	}
+}

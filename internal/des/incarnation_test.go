@@ -111,8 +111,8 @@ func (r *incarnationRig) checkFinal(wantRollbacks int64) {
 func assertDrained(t testing.TB, w *Warp) {
 	t.Helper()
 	for _, p := range w.lps {
-		if len(p.pending) != 0 || len(p.dead.m) != 0 {
-			t.Fatalf("LP %s not drained: %d pending, %d dead marks", p.name, len(p.pending), len(p.dead.m))
+		if p.pending.len() != 0 || len(p.dead.m) != 0 {
+			t.Fatalf("LP %s not drained: %d pending, %d dead marks", p.name, p.pending.len(), len(p.dead.m))
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // simulation is partitioned into logical processes (LPs), each owning
 // a disjoint slice of model state and a local virtual clock, that
 // exchange timestamped messages. Warp executes it either sequentially
-// on one event heap (Workers <= 1) or optimistically in parallel:
+// on one event queue (Workers <= 1) or optimistically in parallel:
 // Jefferson's Time Warp. There, LPs run speculatively on a worker
 // pool; when a message arrives in an LP's simulated past (a
 // straggler), the LP rolls back: it unwinds an undo log of the state
@@ -25,7 +25,7 @@
 // sequence number is each LP's deterministic send counter, restored
 // on rollback. Each LP processes — after all rollbacks settle — its
 // events in exactly ascending key order, and the workers=1 fast path
-// executes the same order on a single heap with none of the
+// executes the same order on a single queue with none of the
 // speculation machinery. Models therefore see one canonical
 // serialization regardless of Workers, which is what the wfsched
 // byte-equality oracles assert.
@@ -141,19 +141,19 @@ type Proc struct {
 
 	mu        sync.Mutex
 	state     State
-	pending   msgHeap
+	pending   eventQueue
 	dead      uidSet // annihilated uids not yet popped / not yet arrived
 	processed []procRec
 	sendLog   []message // sends of processed, in order; see procRec
 	undo      []undoRec // saved slots of processed, in order; see procRec
-	saving    bool      // Save records: false on the sequential kernel
+	saving    bool      // Time Warp: Save records, Send goes via outbox
 	base      int64     // fossil-collected events before processed[0]
 	sendSeq   uint64
 	running   bool
 	inQueue   bool
 	queuedKey Key
 
-	// per-event scratch, owned by the executing worker:
+	// per-event scratch, owned by the executing worker (Time Warp only):
 	outbox []message
 	curKey Key // of the event being processed
 }
@@ -205,6 +205,11 @@ func (p *Proc) Send(dst LPID, delay float64, pl Payload) {
 	}
 	k := Key{At: p.curKey.At + delay, Depth: depth, Src: p.id, Seq: p.sendSeq}
 	p.sendSeq++
+	if !p.saving {
+		// The sequential kernel: nothing is annihilated, so no uid.
+		p.w.seq.push(message{key: k, dst: dst, payload: pl})
+		return
+	}
 	p.outbox = append(p.outbox, message{
 		key: k, dst: dst, uid: p.w.uid.Add(1), payload: pl,
 	})
@@ -213,7 +218,7 @@ func (p *Proc) Send(dst LPID, delay float64, pl Payload) {
 // WarpConfig configures a Warp.
 type WarpConfig struct {
 	// Workers is the parallelism. Values <= 1 select the sequential
-	// fast path: one event heap, no undo log, no rollback machinery.
+	// fast path: one event queue, no undo log, no rollback machinery.
 	Workers int
 	// Window bounds optimism: no LP executes an event more than
 	// Window simulated seconds past the current GVT. 0 disables the
@@ -256,9 +261,11 @@ type Warp struct {
 	gvtPasses  atomic.Int64
 	batches    atomic.Int64
 
-	// runq holds runnable LPs: dst is the LP, key its queued key.
+	// seq is the sequential kernel's queue; Send pushes into it.
+	seq eventQueue
+	// runq holds runnable LPs: ref is the LP, key its queued key.
 	// Stale entries are skipped at pop.
-	runq    msgHeap
+	runq    eventQueue
 	qmu     sync.Mutex
 	qcond   *sync.Cond
 	waiting int
@@ -372,13 +379,15 @@ func (w *Warp) Run(ctx context.Context) error {
 }
 
 // ---------------------------------------------------------------
-// Sequential fast path: the plain kernel. One heap ordered by the
+// Sequential fast path: the plain kernel. One queue ordered by the
 // canonical key, no locks, no undo log, no rollbacks — and exactly
 // the per-LP event order the parallel path commits.
 // ---------------------------------------------------------------
 
 func (w *Warp) runSequential(ctx context.Context) error {
-	q := make(msgHeap, 0, len(w.seed))
+	q := &w.seq
+	q.h = make([]qent, 0, len(w.seed))
+	q.slab = make([]message, 0, len(w.seed))
 	for _, m := range w.seed {
 		q.push(m)
 	}
@@ -390,20 +399,15 @@ func (w *Warp) runSequential(ctx context.Context) error {
 				return err
 			}
 		}
-		if len(q) == 0 {
+		if q.len() == 0 {
 			break
 		}
 		m := q.pop()
 		p := w.lps[m.dst]
 		p.curKey = m.key
-		p.outbox = p.outbox[:0]
-		p.h(p, m.key.At, m.payload)
-		p.base++ // base doubles as the committed count here
+		p.h(p, m.key.At, m.payload) // its sends go straight into q
+		p.base++                    // base doubles as the committed count here
 		steps++
-		for _, s := range p.outbox {
-			q.push(s)
-		}
-		p.outbox = p.outbox[:0]
 	}
 	w.commitSeqCount(steps)
 	return nil
@@ -434,11 +438,11 @@ func (w *Warp) runParallel(ctx context.Context) error {
 		w.lps[m.dst].pushPending(m)
 	}
 	for _, p := range w.lps {
-		if len(p.pending) > 0 {
-			k := p.pending[0].key
+		if p.pending.len() > 0 {
+			k := p.pending.h[0].key
 			p.inQueue = true
 			p.queuedKey = k
-			w.runq.push(message{key: k, dst: p.id})
+			w.runq.pushRef(k, int32(p.id))
 		}
 	}
 	var wg sync.WaitGroup
@@ -517,7 +521,7 @@ func (w *Warp) acquire() *Proc {
 				w.gvtSafe--
 				continue
 			}
-			if len(w.runq) > 0 {
+			if w.runq.len() > 0 {
 				break
 			}
 			// Queue empty: if every other worker is also waiting,
@@ -537,9 +541,9 @@ func (w *Warp) acquire() *Proc {
 			w.qmu.Unlock()
 			return nil
 		}
-		e := w.runq.pop()
+		e := w.runq.popRef()
 		w.qmu.Unlock()
-		p := w.lps[e.dst]
+		p := w.lps[e.ref]
 		p.mu.Lock()
 		if p.running || !p.inQueue || e.key != p.queuedKey {
 			p.mu.Unlock() // stale entry
@@ -569,7 +573,7 @@ func (w *Warp) acquire() *Proc {
 				p.queuedKey = k
 				p.mu.Unlock()
 				w.qmu.Lock()
-				w.runq.push(message{key: k, dst: p.id})
+				w.runq.pushRef(k, int32(p.id))
 				w.qmu.Unlock()
 				w.gvtPass()
 				runtime.Gosched()
@@ -595,7 +599,7 @@ func (w *Warp) enqueueLocked(p *Proc) {
 	p.inQueue = true
 	p.queuedKey = k
 	w.qmu.Lock()
-	w.runq.push(message{key: k, dst: p.id})
+	w.runq.pushRef(k, int32(p.id))
 	w.qmu.Unlock()
 	w.qcond.Signal()
 }
@@ -724,7 +728,7 @@ func (w *Warp) deliver(ww *warpWorker, m message) {
 		}
 		// Either m is a straggler, or the processed copy with m's key
 		// is the stale incarnation: roll back past it. Its re-queued
-		// positive lands next to m in the pending heap and popPending
+		// positive lands next to m in the pending queue and popPending
 		// annihilates it.
 		w.rollbackLocked(p, ww, i)
 	}
@@ -787,12 +791,12 @@ func (p *Proc) pushPending(m message) { p.pending.push(m) }
 // twice, and speculative model state never sees one logical event
 // twice. p.mu must be held.
 func (p *Proc) popPending() (message, bool) {
-	for len(p.pending) > 0 {
+	for p.pending.len() > 0 {
 		m := p.pending.pop()
 		if p.dead.take(m.uid) {
 			continue
 		}
-		for len(p.pending) > 0 && p.pending[0].key == m.key {
+		for p.pending.len() > 0 && p.pending.h[0].key == m.key {
 			x := p.pending.pop()
 			if p.dead.take(x.uid) {
 				continue
@@ -812,9 +816,8 @@ func (p *Proc) popPending() (message, bool) {
 // the answer does not depend on which of them survives. p.mu must be
 // held.
 func (p *Proc) peekPending() (Key, bool) {
-	for len(p.pending) > 0 {
-		top := &p.pending[0]
-		if !p.dead.take(top.uid) {
+	for p.pending.len() > 0 {
+		if top := p.pending.top(); !p.dead.take(top.uid) {
 			return top.key, true
 		}
 		p.pending.pop()
@@ -984,49 +987,91 @@ func (p *Proc) fossilCollect(cut int) {
 }
 
 // ---------------------------------------------------------------
-// Heaps.
+// The event queue.
 // ---------------------------------------------------------------
 
-// msgHeap is a binary min-heap of messages by canonical key. It is
-// typed rather than built on the standard heap package, whose
-// interface boxing allocates on every push and pop. Sifting moves a
-// hole rather than swapping, so each level copies one element. The
-// run queue reuses it with one entry per runnable LP.
-type msgHeap []message
+// qent is one event-queue entry: a canonical key and a reference to
+// what it orders, 32 bytes in all.
+type qent struct {
+	key Key
+	ref int32
+}
 
-func (h *msgHeap) push(m message) {
-	*h = append(*h, m)
-	s := *h
+// eventQueue is a binary min-heap of entries by canonical key, and
+// every queue of the kernel is one: the sequential kernel's global
+// queue, each LP's pending queue and the run queue. The message
+// queues keep their bodies in a slab, the entries referring to slab
+// slots that a free list recycles; the run queue's entries refer to
+// LPs and leave the slab empty. Sifting moves only the compact
+// entries, so a few-hundred-entry heap stays in L1, and each message
+// body is written once at push and read once at pop. The heap is
+// typed rather than built on the standard heap package, whose
+// interface boxing allocates on every push and pop.
+type eventQueue struct {
+	h    []qent
+	slab []message
+	free []int32
+}
+
+func (q *eventQueue) len() int { return len(q.h) }
+
+// push queues m, storing its body in a free slab slot.
+func (q *eventQueue) push(m message) {
+	var ref int32
+	if n := len(q.free); n > 0 {
+		ref = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slab[ref] = m
+	} else {
+		ref = int32(len(q.slab))
+		q.slab = append(q.slab, m)
+	}
+	q.pushRef(m.key, ref)
+}
+
+// pop removes and returns the minimum message, freeing its slot.
+func (q *eventQueue) pop() message {
+	ref := q.popRef().ref
+	q.free = append(q.free, ref)
+	return q.slab[ref]
+}
+
+// top returns the minimum message without removing it.
+func (q *eventQueue) top() *message { return &q.slab[q.h[0].ref] }
+
+// pushRef queues ref at key k, sifting a hole up from the end.
+func (q *eventQueue) pushRef(k Key, ref int32) {
+	q.h = append(q.h, qent{})
+	s := q.h
 	i := len(s) - 1
 	for i > 0 {
 		up := (i - 1) / 2
-		if !m.key.Before(s[up].key) {
+		if !k.Before(s[up].key) {
 			break
 		}
 		s[i] = s[up]
 		i = up
 	}
-	s[i] = m
+	s[i] = qent{key: k, ref: ref}
 }
 
-func (h *msgHeap) pop() message {
-	s := *h
+// popRef removes and returns the minimum entry. The hole left at the
+// root sinks along the smaller child, chosen without a branch, until
+// the former last entry fits in it.
+func (q *eventQueue) popRef() qent {
+	s := q.h
 	top := s[0]
 	n := len(s) - 1
 	last := s[n]
 	s = s[:n]
-	*h = s
-	if n == 0 {
-		return top
-	}
+	q.h = s
 	i := 0
 	for {
 		c := 2*i + 1
-		if c >= n {
+		if c+1 < n {
+			c += b2i(s[c+1].key.Before(s[c].key))
+		} else if c >= n {
 			break
-		}
-		if r := c + 1; r < n && s[r].key.Before(s[c].key) {
-			c = r
 		}
 		if !s[c].key.Before(last.key) {
 			break
@@ -1034,6 +1079,15 @@ func (h *msgHeap) pop() message {
 		s[i] = s[c]
 		i = c
 	}
-	s[i] = last
+	if n > 0 {
+		s[i] = last
+	}
 	return top
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

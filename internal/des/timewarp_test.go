@@ -245,7 +245,7 @@ func TestWarpThrottleSkipsAnnihilatedEntry(t *testing.T) {
 	anti.neg = true
 	w.deliverAll(&warpWorker{}, []message{m})
 	w.deliverAll(&warpWorker{}, []message{anti})
-	if !w.lps[0].inQueue || len(w.runq) == 0 {
+	if !w.lps[0].inQueue || w.runq.len() == 0 {
 		t.Fatal("setup: the LP should still be queued for the annihilated event")
 	}
 

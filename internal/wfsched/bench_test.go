@@ -48,8 +48,8 @@ func BenchmarkBossHeuristicFull(b *testing.B) {
 // BenchmarkTimeWarpSweep runs the planet-scale datacenter scenario
 // (16 clusters, 16k tasks, cross-cluster layered DAG) across the DES
 // worker grid. workers=1 is the sequential kernel baseline; the
-// parallel entries measure Time Warp end-to-end — speculation,
-// snapshots, rollback, GVT. Speedup is what this machine's cores
+// parallel entries measure Time Warp end-to-end — speculation, the
+// undo log, rollback, GVT. Speedup is what this machine's cores
 // allow: on a single-vCPU runner the parallel entries price the
 // optimism overhead instead.
 func BenchmarkTimeWarpSweep(b *testing.B) {

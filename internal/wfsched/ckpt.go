@@ -11,6 +11,7 @@ package wfsched
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 )
@@ -40,7 +41,7 @@ func EvaluateFractionsCheckpointed(sc Scenario, choices [][]float64, ck *ckpt.Ch
 	}
 	total, decode := fractionSpace(choices)
 	results := make([]FractionResult, total)
-	done, err := restoreSweep(ck, choices, results)
+	done, err := restoreSweep(ck, results)
 	if err != nil {
 		return nil, err
 	}
@@ -93,22 +94,38 @@ func encodeSweep(total int, prefix []FractionResult) []byte {
 
 // restoreSweep loads the newest valid prefix into results and returns
 // how many entries it filled (0 when not resuming or no snapshot).
-func restoreSweep(ck *ckpt.Checkpointer, choices [][]float64, results []FractionResult) (int, error) {
+func restoreSweep(ck *ckpt.Checkpointer, results []FractionResult) (int, error) {
 	epoch, payload, ok, err := ck.Load()
 	if err != nil || !ok {
 		return 0, err
 	}
+	return decodeSweep(epoch, payload, results)
+}
+
+// decodeSweep decodes the sweep snapshot saved at epoch into results
+// and returns how many entries it filled. The payload is untrusted:
+// a nil error means 0 <= done <= len(results), and counts no int can
+// hold are an error wrapping ckpt.ErrCorrupt.
+func decodeSweep(epoch uint64, payload []byte, results []FractionResult) (int, error) {
 	dec := ckpt.NewDec(payload)
 	if tag := dec.U32(); tag != wfPayload {
 		return 0, fmt.Errorf("wfsched: snapshot has payload tag %d, want %d", tag, wfPayload)
 	}
-	total := int(dec.U64())
-	done := int(dec.U64())
-	if total != len(results) || done > total {
+	total, done := dec.U64(), dec.U64()
+	if err := dec.Err(); err != nil {
+		return 0, fmt.Errorf("wfsched: snapshot epoch %d: %w", epoch, err)
+	}
+	if total > math.MaxInt || done > math.MaxInt {
+		return 0, fmt.Errorf("wfsched: snapshot epoch %d counts %d of %d placements: %w", epoch, done, total, ckpt.ErrCorrupt)
+	}
+	if int(total) != len(results) || done > total {
 		return 0, fmt.Errorf("wfsched: snapshot covers %d of %d placements but the sweep has %d (resume needs the same choice lists)",
 			done, total, len(results))
 	}
-	for i := 0; i < done; i++ {
+	if done != epoch {
+		return 0, fmt.Errorf("wfsched: snapshot epoch %d holds %d results", epoch, done)
+	}
+	for i := range results[:done] {
 		o := &results[i].Outcome
 		o.Makespan = dec.F64()
 		o.EnergyLocalKWh = dec.F64()
@@ -126,8 +143,5 @@ func restoreSweep(ck *ckpt.Checkpointer, choices [][]float64, results []Fraction
 	if err := dec.Err(); err != nil {
 		return 0, fmt.Errorf("wfsched: snapshot epoch %d: %w", epoch, err)
 	}
-	if uint64(done) != epoch {
-		return 0, fmt.Errorf("wfsched: snapshot epoch %d holds %d results", epoch, done)
-	}
-	return done, nil
+	return int(done), nil
 }

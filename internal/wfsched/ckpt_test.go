@@ -1,6 +1,9 @@
 package wfsched
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -88,4 +91,62 @@ func TestCheckpointedSweepNilCheckpointer(t *testing.T) {
 			t.Fatalf("result %d diverged", i)
 		}
 	}
+}
+
+// sweepPayload builds a sweep snapshot payload by hand: the tag, the
+// two counts and no outcomes.
+func sweepPayload(total, done uint64) []byte {
+	var e ckpt.Enc
+	e.U32(wfPayload)
+	e.U64(total)
+	e.U64(done)
+	return e.Bytes()
+}
+
+// A CRC-valid snapshot whose prefix count reads as -1 as an int, saved
+// at the matching epoch 2⁶⁴−1, must fail the resume with a corruption
+// error rather than crash a sweep worker with an index out of range.
+func TestCheckpointedSweepRejectsNegativePrefix(t *testing.T) {
+	sc := smallScenario()
+	choices := [][]float64{{0, 1}, {0, 1}}
+	store, err := ckpt.Open(t.TempDir(), "sweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(math.MaxUint64, sweepPayload(4, math.MaxUint64)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = EvaluateFractionsCheckpointed(sc, choices, ckpt.NewCheckpointer(store, 64, true), 64)
+	if !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("resume from a negative prefix: err = %v, want ckpt.ErrCorrupt", err)
+	}
+}
+
+// FuzzRestoreSweep decodes arbitrary snapshot payloads at arbitrary
+// epochs into a sweep of n%16 placements. It must never panic; a nil
+// error must mean a prefix 0 <= done <= n, and re-encoding that prefix
+// must give back the bytes it was decoded from. testdata/fuzz holds
+// crafted inputs: the negative prefix, counts past MaxInt, a prefix
+// longer than the sweep, a wrong epoch, a wrong tag and truncations.
+func FuzzRestoreSweep(f *testing.F) {
+	prefix := make([]FractionResult, 3)
+	for i := range prefix {
+		prefix[i].Outcome = Outcome{Makespan: float64(i) + 0.5, CO2: 1e3, TasksLocal: i, Transfers: -i}
+	}
+	f.Add(uint64(3), uint8(5), encodeSweep(5, prefix))
+	f.Add(uint64(0), uint8(0), encodeSweep(0, nil))
+	f.Add(uint64(math.MaxUint64), uint8(4), sweepPayload(4, math.MaxUint64))
+	f.Fuzz(func(t *testing.T, epoch uint64, n uint8, payload []byte) {
+		results := make([]FractionResult, n%16)
+		done, err := decodeSweep(epoch, payload, results)
+		if err != nil {
+			return
+		}
+		if done < 0 || done > len(results) {
+			t.Fatalf("decoded a prefix of %d placements of %d with no error", done, len(results))
+		}
+		if got := encodeSweep(len(results), results[:done]); !bytes.Equal(got, payload[:len(got)]) {
+			t.Fatalf("re-encoded prefix differs from the payload:\n got %x\nfrom %x", got, payload)
+		}
+	})
 }
