@@ -70,9 +70,9 @@ soak-peachyd:
 # A short fuzzing budget for each fuzz target: the Time Warp kernel
 # and the workflow simulator on it, each at two workers against the
 # sequential kernel, the sweep checkpoint decoder, the -faults spec
-# parser, the PFR1 frame codec under every fleet protocol, and the
-# ghost and MapReduce fleet workers' frame decoders. `go test` takes
-# one -fuzz target per command.
+# parser, the PFR1 frame codec under every fleet protocol, the ghost
+# and MapReduce fleet workers' frame decoders, PCK1 snapshot files and
+# PRN1 run files. `go test` takes one -fuzz target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpWorkflow$$' -fuzztime 20s ./internal/wfsched
@@ -81,6 +81,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 20s ./internal/net
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRound$$' -fuzztime 20s ./internal/ghost
 	$(GO) test -run '^$$' -fuzz '^FuzzServeTask$$' -fuzztime 20s ./internal/mapreduce
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 20s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRunFile$$' -fuzztime 20s ./internal/mapreduce
 
 # The end-to-end benchmark (bench/, run by `bash bench/run.sh`) is its
 # own Go module, so the root `go test ./...` never reaches it. Vet it

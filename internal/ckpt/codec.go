@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"encoding/binary"
-	"errors"
 	"math"
 )
 
@@ -50,10 +49,6 @@ func (e *Enc) I32s(vs []int32) {
 
 // Bytes returns the encoded payload.
 func (e *Enc) Bytes() []byte { return e.buf }
-
-// ErrCorrupt is the sticky error a Dec reports once any read runs
-// past the payload.
-var ErrCorrupt = errors.New("ckpt: payload decode past end")
 
 // Dec is the matching sticky-error decoder: after the first short
 // read every subsequent read returns zero values and Err() reports

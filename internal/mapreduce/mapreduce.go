@@ -331,7 +331,7 @@ func (j *Job[I, K, V, O]) execute(ctx context.Context, splits [][]I, records int
 	inj := fault.NewInjector(cfg.Faults, cfg.Obs)
 	stats := SpecStats{Stats: Stats{MapTasks: len(splits), ReduceTasks: cfg.ReduceTasks}}
 	if j.Spill != nil {
-		if err := j.Spill.prepare(); err != nil {
+		if err := prepareDir("Spill", j.Spill.Dir, &j.Spill.Codec); err != nil {
 			return nil, stats, err
 		}
 	}

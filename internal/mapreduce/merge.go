@@ -1,7 +1,7 @@
 package mapreduce
 
-// merge.go is the shuffle's data plane: sorted, span-compressed runs,
-// their wire and spill encoding, and the k-way merge over them. Each
+// merge.go is the shuffle's data plane: sorted, span-compressed runs
+// and the k-way merge over them (codec.go encodes them). Each
 // map task hands the reduce phase one run per partition, built by the
 // task's collector (collect.go: pairs hash-grouped by key as they are
 // emitted, then only the distinct keys sorted, combiner applied per
@@ -40,12 +40,7 @@ package mapreduce
 // the same order the reference shuffle produces by concatenating task
 // outputs before grouping.
 
-import (
-	"cmp"
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "cmp"
 
 // Prefix exactness classes: what a prefix tie proves about the keys.
 const (
@@ -138,110 +133,18 @@ func keyPrefix[K cmp.Ordered](k K) uint64 {
 // partition: keys holds the task's distinct keys in ascending order,
 // vals[offs[i]:offs[i+1]] holds keys[i]'s values in emission order,
 // and prefs[i] is keys[i]'s comparison accelerator.
+//
+// A run read from a run file holds one chunk of it at a time: src
+// refills the run with the next chunk once the merge has drained it.
 type run[K cmp.Ordered, V any] struct {
 	keys  []K
 	prefs []uint64
 	offs  []int32 // len(keys)+1 span boundaries into vals
 	vals  []V
+	src   *runFile[K, V] // nil for a run held whole in memory
 }
 
 func (r *run[K, V]) pairs() int { return len(r.vals) }
-
-// Decoding errors for runs and fleet frames: every count is checked
-// against the bytes left before anything is allocated, and a run's
-// offsets must span its values exactly, so corrupt bytes are an error,
-// never a panic or an out-of-memory kill.
-var (
-	errMalformed = errors.New("mapreduce: malformed run or fleet frame")
-	errCount     = fmt.Errorf("%w: count exceeds the bytes left", errMalformed)
-	errOffsets   = fmt.Errorf("%w: run offsets do not span its values", errMalformed)
-)
-
-// readCount consumes a u32 count of items that each take at least unit
-// bytes, rejecting a count the rest of buf cannot hold.
-func readCount(buf []byte, unit int) (int, []byte, error) {
-	if len(buf) < 4 {
-		return 0, buf, fmt.Errorf("%w: truncated count", errMalformed)
-	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if n > (len(buf)-4)/unit {
-		return 0, buf, fmt.Errorf("%w: %d items in %d bytes", errCount, n, len(buf)-4)
-	}
-	return n, buf[4:], nil
-}
-
-// appendRun encodes one run: u32 nkeys | keys | u32 noffs | offs (u32
-// each) | u32 nvals | vals — the layout of spill files and fleet
-// frames alike. Prefixes are not stored: readRun recomputes them from
-// the keys, keeping the bytes independent of the accelerator encoding.
-func appendRun[K cmp.Ordered, V any](buf []byte, r *run[K, V], appendKey func([]byte, K) []byte, appendVal func([]byte, V) []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.keys)))
-	for _, k := range r.keys {
-		buf = appendKey(buf, k)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.offs)))
-	for _, off := range r.offs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(off))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.vals)))
-	for _, v := range r.vals {
-		buf = appendVal(buf, v)
-	}
-	return buf
-}
-
-// readRun decodes one appendRun encoding and returns the rest of buf.
-// Counts are bounded by the bytes left (every key and value encoding
-// takes at least one byte), NaN keys are refused, and the offsets must
-// start at 0, never decrease, number nkeys+1 (0 or 1 for an empty run)
-// and end at nvals, so whatever it accepts the merge can walk.
-func readRun[K cmp.Ordered, V any](buf []byte, readKey func([]byte) (K, []byte, error), readVal func([]byte) (V, []byte, error)) (run[K, V], []byte, error) {
-	var r run[K, V]
-	nk, buf, err := readCount(buf, 1)
-	if err != nil {
-		return r, buf, err
-	}
-	r.keys, r.prefs = make([]K, nk), make([]uint64, nk)
-	for i := range r.keys {
-		if r.keys[i], buf, err = readKey(buf); err != nil {
-			return r, buf, fmt.Errorf("%w: key %d: %w", errMalformed, i, err)
-		}
-		if r.keys[i] != r.keys[i] {
-			return r, buf, fmt.Errorf("%w: key %d: %w", errMalformed, i, ErrNaNKey)
-		}
-		r.prefs[i] = keyPrefix(r.keys[i])
-	}
-	no, buf, err := readCount(buf, 4)
-	if err != nil {
-		return r, buf, err
-	}
-	if no != nk+1 && (nk > 0 || no > 1) {
-		return r, buf, fmt.Errorf("%w: %d offsets for %d keys", errOffsets, no, nk)
-	}
-	r.offs = make([]int32, no)
-	last := int32(0)
-	for i := range r.offs {
-		r.offs[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		if r.offs[i] < last || (i == 0 && r.offs[i] != 0) {
-			return r, buf, fmt.Errorf("%w: offset %d is %d", errOffsets, i, r.offs[i])
-		}
-		last = r.offs[i]
-	}
-	nv, buf, err := readCount(buf[4*no:], 1)
-	if err != nil {
-		return r, buf, err
-	}
-	if int(last) != nv {
-		return r, buf, fmt.Errorf("%w: offsets end at %d, %d values", errOffsets, last, nv)
-	}
-	r.vals = make([]V, nv)
-	for i := range r.vals {
-		if r.vals[i], buf, err = readVal(buf); err != nil {
-			return r, buf, fmt.Errorf("%w: value %d: %w", errMalformed, i, err)
-		}
-	}
-	return r, buf, nil
-}
 
 // cursor is one run's read position (a span index) inside a merge.
 // task is the run's position in the merge's input order (map-task
@@ -267,39 +170,66 @@ var scanMaxRuns = 64
 // values slice is reused between calls; group implementations must
 // not retain it (the Reducer contract). It returns the number of
 // pairs consumed and groups formed before stopping (all of them
-// unless group errors).
+// unless group or a run file errors). A run read from a run file
+// merges exactly like one in memory: the cursor refills it chunk by
+// chunk as it drains.
 func mergeRuns[K cmp.Ordered, V any](runs []*run[K, V], group func(key K, values []V, gi int) error) (pairs, groups int, err error) {
-	switch len(runs) {
-	case 0:
+	cs := make([]cursor[K, V], 0, len(runs))
+	for t, r := range runs {
+		c := cursor[K, V]{r: r, task: t}
+		ok, err := c.fill()
+		if err != nil {
+			return 0, 0, err
+		}
+		if ok {
+			cs = append(cs, c)
+		}
+	}
+	switch class := prefixClass[K](); {
+	case len(cs) == 0:
 		return 0, 0, nil
-	case 1:
-		// Single run: every span is already a complete group.
-		var values []V
-		r := runs[0]
-		for i, key := range r.keys {
-			values = values[:0]
-			values = append(values, r.vals[r.offs[i]:r.offs[i+1]]...)
+	case len(cs) == 1:
+		return singleMerge(&cs[0], group)
+	case len(cs) <= scanMaxRuns:
+		return scanMerge(cs, class, group)
+	default:
+		return heapMerge(cs, class, group)
+	}
+}
+
+// fill refills c's run from its file once the merge has drained it,
+// and reports whether c still has a head span.
+func (c *cursor[K, V]) fill() (bool, error) {
+	for c.pos == len(c.r.keys) {
+		if c.r.src == nil {
+			return false, nil
+		}
+		if ok, err := c.r.src.next(c.r); !ok || err != nil {
+			return false, err
+		}
+		c.pos = 0
+	}
+	return true, nil
+}
+
+// singleMerge is the merge of a lone run: every span is already a
+// complete group.
+func singleMerge[K cmp.Ordered, V any](c *cursor[K, V], group func(key K, values []V, gi int) error) (pairs, groups int, err error) {
+	var values []V
+	for {
+		for r := c.r; c.pos < len(r.keys); c.pos++ {
+			values = append(values[:0], r.vals[r.offs[c.pos]:r.offs[c.pos+1]]...)
 			pairs += len(values)
 			gi := groups
 			groups++
-			if err := group(key, values, gi); err != nil {
+			if err := group(r.keys[c.pos], values, gi); err != nil {
 				return pairs, groups, err
 			}
 		}
-		return pairs, groups, nil
-	}
-
-	class := prefixClass[K]()
-	cs := make([]cursor[K, V], 0, len(runs))
-	for t, r := range runs {
-		if len(r.keys) > 0 {
-			cs = append(cs, cursor[K, V]{r: r, task: t})
+		if ok, err := c.fill(); !ok || err != nil {
+			return pairs, groups, err
 		}
 	}
-	if len(cs) <= scanMaxRuns {
-		return scanMerge(cs, class, group)
-	}
-	return heapMerge(cs, class, group)
 }
 
 // scanMerge is the small-fan-in merge: each group is found by scanning
@@ -356,7 +286,11 @@ func scanMerge[K cmp.Ordered, V any](cs []cursor[K, V], class int, group func(ke
 		if drained {
 			n := 0
 			for i := range cs {
-				if cs[i].pos < len(cs[i].r.keys) {
+				ok, err := cs[i].fill()
+				if err != nil {
+					return pairs, groups, err
+				}
+				if ok {
 					cs[n] = cs[i]
 					n++
 				}
@@ -422,8 +356,14 @@ func heapMerge[K cmp.Ordered, V any](h []cursor[K, V], class int, group func(key
 			values = append(values, c.r.vals[c.r.offs[c.pos]:c.r.offs[c.pos+1]]...)
 			c.pos++
 			if c.pos == len(c.r.keys) {
-				h[0] = h[len(h)-1]
-				h = h[:len(h)-1]
+				ok, err := c.fill()
+				if err != nil {
+					return pairs, groups, err
+				}
+				if !ok {
+					h[0] = h[len(h)-1]
+					h = h[:len(h)-1]
+				}
 			}
 			siftDown(h, 0, class)
 			if len(h) == 0 {

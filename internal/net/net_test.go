@@ -579,6 +579,54 @@ func TestHelloRejectsWrongProto(t *testing.T) {
 	}
 }
 
+// TestWorkerServesFramesThatOvertookWelcome: the coordinator installs a
+// conn before it sends the welcome, so a heartbeat and a task can reach
+// the worker first. The worker must keep the task, take the welcome,
+// and serve the task — not end its session.
+func TestWorkerServesFramesThatOvertookWelcome(t *testing.T) {
+	tr, _ := New("chan")
+	ln, err := tr.Listen("early-frames")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	done := make(chan error, 1)
+	go func() { done <- echoWorker(context.Background(), tr, ln.Addr(), 0) }()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if m, err := conn.Recv(time.Second); err != nil || m.Type != frameHello {
+		t.Fatalf("hello: type %d, err %v", m.Type, err)
+	}
+	var welcome ckpt.Enc
+	welcome.I64(1000)
+	for _, m := range []Msg{
+		{Type: frameHeartbeat},
+		{Type: FrameApp, Payload: []byte("early")},
+		{Type: frameWelcome, Payload: welcome.Bytes()},
+		{Type: FrameApp + 2, Payload: []byte("late")},
+		{Type: FrameApp + 7},
+	} {
+		if err := conn.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []Msg{{Type: FrameApp + 1, Payload: []byte("early")}, {Type: FrameApp + 3, Payload: []byte("late")}} {
+		m, err := conn.Recv(time.Second)
+		for err == nil && m.Type == frameHeartbeat {
+			m, err = conn.Recv(time.Second)
+		}
+		if err != nil || m.Type != want.Type || !bytes.Equal(m.Payload, want.Payload) {
+			t.Fatalf("reply: type %d payload %q err %v, want type %d payload %q", m.Type, m.Payload, err, want.Type, want.Payload)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+}
+
 func waitEvent(t *testing.T, co *Coordinator) Event {
 	t.Helper()
 	select {

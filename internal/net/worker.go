@@ -120,7 +120,17 @@ func runSession(ctx context.Context, cfg WorkerConfig, h Handler) error {
 	if err := conn.Send(Msg{Type: frameHello, Payload: helloPayload(cfg.Proto, cfg.Rank)}); err != nil {
 		return fmt.Errorf("net: hello: %w", err)
 	}
+	// The coordinator installs a conn before its welcome is out, so a
+	// heartbeat or a task may overtake the welcome: tasks are kept and
+	// served once it has arrived.
+	var early []Msg
 	m, err := conn.Recv(dialTimeout)
+	for n := 0; err == nil && m.Type != frameWelcome && n < maxEarlyFrames; n++ {
+		if m.Type >= FrameApp {
+			early = append(early, m)
+		}
+		m, err = conn.Recv(dialTimeout)
+	}
 	if err != nil {
 		return fmt.Errorf("net: awaiting welcome: %w", err)
 	}
@@ -156,6 +166,20 @@ func runSession(ctx context.Context, cfg WorkerConfig, h Handler) error {
 	}()
 
 	send := func(out Msg) error { return conn.Send(out) }
+	serve := func(m Msg) error {
+		if err := h(m, send); err != nil {
+			if errors.Is(err, ErrWorkerDone) {
+				return ErrWorkerDone
+			}
+			return &fatalErr{err: err}
+		}
+		return nil
+	}
+	for _, m := range early {
+		if err := serve(m); err != nil {
+			return err
+		}
+	}
 	// The coordinator heartbeats too, so a healthy conn is never idle
 	// longer than a lease; 3x is a generous symmetric timeout.
 	idle := 3 * lease
@@ -170,11 +194,13 @@ func runSession(ctx context.Context, cfg WorkerConfig, h Handler) error {
 		if m.Type < FrameApp {
 			continue // heartbeat or future control traffic
 		}
-		if err := h(m, send); err != nil {
-			if errors.Is(err, ErrWorkerDone) {
-				return ErrWorkerDone
-			}
-			return &fatalErr{err: err}
+		if err := serve(m); err != nil {
+			return err
 		}
 	}
 }
+
+// maxEarlyFrames bounds the frames a worker takes before its welcome:
+// the coordinator sends at most a heartbeat and a task or two in that
+// window, so more means the peer is not a coordinator.
+const maxEarlyFrames = 64
