@@ -71,8 +71,9 @@ soak-peachyd:
 # and the workflow simulator on it, each at two workers against the
 # sequential kernel, the sweep checkpoint decoder, the -faults spec
 # parser, the PFR1 frame codec under every fleet protocol, the ghost
-# and MapReduce fleet workers' frame decoders, PCK1 snapshot files and
-# PRN1 run files. `go test` takes one -fuzz target per command.
+# and MapReduce fleet workers' frame decoders, PCK1 snapshot files,
+# PRN1 run files and every job kind's spec validator. `go test` takes
+# one -fuzz target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpWorkflow$$' -fuzztime 20s ./internal/wfsched
@@ -83,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeTask$$' -fuzztime 20s ./internal/mapreduce
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 20s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRunFile$$' -fuzztime 20s ./internal/mapreduce
+	$(GO) test -run '^$$' -fuzz '^FuzzValidateSpec$$' -fuzztime 20s ./internal/job/runners
 
 # The end-to-end benchmark (bench/, run by `bash bench/run.sh`) is its
 # own Go module, so the root `go test ./...` never reaches it. Vet it

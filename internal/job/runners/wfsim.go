@@ -6,6 +6,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/job"
 	"repro/internal/obs"
+	"repro/internal/platform"
 	"repro/internal/wfsched"
 )
 
@@ -77,45 +78,48 @@ type FrontierPoint struct {
 // Wfsim adapts the workflow-scheduling simulator to job.Runner.
 type Wfsim struct{}
 
-func (r *Wfsim) decode(spec job.Spec) (WfsimParams, error) {
+// decode parses and checks a spec without building a scenario, so
+// Validate costs a JSON decode and not a workflow. It returns the
+// parsed fault plan (nil without one) for Run to use.
+func (r *Wfsim) decode(spec job.Spec) (WfsimParams, *fault.Plan, error) {
 	var p WfsimParams
 	if err := decodeParams(spec, &p); err != nil {
-		return p, err
+		return p, nil, err
 	}
 	p.withDefaults()
 	switch p.Mode {
 	case "tab1":
-		_, ps := wfsched.Tab1Base()
-		if *p.PState < 0 || *p.PState >= len(ps) {
-			return p, job.Badf("pstate must be 0..%d", len(ps)-1)
+		if n := len(platform.DefaultPStates()); *p.PState < 0 || *p.PState >= n {
+			return p, nil, job.Badf("pstate must be 0..%d", n-1)
 		}
 		if *p.Nodes < 1 || *p.Nodes > wfsched.Tab1MaxNodes {
-			return p, job.Badf("nodes must be 1..%d", wfsched.Tab1MaxNodes)
+			return p, nil, job.Badf("nodes must be 1..%d", wfsched.Tab1MaxNodes)
 		}
 	case "tab2", "optimize", "pareto", "greedy":
 		for _, f := range p.Fractions {
 			if f < 0 || f > 1 {
-				return p, job.Badf("fractions must be in [0,1]")
+				return p, nil, job.Badf("fractions must be in [0,1]")
 			}
 		}
 	default:
-		return p, job.Badf("unknown wfsim mode %q", p.Mode)
+		return p, nil, job.Badf("unknown wfsim mode %q", p.Mode)
 	}
+	var plan *fault.Plan
 	if p.Faults != "" {
-		plan, err := fault.Parse(p.Faults)
-		if err != nil {
-			return p, job.Badf("%v", err)
+		var err error
+		if plan, err = fault.Parse(p.Faults); err != nil {
+			return p, nil, job.Badf("%v", err)
 		}
 		if plan.HostFail >= 1 && plan.Retry.MaxAttempts == 0 {
 			// Every attempt fails and nothing caps the retries: the
 			// simulation would never finish.
-			return p, job.Badf("faults: hostfail=1 needs an attempts cap")
+			return p, nil, job.Badf("faults: hostfail=1 needs an attempts cap")
 		}
 	}
 	if p.DESWorkers != nil && *p.DESWorkers < 0 {
-		return p, job.Badf("desWorkers must be >= 0")
+		return p, nil, job.Badf("desWorkers must be >= 0")
 	}
-	return p, nil
+	return p, plan, nil
 }
 
 // desWorkers returns the decoded worker count, 0 (sequential) when
@@ -128,20 +132,16 @@ func (p *WfsimParams) desWorkers() int {
 }
 
 func (r *Wfsim) Validate(spec job.Spec) error {
-	_, err := r.decode(spec)
+	_, _, err := r.decode(spec)
 	return err
 }
 
 func (r *Wfsim) Run(ctx context.Context, spec job.Spec, prog *obs.Progress) (job.Result, error) {
-	p, err := r.decode(spec)
+	p, plan, err := r.decode(spec)
 	if err != nil {
 		return job.Result{}, err
 	}
 	env := job.EnvFrom(ctx)
-	var plan *fault.Plan
-	if p.Faults != "" {
-		plan, _ = fault.Parse(p.Faults)
-	}
 	out := WfsimOutput{Mode: p.Mode}
 	prog.Update("wfsim", obs.F("started", 1))
 

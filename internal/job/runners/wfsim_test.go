@@ -73,3 +73,45 @@ func TestWfsimAttemptsExhaustedFailsJob(t *testing.T) {
 		t.Fatalf("job %s: %s (%q), want failed with attempts exhausted", v.ID, done.State, done.Error)
 	}
 }
+
+// svc-mixed's two wfsim job classes (bench/svc.go).
+var wfsimJobs = []struct{ name, params string }{
+	{"tab1", `{"mode":"tab1","nodes":48}`},
+	{"tab2", `{"mode":"tab2"}`},
+}
+
+// BenchmarkWfsimJob prices one wfsim job as the job server runs it:
+// Validate at submission, then Run.
+func BenchmarkWfsimJob(b *testing.B) {
+	for _, bc := range wfsimJobs {
+		b.Run(bc.name, func(b *testing.B) {
+			s := spec("wfsim", bc.params)
+			var w Wfsim
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := w.Validate(s); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := w.Run(context.Background(), s, obs.NewProgress(nil)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestWfsimValidateAllocs: validating a tab1 spec decodes JSON and
+// checks ranges; it must not build the Montage workflow (about 9,000
+// allocations) or any scenario to do so.
+func TestWfsimValidateAllocs(t *testing.T) {
+	s := spec("wfsim", wfsimJobs[0].params)
+	var w Wfsim
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { err = w.Validate(s) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 50 {
+		t.Fatalf("tab1 Validate makes %.0f allocations, want at most 50", allocs)
+	}
+}

@@ -54,6 +54,32 @@ const (
 	PeerMsg
 )
 
+// deathCause says why the coordinator declared a worker dead. The
+// "worker dead" log event carries it as its integer "cause" field:
+// 1 connection broke, 2 lease expired, 3 welcome failed.
+type deathCause int64
+
+const (
+	// causeConnBroke: reading the worker's connection failed.
+	causeConnBroke deathCause = iota + 1
+	// causeLeaseExpired: the worker sent nothing for a whole lease.
+	causeLeaseExpired
+	// causeWelcomeFailed: the welcome frame could not be sent.
+	causeWelcomeFailed
+)
+
+func (c deathCause) String() string {
+	switch c {
+	case causeConnBroke:
+		return "connection broke"
+	case causeLeaseExpired:
+		return "lease expired"
+	case causeWelcomeFailed:
+		return "welcome failed"
+	}
+	return fmt.Sprintf("deathCause(%d)", int64(c))
+}
+
 // Event is one fleet occurrence, delivered on Coordinator.Events.
 type Event struct {
 	Rank   int
@@ -353,7 +379,7 @@ func (c *Coordinator) register(conn Conn) {
 	var e ckpt.Enc
 	e.I64(int64(c.cfg.Lease / time.Millisecond))
 	if err := conn.Send(Msg{Type: frameWelcome, Payload: e.Bytes()}); err != nil {
-		c.peerDown(p, conn, inc, "welcome failed")
+		c.peerDown(p, conn, inc, causeWelcomeFailed)
 		return
 	}
 	select {
@@ -380,7 +406,7 @@ func (c *Coordinator) reader(p *peer, conn Conn, inc int) {
 	for {
 		m, err := conn.Recv(0)
 		if err != nil {
-			c.peerDown(p, conn, inc, "connection broke")
+			c.peerDown(p, conn, inc, causeConnBroke)
 			return
 		}
 		c.mu.Lock()
@@ -409,7 +435,7 @@ func (c *Coordinator) reader(p *peer, conn Conn, inc int) {
 // incarnation; stale calls (a reader noticing a conn the lease checker
 // already severed, or shutdown) are no-ops beyond closing the conn. A
 // retiring rank's exit only clears the conn.
-func (c *Coordinator) peerDown(p *peer, conn Conn, inc int, cause string) {
+func (c *Coordinator) peerDown(p *peer, conn Conn, inc int, cause deathCause) {
 	c.mu.Lock()
 	if c.closed || p.conn != conn || p.incarnation != inc {
 		c.mu.Unlock()
@@ -433,8 +459,8 @@ func (c *Coordinator) peerDown(p *peer, conn Conn, inc int, cause string) {
 	c.count("net.deaths", 1)
 	c.log(obs.LevelWarn, "worker dead",
 		obs.Arg{Key: "rank", Value: int64(p.rank)},
-		obs.Arg{Key: "incarnation", Value: int64(inc)})
-	_ = cause
+		obs.Arg{Key: "incarnation", Value: int64(inc)},
+		obs.Arg{Key: "cause", Value: int64(cause)})
 	c.emit(Event{Rank: p.rank, Kind: PeerDead})
 }
 
@@ -477,7 +503,7 @@ func (c *Coordinator) leaseLoop() {
 			c.count("net.lease_expired", 1)
 			c.log(obs.LevelWarn, "worker lease expired",
 				obs.Arg{Key: "rank", Value: int64(v.p.rank)})
-			c.peerDown(v.p, v.conn, v.inc, "lease expired")
+			c.peerDown(v.p, v.conn, v.inc, causeLeaseExpired)
 		}
 		for _, conn := range live {
 			conn.Send(Msg{Type: frameHeartbeat}) // best effort

@@ -4,6 +4,8 @@ package wfsched
 // every bench, example, and test reproduces the same experiments.
 
 import (
+	"sync"
+
 	"repro/internal/platform"
 	"repro/internal/workflow"
 )
@@ -35,10 +37,22 @@ const (
 	Tab2VMIdlePower = 10.0
 )
 
+// montage738 is the default Montage-738 workflow, built on first use
+// and shared by every scenario after that: simulations only read a
+// Workflow (see its doc), so one instance serves every concurrent job.
+// It is built lazily rather than at package init, because every
+// process importing wfsched (peachyd, fleet workers) would otherwise
+// pay for it at start-up whether it simulates or not.
+var montage738 = sync.OnceValue(func() *workflow.Workflow {
+	return workflow.Montage(workflow.MontageParams{})
+})
+
 // BaseScenario returns the shared pieces of both tabs: the default
-// Montage-738 workflow. Callers override the platform fields.
+// Montage-738 workflow. Callers override the platform fields. Every
+// call returns the same *workflow.Workflow, which callers must not
+// modify; to vary the DAG, assign a freshly built one to Workflow.
 func BaseScenario() Scenario {
-	return Scenario{Workflow: workflow.Montage(workflow.MontageParams{})}
+	return Scenario{Workflow: montage738()}
 }
 
 // Tab1Base returns the Tab 1 template: cluster only; node count and

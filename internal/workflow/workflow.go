@@ -31,7 +31,13 @@ type Task struct {
 	Parents, Children []*Task
 }
 
-// Workflow is a whole DAG.
+// Workflow is a whole DAG. It is read-only once built: nothing writes
+// to a Workflow or to its Tasks and Files after the generator
+// returns, so one instance may be shared by any number of concurrent
+// simulations, each of which copies what it needs into its own
+// per-call tables. wfsched.BaseScenario relies on this and hands the
+// same Montage-738 instance to every caller; code that wants a
+// different DAG builds its own instead of editing a shared one.
 type Workflow struct {
 	Name  string
 	Tasks []*Task
