@@ -2,7 +2,7 @@
 # command: `make check`.
 GO ?= go
 
-.PHONY: fmt build test race vet check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd fuzz-smoke bench-e2e bench-baseline bench-compare
+.PHONY: fmt build test race vet vet-arm64 test-kernels check soak smoke-telemetry smoke-external smoke-peachyd smoke-fleet soak-peachyd fuzz-smoke bench-e2e bench-baseline bench-compare
 
 # Fails listing the files gofmt would rewrite (bench/ included).
 fmt:
@@ -20,7 +20,26 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: fmt build vet test race
+# Vet the tree as arm64, so the files built only off amd64 (the
+# sandpile's scalar kernel dispatch among them) keep compiling. The
+# cross build needs nothing beyond the installed toolchain.
+vet-arm64:
+	GOARCH=arm64 $(GO) vet ./...
+
+check: fmt build vet vet-arm64 test race
+
+# The sandpile kernels below the best one the machine has: the
+# packages that sweep synchronously, run once with the SSE2 kernel
+# forced and once with the scalar one, so an AVX2 machine tests all
+# three dispatch levels end to end. -count=1 because the kernel is
+# chosen at package init, before `go test` starts recording the
+# environment a test reads, so a cached result would not tell the
+# levels apart.
+KERNEL_PKGS = ./internal/sandpile/... ./internal/engine/... ./internal/ghost/...
+
+test-kernels:
+	SANDPILE_KERNEL=sse2 $(GO) test -count=1 $(KERNEL_PKGS)
+	SANDPILE_KERNEL=scalar $(GO) test -count=1 $(KERNEL_PKGS)
 
 # Kill–resume soak: SIGKILL each durable workload at random points,
 # resume it from its snapshots, and assert the final state is
@@ -69,15 +88,16 @@ soak-peachyd:
 
 # A short fuzzing budget for each fuzz target: the Time Warp kernel
 # and the workflow simulator on it, each at two workers against the
-# sequential kernel, the sweep checkpoint decoder, the -faults spec
-# parser, the PFR1 frame codec under every fleet protocol, the ghost
-# and MapReduce fleet workers' frame decoders, PCK1 snapshot files,
-# PRN1 run files and every job kind's spec validator. `go test` takes
-# one -fuzz target per command.
+# sequential kernel, the sweep and engine checkpoint decoders, the
+# -faults spec parser, the PFR1 frame codec under every fleet
+# protocol, the ghost and MapReduce fleet workers' frame decoders,
+# PCK1 snapshot files, PRN1 run files and every job kind's spec
+# validator. `go test` takes one -fuzz target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpWorkflow$$' -fuzztime 20s ./internal/wfsched
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreSweep$$' -fuzztime 20s ./internal/wfsched
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreEngine$$' -fuzztime 20s ./internal/engine
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime 20s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 20s ./internal/net
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRound$$' -fuzztime 20s ./internal/ghost

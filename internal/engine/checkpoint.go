@@ -3,8 +3,8 @@ package engine
 // checkpoint.go wires the durable checkpoint subsystem into the
 // engine loop. Snapshots are taken inside the OnIteration hook (the
 // same piggyback Run uses for per-iteration tracer spans), so every
-// variant checkpoints from its monitored loop at iteration
-// boundaries, where the post-iteration grid is globally consistent.
+// variant checkpoints at iteration boundaries, where the
+// post-iteration grid is globally consistent.
 //
 // A snapshot stores the post-iteration interior cells plus the
 // cumulative iteration/topple/absorbed totals, and — for the lazy
@@ -27,6 +27,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 	"repro/internal/grid"
@@ -46,8 +47,7 @@ type ckptState struct {
 
 // setupCheckpoint restores the newest snapshot into g (when the
 // Checkpointer resumes) and installs the cadence-save hook in front
-// of p.OnIteration. Installing the hook makes every variant take its
-// monitored loop, exactly like the tracer piggyback.
+// of p.OnIteration, exactly like the tracer piggyback.
 func setupCheckpoint(p *Params, g *grid.Grid) (*ckptState, error) {
 	d := p.withDefaults() // resolved tile geometry and iteration budget
 	st := &ckptState{}
@@ -123,6 +123,9 @@ func encodeEngineSnapshot(iters int64, topples, absorbed uint64, tileH, tileW in
 // restore installs a decoded snapshot: interior cells into g, totals
 // into st, and — when the snapshot's tile geometry matches this run's
 // — the saved worklist into p.resumeFrontier for the lazy variants.
+// The payload is untrusted: an iteration count no int can hold, or a
+// worklist naming a tile this tiling lacks, is an error wrapping
+// ckpt.ErrCorrupt.
 func (st *ckptState) restore(payload []byte, epoch uint64, g *grid.Grid, p *Params, d Params) error {
 	dec := ckpt.NewDec(payload)
 	if tag := dec.U32(); tag != enginePayload {
@@ -152,14 +155,25 @@ func (st *ckptState) restore(payload []byte, epoch uint64, g *grid.Grid, p *Para
 	if err := dec.Err(); err != nil {
 		return fmt.Errorf("engine: snapshot epoch %d: %w", epoch, err)
 	}
+	if iters > math.MaxInt {
+		return fmt.Errorf("engine: snapshot epoch %d holds iteration %d: %w", epoch, iters, ckpt.ErrCorrupt)
+	}
 	if iters != epoch {
 		return fmt.Errorf("engine: snapshot epoch %d holds iteration %d", epoch, iters)
 	}
-	st.iters = int(iters)
-	g.ClearHalo()
 	if tileH == d.TileH && tileW == d.TileW {
+		// Saved under this tiling, so every tile id must name one of
+		// its tiles.
+		n := grid.NewTiling(h, w, tileH, tileW).NumTiles()
+		for _, id := range frontier {
+			if id < 0 || int(id) >= n {
+				return fmt.Errorf("engine: snapshot epoch %d lists tile %d of %d: %w", epoch, id, n, ckpt.ErrCorrupt)
+			}
+		}
 		p.resumeFrontier = frontier
 	}
+	st.iters = int(iters)
+	g.ClearHalo()
 	return nil
 }
 

@@ -188,9 +188,9 @@ func RunContext(ctx context.Context, name string, g *grid.Grid, p Params) (sandp
 		}
 	}
 	if tr := p.Obs.Tracer; tr != nil {
-		// Piggyback per-iteration spans on the monitor hook: wrapping
-		// OnIteration switches every variant to its monitored loop, so
-		// each iteration lands as one span on the engine track.
+		// Piggyback per-iteration spans on the monitor hook: every
+		// variant calls OnIteration once per iteration, so each
+		// iteration lands as one span on the engine track.
 		track := tr.Track("engine", 0, name)
 		last := tr.Now()
 		user := p.OnIteration
@@ -207,10 +207,9 @@ func RunContext(ctx context.Context, name string, g *grid.Grid, p Params) (sandp
 		}
 	}
 	if pr := p.Obs.Progress; pr != nil {
-		// Same trick for live progress: the wrap switches variants to
-		// their monitored loops, and every iteration publishes into the
-		// /progress stage plus a live gauge (a counter would double-book
-		// against the end-of-run engine.iterations total).
+		// Same trick for live progress: every iteration publishes into
+		// the /progress stage plus a live gauge (a counter would
+		// double-book against the end-of-run engine.iterations total).
 		gIter := p.Obs.Metrics.Gauge("engine.iteration")
 		user := p.OnIteration
 		p.OnIteration = func(st IterStats) {
@@ -264,22 +263,12 @@ func init() {
 	Register(Variant{
 		Name:        "seq-sync",
 		Description: "sequential synchronous steps with an auxiliary array (Fig 2 top)",
-		Run: func(g *grid.Grid, p Params) sandpile.Result {
-			if p.OnIteration == nil && !cancellable(p.ctx) {
-				return sandpile.StabilizeSyncSeq(g)
-			}
-			return runSeqSyncMonitored(g, p)
-		},
+		Run:         runSeqSync,
 	})
 	Register(Variant{
 		Name:        "seq-async",
 		Description: "sequential in-place asynchronous sweeps (Fig 2 bottom); the oracle",
-		Run: func(g *grid.Grid, p Params) sandpile.Result {
-			if p.OnIteration == nil && !cancellable(p.ctx) {
-				return sandpile.StabilizeAsyncSeq(g)
-			}
-			return runSeqAsyncMonitored(g, p)
-		},
+		Run:         runSeqAsync,
 	})
 	Register(Variant{
 		Name:        "omp-sync",
@@ -325,16 +314,10 @@ func init() {
 	})
 }
 
-// cancellable reports whether ctx can ever fire (nil and Background
-// contexts cannot) — it gates the seq variants' switch from the
-// direct stabilize kernels to their per-iteration monitored loops.
-func cancellable(ctx context.Context) bool {
-	return ctx != nil && ctx.Done() != nil
-}
-
-// runSeqSyncMonitored is the seq-sync loop with per-iteration
-// reporting.
-func runSeqSyncMonitored(g *grid.Grid, p Params) sandpile.Result {
+// runSeqSync is the seq-sync loop: one SyncStep per iteration, with
+// per-iteration reporting, the MaxIters cap and cancellation checked
+// between iterations.
+func runSeqSync(g *grid.Grid, p Params) sandpile.Result {
 	p = p.withDefaults()
 	before := g.Sum()
 	next := grid.New(g.H(), g.W())
@@ -360,9 +343,10 @@ func runSeqSyncMonitored(g *grid.Grid, p Params) sandpile.Result {
 	return res
 }
 
-// runSeqAsyncMonitored is the seq-async loop with per-iteration
-// reporting.
-func runSeqAsyncMonitored(g *grid.Grid, p Params) sandpile.Result {
+// runSeqAsync is the seq-async loop: one full-grid asynchronous sweep
+// per iteration, with the same reporting, cap and cancellation as
+// runSeqSync.
+func runSeqAsync(g *grid.Grid, p Params) sandpile.Result {
 	p = p.withDefaults()
 	before := g.Sum()
 	var res sandpile.Result
@@ -415,11 +399,7 @@ func runOmpSync(g *grid.Grid, p Params) sandpile.Result {
 	changes := make([]int, pool.Workers()*changesStride)
 	var c, n *grid.Grid
 	body := func(w, lo, hi int) {
-		ch := 0
-		for y := lo; y < hi; y++ {
-			ch += sandpile.SyncRow(c, n, y, 0, c.W())
-		}
-		changes[w*changesStride] += ch
+		changes[w*changesStride] += sandpile.SyncRegion(c, n, lo, hi, 0, c.W())
 	}
 	for {
 		res.Iterations++

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sandpile"
@@ -103,6 +104,26 @@ func TestMonitoredSeqVariantsMatchUnmonitored(t *testing.T) {
 		}
 		if ra.Iterations != rb.Iterations || ra.Topples != rb.Topples {
 			t.Fatalf("%s: monitoring changed accounting: %v vs %v", name, ra, rb)
+		}
+	}
+}
+
+// TestMaxItersCapsEveryVariant: with a context that can never fire and
+// no OnIteration hook, every variant still stops after MaxIters
+// iterations and leaves the pile unstable. seq-sync and seq-async used
+// to take a direct path with no cap and ran 733 and 378 iterations.
+func TestMaxItersCapsEveryVariant(t *testing.T) {
+	for _, name := range Names() {
+		g := sandpile.Center(4000).Build(64, 64, nil)
+		res, err := RunContext(context.Background(), name, g, Params{MaxIters: 10, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != 10 {
+			t.Errorf("%s: ran %d iterations with MaxIters 10", name, res.Iterations)
+		}
+		if sandpile.Stable(g) {
+			t.Errorf("%s: pile is stable after 10 of its iterations", name)
 		}
 	}
 }

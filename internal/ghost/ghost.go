@@ -169,10 +169,14 @@ type roundWork struct {
 // rank-local grid cur (owned block framed by its ghost zones), with
 // next as caller-owned scratch. The valid band shrinks by one cell
 // per step on every side that has a ghost zone; sink-adjacent sides
-// stay put. It returns the work done, the grid holding the final
+// stay put. Each step is at most five rectangles: the ghost rows
+// above and below the owned block, the ghost columns beside it, and
+// the block itself, computed apart so owned changes are counted
+// exactly once. It returns the work done, the grid holding the final
 // state, and the spare one.
 func computeBlock(ge geom, cur, next *grid.Grid) (w roundWork, final, spare *grid.Grid) {
 	H, W := cur.H(), cur.W()
+	ownT, ownB := ge.gTop, ge.gTop+ge.ownH
 	ownL, ownR := ge.gLeft, ge.gLeft+ge.ownW
 	for s := 1; s <= ge.K; s++ {
 		y0, y1, x0, x1 := 0, H, 0, W
@@ -188,25 +192,14 @@ func computeBlock(ge geom, cur, next *grid.Grid) (w roundWork, final, spare *gri
 		if ge.gRh > 0 {
 			x1 = W - s
 		}
-		for y := y0; y < y1; y++ {
-			if y < ge.gTop || y >= ge.gTop+ge.ownH {
-				sandpile.SyncRow(cur, next, y, x0, x1)
-				w.redundant += uint64(x1 - x0)
-				continue
-			}
-			// Owned row: the halo spans and the owned span are computed
-			// separately so owned changes are counted exactly once.
-			if x0 < ownL {
-				sandpile.SyncRow(cur, next, y, x0, ownL)
-				w.redundant += uint64(ownL - x0)
-			}
-			w.changes += sandpile.SyncRow(cur, next, y, ownL, ownR)
-			w.owned += uint64(ge.ownW)
-			if x1 > ownR {
-				sandpile.SyncRow(cur, next, y, ownR, x1)
-				w.redundant += uint64(x1 - ownR)
-			}
-		}
+		sandpile.SyncRegion(cur, next, y0, ownT, x0, x1)
+		sandpile.SyncRegion(cur, next, ownB, y1, x0, x1)
+		w.redundant += uint64((ownT-y0)+(y1-ownB)) * uint64(x1-x0)
+		sandpile.SyncRegion(cur, next, ownT, ownB, x0, ownL)
+		sandpile.SyncRegion(cur, next, ownT, ownB, ownR, x1)
+		w.redundant += uint64(ge.ownH) * uint64((ownL-x0)+(x1-ownR))
+		w.changes += sandpile.SyncRegion(cur, next, ownT, ownB, ownL, ownR)
+		w.owned += uint64(ge.ownH) * uint64(ge.ownW)
 		cur, next = next, cur
 	}
 	return w, cur, next

@@ -107,6 +107,64 @@ func TestKernelCrossVariantOracle(t *testing.T) {
 	}
 }
 
+// TestSyncRegionMatchesScalarReference force-selects each available
+// kernel and sweeps every rectangle of heights 1–6 and widths 1–70 (so
+// the AVX2 8-aligned prefix, the SSE2 4-aligned chunk and the scalar
+// tail each occur alone and together) at random offsets in a slightly
+// larger grid, with values far past Threshold. The change count and
+// every cell of the rectangle must match the scalar reference, and no
+// cell of next outside the rectangle, halo included, may be written.
+func TestSyncRegionMatchesScalarReference(t *testing.T) {
+	const sentinel = 0xA5A5A5A5 // no stencil output can equal it
+	for _, level := range availableKernels() {
+		restore := forceKernel(level)
+		t.Run(KernelName(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(2000 + level)))
+			for h := 1; h <= 6; h++ {
+				for w := 1; w <= 70; w++ {
+					for trial := 0; trial < 3; trial++ {
+						gh, gw := h+rng.Intn(4), w+rng.Intn(5)
+						y0, x0 := rng.Intn(gh-h+1), rng.Intn(gw-w+1)
+						y1, x1 := y0+h, x0+w
+						cur := grid.New(gh, gw)
+						for i, c := 0, cur.Cells(); i < len(c); i++ {
+							if rng.Intn(4) == 0 {
+								c[i] = uint32(rng.Intn(1 << 24))
+							} else {
+								c[i] = uint32(rng.Intn(12))
+							}
+						}
+						next := grid.New(gh, gw)
+						ref := grid.New(gh, gw)
+						for i, n := 0, next.Cells(); i < len(n); i++ {
+							n[i] = sentinel
+						}
+						ref.CopyFrom(next)
+
+						got := SyncRegion(cur, next, y0, y1, x0, x1)
+						want := 0
+						for y := y0; y < y1; y++ {
+							want += scalarRowRef(cur, ref, y, x0, x1)
+						}
+						where := fmt.Sprintf("[%d,%d)x[%d,%d) of %dx%d", y0, y1, x0, x1, gh, gw)
+						if got != want {
+							t.Fatalf("%s: change count %d, want %d", where, got, want)
+						}
+						nc, rc := next.Cells(), ref.Cells()
+						for i := range nc {
+							if nc[i] != rc[i] {
+								t.Fatalf("%s: flat cell %d (row %d, col %d of the halo'd grid) = %#x, want %#x",
+									where, i, i/next.Stride(), i%next.Stride(), nc[i], rc[i])
+							}
+						}
+					}
+				}
+			}
+		})
+		restore()
+	}
+}
+
 // TestKernelVariantsAgreeOnFullRelaxation runs a whole avalanche to
 // fixpoint under each kernel and requires byte-identical final grids
 // and identical change counts per step — variant divergence that a

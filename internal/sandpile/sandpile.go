@@ -36,43 +36,30 @@ const Threshold = 4
 // halo of cur acts as the sink and contributes nothing. It returns the
 // number of cells whose value changed; zero means cur is stable.
 func SyncStep(cur, next *grid.Grid) int {
-	changes := 0
-	for y := 0; y < cur.H(); y++ {
-		changes += SyncRow(cur, next, y, 0, cur.W())
-	}
-	return changes
+	return SyncRegion(cur, next, 0, cur.H(), 0, cur.W())
 }
 
 // SyncRow applies the synchronous kernel to cells [x0, x1) of row y,
-// returning the number of changed cells. Parallel variants carve the
-// grid into row/tile ranges and call this from multiple goroutines;
-// it only writes to next, so concurrent calls on disjoint ranges are
-// race-free.
+// returning the number of changed cells: a SyncRegion of one row.
+func SyncRow(cur, next *grid.Grid, y, x0, x1 int) int {
+	return SyncRegion(cur, next, y, y+1, x0, x1)
+}
+
+// syncRowScalar is the portable row kernel: w cells starting at flat
+// index base, returning the number of changed cells.
 //
 // The row is pre-sliced to its exact extent so the compiler drops the
 // per-cell bounds checks, and the left/center/right cells ride a
 // sliding window: each step loads only the incoming right cell plus
-// the up/down rows instead of re-reading all five stencil points. On
-// amd64 rows of at least four cells take the packed two-cells-per-
-// uint64 path (syncrow_amd64.go).
-func SyncRow(cur, next *grid.Grid, y, x0, x1 int) int {
-	stride := cur.Stride()
-	c := cur.Cells()
-	base := cur.Idx(y, x0)
-	w := x1 - x0
-	if w <= 0 {
-		return 0
-	}
-	if usePackedRow && w >= 4 {
-		return syncRowPacked(c, next.Cells(), base, stride, w)
-	}
+// the up/down rows instead of re-reading all five stencil points.
+func syncRowScalar(c, n []uint32, base, stride, w int) int {
 	// The explicit re-slices pin each slice's length to w (w+2 for the
 	// shifted mid row), which is what lets the compiler prove every
 	// index below in bounds and drop the per-cell checks.
-	mid := c[base-1 : base+w+1][: w+2 : w+2] // shifted: mid[k+1] holds cell x0+k
+	mid := c[base-1 : base+w+1][: w+2 : w+2] // shifted: mid[k+1] holds cell k
 	up := c[base-stride : base-stride+w][:w:w]
 	down := c[base+stride : base+stride+w][:w:w]
-	out := next.Cells()[base : base+w][:w:w]
+	out := n[base : base+w][:w:w]
 	changes := 0
 	left := mid[0]
 	center := mid[1]
@@ -177,12 +164,29 @@ func SyncRegionInner(cur, next *grid.Grid, y0, y1, x0, x1 int) int {
 }
 
 // SyncRegion applies the synchronous kernel to an arbitrary rectangle
-// (outer tiles included — the halo supplies the missing neighbors). It
-// is the general-purpose counterpart of SyncRegionInner.
+// [y0,y1)×[x0,x1) (outer tiles included — the halo supplies the
+// missing neighbors) and returns the number of changed cells. It is
+// the general-purpose counterpart of SyncRegionInner, and every
+// synchronous sweep goes through it: parallel variants carve the grid
+// into row ranges, tiles or blocks and call it from several
+// goroutines. It only writes the rectangle of next, so concurrent
+// calls on disjoint rectangles are race-free. On amd64 the whole
+// rectangle is one call per vector kernel (syncrow_amd64.go).
 func SyncRegion(cur, next *grid.Grid, y0, y1, x0, x1 int) int {
+	w, h := x1-x0, y1-y0
+	if w <= 0 || h <= 0 {
+		return 0
+	}
+	c, n := cur.Cells(), next.Cells()
+	stride := cur.Stride()
+	base := cur.Idx(y0, x0)
+	if usePacked {
+		return syncRegionPacked(c, n, base, stride, w, h)
+	}
 	changes := 0
-	for y := y0; y < y1; y++ {
-		changes += SyncRow(cur, next, y, x0, x1)
+	for ; h > 0; h-- {
+		changes += syncRowScalar(c, n, base, stride, w)
+		base += stride
 	}
 	return changes
 }

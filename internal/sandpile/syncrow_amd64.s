@@ -2,38 +2,45 @@
 
 #include "textflag.h"
 
-// func syncRowSSE2(cur, nxt unsafe.Pointer, strideBytes, n uintptr) uintptr
+// func syncRegionSSE2(cur, nxt unsafe.Pointer, strideBytes, n, rows uintptr) uintptr
 //
-// Four cells per iteration of the five-point sandpile stencil:
+// Four cells per iteration of the five-point sandpile stencil over
+// rows×n cells:
 //
 //	v = center&3 + left>>2 + right>>2 + up>>2 + down>>2   (per lane)
 //
-// The left/right taps are unaligned loads one cell off the center
-// pointer; the caller guarantees every 16-byte window stays inside the
-// halo'd grid. Unchanged cells are counted branch-free: PCMPEQL yields
-// -1 per equal lane and PSUBL accumulates those into X6, so each lane
-// of X6 ends up holding the count of unchanged cells at its position
-// mod 4; a horizontal add folds them together.
-TEXT ·syncRowSSE2(SB), NOSPLIT, $0-40
+// The outer loop walks the rows, advancing both pointers by one
+// stride; the inner loop walks n cells of a row. The left/right taps
+// are unaligned loads one cell off the center pointer; the caller
+// guarantees every 16-byte window of every row stays inside the
+// halo'd grid. Unchanged cells are counted branch-free: PCMPEQL
+// yields -1 per equal lane and PSUBL accumulates those into X6 across
+// all rows, so each lane of X6 ends up holding the count of unchanged
+// cells at its position mod 4; one horizontal add at the end folds
+// them together.
+TEXT ·syncRegionSSE2(SB), NOSPLIT, $0-48
 	MOVQ cur+0(FP), SI
 	MOVQ nxt+8(FP), DI
 	MOVQ strideBytes+16(FP), DX
 	MOVQ n+24(FP), CX
-
-	MOVQ SI, R12
-	SUBQ DX, R12          // up row
-	MOVQ SI, R13
-	ADDQ DX, R13          // down row
+	MOVQ rows+32(FP), BX
 
 	PCMPEQL X7, X7
 	PSRLL   $30, X7       // X7 = 0x00000003 in every lane
 	PXOR    X6, X6        // unchanged-lane accumulator
-	XORQ    R9, R9        // byte offset
 	SHLQ    $2, CX        // cell count -> byte count
 
-loop:
+row:
+	TESTQ BX, BX
+	JZ    done
+	MOVQ  SI, R12
+	SUBQ  DX, R12         // up row
+	LEAQ  (SI)(DX*1), R13 // down row
+	XORQ  R9, R9          // byte offset within the row
+
+col:
 	CMPQ R9, CX
-	JGE  done
+	JGE  nextrow
 	MOVOU (SI)(R9*1), X0  // center
 	MOVOU -4(SI)(R9*1), X1 // left
 	MOVOU 4(SI)(R9*1), X2 // right
@@ -53,7 +60,13 @@ loop:
 	PCMPEQL X0, X5        // -1 per unchanged lane
 	PSUBL X5, X6          // accumulate +1 per unchanged lane
 	ADDQ  $16, R9
-	JMP   loop
+	JMP   col
+
+nextrow:
+	ADDQ DX, SI
+	ADDQ DX, DI
+	DECQ BX
+	JMP  row
 
 done:
 	// Horizontal sum of X6's four lanes into every lane.
@@ -63,5 +76,5 @@ done:
 	PADDL  X0, X6
 	MOVQ   X6, AX
 	MOVL   AX, AX         // low lane only, zero-extended
-	MOVQ   AX, ret+32(FP)
+	MOVQ   AX, ret+40(FP)
 	RET

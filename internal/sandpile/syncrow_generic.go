@@ -2,19 +2,18 @@
 
 package sandpile
 
-// Architectures without guaranteed-cheap unaligned 8-byte loads use
-// the scalar row kernel; see syncrow_amd64.go for the packed variant.
+// Architectures without the SSE2/AVX2 region kernels use the scalar
+// row kernel; see syncrow_amd64.go for the vector variants.
 
-const hasPackedSyncRow = false
+const hasPackedKernels = false
 
-// usePackedRow mirrors the amd64 dispatch gate; constant false keeps
-// the packed call dead-code-eliminated here.
-const usePackedRow = false
+// usePacked mirrors the amd64 dispatch gate; constant false keeps the
+// packed call dead-code-eliminated here.
+const usePacked = false
 
-// KernelName reports the selected row kernel; always "scalar" off
-// amd64.
+// KernelName reports the selected kernel; always "scalar" off amd64.
 func KernelName() string { return "scalar" }
 
-func syncRowPacked(c, n []uint32, base, stride, w int) int {
-	panic("sandpile: packed kernel unavailable on this architecture")
+func syncRegionPacked(c, n []uint32, base, stride, w, h int) int {
+	panic("sandpile: packed kernels unavailable on this architecture")
 }

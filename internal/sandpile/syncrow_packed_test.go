@@ -8,7 +8,7 @@ import (
 )
 
 // scalarRowRef is the obviously-correct five-point kernel, kept free of
-// windowing and slicing tricks so it can referee the packed variant.
+// windowing and slicing tricks so it can referee the packed kernels.
 func scalarRowRef(cur, next *grid.Grid, y, x0, x1 int) int {
 	c := cur.Cells()
 	n := next.Cells()
@@ -27,10 +27,9 @@ func scalarRowRef(cur, next *grid.Grid, y, x0, x1 int) int {
 }
 
 // TestSyncRowMatchesScalarReference drives SyncRow (which dispatches to
-// the packed SWAR kernel on amd64) against the plain scalar kernel on
-// random rows: random widths including odd ones and widths below the
-// packed cutoff, random offsets so rows start at both uint64 parities,
-// and values well past Threshold.
+// the vector kernels on amd64) against the plain scalar kernel on
+// random rows: random widths including odd ones and widths below one
+// vector, random offsets, and values well past Threshold.
 func TestSyncRowMatchesScalarReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -66,11 +65,11 @@ func TestSyncRowMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestPackedRowMatchesScalarReference exercises syncRowPacked directly
-// (bypassing SyncRow's width cutoff) where the packed kernel exists.
+// TestPackedRowMatchesScalarReference exercises syncRegionPacked
+// directly on one row where the packed kernels exist.
 func TestPackedRowMatchesScalarReference(t *testing.T) {
-	if !hasPackedSyncRow {
-		t.Skip("no packed kernel on this architecture")
+	if !hasPackedKernels {
+		t.Skip("no packed kernels on this architecture")
 	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -91,7 +90,7 @@ func TestPackedRowMatchesScalarReference(t *testing.T) {
 		span := 2 + rng.Intn(w-x0-2+1)
 		x1 := x0 + span
 
-		got := syncRowPacked(cur.Cells(), next.Cells(), cur.Idx(y, x0), cur.Stride(), span)
+		got := syncRegionPacked(cur.Cells(), next.Cells(), cur.Idx(y, x0), cur.Stride(), span, 1)
 		want := scalarRowRef(cur, ref, y, x0, x1)
 		if got != want {
 			t.Fatalf("trial %d (y=%d x=[%d,%d) of %dx%d): change count %d, want %d",
