@@ -88,8 +88,8 @@ soak-peachyd:
 
 # A short fuzzing budget for each fuzz target: the Time Warp kernel
 # and the workflow simulator on it, each at two workers against the
-# sequential kernel, the sweep and engine checkpoint decoders, the
-# -faults spec parser, the PFR1 frame codec under every fleet
+# sequential kernel, the sweep, engine and ghost checkpoint decoders,
+# the -faults spec parser, the PFR1 frame codec under every fleet
 # protocol, the ghost and MapReduce fleet workers' frame decoders,
 # PCK1 snapshot files, PRN1 run files and every job kind's spec
 # validator. `go test` takes one -fuzz target per command.
@@ -101,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultParse$$' -fuzztime 20s ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 20s ./internal/net
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRound$$' -fuzztime 20s ./internal/ghost
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreGhost$$' -fuzztime 20s ./internal/ghost
 	$(GO) test -run '^$$' -fuzz '^FuzzServeTask$$' -fuzztime 20s ./internal/mapreduce
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 20s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRunFile$$' -fuzztime 20s ./internal/mapreduce

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"sync"
 	"time"
 )
 
@@ -22,29 +23,21 @@ type packet[T any] struct {
 //
 // A Link with a nil injector is a plain reliable channel. Each
 // endpoint of a Link must be used by one goroutine at a time (the
-// ghost ranks' usage pattern); the retransmit buffer is protected for
-// the cross-goroutine receiver access.
+// ghost ranks' usage pattern); mu guards the sequence numbers and the
+// retransmit buffer, which both endpoints touch.
 type Link[T any] struct {
 	in       *Injector
 	from, to int
 
 	ch chan packet[T]
 
-	mu       chanMutex
+	mu       sync.Mutex
 	lastSeq  uint64 // sender side: last sequence sent
 	last     T      // sender side: retained payload for retransmit
 	haveLast bool
 
 	recvSeq uint64 // receiver side: last sequence accepted
 }
-
-// chanMutex is a 1-slot semaphore used as a mutex so Link stays free
-// of sync imports in its hot path signature. Lock with acquire,
-// unlock with release.
-type chanMutex chan struct{}
-
-func (m chanMutex) acquire() { m <- struct{}{} }
-func (m chanMutex) release() { <-m }
 
 // NewLink wires one directed link from -> to through the injector
 // (nil for a reliable link). cap is the channel capacity; ghost uses
@@ -63,7 +56,6 @@ func NewLink[T any](in *Injector, from, to, cap int) *Link[T] {
 		// for the worst case — Send must never block in the barrier-
 		// synchronized usage pattern.
 		ch: make(chan packet[T], 2*cap+2),
-		mu: make(chanMutex, 1),
 	}
 }
 
@@ -74,12 +66,12 @@ func NewLink[T any](in *Injector, from, to, cap int) *Link[T] {
 // usage pattern (round barrier bounds in-flight messages below cap).
 // abort aborts a full-channel send (returns false).
 func (l *Link[T]) Send(payload T, abort <-chan struct{}) bool {
-	l.mu.acquire()
+	l.mu.Lock()
 	l.lastSeq++
 	seq := l.lastSeq
 	l.last = payload
 	l.haveLast = true
-	l.mu.release()
+	l.mu.Unlock()
 
 	fate := l.in.MessageFate(l.from, l.to, seq)
 	if fate == Drop {
@@ -112,51 +104,58 @@ func (l *Link[T]) Send(payload T, abort <-chan struct{}) bool {
 func (l *Link[T]) Recv(timeout time.Duration, abort <-chan struct{}) (T, bool) {
 	var zero T
 	for {
-		var timer <-chan time.Time
-		var stop func() bool
+		var timer *time.Timer
+		var expired <-chan time.Time
 		if timeout > 0 {
-			t := time.NewTimer(timeout)
-			timer = t.C
-			stop = t.Stop
+			timer = time.NewTimer(timeout)
+			expired = timer.C
 		}
-		got, ok, timedOut := l.recvOne(timer, abort)
-		if stop != nil {
-			stop()
+		got, st := l.recvOne(expired, abort)
+		if timer != nil {
+			timer.Stop()
 		}
-		if timedOut {
-			break
-		}
-		if !ok {
+		switch st {
+		case recvFresh:
+			return got, true
+		case recvAborted:
 			return zero, false
-		}
-		if got != nil {
-			return *got, true
+		case recvTimedOut:
+			return l.retransmit()
 		}
 		// duplicate: loop and wait again with a fresh timer
 	}
-	// Nothing arrived within timeout: the message was dropped (pull
-	// the retransmit buffer) or the peer is dead (give up and let the
-	// heartbeat layer handle it).
-	l.mu.acquire()
-	have := l.haveLast && l.lastSeq > l.recvSeq
-	var payload T
-	var seq uint64
-	if have {
-		payload, seq = l.last, l.lastSeq
-		l.recvSeq = seq
-	}
-	l.mu.release()
-	if !have {
+}
+
+// retransmit is Recv's timeout path. Nothing fresh arrived: the
+// message was dropped (pull the retransmit buffer) or the peer is dead
+// (give up and let the heartbeat layer handle it).
+func (l *Link[T]) retransmit() (T, bool) {
+	var zero T
+	l.mu.Lock()
+	if !l.haveLast || l.lastSeq <= l.recvSeq {
+		l.mu.Unlock()
 		return zero, false
 	}
+	payload, seq := l.last, l.lastSeq
+	l.recvSeq = seq
+	l.mu.Unlock()
 	l.in.NoteRetransmit(l.from, l.to, seq)
 	return payload, true
 }
 
-// recvOne waits for one delivery: (payload, true, false) on a fresh
-// message, (nil, true, false) on a discarded duplicate, (nil, false,
-// false) on abort, (nil, false, true) on timeout.
-func (l *Link[T]) recvOne(timer <-chan time.Time, abort <-chan struct{}) (*T, bool, bool) {
+// recvStatus is the outcome of one recvOne wait.
+type recvStatus int
+
+const (
+	recvFresh    recvStatus = iota // a payload not accepted before
+	recvStale                      // a duplicate, discarded
+	recvAborted                    // abort closed
+	recvTimedOut                   // the timer fired first
+)
+
+// recvOne waits for one delivery.
+func (l *Link[T]) recvOne(expired <-chan time.Time, abort <-chan struct{}) (T, recvStatus) {
+	var zero T
 	select {
 	case p := <-l.ch:
 		if !p.notBefore.IsZero() {
@@ -164,19 +163,19 @@ func (l *Link[T]) recvOne(timer <-chan time.Time, abort <-chan struct{}) (*T, bo
 				time.Sleep(d)
 			}
 		}
-		l.mu.acquire()
+		l.mu.Lock()
 		stale := p.seq <= l.recvSeq
 		if !stale {
 			l.recvSeq = p.seq
 		}
-		l.mu.release()
+		l.mu.Unlock()
 		if stale {
-			return nil, true, false // duplicate: already accepted
+			return zero, recvStale
 		}
-		return &p.payload, true, false
-	case <-timer:
-		return nil, false, true
+		return p.payload, recvFresh
+	case <-expired:
+		return zero, recvTimedOut
 	case <-abort:
-		return nil, false, false
+		return zero, recvAborted
 	}
 }

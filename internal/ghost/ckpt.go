@@ -22,6 +22,7 @@ package ghost
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 	"repro/internal/grid"
@@ -74,9 +75,17 @@ func restoreGhost(ck *ckpt.Checkpointer, g *grid.Grid) (round int, topples uint6
 	if err != nil || !ok {
 		return 0, 0, err
 	}
+	return decodeGhost(payload, epoch, g)
+}
+
+// decodeGhost decodes a snapshot payload saved at epoch into g. A
+// payload that is not a ghost snapshot, or holds a round that is not
+// its epoch or does not fit an int, is corrupt (ckpt.ErrCorrupt); one
+// sized for another grid is a usage error.
+func decodeGhost(payload []byte, epoch uint64, g *grid.Grid) (round int, topples uint64, err error) {
 	dec := ckpt.NewDec(payload)
 	if tag := dec.U32(); tag != ghostPayload {
-		return 0, 0, fmt.Errorf("ghost: snapshot has payload tag %d, want %d", tag, ghostPayload)
+		return 0, 0, fmt.Errorf("ghost: snapshot has payload tag %d, want %d: %w", tag, ghostPayload, ckpt.ErrCorrupt)
 	}
 	r := dec.U64()
 	topples = dec.U64()
@@ -84,6 +93,9 @@ func restoreGhost(ck *ckpt.Checkpointer, g *grid.Grid) (round int, topples uint6
 	if h != g.H() || w != g.W() {
 		return 0, 0, fmt.Errorf("ghost: snapshot is %dx%d but the run grid is %dx%d (resume needs the same size)",
 			h, w, g.H(), g.W())
+	}
+	if r > math.MaxInt || r != epoch {
+		return 0, 0, fmt.Errorf("ghost: snapshot epoch %d holds round %d: %w", epoch, r, ckpt.ErrCorrupt)
 	}
 	for y := 0; y < h; y++ {
 		row := g.Row(y)
@@ -93,9 +105,6 @@ func restoreGhost(ck *ckpt.Checkpointer, g *grid.Grid) (round int, topples uint6
 	}
 	if err := dec.Err(); err != nil {
 		return 0, 0, fmt.Errorf("ghost: snapshot epoch %d: %w", epoch, err)
-	}
-	if r != epoch {
-		return 0, 0, fmt.Errorf("ghost: snapshot epoch %d holds round %d", epoch, r)
 	}
 	g.ClearHalo()
 	return int(r), topples, nil

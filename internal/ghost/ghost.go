@@ -73,11 +73,11 @@ func (r Report) publish(m *obs.Registry) {
 }
 
 // message is one halo payload: k segments of w cells coalesced into a
-// single contiguous row-major buffer — one allocation and one copy
-// per exchange instead of one per row, the batched-halo optimization.
-// The receiver knows the segment geometry from its own decomposition,
-// so the wire carries no shape. Senders must build a fresh buffer per
-// Send: the link retains the payload for retransmission.
+// single contiguous row-major buffer — one copy per exchange instead
+// of one per row, the batched-halo optimization. The receiver knows
+// the segment geometry from its own decomposition, so the wire carries
+// no shape. The link retains the payload for retransmission, so
+// senders alternate two buffers per link (halo in ghost2d.go).
 type message struct {
 	buf []uint32
 }

@@ -29,18 +29,14 @@ import (
 type rank2d struct {
 	geom
 	id        int // linear rank index pr*C+pc
-	gen       int
 	cur, next *grid.Grid
 
-	sendW, sendE, sendN, sendS *fault.Link[message]
+	sendW, sendE, sendN, sendS halo
 	recvW, recvE, recvN, recvS *fault.Link[message]
 
-	reports  chan<- roundReport
-	proceed  chan bool
-	abort    chan struct{}
+	bar      *barrier
 	inj      *fault.Injector
 	linkWait time.Duration // halo-receive timeout; 0 = block forever
-	durable  bool          // attach checkpoint rows even without injection
 
 	msgs      int
 	bytes     uint64
@@ -48,6 +44,15 @@ type rank2d struct {
 	owned     uint64
 	tr        *obs.Tracer // nil when tracing is off
 	track     obs.TrackID
+}
+
+// halo is one outgoing link and its two payload buffers, filled
+// alternately by round parity: the buffer a round sends (which the
+// link retains for retransmission) is not refilled until two rounds
+// later, so a receiver one round behind still reads the right cells.
+type halo struct {
+	link *fault.Link[message]
+	bufs [2][]uint32
 }
 
 // run2d executes the decomposition under the shared recovery
@@ -65,25 +70,23 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 	// one. `before` stays the caller's initial sum: re-running from the
 	// same initial grid therefore reports the same Absorbed total as an
 	// uninterrupted run.
-	startRound, startTopples := 0, uint64(0)
-	var dur *durable
+	st := &rounds{K: K, maxIters: cfg.maxIters, sink: cfg.obs}
 	if cfg.ck != nil {
-		if startRound, startTopples, err = restoreGhost(cfg.ck, g); err != nil {
+		if st.committed, st.topples, err = restoreGhost(cfg.ck, g); err != nil {
 			return Report{}, err
 		}
-		dur = &durable{ck: cfg.ck}
+		st.dur = &durable{ck: cfg.ck}
 	}
 	inj := fault.NewInjector(cfg.faults, cfg.obs)
-	hb := cfg.heartbeat
-	if hb <= 0 {
-		hb = 2 * time.Second
+	if st.hb = cfg.heartbeat; st.hb <= 0 {
+		st.hb = 2 * time.Second
 	}
 	var linkWait time.Duration
 	if inj != nil {
-		linkWait = hb / 4 // must detect a dropped halo before the coordinator gives up
+		linkWait = st.hb / 4 // must detect a dropped halo before the coordinator gives up
 	}
 
-	// The scattered owned blocks double as the round-0 checkpoint set.
+	// The scattered owned blocks double as the starting checkpoint set.
 	ckpts := make([][][]uint32, n)
 	for id, ge := range geoms {
 		rows := make([][]uint32, ge.ownH)
@@ -92,7 +95,8 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 		}
 		ckpts[id] = rows
 	}
-	if dur != nil {
+	st.ckpts = ckpts
+	if dur := st.dur; dur != nil {
 		// Reassemble global rows from the committed blocks: each global
 		// row crosses the C blocks of one process-grid row.
 		h, w := g.H(), g.W()
@@ -119,24 +123,11 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 	}
 
 	var live []*rank2d
-	launch := func(genID, startRound int, ckpts [][][]uint32) *generation {
-		gen := &generation{
-			reports: make(chan roundReport, n),
-			proceed: make([]chan bool, n),
-			abort:   make(chan struct{}),
-			wg:      &sync.WaitGroup{},
-		}
+	launch := func(b *barrier) func(*Report) {
+		start := st.committed
 		rs := make([]*rank2d, n)
 		for id, ge := range geoms {
-			r := &rank2d{
-				geom: ge, id: id, gen: genID,
-				reports: gen.reports,
-				proceed: make(chan bool, 1),
-				abort:   gen.abort,
-				inj:     inj, linkWait: linkWait,
-				durable: dur != nil,
-			}
-			gen.proceed[id] = r.proceed
+			r := &rank2d{geom: ge, id: id, bar: b, inj: inj, linkWait: linkWait}
 			if tr := cfg.obs.Tracer; tr != nil {
 				r.tr = tr
 				r.track = tr.Track(proc, id, label(id))
@@ -144,7 +135,7 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 			r.cur = grid.New(ge.localH(), ge.localW())
 			r.next = grid.New(ge.localH(), ge.localW())
 			for y := 0; y < ge.ownH; y++ {
-				copy(r.cur.Row(ge.gTop + y)[ge.gLeft:ge.gLeft+ge.ownW], ckpts[id][y])
+				copy(r.cur.Row(ge.gTop + y)[ge.gLeft:ge.gLeft+ge.ownW], st.ckpts[id][y])
 			}
 			rs[id] = r
 		}
@@ -155,18 +146,28 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 				east := rs[id+1]
 				toEast := fault.NewLink[message](inj, id, id+1, 1)
 				toWest := fault.NewLink[message](inj, id+1, id, 1)
-				r.sendE, east.recvW = toEast, toEast
-				east.sendW, r.recvE = toWest, toWest
+				r.sendE.link, east.recvW = toEast, toEast
+				east.sendW.link, r.recvE = toWest, toWest
 			}
 			if r.gBot > 0 {
 				south := rs[id+C]
 				toSouth := fault.NewLink[message](inj, id, id+C, 1)
 				toNorth := fault.NewLink[message](inj, id+C, id, 1)
-				r.sendS, south.recvN = toSouth, toSouth
-				south.sendN, r.recvS = toNorth, toNorth
+				r.sendS.link, south.recvN = toSouth, toSouth
+				south.sendN.link, r.recvS = toNorth, toNorth
 			}
 		}
-		gen.harvest = func(rep *Report) {
+		var wg sync.WaitGroup
+		for _, r := range rs {
+			wg.Add(1)
+			go func(r *rank2d) {
+				defer wg.Done()
+				r.run(start)
+			}(r)
+		}
+		live = rs
+		return func(rep *Report) {
+			wg.Wait()
 			for _, r := range rs {
 				rep.Messages += r.msgs
 				rep.BytesSent += r.bytes
@@ -174,19 +175,10 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 				rep.OwnedCells += r.owned
 			}
 		}
-		for _, r := range rs {
-			gen.wg.Add(1)
-			go func(r *rank2d) {
-				defer gen.wg.Done()
-				r.run(startRound)
-			}(r)
-		}
-		live = rs
-		return gen
 	}
 
 	rep := Report{Ranks: n, GhostWidth: K}
-	if err := coordinate(ctx, n, K, cfg.maxIters, inj, hb, launch, ckpts, &rep, dur, startRound, startTopples, cfg.obs); err != nil {
+	if err := coordinate(ctx, st, n, inj, launch, &rep); err != nil {
 		return rep, err
 	}
 
@@ -205,11 +197,12 @@ func run2d(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 }
 
 // run executes one simulated rank: rounds of a halo exchange and K
-// synchronous steps over a shrinking valid band, a report (heartbeat +
-// checkpoint) to the coordinator, and the coordinator's continue
-// verdict. An injected crash makes the rank go silent mid-protocol —
-// exactly the failure mode the coordinator's heartbeat timeout exists
-// to catch.
+// synchronous steps over a shrinking valid band, then an arrival at
+// the generation's barrier (heartbeat, change count and, when staging
+// is on, a checkpoint of the owned block), which returns once the
+// round has committed. An injected crash makes the rank go silent
+// mid-protocol — exactly the failure mode the coordinator's heartbeat
+// watchdog exists to catch.
 func (r *rank2d) run(startRound int) {
 	for round := startRound + 1; ; round++ {
 		if r.inj.CrashAt(r.id, round) {
@@ -219,7 +212,7 @@ func (r *rank2d) run(startRound int) {
 		// The first exchange distributes the scattered initial state's
 		// boundary cells; later ones refresh post-round state.
 		exTS := r.tr.Now()
-		if !r.exchange() {
+		if !r.exchange(round) {
 			return // aborted, or a peer died and the link drained
 		}
 		if r.tr != nil {
@@ -235,27 +228,12 @@ func (r *rank2d) run(startRound int) {
 			r.tr.Span(r.track, "compute", compTS, r.tr.Now()-compTS,
 				obs.Arg{Key: "changes", Value: int64(w.changes)})
 		}
-		// With fault injection or durability on, the report carries a
-		// checkpoint of the owned block; the coordinator installs it
-		// once the whole round commits.
-		var rows [][]uint32
-		if r.inj != nil || r.durable {
-			rows = make([][]uint32, r.ownH)
-			for y := range rows {
-				rows[y] = append([]uint32(nil), r.cur.Row(r.gTop + y)[r.gLeft:r.gLeft+r.ownW]...)
+		if stage := r.bar.stage; stage != nil {
+			for y, row := range stage[r.id] {
+				copy(row, r.cur.Row(r.gTop + y)[r.gLeft:r.gLeft+r.ownW])
 			}
 		}
-		select {
-		case r.reports <- roundReport{gen: r.gen, id: r.id, round: round, changes: w.changes, rows: rows}:
-		case <-r.abort:
-			return
-		}
-		select {
-		case cont := <-r.proceed:
-			if !cont {
-				return
-			}
-		case <-r.abort:
+		if !r.bar.arrive(w.changes) {
 			return
 		}
 	}
@@ -263,94 +241,55 @@ func (r *rank2d) run(startRound int) {
 
 // exchange performs the two-phase halo exchange: E/W columns over
 // owned rows first, then N/S rows over the full local width (carrying
-// the corners). Returns false on abort or peer death (a receive timed
-// out with nothing to retransmit).
-func (r *rank2d) exchange() bool {
-	K := r.K
-	// Phase 1: east/west columns, owned rows only, coalesced into one
-	// flat ownH×K message per neighbor.
-	colPayload := func(x0 int) message {
-		buf := make([]uint32, 0, r.ownH*K)
-		for y := 0; y < r.ownH; y++ {
-			buf = append(buf, r.cur.Row(r.gTop + y)[x0:x0+K]...)
-		}
-		return message{buf: buf}
-	}
-	if r.sendW != nil {
-		if !r.sendW.Send(colPayload(r.gLeft), r.abort) {
-			return false
-		}
-		r.msgs++
-		r.bytes += uint64(K * r.ownH * 4)
-	}
-	if r.sendE != nil {
-		if !r.sendE.Send(colPayload(r.gLeft+r.ownW-K), r.abort) {
-			return false
-		}
-		r.msgs++
-		r.bytes += uint64(K * r.ownH * 4)
-	}
-	if r.recvW != nil {
-		m, ok := r.recvW.Recv(r.linkWait, r.abort)
-		if !ok {
-			return false
-		}
-		for y := 0; y < r.ownH; y++ {
-			copy(r.cur.Row(r.gTop + y)[0:K], m.buf[y*K:(y+1)*K])
-		}
-	}
-	if r.recvE != nil {
-		m, ok := r.recvE.Recv(r.linkWait, r.abort)
-		if !ok {
-			return false
-		}
-		for y := 0; y < r.ownH; y++ {
-			copy(r.cur.Row(r.gTop + y)[r.gLeft+r.ownW:], m.buf[y*K:(y+1)*K])
-		}
-	}
+// the corners). Each halo is one flat message per neighbour. Returns
+// false on abort or peer death (a receive timed out with nothing to
+// retransmit).
+func (r *rank2d) exchange(round int) bool {
+	K, W, top, left := r.K, r.cur.W(), r.gTop, r.gLeft
+	return r.send(&r.sendW, round, top, r.ownH, left, K) &&
+		r.send(&r.sendE, round, top, r.ownH, left+r.ownW-K, K) &&
+		r.recv(r.recvW, top, r.ownH, 0, K) &&
+		r.recv(r.recvE, top, r.ownH, left+r.ownW, K) &&
+		// Phase 2 covers the halo columns just received: this is what
+		// fills the corners.
+		r.send(&r.sendN, round, top, K, 0, W) &&
+		r.send(&r.sendS, round, top+r.ownH-K, K, 0, W) &&
+		r.recv(r.recvN, 0, K, 0, W) &&
+		r.recv(r.recvS, top+r.ownH, K, 0, W)
+}
 
-	// Phase 2: north/south rows over the full local width, including
-	// the halo columns just received — this is what fills corners.
-	// One flat K×W message per neighbor.
-	W := r.cur.W()
-	rowPayload := func(y0 int) message {
-		buf := make([]uint32, 0, K*W)
-		for k := 0; k < K; k++ {
-			buf = append(buf, r.cur.Row(y0+k)...)
-		}
-		return message{buf: buf}
+// send fills h's buffer for the round's parity with the n segments of
+// w cells starting at column x0 of rows y0..y0+n-1, and ships it. A
+// side without a neighbour sends nothing.
+func (r *rank2d) send(h *halo, round, y0, n, x0, w int) bool {
+	if h.link == nil {
+		return true
 	}
-	if r.sendN != nil {
-		if !r.sendN.Send(rowPayload(r.gTop), r.abort) {
-			return false
-		}
-		r.msgs++
-		r.bytes += uint64(K * W * 4)
+	buf := h.bufs[round&1][:0]
+	for y := y0; y < y0+n; y++ {
+		buf = append(buf, r.cur.Row(y)[x0:x0+w]...)
 	}
-	if r.sendS != nil {
-		if !r.sendS.Send(rowPayload(r.gTop+r.ownH-K), r.abort) {
-			return false
-		}
-		r.msgs++
-		r.bytes += uint64(K * W * 4)
+	h.bufs[round&1] = buf
+	if !h.link.Send(message{buf: buf}, r.bar.abort) {
+		return false
 	}
-	if r.recvN != nil {
-		m, ok := r.recvN.Recv(r.linkWait, r.abort)
-		if !ok {
-			return false
-		}
-		for k := 0; k < K; k++ {
-			copy(r.cur.Row(k), m.buf[k*W:(k+1)*W])
-		}
+	r.msgs++
+	r.bytes += uint64(len(buf) * 4)
+	return true
+}
+
+// recv copies the next halo from l into the n segments of w cells
+// starting at column x0 of rows y0..y0+n-1.
+func (r *rank2d) recv(l *fault.Link[message], y0, n, x0, w int) bool {
+	if l == nil {
+		return true
 	}
-	if r.recvS != nil {
-		m, ok := r.recvS.Recv(r.linkWait, r.abort)
-		if !ok {
-			return false
-		}
-		for k := 0; k < K; k++ {
-			copy(r.cur.Row(r.gTop+r.ownH+k), m.buf[k*W:(k+1)*W])
-		}
+	m, ok := l.Recv(r.linkWait, r.bar.abort)
+	if !ok {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		copy(r.cur.Row(y0 + i)[x0:x0+w], m.buf[i*w:(i+1)*w])
 	}
 	return true
 }

@@ -50,5 +50,6 @@ func benchSyncRegionKernel(b *testing.B, level int) {
 	b.SetBytes(510 * 510 * 4)
 }
 
-func BenchmarkSyncRegionInnerSSE2(b *testing.B) { benchSyncRegionKernel(b, kernelSSE2) }
-func BenchmarkSyncRegionInnerAVX2(b *testing.B) { benchSyncRegionKernel(b, kernelAVX2) }
+func BenchmarkSyncRegionInnerScalar(b *testing.B) { benchSyncRegionKernel(b, kernelScalar) }
+func BenchmarkSyncRegionInnerSSE2(b *testing.B)   { benchSyncRegionKernel(b, kernelSSE2) }
+func BenchmarkSyncRegionInnerAVX2(b *testing.B)   { benchSyncRegionKernel(b, kernelAVX2) }

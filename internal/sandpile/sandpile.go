@@ -123,50 +123,20 @@ func AsyncRegion(g *grid.Grid, y0, y1, x0, x1 int) int {
 	return topples
 }
 
-// SyncRegionInner is the specialized "inner tile" synchronous kernel
-// of the third assignment: it assumes the rectangle [y0,y1)×[x0,x1)
-// touches no grid border, so no sink handling is required and the loop
-// body is branch-free and straight-line — the shape a vectorizing
-// compiler (or, here, the Go compiler's BCE) wants. Callers must
-// guarantee 0 < y0, y1 < H, 0 < x0, x1 < W... the weaker and
-// sufficient condition is simply that reads at ±1/±stride stay inside
-// the halo, which holds for any interior rectangle. It returns the
-// number of changed cells.
+// SyncRegionInner is the "inner tile" entry point of the third
+// assignment, which tiled-sync-inner and lazy-sync-inner call on tiles
+// that touch no grid border. The assignment separates inner tiles so
+// that their kernel needs no sink handling and vectorizes; here every
+// rectangle reads its missing neighbours from the halo, so no kernel
+// handles sinks, and an inner tile runs the same region dispatch
+// (SyncRegion) — the vector kernels on amd64.
 func SyncRegionInner(cur, next *grid.Grid, y0, y1, x0, x1 int) int {
-	stride := cur.Stride()
-	c := cur.Cells()
-	n := next.Cells()
-	changes := 0
-	w := x1 - x0
-	if w <= 0 {
-		return 0
-	}
-	for y := y0; y < y1; y++ {
-		base := (y+1)*stride + x0 + 1
-		mid := c[base-1 : base+w+1][: w+2 : w+2] // shifted: mid[k+1] holds cell x0+k
-		up := c[base-stride : base-stride+w][:w:w]
-		down := c[base+stride : base+stride+w][:w:w]
-		out := n[base : base+w][:w:w]
-		left := mid[0]
-		center := mid[1]
-		for k := range out {
-			right := mid[k+2]
-			v := center%Threshold + left/Threshold + right/Threshold +
-				up[k]/Threshold + down[k]/Threshold
-			out[k] = v
-			if v != center {
-				changes++
-			}
-			left, center = center, right
-		}
-	}
-	return changes
+	return SyncRegion(cur, next, y0, y1, x0, x1)
 }
 
 // SyncRegion applies the synchronous kernel to an arbitrary rectangle
 // [y0,y1)×[x0,x1) (outer tiles included — the halo supplies the
-// missing neighbors) and returns the number of changed cells. It is
-// the general-purpose counterpart of SyncRegionInner, and every
+// missing neighbors) and returns the number of changed cells. Every
 // synchronous sweep goes through it: parallel variants carve the grid
 // into row ranges, tiles or blocks and call it from several
 // goroutines. It only writes the rectangle of next, so concurrent
