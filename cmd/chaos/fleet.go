@@ -7,8 +7,9 @@ package main
 // asserts the final state is byte-identical to a clean in-process run
 // of the same workload. This is the end-to-end proof for internal/net:
 // leases detect the deaths, the supervisor respawns the ranks, and the
-// applications' recovery (ghost re-seeds or rolls back to a snapshot,
-// word count re-dispatches tasks) keeps the computation exact.
+// applications' recovery (ghost rolls every rank back to the last
+// committed window over fresh peer links, word count re-dispatches
+// tasks) keeps the computation exact.
 
 import (
 	"bytes"

@@ -123,31 +123,35 @@ func encodeEngineSnapshot(iters int64, topples, absorbed uint64, tileH, tileW in
 // restore installs a decoded snapshot: interior cells into g, totals
 // into st, and — when the snapshot's tile geometry matches this run's
 // — the saved worklist into p.resumeFrontier for the lazy variants.
-// The payload is untrusted: an iteration count no int can hold, or a
-// worklist naming a tile this tiling lacks, is an error wrapping
-// ckpt.ErrCorrupt.
+// The payload is untrusted: one cut off, an iteration count no int can
+// hold, or a worklist naming a tile this tiling lacks, is an error
+// wrapping ckpt.ErrCorrupt. Nothing is written, g included, until the
+// whole payload has checked out.
 func (st *ckptState) restore(payload []byte, epoch uint64, g *grid.Grid, p *Params, d Params) error {
 	dec := ckpt.NewDec(payload)
 	if tag := dec.U32(); tag != enginePayload {
 		return fmt.Errorf("engine: snapshot has payload tag %d, want %d", tag, enginePayload)
 	}
 	iters := dec.U64()
-	st.topples = dec.U64()
-	st.absorbed = dec.U64()
+	topples := dec.U64()
+	absorbed := dec.U64()
 	tileH := int(dec.U32())
 	tileW := int(dec.U32())
 	h := int(dec.U32())
 	w := int(dec.U32())
+	if err := dec.Err(); err != nil {
+		return fmt.Errorf("engine: snapshot epoch %d: %w", epoch, err)
+	}
 	if h != g.H() || w != g.W() {
 		return fmt.Errorf("engine: snapshot is %dx%d but the run grid is %dx%d (resume needs the same -size)",
 			h, w, g.H(), g.W())
 	}
-	for y := 0; y < h; y++ {
-		row := g.Row(y)
-		for x := 0; x < w; x++ {
-			row[x] = dec.U32()
-		}
+	rest := dec.Rest()
+	if len(rest) < 4*h*w {
+		return fmt.Errorf("engine: snapshot epoch %d holds %d of %d cell bytes: %w", epoch, len(rest), 4*h*w, ckpt.ErrCorrupt)
 	}
+	cells := rest[:4*h*w]
+	dec = ckpt.NewDec(rest[4*h*w:])
 	var frontier []int32
 	if dec.U8() == 1 {
 		frontier = dec.I32s()
@@ -172,7 +176,14 @@ func (st *ckptState) restore(payload []byte, epoch uint64, g *grid.Grid, p *Para
 		}
 		p.resumeFrontier = frontier
 	}
-	st.iters = int(iters)
+	cd := ckpt.NewDec(cells)
+	for y := 0; y < h; y++ {
+		row := g.Row(y)
+		for x := range row {
+			row[x] = cd.U32()
+		}
+	}
+	st.iters, st.topples, st.absorbed = int(iters), topples, absorbed
 	g.ClearHalo()
 	return nil
 }

@@ -122,7 +122,8 @@ func FuzzRestoreEngine(f *testing.F) {
 		f.Add(s.epoch, s.payload)
 	}
 	f.Fuzz(func(t *testing.T, epoch uint64, payload []byte) {
-		g := grid.New(fuzzH, fuzzW)
+		g := sandpile.Center(100).Build(fuzzH, fuzzW, nil)
+		clone := g.Clone()
 		p := fuzzParams()
 		d := p.withDefaults()
 		st := &ckptState{}
@@ -134,6 +135,9 @@ func FuzzRestoreEngine(f *testing.F) {
 			t.Fatalf("a %d-byte payload allocated %d bytes", len(payload), grew)
 		}
 		if err != nil {
+			if !g.Equal(clone) || st.iters != 0 || st.topples != 0 || st.absorbed != 0 || p.resumeFrontier != nil {
+				t.Fatalf("rejected snapshot (%v) changed the grid or the run's state", err)
+			}
 			return
 		}
 		if st.iters < 0 || uint64(st.iters) != epoch {
@@ -164,8 +168,13 @@ func TestResumeRejectsIterationMinusOne(t *testing.T) {
 	p := fuzzParams()
 	p.MaxIters = 5
 	p.Ckpt = ckpt.NewCheckpointer(store, 64, true)
-	_, err = Run("lazy-sync", sandpile.Center(100).Build(fuzzH, fuzzW, nil), p)
+	g := sandpile.Center(100).Build(fuzzH, fuzzW, nil)
+	clone := g.Clone()
+	_, err = Run("lazy-sync", g, p)
 	if !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("resume from iteration -1: err = %v, want ckpt.ErrCorrupt", err)
+	}
+	if !g.Equal(clone) {
+		t.Fatal("the rejected snapshot was written into the grid")
 	}
 }

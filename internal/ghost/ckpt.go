@@ -79,9 +79,10 @@ func restoreGhost(ck *ckpt.Checkpointer, g *grid.Grid) (round int, topples uint6
 }
 
 // decodeGhost decodes a snapshot payload saved at epoch into g. A
-// payload that is not a ghost snapshot, or holds a round that is not
-// its epoch or does not fit an int, is corrupt (ckpt.ErrCorrupt); one
-// sized for another grid is a usage error.
+// payload that is not a ghost snapshot, is cut off, or holds a round
+// that is not its epoch or does not fit an int, is corrupt
+// (ckpt.ErrCorrupt); one sized for another grid is a usage error. g is
+// written only once the whole payload has checked out.
 func decodeGhost(payload []byte, epoch uint64, g *grid.Grid) (round int, topples uint64, err error) {
 	dec := ckpt.NewDec(payload)
 	if tag := dec.U32(); tag != ghostPayload {
@@ -90,6 +91,9 @@ func decodeGhost(payload []byte, epoch uint64, g *grid.Grid) (round int, topples
 	r := dec.U64()
 	topples = dec.U64()
 	h, w := int(dec.U32()), int(dec.U32())
+	if err := dec.Err(); err != nil {
+		return 0, 0, fmt.Errorf("ghost: snapshot epoch %d: %w", epoch, err)
+	}
 	if h != g.H() || w != g.W() {
 		return 0, 0, fmt.Errorf("ghost: snapshot is %dx%d but the run grid is %dx%d (resume needs the same size)",
 			h, w, g.H(), g.W())
@@ -97,14 +101,16 @@ func decodeGhost(payload []byte, epoch uint64, g *grid.Grid) (round int, topples
 	if r > math.MaxInt || r != epoch {
 		return 0, 0, fmt.Errorf("ghost: snapshot epoch %d holds round %d: %w", epoch, r, ckpt.ErrCorrupt)
 	}
+	cells := dec.Rest()
+	if len(cells) < 4*h*w {
+		return 0, 0, fmt.Errorf("ghost: snapshot epoch %d holds %d of %d cell bytes: %w", epoch, len(cells), 4*h*w, ckpt.ErrCorrupt)
+	}
+	cd := ckpt.NewDec(cells)
 	for y := 0; y < h; y++ {
 		row := g.Row(y)
-		for x := 0; x < w; x++ {
-			row[x] = dec.U32()
+		for x := range row {
+			row[x] = cd.U32()
 		}
-	}
-	if err := dec.Err(); err != nil {
-		return 0, 0, fmt.Errorf("ghost: snapshot epoch %d: %w", epoch, err)
 	}
 	g.ClearHalo()
 	return int(r), topples, nil

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
-	"repro/internal/grid"
 	"repro/internal/sandpile"
 )
 
@@ -93,15 +92,17 @@ func TestRestoreGhostCorpus(t *testing.T) {
 }
 
 // FuzzRestoreGhost decodes arbitrary ghost snapshot payloads at
-// arbitrary epochs into a 4×6 grid. It must never panic nor allocate
-// much more than the payload's own size, and a nil error must mean the
-// resumed round is the epoch and fits an int.
+// arbitrary epochs into a 4×6 pile. It must never panic nor allocate
+// much more than the payload's own size; an error must leave the pile
+// untouched (truncated-cells starts with valid cells), and a nil error
+// must mean the resumed round is the epoch and fits an int.
 func FuzzRestoreGhost(f *testing.F) {
 	for _, s := range restoreGhostSeeds {
 		f.Add(s.epoch, s.payload)
 	}
 	f.Fuzz(func(t *testing.T, epoch uint64, payload []byte) {
-		g := grid.New(fuzzH, fuzzW)
+		g := sandpile.Center(100).Build(fuzzH, fuzzW, nil)
+		clone := g.Clone()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		round, _, err := decodeGhost(payload, epoch, g)
@@ -110,6 +111,9 @@ func FuzzRestoreGhost(f *testing.F) {
 			t.Fatalf("a %d-byte payload allocated %d bytes", len(payload), grew)
 		}
 		if err != nil {
+			if !g.Equal(clone) {
+				t.Fatalf("rejected snapshot (%v) was written into the grid", err)
+			}
 			return
 		}
 		if round < 0 || uint64(round) != epoch {
@@ -130,9 +134,14 @@ func TestGhostResumeRejectsRoundMinusOne(t *testing.T) {
 	if err := store.Save(math.MaxUint64, ghostPayloadWith(ghostPayload, math.MaxUint64, n, n)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = New(sandpile.Center(900).Build(n, n, nil), WithRanks(2), WithWidth(2),
+	g := sandpile.Center(900).Build(n, n, nil)
+	clone := g.Clone()
+	_, err = New(g, WithRanks(2), WithWidth(2),
 		WithCheckpoint(ckpt.NewCheckpointer(store, 64, true))).Run()
 	if !errors.Is(err, ckpt.ErrCorrupt) {
 		t.Fatalf("resume from round -1: err = %v, want ckpt.ErrCorrupt", err)
+	}
+	if !g.Equal(clone) {
+		t.Fatal("the rejected snapshot was written into the grid")
 	}
 }

@@ -160,8 +160,12 @@ func TestGhostResumeSizeMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	other := sandpile.Center(5000).Build(24, 24, nil)
+	clone := other.Clone()
 	if _, err := New(other, WithRanks(2), WithWidth(1),
 		WithCheckpoint(ghostCheckpointer(t, dir, 1))).Run(); err == nil {
 		t.Fatal("mismatched grid size resumed without error")
+	}
+	if !other.Equal(clone) {
+		t.Fatal("the rejected snapshot was written into the grid")
 	}
 }

@@ -1,39 +1,53 @@
 package ghost
 
 // fleet.go runs the distributed sandpile over real process boundaries:
-// the goroutine ranks of ghost2d.go become fleet workers connected
-// through internal/net, so a SIGKILL is a real lost peer detected by a
-// heartbeat lease rather than a simulated crash.
+// the ranks of ghost2d.go become fleet workers joined through
+// internal/net, so a SIGKILL is a real lost peer that a broken
+// connection or a heartbeat lease reveals, not a simulated crash.
 //
-// Workers keep their blocks resident, so a round moves only what the
-// message-passing runtime moves. A worker is seeded once per
-// generation with its whole block plus ghost bands, carved from a
-// committed snapshot. After that a round message carries only the
-// K-deep ghost bands, and the report carries the round's counts plus
-// the owned cells within K of each interior side. The topology stays a
-// star: the coordinator writes those edge strips into its global grid
-// at commit and carves the next round's bands from it, so per-round
-// traffic is O(perimeter×K), not O(block).
+// Workers swap halos with their neighbours directly, as MPI ranks do.
+// Each worker listens for its peers on the run's own transport
+// (pnet.PeerListen) and announces that address in its hello. Once per
+// generation the coordinator seeds every rank with its owned block and
+// its neighbours' ranks and addresses; the rank links to each
+// neighbour over one pnet.Conn and then runs rounds on its own: the
+// two-phase exchange of run2d (E/W columns over owned rows, then N/S
+// rows over the full local width, so the corners ride along) and K
+// steps.
 //
-// Between snapshots only the edge strips of the global grid are
-// current. Every snapEvery rounds, at every due durable checkpoint,
-// and at the end, the coordinator pulls each owned block and keeps a
-// copy of the full grid: the snapshot. A rank loses its state when its
-// worker dies, rejoins, is declared lost, or answers a step with "no
-// state". If no round has committed since the snapshot, the rank is
-// re-seeded from the global grid; otherwise every rank rolls back to
-// the snapshot under a new generation. Every message and reply carries
-// (generation, round), so replies that outlive a re-seed or a rollback
-// are recognised and dropped. The automaton's determinism makes replay
-// exact. A lost rank's block is served by the coordinator itself, with
-// the same block type the workers use: the run degrades to fewer
-// processes, never to a wrong answer.
+// The coordinator only grants windows of rounds. A window ends at the
+// next multiple of snapEvery, the next due durable checkpoint or the
+// maxIters round, whichever comes first. At its end every rank reports
+// the window's per-round (changes, redundant) counts and its owned
+// block. The coordinator adds the counts and stops the run at the
+// first round whose total is zero: that round is a fixed point, so the
+// rounds computed after it left the blocks unchanged. Otherwise it
+// installs the blocks, writes a due checkpoint and grants the next
+// window. The global grid is thus whole at every window end, and the
+// coordinator handles a few frames per rank per window, none per round.
+//
+// Commits happen only at window ends, and recovery has one path. A
+// rank's death, rejoin or loss, or a window a worker aborts because a
+// peer link broke, makes the generation stale. A rank that aborts
+// closes its peer links, so the abort reaches every rank. Once every
+// rank can be reached again, the coordinator re-seeds all of them from
+// the last committed window under a new generation, with fresh peer
+// links. Every frame carries (generation, round), so frames that
+// outlive a re-seed are recognised and dropped, and the automaton's
+// determinism makes the replay exact. A rank whose worker is lost for
+// good is served by the coordinator process itself, as a peer like any
+// other: the run degrades to fewer processes, never to a wrong answer.
+// A run whose generations keep failing before they commit a window
+// stops with ErrNoProgress.
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"sync"
+	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/grid"
@@ -42,41 +56,45 @@ import (
 )
 
 // GhostProto names the fleet wire protocol version.
-const GhostProto = "ghost/2"
+const GhostProto = "ghost/3"
 
-// snapEvery is the snapshot cadence in rounds: how much work a lost
-// rank can cost, against one full-block pull per rank per snapshot.
+// snapEvery bounds a window in rounds: how much work a lost rank can
+// cost, against one report of every owned block per window.
 const snapEvery = 64
+
+// maxBarren is how many generations in a row may commit no window
+// before a fleet run gives up with ErrNoProgress.
+const maxBarren = 8
 
 // Fleet application frame types. Every payload opens with a 12-byte
 // header: the generation (u32) and the round (u64).
 const (
-	// msgSeed (coordinator -> worker): install a resident block and
-	// compute the header's round. After the header: the geometry
-	// (K, ownH, ownW, gTop, gBot, gLeft, gRh as u32), then the whole
-	// local window — owned block and ghost bands, corners included —
-	// row-major, as committed before the round.
+	// msgSeed (coordinator -> worker): install a block at the header's
+	// round, link to the neighbours and run the first window. After the
+	// header: the window's end round (u64), the geometry (K, ownH, ownW,
+	// gTop, gBot, gLeft, gRh as u32), one neighbour per ghost side in
+	// side order (its rank as u32, then its address as a u32 length and
+	// bytes), then the owned block, row-major.
 	msgSeed uint8 = pnet.FrameApp + iota
-	// msgStep (coordinator -> worker): compute the header's round of a
-	// resident block. After the header: the top and bottom bands over
-	// the full local width, then the left and right bands over owned
-	// rows.
-	msgStep
-	// msgPull (coordinator -> worker): send the owned block as of the
-	// header's round. Header only.
-	msgPull
-	// msgReport (worker -> coordinator): the round's change and
-	// redundant-cell counts (u64 each), then the edge strips — the owned
-	// cells within K of the top, bottom, left and right interior sides.
+	// msgGrant (coordinator -> worker): run the next window. The
+	// header's round is the last committed one; after it, the window's
+	// end round (u64).
+	msgGrant
+	// msgLink (worker -> worker): the first frame on a peer link, from
+	// the higher rank. The header's round is the generation's base;
+	// after it, the sender's rank (u32).
+	msgLink
+	// msgHalo (worker -> worker): the halo that opens the header's round,
+	// row-major.
+	msgHalo
+	// msgReport (worker -> coordinator): the window that ends at the
+	// header's round. After the header: its number of rounds n (u32), n
+	// (changes, redundant) pairs (u64 each), then the owned block.
 	msgReport
-	// msgBlock (worker -> coordinator): the owned block, answering a
-	// pull.
-	msgBlock
-	// msgNoState (worker -> coordinator): the worker holds no block at
-	// the (generation, round) a step or pull continues — typically a
-	// fresh incarnation the coordinator has not yet seen join. Header
-	// only.
-	msgNoState
+	// msgAbort (worker -> coordinator): the worker runs no window of the
+	// header's generation any more: a peer link broke, or a grant
+	// reached an incarnation that holds no block. Header only.
+	msgAbort
 	// msgStop (coordinator -> worker): the run is over; exit cleanly.
 	msgStop
 )
@@ -84,12 +102,39 @@ const (
 const (
 	headerLen = 4 + 8
 	geomLen   = 7 * 4
-	countsLen = 8 + 8
+	pairLen   = 8 + 8
+)
+
+// The sides of a block, in the order of the two-phase exchange.
+const (
+	west = iota
+	east
+	north
+	south
+	nSides
 )
 
 // errMalformed is returned for a fleet payload whose length or
 // geometry does not match its frame type.
 var errMalformed = errors.New("ghost: malformed fleet message")
+
+// ErrNoProgress is what a fleet run fails with, as a
+// *NoProgressError, when maxBarren generations in a row have been
+// seeded without committing a window.
+var ErrNoProgress = errors.New("ghost: fleet run makes no progress")
+
+// NoProgressError is the ErrNoProgress of one run.
+type NoProgressError struct {
+	Committed   int // the last committed round
+	Generations int // generations in a row that committed no window
+}
+
+func (e *NoProgressError) Error() string {
+	return fmt.Sprintf("%v: %d generations in a row committed no window after round %d",
+		ErrNoProgress, e.Generations, e.Committed)
+}
+
+func (e *NoProgressError) Is(target error) bool { return target == ErrNoProgress }
 
 // rect is a rectangle of rank-local cells: rows [y0,y1), columns
 // [x0,x1).
@@ -97,80 +142,51 @@ type rect struct{ y0, y1, x0, x1 int }
 
 func (r rect) cells() int { return (r.y1 - r.y0) * (r.x1 - r.x0) }
 
-func cellsOf(rs []rect) int {
-	n := 0
-	for _, r := range rs {
-		n += r.cells()
-	}
-	return n
-}
-
-func (ge geom) window() rect { return rect{0, ge.localH(), 0, ge.localW()} }
-
 func (ge geom) owned() rect {
 	return rect{ge.gTop, ge.gTop + ge.ownH, ge.gLeft, ge.gLeft + ge.ownW}
 }
 
-// bands are the ghost zones in wire order: top and bottom over the full
-// local width (they carry the corners), then left and right over owned
-// rows. Sides without a neighbour are empty.
-func (ge geom) bands() []rect {
-	o := ge.owned()
-	return []rect{
-		{0, o.y0, 0, ge.localW()},
-		{o.y1, ge.localH(), 0, ge.localW()},
-		{o.y0, o.y1, 0, o.x0},
-		{o.y0, o.y1, o.x1, ge.localW()},
+// halo returns the cells a rank sends to its neighbour on side s and
+// the cells that neighbour's halo fills, rank-local; ok is false on a
+// side without a neighbour. E/W halos span the owned rows and N/S
+// halos the full local width, as in run2d's exchange.
+func (ge geom) halo(s int) (out, in rect, ok bool) {
+	o, K, W := ge.owned(), ge.K, ge.localW()
+	switch s {
+	case west:
+		return rect{o.y0, o.y1, o.x0, o.x0 + K}, rect{o.y0, o.y1, 0, o.x0}, ge.gLeft > 0
+	case east:
+		return rect{o.y0, o.y1, o.x1 - K, o.x1}, rect{o.y0, o.y1, o.x1, W}, ge.gRh > 0
+	case north:
+		return rect{o.y0, o.y0 + K, 0, W}, rect{0, o.y0, 0, W}, ge.gTop > 0
+	default:
+		return rect{o.y1 - K, o.y1, 0, W}, rect{o.y1, ge.localH(), 0, W}, ge.gBot > 0
 	}
-}
-
-// edges are the owned cells a neighbour needs for its next bands, in
-// wire order: K rows or columns inside each interior side.
-func (ge geom) edges() []rect {
-	o, K := ge.owned(), ge.K
-	var rs []rect
-	if ge.gTop > 0 {
-		rs = append(rs, rect{o.y0, o.y0 + K, o.x0, o.x1})
-	}
-	if ge.gBot > 0 {
-		rs = append(rs, rect{o.y1 - K, o.y1, o.x0, o.x1})
-	}
-	if ge.gLeft > 0 {
-		rs = append(rs, rect{o.y0, o.y1, o.x0, o.x0 + K})
-	}
-	if ge.gRh > 0 {
-		rs = append(rs, rect{o.y0, o.y1, o.x1 - K, o.x1})
-	}
-	return rs
 }
 
 // origin maps rank-local cells to global ones: local (y, x) is global
 // (y+dy, x+dx).
 func (ge geom) origin() (dy, dx int) { return ge.top - ge.gTop, ge.left - ge.gLeft }
 
-// appendCells appends the cells of rs in g, shifted by (dy, dx),
+// appendRect appends the cells of r in g, shifted by (dy, dx),
 // row-major.
-func appendCells(b []byte, g *grid.Grid, rs []rect, dy, dx int) []byte {
-	for _, r := range rs {
-		for y := r.y0; y < r.y1; y++ {
-			for _, v := range g.Row(y + dy)[r.x0+dx : r.x1+dx] {
-				b = binary.LittleEndian.AppendUint32(b, v)
-			}
+func appendRect(b []byte, g *grid.Grid, r rect, dy, dx int) []byte {
+	for y := r.y0; y < r.y1; y++ {
+		for _, v := range g.Row(y + dy)[r.x0+dx : r.x1+dx] {
+			b = binary.LittleEndian.AppendUint32(b, v)
 		}
 	}
 	return b
 }
 
-// readCells fills the cells of rs in g, shifted by (dy, dx), from p,
-// which must hold exactly cellsOf(rs) cells.
-func readCells(p []byte, g *grid.Grid, rs []rect, dy, dx int) {
-	for _, r := range rs {
-		for y := r.y0; y < r.y1; y++ {
-			row := g.Row(y + dy)[r.x0+dx : r.x1+dx]
-			for x := range row {
-				row[x] = binary.LittleEndian.Uint32(p)
-				p = p[4:]
-			}
+// readRect fills the cells of r in g, shifted by (dy, dx), from p,
+// which must hold exactly r.cells() cells.
+func readRect(p []byte, g *grid.Grid, r rect, dy, dx int) {
+	for y := r.y0; y < r.y1; y++ {
+		row := g.Row(y + dy)[r.x0+dx : r.x1+dx]
+		for x := range row {
+			row[x] = binary.LittleEndian.Uint32(p)
+			p = p[4:]
 		}
 	}
 }
@@ -181,21 +197,33 @@ func appendHeader(b []byte, gen, round int) []byte {
 }
 
 // readHeader splits a payload into its (generation, round) header and
-// body.
+// body. A round no int can hold is malformed.
 func readHeader(p []byte) (gen, round int, body []byte, err error) {
 	if len(p) < headerLen {
 		return 0, 0, nil, fmt.Errorf("%w: %d-byte payload has no header", errMalformed, len(p))
 	}
-	return int(binary.LittleEndian.Uint32(p)), int(binary.LittleEndian.Uint64(p[4:])), p[headerLen:], nil
+	r := binary.LittleEndian.Uint64(p[4:])
+	if r > math.MaxInt {
+		return 0, 0, nil, fmt.Errorf("%w: round %d", errMalformed, r)
+	}
+	return int(binary.LittleEndian.Uint32(p)), int(r), p[headerLen:], nil
 }
 
 func headerMsg(typ uint8, gen, round int) pnet.Msg {
 	return pnet.Msg{Type: typ, Payload: appendHeader(make([]byte, 0, headerLen), gen, round)}
 }
 
-// readGeom decodes a seed body's geometry and checks it — and the
-// window it implies — against the body length before anything is
-// allocated.
+// readEnd reads a window's end round, which must lie past round.
+func readEnd(body []byte, round int) (int, error) {
+	end := binary.LittleEndian.Uint64(body)
+	if end <= uint64(round) || end > math.MaxInt {
+		return 0, fmt.Errorf("%w: window from round %d to %d", errMalformed, round, end)
+	}
+	return int(end), nil
+}
+
+// readGeom decodes a seed's geometry and checks it before anything is
+// sized from it. The owned block must fit the n bytes that remain.
 func readGeom(body []byte) (geom, []byte, error) {
 	if len(body) < geomLen {
 		return geom{}, nil, fmt.Errorf("%w: seed too short for its geometry", errMalformed)
@@ -205,20 +233,19 @@ func readGeom(body []byte) (geom, []byte, error) {
 		v[i] = uint64(binary.LittleEndian.Uint32(body[4*i:]))
 	}
 	K, ownH, ownW, gTop, gBot, gLeft, gRh := v[0], v[1], v[2], v[3], v[4], v[5], v[6]
-	cells := body[geomLen:]
-	n := uint64(len(cells))
+	rest := body[geomLen:]
+	n := uint64(len(rest))
 	side := func(g uint64) bool { return g == 0 || g == K }
-	localH, localW := gTop+ownH+gBot, gLeft+ownW+gRh
 	ok := K >= 1 && ownH >= 1 && ownW >= 1 &&
 		side(gTop) && side(gBot) && side(gLeft) && side(gRh) &&
 		(gTop+gBot == 0 || ownH >= K) && (gLeft+gRh == 0 || ownW >= K) &&
-		localH <= n && localW <= n && 4*localH*localW == n
+		ownH <= n && ownW <= n && 4*ownH*ownW <= n
 	if !ok {
-		return geom{}, nil, fmt.Errorf("%w: seed geometry K=%d own=%dx%d bands=%d/%d/%d/%d does not fit %d cell bytes",
+		return geom{}, nil, fmt.Errorf("%w: seed geometry K=%d own=%dx%d bands=%d/%d/%d/%d does not fit %d bytes",
 			errMalformed, K, ownH, ownW, gTop, gBot, gLeft, gRh, n)
 	}
 	return geom{K: int(K), ownH: int(ownH), ownW: int(ownW),
-		gTop: int(gTop), gBot: int(gBot), gLeft: int(gLeft), gRh: int(gRh)}, cells, nil
+		gTop: int(gTop), gBot: int(gBot), gLeft: int(gLeft), gRh: int(gRh)}, rest, nil
 }
 
 func appendGeom(b []byte, ge geom) []byte {
@@ -228,153 +255,771 @@ func appendGeom(b []byte, ge geom) []byte {
 	return b
 }
 
-// block is one rank's resident state: its geometry, the generation it
-// was seeded in, the last round it computed, and the rank-local grid
-// with its scratch twin. Fleet workers hold one; the coordinator holds
-// one per lost rank.
+// peer names a neighbouring rank and where it listens.
+type peer struct {
+	rank int
+	addr string
+}
+
+// seed is a decoded msgSeed: a rank's generation, base round, first
+// window end, geometry, neighbours (rank -1 on a side without one) and
+// owned block.
+type seed struct {
+	gen, round, end int
+	geom
+	nbrs  [nSides]peer
+	cells []byte
+}
+
+// appendSeed encodes a seed whose owned block is read from g, shifted
+// by (dy, dx).
+func appendSeed(b []byte, s seed, g *grid.Grid, dy, dx int) []byte {
+	b = appendHeader(b, s.gen, s.round)
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.end))
+	b = appendGeom(b, s.geom)
+	for side := range nSides {
+		if _, _, ok := s.halo(side); ok {
+			b = binary.LittleEndian.AppendUint32(b, uint32(s.nbrs[side].rank))
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(s.nbrs[side].addr)))
+			b = append(b, s.nbrs[side].addr...)
+		}
+	}
+	return appendRect(b, g, s.owned(), dy, dx)
+}
+
+// decodeSeed decodes and checks a seed. The cells alias p.
+func decodeSeed(p []byte) (s seed, err error) {
+	var body []byte
+	if s.gen, s.round, body, err = readHeader(p); err != nil {
+		return seed{}, err
+	}
+	if len(body) < 8 {
+		return seed{}, fmt.Errorf("%w: seed without a window end", errMalformed)
+	}
+	if s.end, err = readEnd(body, s.round); err != nil {
+		return seed{}, err
+	}
+	if s.geom, body, err = readGeom(body[8:]); err != nil {
+		return seed{}, err
+	}
+	for side := range nSides {
+		s.nbrs[side].rank = -1
+		if _, _, ok := s.halo(side); !ok {
+			continue
+		}
+		if len(body) < 8 {
+			return seed{}, fmt.Errorf("%w: seed cut off in its neighbours", errMalformed)
+		}
+		rank, n := binary.LittleEndian.Uint32(body), uint64(binary.LittleEndian.Uint32(body[4:]))
+		if n > uint64(len(body)-8) || rank > math.MaxInt32 {
+			return seed{}, fmt.Errorf("%w: seed neighbour rank %d with a %d-byte address", errMalformed, rank, n)
+		}
+		s.nbrs[side] = peer{rank: int(rank), addr: string(body[8 : 8+n])}
+		body = body[8+n:]
+	}
+	if len(body) != 4*s.ownH*s.ownW {
+		return seed{}, fmt.Errorf("%w: seed carries %d block bytes, want %d", errMalformed, len(body), 4*s.ownH*s.ownW)
+	}
+	s.cells = body
+	return s, nil
+}
+
+func grantMsg(gen, round, end int) pnet.Msg {
+	p := appendHeader(make([]byte, 0, headerLen+8), gen, round)
+	return pnet.Msg{Type: msgGrant, Payload: binary.LittleEndian.AppendUint64(p, uint64(end))}
+}
+
+func decodeGrant(p []byte) (gen, round, end int, err error) {
+	gen, round, body, err := readHeader(p)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if len(body) != 8 {
+		return 0, 0, 0, fmt.Errorf("%w: grant with a %d-byte body", errMalformed, len(body))
+	}
+	end, err = readEnd(body, round)
+	return gen, round, end, err
+}
+
+func linkMsg(gen, round, rank int) pnet.Msg {
+	p := appendHeader(make([]byte, 0, headerLen+4), gen, round)
+	return pnet.Msg{Type: msgLink, Payload: binary.LittleEndian.AppendUint32(p, uint32(rank))}
+}
+
+func decodeLink(p []byte) (gen, round, rank int, err error) {
+	gen, round, body, err := readHeader(p)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if len(body) != 4 {
+		return 0, 0, 0, fmt.Errorf("%w: link with a %d-byte body", errMalformed, len(body))
+	}
+	return gen, round, int(binary.LittleEndian.Uint32(body)), nil
+}
+
+// decodeHalo checks a halo against the cells it must fill and
+// returns them, aliasing p.
+func decodeHalo(p []byte, in rect) (gen, round int, cells []byte, err error) {
+	gen, round, cells, err = readHeader(p)
+	if err == nil && len(cells) != 4*in.cells() {
+		err = fmt.Errorf("%w: halo of %d bytes, want %d", errMalformed, len(cells), 4*in.cells())
+	}
+	return gen, round, cells, err
+}
+
+// report is a decoded msgReport: one rank's window.
+type report struct {
+	gen, end int
+	work     []roundWork // per round; owned is left zero
+	block    []byte      // the owned block at end, aliasing the payload
+}
+
+func appendReport(b []byte, gen, end int, work []roundWork, g *grid.Grid, own rect) []byte {
+	b = appendHeader(b, gen, end)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(work)))
+	for _, w := range work {
+		b = binary.LittleEndian.AppendUint64(b, uint64(w.changes))
+		b = binary.LittleEndian.AppendUint64(b, w.redundant)
+	}
+	return appendRect(b, g, own, 0, 0)
+}
+
+// decodeReport decodes a report from the rank of geometry ge. The
+// round count is checked against the payload before the counts are
+// allocated, and no round may change more cells than the rank owns.
+func decodeReport(p []byte, ge geom) (r report, err error) {
+	var body []byte
+	if r.gen, r.end, body, err = readHeader(p); err != nil {
+		return report{}, err
+	}
+	if len(body) < 4 {
+		return report{}, fmt.Errorf("%w: report without a round count", errMalformed)
+	}
+	n, block := uint64(binary.LittleEndian.Uint32(body)), uint64(4*ge.ownH*ge.ownW)
+	body = body[4:]
+	if uint64(len(body)) != n*pairLen+block {
+		return report{}, fmt.Errorf("%w: report of %d rounds in %d bytes", errMalformed, n, len(body))
+	}
+	maxChanges := uint64(ge.K * ge.ownH * ge.ownW)
+	r.work = make([]roundWork, n)
+	for i := range r.work {
+		changes := binary.LittleEndian.Uint64(body[i*pairLen:])
+		if changes > maxChanges {
+			return report{}, fmt.Errorf("%w: %d changes in a block of %d cells", errMalformed, changes, ge.ownH*ge.ownW)
+		}
+		r.work[i] = roundWork{changes: int(changes), redundant: binary.LittleEndian.Uint64(body[i*pairLen+8:])}
+	}
+	r.block = body[n*pairLen:]
+	return r, nil
+}
+
+// block is one rank's resident state: its geometry, the last round it
+// computed, and the rank-local grid with its scratch twin.
 type block struct {
 	geom
-	gen, round int
-	cur, next  *grid.Grid // nil until seeded
+	round     int
+	cur, next *grid.Grid
 }
 
-// serveRound applies one coordinator message to the block and returns
-// the reply. A seed always installs; a step or pull that does not
-// continue the block's (generation, round) is answered msgNoState. A
-// malformed payload returns an errMalformed error and leaves the block
-// as it was.
-func (b *block) serveRound(m pnet.Msg) (pnet.Msg, error) {
-	gen, round, body, err := readHeader(m.Payload)
-	if err != nil {
-		return pnet.Msg{}, err
+// install makes the block the seed's. The ghost zones are left as they
+// are: the first exchange fills them.
+func (b *block) install(s seed) {
+	if b.cur == nil || b.localH() != s.localH() || b.localW() != s.localW() {
+		b.cur, b.next = grid.New(s.localH(), s.localW()), grid.New(s.localH(), s.localW())
 	}
-	switch m.Type {
-	case msgSeed:
-		ge, cells, err := readGeom(body)
-		if err != nil {
-			return pnet.Msg{}, err
-		}
-		if b.cur == nil || b.localH() != ge.localH() || b.localW() != ge.localW() {
-			b.cur, b.next = grid.New(ge.localH(), ge.localW()), grid.New(ge.localH(), ge.localW())
-		}
-		b.geom, b.gen, b.round = ge, gen, round-1
-		readCells(cells, b.cur, []rect{ge.window()}, 0, 0)
-		return b.compute(), nil
-	case msgStep:
-		if b.cur == nil || b.gen != gen || b.round != round-1 {
-			return headerMsg(msgNoState, gen, round), nil
-		}
-		bands := b.bands()
-		if len(body) != 4*cellsOf(bands) {
-			return pnet.Msg{}, fmt.Errorf("%w: step carries %d band bytes, want %d",
-				errMalformed, len(body), 4*cellsOf(bands))
-		}
-		readCells(body, b.cur, bands, 0, 0)
-		return b.compute(), nil
-	case msgPull:
-		if len(body) != 0 {
-			return pnet.Msg{}, fmt.Errorf("%w: pull carries a %d-byte body", errMalformed, len(body))
-		}
-		if b.cur == nil || b.gen != gen || b.round != round {
-			return headerMsg(msgNoState, gen, round), nil
-		}
-		own := []rect{b.owned()}
-		p := appendHeader(make([]byte, 0, headerLen+4*b.ownH*b.ownW), gen, round)
-		return pnet.Msg{Type: msgBlock, Payload: appendCells(p, b.cur, own, 0, 0)}, nil
-	default:
-		return pnet.Msg{}, fmt.Errorf("ghost: unexpected frame type %d", m.Type)
-	}
+	b.geom, b.round = s.geom, s.round
+	readRect(s.cells, b.cur, b.owned(), 0, 0)
 }
 
-// compute runs the next round's K steps over the installed window and
-// encodes the report.
-func (b *block) compute() pnet.Msg {
+// step computes the next round's K steps over the block, whose ghost
+// zones the round's exchange has filled.
+func (b *block) step() roundWork {
 	var w roundWork
 	w, b.cur, b.next = computeBlock(b.geom, b.cur, b.next)
 	b.round++
-	edges := b.edges()
-	p := appendHeader(make([]byte, 0, headerLen+countsLen+4*cellsOf(edges)), b.gen, b.round)
-	p = binary.LittleEndian.AppendUint64(p, uint64(w.changes))
-	p = binary.LittleEndian.AppendUint64(p, w.redundant)
-	return pnet.Msg{Type: msgReport, Payload: appendCells(p, b.cur, edges, 0, 0)}
+	return w
+}
+
+// abortGrace is how long the coordinator waits, after a worker aborts
+// a window, for the death or rejoin that usually explains the abort
+// before it re-seeds anyway: seeding at once would often race the news
+// of the death and waste a generation on a dead rank.
+const abortGrace = 100 * time.Millisecond
+
+// linkTimeout bounds how long an accepted peer connection may take to
+// say which generation and rank it links.
+const linkTimeout = 10 * time.Second
+
+// linkBackoff paces redials of a neighbour that does not answer yet.
+var linkBackoff = pnet.Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond}
+
+// worker is one rank's side of the protocol: a peer listener that
+// outlives generations, the resident block, and the generation it
+// runs. Fleet workers hold one; the coordinator holds one per lost
+// rank.
+type worker struct {
+	tr   pnet.Transport
+	ln   pnet.Listener
+	rank int
+	b    block // only the live generation's goroutine touches it
+
+	mu     sync.Mutex
+	live   *generation        // nil before the first seed
+	early  []peerLink         // links for a generation not yet seeded here
+	shakes map[pnet.Conn]bool // accepted conns that have not said who they are
+	closed bool
+	wg     sync.WaitGroup // the accept loop and the handshakes
+}
+
+// peerLink is an accepted peer connection and what its link frame said.
+type peerLink struct {
+	gen, rank int
+	conn      pnet.Conn
+}
+
+// newWorker binds the rank's peer listener next to the coordinator at
+// join and starts accepting links.
+func newWorker(tr pnet.Transport, join string, rank int) (*worker, error) {
+	ln, err := pnet.PeerListen(tr, join)
+	if err != nil {
+		return nil, err
+	}
+	w := &worker{tr: tr, ln: ln, rank: rank, shakes: map[pnet.Conn]bool{}}
+	w.wg.Add(1)
+	go w.accept()
+	return w, nil
+}
+
+func (w *worker) accept() {
+	defer w.wg.Done()
+	for {
+		conn, err := w.ln.Accept()
+		if err != nil {
+			return
+		}
+		w.mu.Lock()
+		if w.closed {
+			w.mu.Unlock()
+			conn.Close()
+			return
+		}
+		w.shakes[conn] = true
+		w.wg.Add(1)
+		w.mu.Unlock()
+		go w.handshake(conn)
+	}
+}
+
+// handshake reads an accepted connection's link frame and hands the
+// link to its generation: the live one, or a later one kept until its
+// seed arrives. A link for an earlier generation is closed.
+func (w *worker) handshake(conn pnet.Conn) {
+	defer w.wg.Done()
+	m, err := conn.Recv(linkTimeout)
+	var gen, rank int
+	if err == nil && m.Type != msgLink {
+		err = errMalformed
+	}
+	if err == nil {
+		gen, _, rank, err = decodeLink(m.Payload)
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	delete(w.shakes, conn)
+	g := w.live
+	switch {
+	case err != nil || w.closed:
+		conn.Close()
+	case g != nil && gen == g.gen:
+		g.offer(peerLink{gen, rank, conn})
+	case g == nil || gen > g.gen:
+		w.early = append(w.early, peerLink{gen, rank, conn})
+	default:
+		conn.Close()
+	}
+}
+
+// handle serves one coordinator frame. Only a malformed frame is an
+// error: a reply that cannot be sent is left to the session, which
+// reconnects.
+func (w *worker) handle(m pnet.Msg, send func(pnet.Msg) error) error {
+	switch m.Type {
+	case msgStop:
+		return pnet.ErrWorkerDone
+	case msgSeed:
+		s, err := decodeSeed(m.Payload)
+		if err != nil {
+			return err
+		}
+		w.start(s, send)
+		return nil
+	case msgGrant:
+		gen, round, end, err := decodeGrant(m.Payload)
+		if err != nil {
+			return err
+		}
+		if !w.grant(gen, round, end) {
+			_ = send(headerMsg(msgAbort, gen, round))
+		}
+		return nil
+	}
+	return fmt.Errorf("%w: unexpected frame type %d", errMalformed, m.Type)
+}
+
+// start ends the live generation and runs the seed's.
+func (w *worker) start(s seed, send func(pnet.Msg) error) {
+	w.mu.Lock()
+	old := w.live
+	w.mu.Unlock()
+	if old != nil {
+		old.stop()
+		<-old.done
+	}
+	w.b.install(s)
+	g := &generation{
+		w: w, gen: s.gen, base: s.round, end: s.end, nbrs: s.nbrs, send: send,
+		accepted: make(chan peerLink, nSides),
+		grants:   make(chan [2]int, 1),
+		abort:    make(chan struct{}),
+		done:     make(chan struct{}),
+	}
+	w.mu.Lock()
+	w.live = g
+	keep := w.early[:0]
+	for _, l := range w.early {
+		switch {
+		case l.gen == g.gen:
+			g.offer(l)
+		case l.gen > g.gen:
+			keep = append(keep, l)
+		default:
+			l.conn.Close()
+		}
+	}
+	w.early = keep
+	w.mu.Unlock()
+	go g.run()
+}
+
+// grant hands a window to the live generation if it is the grant's
+// and still running; it reports whether it did.
+func (w *worker) grant(gen, round, end int) bool {
+	w.mu.Lock()
+	g := w.live
+	w.mu.Unlock()
+	if g == nil || g.gen != gen {
+		return false
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.over {
+		return false
+	}
+	select {
+	case g.grants <- [2]int{round, end}:
+		return true
+	default:
+		return false
+	}
+}
+
+// close stops the live generation, the listener (which removes a unix
+// socket) and every connection not yet handed to a generation.
+func (w *worker) close() {
+	w.mu.Lock()
+	w.closed = true
+	g := w.live
+	for _, l := range w.early {
+		l.conn.Close()
+	}
+	w.early = nil
+	for c := range w.shakes {
+		c.Close()
+	}
+	w.mu.Unlock()
+	w.ln.Close()
+	if g != nil {
+		g.stop()
+		<-g.done
+	}
+	w.wg.Wait()
+}
+
+// generation is one seeded generation running on a worker: its peer
+// links and the goroutine that runs its windows.
+type generation struct {
+	w              *worker
+	gen, base, end int // end is the first window's
+	nbrs           [nSides]peer
+	send           func(pnet.Msg) error // to the coordinator
+	accepted       chan peerLink
+	grants         chan [2]int // (from, end) of the next window
+	abort, done    chan struct{}
+	report         []byte         // send scratch; Send does not retain payloads
+	readers        sync.WaitGroup // one per link
+	mu             sync.Mutex
+	links          [nSides]*link
+	over, broken   bool
+}
+
+// link is one open peer connection; a reader goroutine feeds in, so a
+// rank never waits to send while its neighbour is sending too. A
+// neighbour is at most one round ahead, so in holds one halo.
+type link struct {
+	conn pnet.Conn
+	in   chan pnet.Msg
+	out  []byte // send scratch
+}
+
+// offer hands an accepted link to the generation, or closes it once
+// the generation is over. Called with w.mu held.
+func (g *generation) offer(l peerLink) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if !g.over {
+		select {
+		case g.accepted <- l:
+			return
+		default:
+		}
+	}
+	l.conn.Close()
+}
+
+// stop ends the generation: blocked waits return and every peer link
+// closes, so the neighbours' generations end too.
+func (g *generation) stop() {
+	g.mu.Lock()
+	if g.over {
+		g.mu.Unlock()
+		return
+	}
+	g.over = true
+	close(g.abort)
+	links := g.links
+	for len(g.accepted) > 0 {
+		(<-g.accepted).conn.Close()
+	}
+	g.mu.Unlock()
+	for _, l := range links {
+		if l != nil {
+			l.conn.Close()
+		}
+	}
+}
+
+// fail stops the generation because a peer link broke or carried a
+// frame the protocol does not allow. A link that breaks because stop
+// closed it is no failure.
+func (g *generation) fail() {
+	g.mu.Lock()
+	g.broken = g.broken || !g.over
+	g.mu.Unlock()
+	g.stop()
+}
+
+// abandon leaves a window the rank cannot finish. If a link broke, as
+// opposed to a seed or a stop ending the generation, the coordinator is
+// told the window will not be reported. A link that breaks while the
+// rank waits for a grant tells it nothing: the run is over, or the
+// coordinator learns of the death that broke it.
+func (g *generation) abandon() {
+	g.mu.Lock()
+	broken := g.broken
+	g.mu.Unlock()
+	if broken {
+		_ = g.send(headerMsg(msgAbort, g.gen, g.base)) // lost with its session, like a report
+	}
+}
+
+// run links the neighbours, then runs windows until the generation
+// ends: each window's rounds, its report, and the wait for a grant.
+// done closes once it and the links' readers have returned.
+func (g *generation) run() {
+	defer close(g.done)
+	defer g.readers.Wait() // every exit follows stop, which closes the links
+	if !g.connect() {
+		g.abandon()
+		return
+	}
+	b := &g.w.b
+	work := make([]roundWork, 0, g.end-g.base)
+	for end := g.end; ; {
+		work = work[:0]
+		for b.round < end {
+			if !g.exchange(b.round + 1) {
+				g.abandon()
+				return
+			}
+			work = append(work, b.step())
+		}
+		g.report = appendReport(g.report[:0], g.gen, end, work, b.cur, b.owned())
+		// A report that cannot be sent is lost with its session; the
+		// coordinator re-seeds when the rank rejoins.
+		_ = g.send(pnet.Msg{Type: msgReport, Payload: g.report})
+		select {
+		case gr := <-g.grants:
+			if gr[0] != b.round {
+				g.fail()
+				g.abandon()
+				return
+			}
+			end = gr[1]
+		case <-g.abort:
+			return
+		}
+	}
+}
+
+// connect opens the generation's peer links: the rank dials each
+// lower-ranked neighbour and waits for the higher-ranked ones to dial
+// it. It returns false once the generation is over.
+func (g *generation) connect() bool {
+	waiting := 0
+	for s, nb := range g.nbrs {
+		switch {
+		case nb.rank < 0:
+		case nb.rank > g.w.rank:
+			waiting++
+		default:
+			conn := g.dial(nb.addr)
+			if conn == nil {
+				return false
+			}
+			if conn.Send(linkMsg(g.gen, g.base, g.w.rank)) != nil {
+				conn.Close()
+				g.fail()
+				return false
+			}
+			if !g.attach(s, conn) {
+				return false
+			}
+		}
+	}
+	for waiting > 0 {
+		select {
+		case l := <-g.accepted:
+			s := g.sideOf(l.rank)
+			if s < 0 {
+				l.conn.Close()
+				continue
+			}
+			if !g.attach(s, l.conn) {
+				return false
+			}
+			waiting--
+		case <-g.abort:
+			return false
+		}
+	}
+	return true
+}
+
+// sideOf returns the unlinked side whose neighbour dials in as rank,
+// -1 if there is none.
+func (g *generation) sideOf(rank int) int {
+	for s, nb := range g.nbrs {
+		if nb.rank == rank && rank > g.w.rank && g.links[s] == nil {
+			return s
+		}
+	}
+	return -1
+}
+
+// dial connects to a neighbour's listener, redialling until it answers
+// or the generation ends (nil): a neighbour that is not there yet has
+// died, and the coordinator will re-seed.
+func (g *generation) dial(addr string) pnet.Conn {
+	for attempt := 1; ; attempt++ {
+		if conn, err := g.w.tr.Dial(addr); err == nil {
+			return conn
+		}
+		select {
+		case <-time.After(linkBackoff.Delay(addr, attempt)):
+		case <-g.abort:
+			return nil
+		}
+	}
+}
+
+// attach installs a link on side s and starts its reader; on a
+// generation that is already over it closes the connection instead.
+func (g *generation) attach(s int, conn pnet.Conn) bool {
+	l := &link{conn: conn, in: make(chan pnet.Msg, 1)}
+	g.mu.Lock()
+	if g.over {
+		g.mu.Unlock()
+		conn.Close()
+		return false
+	}
+	g.links[s] = l
+	g.mu.Unlock()
+	g.readers.Add(1)
+	go func() {
+		defer g.readers.Done()
+		for {
+			m, err := conn.Recv(0)
+			if err != nil {
+				g.fail()
+				return
+			}
+			select {
+			case l.in <- m:
+			case <-g.abort:
+				return
+			}
+		}
+	}()
+	return true
+}
+
+// exchange fills the ghost zones for round: E/W first, then N/S over
+// the full local width, which carries the corners just received.
+func (g *generation) exchange(round int) bool {
+	return g.sendHalo(west, round) && g.sendHalo(east, round) &&
+		g.recvHalo(west, round) && g.recvHalo(east, round) &&
+		g.sendHalo(north, round) && g.sendHalo(south, round) &&
+		g.recvHalo(north, round) && g.recvHalo(south, round)
+}
+
+func (g *generation) sendHalo(s, round int) bool {
+	l := g.links[s]
+	if l == nil {
+		return true
+	}
+	out, _, _ := g.w.b.halo(s)
+	l.out = appendRect(appendHeader(l.out[:0], g.gen, round), g.w.b.cur, out, 0, 0)
+	if l.conn.Send(pnet.Msg{Type: msgHalo, Payload: l.out}) != nil {
+		g.fail()
+		return false
+	}
+	return true
+}
+
+func (g *generation) recvHalo(s, round int) bool {
+	l := g.links[s]
+	if l == nil {
+		return true
+	}
+	var m pnet.Msg
+	select {
+	case m = <-l.in:
+	case <-g.abort:
+		return false
+	}
+	_, in, _ := g.w.b.halo(s)
+	gen, r, cells, err := decodeHalo(m.Payload, in)
+	if err != nil || m.Type != msgHalo || gen != g.gen || r != round {
+		g.fail()
+		return false
+	}
+	readRect(cells, g.w.b.cur, in, 0, 0)
+	return true
 }
 
 // FleetWorker joins the fleet at cfg.Join and serves ghost rounds
 // until the coordinator sends stop. It is the -worker entry point for
-// fleet processes; cfg.Proto defaults to GhostProto. The resident
-// block outlives reconnections; the coordinator decides whether it is
-// still current.
+// fleet processes; cfg.Proto defaults to GhostProto. The worker
+// listens for its peers on cfg.Transport next to the coordinator's
+// address and announces where in its hello; the listener outlives
+// reconnections, and is closed (a unix socket removed) on return.
 func FleetWorker(ctx context.Context, cfg pnet.WorkerConfig) error {
 	if cfg.Proto == "" {
 		cfg.Proto = GhostProto
 	}
-	var b block
-	return pnet.RunWorker(ctx, cfg, func(m pnet.Msg, send func(pnet.Msg) error) error {
-		if m.Type == msgStop {
-			return pnet.ErrWorkerDone
-		}
-		reply, err := b.serveRound(m)
-		if err != nil {
-			return err
-		}
-		return send(reply)
-	})
+	if cfg.Transport == nil {
+		return fmt.Errorf("ghost: fleet worker needs a transport")
+	}
+	w, err := newWorker(cfg.Transport, cfg.Join, cfg.Rank)
+	if err != nil {
+		return err
+	}
+	defer w.close()
+	cfg.Addr = w.ln.Addr()
+	return pnet.RunWorker(ctx, cfg, w.handle)
 }
 
-// fleetRank is the coordinator's view of one rank.
-type fleetRank struct {
-	held     bool // was seeded and has not lost that block since
-	resident bool // holds a block of the current generation at the phase's base round
-	seeded   bool // seeded in the current phase: an earlier msgNoState is stale
-	done     bool // answered the current phase
-	work     roundWork
-	edges    []byte // the report's edge strips, installed at commit
-	local    *block // non-nil once the rank is lost: the coordinator serves it
+// rankView is the coordinator's view of one rank.
+type rankView struct {
+	joined bool    // registered and not seen to die since
+	addr   string  // peer address of the incarnation that joined last
+	local  *worker // non-nil once the rank is lost: the coordinator serves it
+	in     bool    // reported the open window
+	rep    report
 }
 
-// fleetRun is the coordinator side of one fleet run. g is the committed
-// global grid: complete at the snapshot, and between snapshots current
-// only in the edge strips every round writes.
+// fleetRun is the coordinator side of one fleet run.
 type fleetRun struct {
 	cfg   config
 	co    *pnet.Coordinator
-	g     *grid.Grid
+	g     *grid.Grid // the committed global grid, whole at every window end
 	geoms []geom
-	ranks []fleetRank
+	ranks []rankView
 	rep   Report
+	dur   *durable
 
-	gen                  int
-	committed, snapRound int
-	topples, snapTopples uint64
-	snap                 *grid.Grid // g at snapRound
+	gen, end int  // the live generation and its open window's end
+	stale    bool // the live generation lost a rank: re-seed first
+	// aborted fires abortGrace after the first abort of generation
+	// abortGen; nil when no abort is pending.
+	aborted   <-chan time.Time
+	abortGen  int
+	barren    int // generations in a row that committed no window
+	committed int
+	topples   uint64
+	saveAt    int // the round the next durable checkpoint is due at, once known
 
-	out   []byte       // send scratch; Conn.Send does not retain payloads
-	local []pnet.Event // replies of coordinator-served ranks, not yet handled
+	// One round's halo traffic and owned work, over all ranks.
+	msgs  int
+	bytes uint64
+	owned uint64
+
+	out []byte // send scratch; Conn.Send does not retain payloads
+
+	// Frames from coordinator-served ranks, not yet handled.
+	localMu   sync.Mutex
+	localQ    []pnet.Event
+	localWake chan struct{}
 }
 
 // runFleet drives the decomposition over a worker fleet. The caller's
 // grid g holds the committed state; on return it holds the fixed
-// point, exactly as the in-process runtime leaves it.
-func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
+// point, exactly as the in-process runtime leaves it. It also returns
+// the coordinator's transport counters.
+func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, pnet.FleetStats, error) {
 	if cfg.faults != nil {
-		return Report{}, fmt.Errorf("ghost: fleet mode injects no simulated faults; kill the worker processes instead")
+		return Report{}, pnet.FleetStats{}, fmt.Errorf("ghost: fleet mode injects no simulated faults; kill the worker processes instead")
 	}
 	geoms, err := decompose(g, &cfg)
 	if err != nil {
-		return Report{}, err
+		return Report{}, pnet.FleetStats{}, err
 	}
 	K, n := cfg.width, len(geoms)
 
 	before := g.Sum()
-	startRound, startTopples := 0, uint64(0)
-	var dur *durable
+	f := &fleetRun{
+		cfg: cfg, g: g, geoms: geoms,
+		ranks:     make([]rankView, n),
+		rep:       Report{Ranks: n, GhostWidth: K},
+		stale:     true,
+		localWake: make(chan struct{}, 1),
+	}
+	for _, ge := range geoms {
+		for s := range nSides {
+			if out, _, ok := ge.halo(s); ok {
+				f.msgs++
+				f.bytes += 4 * uint64(out.cells())
+			}
+		}
+		f.owned += uint64(K * ge.ownH * ge.ownW)
+	}
 	if cfg.ck != nil {
-		if startRound, startTopples, err = restoreGhost(cfg.ck, g); err != nil {
-			return Report{}, err
+		if f.committed, f.topples, err = restoreGhost(cfg.ck, g); err != nil {
+			return Report{}, pnet.FleetStats{}, err
 		}
 		h, w := g.H(), g.W()
-		// Checkpoints are written right after a pull, when g is whole.
-		dur = &durable{ck: cfg.ck, encode: func(round int, topples uint64) []byte {
+		// Checkpoints are written at window ends, when g is whole.
+		f.dur = &durable{ck: cfg.ck, encode: func(round int, topples uint64) []byte {
 			var e ckpt.Enc
 			encodeGhostHeader(&e, round, topples, h, w)
 			for y := 0; y < h; y++ {
@@ -392,299 +1037,299 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, error) {
 	if !fc.Obs.Enabled() {
 		fc.Obs = cfg.obs
 	}
-	co, err := pnet.NewCoordinator(fc)
+	if f.co, err = pnet.NewCoordinator(fc); err != nil {
+		return Report{}, pnet.FleetStats{}, err
+	}
+	defer f.co.Close()
+	err = f.run(ctx)
+	f.co.Stop(pnet.Msg{Type: msgStop})
+	for _, r := range f.ranks {
+		if r.local != nil {
+			r.local.close()
+		}
+	}
+	stats := f.co.Stats()
 	if err != nil {
-		return Report{}, err
+		return f.rep, stats, err
 	}
-	defer co.Close()
-
-	f := &fleetRun{
-		cfg: cfg, co: co, g: g, geoms: geoms,
-		ranks: make([]fleetRank, n),
-		rep:   Report{Ranks: n, GhostWidth: K},
-		gen:   1, committed: startRound, snapRound: startRound,
-		topples: startTopples, snapTopples: startTopples,
-		snap: g.Clone(),
-	}
-	if err := f.run(ctx, dur); err != nil {
-		return f.rep, err
-	}
-	co.Stop(pnet.Msg{Type: msgStop})
 	f.rep.Iterations = f.committed * K
 	f.rep.Topples = f.topples
 	g.ClearHalo()
 	f.rep.Absorbed = before - g.Sum()
 	f.rep.publish(cfg.obs.Metrics)
-	return f.rep, nil
+	return f.rep, stats, nil
 }
 
-// run computes rounds to the fixed point. After a round commits it
-// pulls the blocks when the snapshot or a durable checkpoint is due, or
-// the run is over; a phase that loses a rank's state it cannot re-seed
-// rolls the run back to the snapshot.
-func (f *fleetRun) run(ctx context.Context, dur *durable) error {
-	K := f.cfg.width
+// run handles fleet events until the run ends: it seeds a generation
+// whenever the live one is stale and every rank can be reached, and
+// commits each window once every rank has reported it.
+func (f *fleetRun) run(ctx context.Context) error {
 	for {
-		round := f.committed + 1
-		f.rep.Exchanges++
-		ok, err := f.phase(ctx, round, false)
+		if f.stale && f.ready() {
+			if err := f.seed(); err != nil {
+				return err
+			}
+		}
+		ev, err := f.next(ctx)
 		if err != nil {
 			return err
 		}
-		if !ok {
-			f.rollback()
-			continue
-		}
-		total := f.commit(round)
-		cont := total != 0 && round*K < f.cfg.maxIters
-		// A checkpoint whose pull is rolled back is skipped: its cadence
-		// marker has already moved on.
-		save := cont && dur.due(round)
-		if cont && !save && round-f.snapRound < snapEvery {
-			continue
-		}
-		if ok, err = f.phase(ctx, round, true); err != nil {
-			return err
-		}
-		if !ok {
-			f.rollback()
-			continue
-		}
-		if !cont {
-			return nil
-		}
-		f.snap.CopyFrom(f.g)
-		f.snapRound, f.snapTopples = f.committed, f.topples
-		if save {
-			if err := dur.write(round, f.topples); err != nil {
-				return fmt.Errorf("ghost: checkpoint: %w", err)
-			}
-		}
-	}
-}
-
-// phase runs one exchange with every rank: computing round, or pulling
-// the owned blocks as of round when pull is set. It returns false when
-// a rank lost state that only a rollback restores.
-func (f *fleetRun) phase(ctx context.Context, round int, pull bool) (bool, error) {
-	for id := range f.ranks {
-		r := &f.ranks[id]
-		r.done, r.seeded = false, false
-	}
-	for id := range f.ranks {
-		if !f.dispatch(id, round, pull) {
-			return false, nil
-		}
-	}
-	for !f.allDone() {
-		var ev pnet.Event
-		if len(f.local) > 0 {
-			ev, f.local = f.local[0], f.local[1:]
-		} else {
-			var ok bool
-			select {
-			case <-ctx.Done():
-				return false, ctx.Err()
-			case ev, ok = <-f.co.Events():
-				if !ok {
-					return false, fmt.Errorf("ghost: fleet coordinator closed")
-				}
-			}
+		if ev.Rank < 0 {
+			continue // an abort's grace ran out
 		}
 		r := &f.ranks[ev.Rank]
 		switch ev.Kind {
 		case pnet.PeerJoined:
-			// A rejoining rank holds no block it can prove current: a fresh
-			// incarnation has none, and a reconnecting one may have missed
-			// a message. A first join lost nothing; it may even hold the
-			// seed sent before its join was seen.
-			if ev.Rejoin && !f.lose(ev.Rank, pull) {
-				return false, nil
+			if ev.Addr == "" {
+				return fmt.Errorf("ghost: fleet rank %d announced no peer address", ev.Rank)
 			}
-			if !r.resident && !f.dispatch(ev.Rank, round, pull) {
-				return false, nil
-			}
+			// A join after the first seed is a new incarnation or a new
+			// connection; either may have missed frames.
+			r.joined, r.addr = true, ev.Addr
+			f.stale = f.stale || f.gen > 0
 		case pnet.PeerDead:
 			f.cfg.obs.Log.Event(obs.LevelWarn, "ghost", "fleet rank died",
 				obs.Arg{Key: "rank", Value: int64(ev.Rank)},
-				obs.Arg{Key: "round", Value: int64(round)})
-			if !f.lose(ev.Rank, pull) {
-				return false, nil
-			}
+				obs.Arg{Key: "round", Value: int64(f.committed)})
+			r.joined = false
+			f.stale = f.stale || f.gen > 0
 		case pnet.PeerLost:
 			f.cfg.obs.Log.Event(obs.LevelError, "ghost", "fleet rank lost; computing its block locally",
 				obs.Arg{Key: "rank", Value: int64(ev.Rank)})
-			r.local = &block{}
-			if !f.lose(ev.Rank, pull) || !f.dispatch(ev.Rank, round, pull) {
-				return false, nil
+			if r.local, err = newWorker(f.cfg.fleet.Transport, f.co.Addr(), ev.Rank); err != nil {
+				return fmt.Errorf("ghost: serving lost rank %d: %w", ev.Rank, err)
 			}
+			r.joined, r.addr = false, r.local.ln.Addr()
+			f.stale = f.stale || f.gen > 0
 		case pnet.PeerMsg:
-			if r.local == nil {
-				f.rep.Messages++
-				f.rep.BytesSent += uint64(len(ev.Msg.Payload))
-			}
-			gen, rr, body, err := readHeader(ev.Msg.Payload)
-			if err != nil {
-				return false, err
-			}
-			if gen != f.gen || rr != round || r.done {
-				continue // outlived a re-seed, a rollback, or a duplicate
-			}
-			switch {
-			case ev.Msg.Type == msgNoState:
-				if !r.resident || r.seeded {
-					continue // the loss is known; a seed is on its way or will be
-				}
-				if !f.lose(ev.Rank, pull) || !f.dispatch(ev.Rank, round, pull) {
-					return false, nil
-				}
-			case ev.Msg.Type == msgReport && !pull:
-				ge := f.geoms[ev.Rank]
-				if len(body) != countsLen+4*cellsOf(ge.edges()) {
-					return false, fmt.Errorf("%w: rank %d report of %d bytes", errMalformed, ev.Rank, len(body))
-				}
-				r.work = roundWork{
-					changes:   int(binary.LittleEndian.Uint64(body)),
-					redundant: binary.LittleEndian.Uint64(body[8:]),
-					owned:     uint64(ge.K * ge.ownH * ge.ownW),
-				}
-				r.edges = body[countsLen:]
-				r.done = true
-			case ev.Msg.Type == msgBlock && pull:
-				ge := f.geoms[ev.Rank]
-				if len(body) != 4*ge.ownH*ge.ownW {
-					return false, fmt.Errorf("%w: rank %d block of %d bytes", errMalformed, ev.Rank, len(body))
-				}
-				dy, dx := ge.origin()
-				readCells(body, f.g, []rect{ge.owned()}, dy, dx)
-				r.done = true
+			if done, err := f.handle(ev); done || err != nil {
+				return err
 			}
 		}
 	}
-	return true, nil
 }
 
-func (f *fleetRun) allDone() bool {
+// ready reports whether every rank can be seeded.
+func (f *fleetRun) ready() bool {
 	for _, r := range f.ranks {
-		if !r.done {
+		if !r.joined && r.local == nil {
 			return false
 		}
 	}
 	return true
 }
 
-// lose records that rank id no longer holds its block. A report it
-// already gave for the round in flight is dropped, since the re-seed
-// recomputes it; a block it already gave for a pull stays. It returns
-// false when only a rollback can restore the rank: rounds have
-// committed since the snapshot, so the global grid is not whole.
-func (f *fleetRun) lose(id int, pull bool) bool {
-	r := &f.ranks[id]
-	if r.held {
-		r.held = false
+// next returns the next event: a coordinator-served rank's frame, or
+// one from the fleet. When an abort's grace runs out with its
+// generation still live it makes the generation stale and returns an
+// event of rank -1.
+func (f *fleetRun) next(ctx context.Context) (pnet.Event, error) {
+	for {
+		f.localMu.Lock()
+		if len(f.localQ) > 0 {
+			ev := f.localQ[0]
+			f.localQ = f.localQ[1:]
+			f.localMu.Unlock()
+			return ev, nil
+		}
+		f.localMu.Unlock()
+		select {
+		case <-ctx.Done():
+			return pnet.Event{}, ctx.Err()
+		case ev, ok := <-f.co.Events():
+			if !ok {
+				return pnet.Event{}, fmt.Errorf("ghost: fleet coordinator closed")
+			}
+			return ev, nil
+		case <-f.localWake:
+		case <-f.aborted:
+			f.aborted = nil
+			f.stale = f.stale || f.abortGen == f.gen
+			return pnet.Event{Rank: -1}, nil
+		}
+	}
+}
+
+// seed starts a generation from the last committed window: every rank
+// gets its block, its neighbours and the first window.
+func (f *fleetRun) seed() error {
+	if f.barren >= maxBarren {
+		f.cfg.obs.Metrics.Counter("ghost.fleet.no_progress").Inc()
+		f.cfg.obs.Log.Event(obs.LevelError, "ghost", "fleet makes no progress",
+			obs.Arg{Key: "round", Value: int64(f.committed)},
+			obs.Arg{Key: "generations", Value: int64(f.barren)})
+		return &NoProgressError{Committed: f.committed, Generations: f.barren}
+	}
+	if f.gen > 0 {
 		f.rep.Recoveries++
 		f.cfg.obs.Metrics.Counter("fault.recoveries").Inc()
+		f.cfg.obs.Metrics.Counter("ghost.fleet.rollbacks").Inc()
+		f.cfg.obs.Log.Event(obs.LevelWarn, "ghost", "fleet rolled back to the last committed window",
+			obs.Arg{Key: "round", Value: int64(f.committed)},
+			obs.Arg{Key: "generation", Value: int64(f.gen + 1)})
 	}
-	r.resident = false
-	if pull && r.done {
-		return true // re-seeded from the snapshot this pull completes
-	}
-	r.done = false
-	return f.committed == f.snapRound
-}
-
-// dispatch sends rank id what it needs for the phase: a step or pull
-// to a resident block, else a seed carved from the global grid, which
-// is only whole when nothing has committed since the snapshot. It
-// returns false when a rollback is needed. A failed send marks the
-// rank non-resident; its PeerDead or PeerJoined follows.
-func (f *fleetRun) dispatch(id, round int, pull bool) bool {
-	r := &f.ranks[id]
-	if r.done {
-		return true
-	}
-	ge := f.geoms[id]
-	dy, dx := ge.origin()
-	var typ uint8
-	b := appendHeader(f.out[:0], f.gen, round)
-	switch {
-	case r.resident && pull:
-		typ = msgPull
-	case r.resident:
-		typ = msgStep
-		b = appendCells(b, f.g, ge.bands(), dy, dx)
-	case pull || f.committed != f.snapRound:
-		return false
-	default:
-		typ = msgSeed
-		b = appendCells(appendGeom(b, ge), f.g, []rect{ge.window()}, dy, dx)
-	}
-	f.out = b
-	if !f.send(id, pnet.Msg{Type: typ, Payload: b}) {
-		r.resident = false
-		return true
-	}
-	if typ == msgSeed {
-		r.held, r.resident, r.seeded = true, true, true
-		f.cfg.obs.Metrics.Counter("ghost.fleet.seeds").Inc()
-	}
-	return true
-}
-
-// send delivers m to rank id: over the fleet, or into the coordinator's
-// own block for a lost rank, whose reply is queued as an event.
-func (f *fleetRun) send(id int, m pnet.Msg) bool {
-	if b := f.ranks[id].local; b != nil {
-		reply, err := b.serveRound(m)
-		if err != nil {
-			panic(err) // the codecs are inverses: a bug, not bad input
+	f.gen++
+	f.barren++
+	f.stale = false
+	f.end = f.windowEnd()
+	C := f.cfg.procCols
+	for id, ge := range f.geoms {
+		f.ranks[id].in = false
+		s := seed{gen: f.gen, round: f.committed, end: f.end, geom: ge}
+		for side, nb := range [nSides]int{id - 1, id + 1, id - C, id + C} {
+			s.nbrs[side] = peer{rank: nb}
+			if _, _, ok := ge.halo(side); ok {
+				s.nbrs[side].addr = f.ranks[nb].addr
+			}
 		}
-		f.local = append(f.local, pnet.Event{Rank: id, Kind: pnet.PeerMsg, Msg: reply})
-		return true
+		dy, dx := ge.origin()
+		f.out = appendSeed(f.out[:0], s, f.g, dy, dx)
+		f.send(id, pnet.Msg{Type: msgSeed, Payload: f.out})
 	}
-	if f.co.Send(id, m) != nil {
-		return false
-	}
-	f.rep.Messages++
-	f.rep.BytesSent += uint64(len(m.Payload))
-	return true
+	f.cfg.obs.Metrics.Counter("ghost.fleet.seeds").Add(int64(len(f.geoms)))
+	return nil
 }
 
-// commit installs every rank's edge strips into the global grid and
-// accounts the round; it returns the round's change count.
-func (f *fleetRun) commit(round int) int {
-	total := 0
-	for id := range f.ranks {
-		r := &f.ranks[id]
-		ge := f.geoms[id]
-		dy, dx := ge.origin()
-		readCells(r.edges, f.g, ge.edges(), dy, dx)
-		total += r.work.changes
-		f.rep.RedundantCells += r.work.redundant
-		f.rep.OwnedCells += r.work.owned
+// windowEnd picks the end of the window after the committed round:
+// the next multiple of snapEvery, the next due checkpoint or the
+// maxIters round, whichever comes first. A due checkpoint found here
+// stays due until a window that reaches it commits.
+func (f *fleetRun) windowEnd() int {
+	K := f.cfg.width
+	end := min((f.committed/snapEvery+1)*snapEvery, (f.cfg.maxIters+K-1)/K)
+	if f.dur != nil && f.saveAt <= f.committed {
+		for r := f.committed + 1; r <= end; r++ {
+			if f.dur.due(r) {
+				f.saveAt = r
+				break
+			}
+		}
 	}
-	f.committed = round
-	f.topples += uint64(total)
+	if f.saveAt > f.committed {
+		end = min(end, f.saveAt)
+	}
+	return end
+}
+
+// handle takes one frame from a rank. Frames of an earlier generation,
+// and any frame while the live one is stale, are dropped. It reports
+// whether the run is over.
+func (f *fleetRun) handle(ev pnet.Event) (bool, error) {
+	gen, _, _, err := readHeader(ev.Msg.Payload)
+	if err != nil {
+		return false, err
+	}
+	if gen != f.gen || f.stale {
+		return false, nil
+	}
+	r := &f.ranks[ev.Rank]
+	switch ev.Msg.Type {
+	case msgAbort:
+		if f.aborted == nil || f.abortGen != f.gen {
+			f.aborted, f.abortGen = time.After(abortGrace), f.gen
+		}
+		return false, nil
+	case msgReport:
+		rep, err := decodeReport(ev.Msg.Payload, f.geoms[ev.Rank])
+		if err != nil {
+			return false, fmt.Errorf("rank %d: %w", ev.Rank, err)
+		}
+		if rep.end != f.end || len(rep.work) != f.end-f.committed || r.in {
+			return false, fmt.Errorf("%w: rank %d reported rounds %d..%d of window %d..%d",
+				errMalformed, ev.Rank, rep.end-len(rep.work)+1, rep.end, f.committed+1, f.end)
+		}
+		r.rep, r.in = rep, true
+		for _, o := range f.ranks {
+			if !o.in {
+				return false, nil
+			}
+		}
+		return f.commit()
+	}
+	return false, fmt.Errorf("%w: rank %d sent frame type %d", errMalformed, ev.Rank, ev.Msg.Type)
+}
+
+// commit closes the open window, which every rank has reported: it
+// accounts its rounds up to the first one that ends the run, installs
+// the blocks, writes a due checkpoint, and grants the next window. It
+// reports whether the run is over.
+func (f *fleetRun) commit() (bool, error) {
+	K, start := f.cfg.width, f.committed
+	f.barren = 0
+	over, total := false, 0
+	for i := 0; i < f.end-start && !over; i++ {
+		changes := 0
+		for id := range f.ranks {
+			w := f.ranks[id].rep.work[i]
+			changes += w.changes
+			f.rep.RedundantCells += w.redundant
+		}
+		f.committed++
+		f.topples += uint64(changes)
+		total += changes
+		f.rep.Exchanges++
+		f.rep.Messages += f.msgs
+		f.rep.BytesSent += f.bytes
+		f.rep.OwnedCells += f.owned
+		over = changes == 0 || f.committed*K >= f.cfg.maxIters
+	}
+	// Rounds past a fixed point change nothing, so the blocks as of the
+	// window's end are the blocks as of the committed round.
+	for id, ge := range f.geoms {
+		dy, dx := ge.origin()
+		readRect(f.ranks[id].rep.block, f.g, ge.owned(), dy, dx)
+		f.ranks[id].in = false
+	}
 	f.cfg.obs.Progress.Update("ghost",
-		obs.F("round", float64(round)),
+		obs.F("round", float64(f.committed)),
+		obs.F("generation", float64(f.gen)),
 		obs.F("changes", float64(total)),
 		obs.F("topples", float64(f.topples)),
 		obs.F("recoveries", float64(f.rep.Recoveries)))
-	return total
+	if over {
+		return true, nil
+	}
+	if f.saveAt == f.committed {
+		if err := f.dur.write(f.committed, f.topples); err != nil {
+			return false, fmt.Errorf("ghost: checkpoint: %w", err)
+		}
+	}
+	f.end = f.windowEnd()
+	for id := range f.ranks {
+		f.send(id, grantMsg(f.gen, f.committed, f.end))
+	}
+	return false, nil
 }
 
-// rollback restores the snapshot under a new generation: every rank is
-// re-seeded, and replies from the old generation are stale.
-func (f *fleetRun) rollback() {
-	f.gen++
-	f.g.CopyFrom(f.snap)
-	f.committed, f.topples = f.snapRound, f.snapTopples
-	for id := range f.ranks {
-		f.ranks[id].resident = false
+// send delivers m to rank id: over the fleet, or to the coordinator's
+// own worker for a lost rank. A failed send means the connection is
+// going down: the rank is unreachable until it joins again, and the
+// generation is stale.
+func (f *fleetRun) send(id int, m pnet.Msg) {
+	r := &f.ranks[id]
+	if r.local != nil {
+		if err := r.local.handle(m, f.localSend(id)); err != nil {
+			panic(err) // the codecs are inverses: a bug, not bad input
+		}
+		return
 	}
-	f.local = f.local[:0]
-	f.cfg.obs.Metrics.Counter("ghost.fleet.rollbacks").Inc()
-	f.cfg.obs.Log.Event(obs.LevelWarn, "ghost", "fleet rolled back to the snapshot",
-		obs.Arg{Key: "round", Value: int64(f.snapRound)},
-		obs.Arg{Key: "generation", Value: int64(f.gen)})
+	if f.co.Send(id, m) != nil {
+		r.joined = false
+		f.stale = true
+	}
+}
+
+// localSend queues a coordinator-served rank's frames as fleet events.
+func (f *fleetRun) localSend(id int) func(pnet.Msg) error {
+	return func(m pnet.Msg) error {
+		m.Payload = append([]byte(nil), m.Payload...)
+		f.localMu.Lock()
+		f.localQ = append(f.localQ, pnet.Event{Rank: id, Kind: pnet.PeerMsg, Msg: m})
+		f.localMu.Unlock()
+		select {
+		case f.localWake <- struct{}{}:
+		default:
+		}
+		return nil
+	}
 }

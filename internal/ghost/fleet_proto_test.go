@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -16,12 +18,6 @@ import (
 	pnet "repro/internal/net"
 	"repro/internal/sandpile"
 )
-
-// seedMsg encodes a seed of window for geometry ge.
-func seedMsg(ge geom, gen, round int, window *grid.Grid) pnet.Msg {
-	p := appendGeom(appendHeader(nil, gen, round), ge)
-	return pnet.Msg{Type: msgSeed, Payload: appendCells(p, window, []rect{ge.window()}, 0, 0)}
-}
 
 // fuzzGeom draws a valid geometry from raw bytes: K in 1..3, each
 // owned extent in K..K+4, and a ghost side wherever a bit of raw[3]
@@ -42,6 +38,20 @@ func fuzzGeom(raw []byte) (geom, *grid.Grid) {
 	return ge, w
 }
 
+// fuzzSeed is a valid seed for fuzzGeom's geometry, its neighbours
+// named from raw, and the window its block is cut from.
+func fuzzSeed(raw []byte) (seed, *grid.Grid) {
+	ge, win := fuzzGeom(raw)
+	s := seed{gen: 7, round: 3, end: 5, geom: ge}
+	for side := range nSides {
+		s.nbrs[side] = peer{rank: -1}
+		if _, _, ok := ge.halo(side); ok {
+			s.nbrs[side] = peer{rank: 10 + side, addr: fmt.Sprintf("peer-%d-%x", side, raw[:min(len(raw), 3)])}
+		}
+	}
+	return s, win
+}
+
 // fillFrom sets g's cells to 0..7, cycling through raw.
 func fillFrom(g *grid.Grid, raw []byte) {
 	if len(raw) == 0 {
@@ -55,108 +65,239 @@ func fillFrom(g *grid.Grid, raw []byte) {
 	}
 }
 
-// checkReport compares a report with the kernel run directly on ref,
-// which it advances by one round.
-func checkReport(t *testing.T, ge geom, reply pnet.Msg, gen, round int, ref, scratch *grid.Grid) (*grid.Grid, *grid.Grid) {
-	t.Helper()
-	w, final, spare := computeBlock(ge, ref, scratch)
-	want := appendHeader(nil, gen, round)
-	want = binary.LittleEndian.AppendUint64(want, uint64(w.changes))
-	want = binary.LittleEndian.AppendUint64(want, w.redundant)
-	want = appendCells(want, final, ge.edges(), 0, 0)
-	if reply.Type != msgReport || !slices.Equal(reply.Payload, want) {
-		t.Fatalf("round %d report (type %d) differs from the kernel's", round, reply.Type)
+// The fixed geometry the fuzzer decodes halos and reports for.
+var fuzzFixed, fuzzFixedWin = fuzzSeed([]byte{1, 2, 3, 0xf, 9, 4, 7})
+
+// decodeAny decodes p as a frame of type typ and, when that succeeds,
+// returns a function that encodes the result again; the codecs are
+// canonical, so it must give back p. Halos and reports are decoded for
+// fuzzFixed, the halo as its west one.
+func decodeAny(typ byte, p []byte) (func() []byte, error) {
+	ge := fuzzFixed.geom
+	switch typ {
+	case msgSeed:
+		s, err := decodeSeed(p)
+		return func() []byte {
+			g := grid.New(s.localH(), s.localW())
+			readRect(s.cells, g, s.owned(), 0, 0)
+			return appendSeed(nil, s, g, 0, 0)
+		}, err
+	case msgGrant:
+		gen, round, end, err := decodeGrant(p)
+		return func() []byte { return grantMsg(gen, round, end).Payload }, err
+	case msgLink:
+		gen, round, rank, err := decodeLink(p)
+		return func() []byte { return linkMsg(gen, round, rank).Payload }, err
+	case msgHalo:
+		_, in, _ := ge.halo(west)
+		gen, round, cells, err := decodeHalo(p, in)
+		return func() []byte {
+			g := grid.New(ge.localH(), ge.localW())
+			readRect(cells, g, in, 0, 0)
+			return appendRect(appendHeader(nil, gen, round), g, in, 0, 0)
+		}, err
+	case msgReport:
+		r, err := decodeReport(p, ge)
+		return func() []byte {
+			g := grid.New(ge.localH(), ge.localW())
+			readRect(r.block, g, ge.owned(), 0, 0)
+			return appendReport(nil, r.gen, r.end, r.work, g, ge.owned())
+		}, err
 	}
-	return final, spare
+	return nil, fmt.Errorf("%w: no decoder for type %d", errMalformed, typ)
 }
 
-// FuzzServeRound feeds arbitrary frames to a worker's block. No input
-// may panic, and a rejected one must leave the block untouched. Then,
-// for a valid geometry drawn from the input, seed, step and pull must
-// round-trip: each reply equals what the kernel computes directly.
+// serveRoundSeeds is the checked-in corpus of FuzzServeRound for the
+// ghost/3 frames. `go test ./internal/ghost -run TestServeRoundCorpus
+// -update` rewrites them from this table. The corpus's other files are
+// ghost/2 frames, which a ghost/3 worker must reject as garbage.
+var serveRoundSeeds = func() map[string]struct {
+	typ byte
+	p   []byte
+} {
+	valid := appendSeed(nil, fuzzFixed, fuzzFixedWin, 0, 0)
+	hugeAddr := appendGeom(binary.LittleEndian.AppendUint64(appendHeader(nil, 1, 0), 2), fuzzFixed.geom)
+	hugeAddr = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(hugeAddr, 3), math.MaxUint32)
+	report := appendReport(nil, 1, 2, []roundWork{{changes: 1}, {redundant: 2}}, fuzzFixedWin, fuzzFixed.owned())
+	hugeRounds := slices.Clone(report)
+	binary.LittleEndian.PutUint32(hugeRounds[headerLen:], math.MaxUint32)
+	tooMany := slices.Clone(report)
+	binary.LittleEndian.PutUint64(tooMany[headerLen+4:], math.MaxUint64)
+	_, in, _ := fuzzFixed.halo(west)
+	halo := appendRect(appendHeader(nil, 1, 2), fuzzFixedWin, in, 0, 0)
+	return map[string]struct {
+		typ byte
+		p   []byte
+	}{
+		"seed_address_past_end":     {msgSeed, hugeAddr},
+		"seed_cut_in_block":         {msgSeed, valid[:len(valid)-1]},
+		"seed_window_backwards":     {msgSeed, binary.LittleEndian.AppendUint64(appendHeader(nil, 1, 9), 9)},
+		"grant_backwards":           {msgGrant, grantMsg(1, 5, 5).Payload},
+		"link_long":                 {msgLink, append(linkMsg(1, 0, 2).Payload, 0)},
+		"halo_short":                {msgHalo, halo[:len(halo)-4]},
+		"report_huge_rounds":        {msgReport, hugeRounds},
+		"report_changes_past_block": {msgReport, tooMany},
+		"round_past_maxint": {msgGrant, binary.LittleEndian.AppendUint64(
+			appendHeader(nil, 1, -1), math.MaxUint64)},
+	}
+}()
+
+const serveRoundCorpus = "testdata/fuzz/FuzzServeRound"
+
+// TestServeRoundCorpus: the checked-in ghost/3 corpus is exactly what
+// serveRoundSeeds generates (-update rewrites it).
+func TestServeRoundCorpus(t *testing.T) {
+	for name, s := range serveRoundSeeds {
+		path := filepath.Join(serveRoundCorpus, name)
+		want := fmt.Sprintf("go test fuzz v1\nbyte(%q)\n[]byte(%q)\n", s.typ, s.p)
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with -update to generate the corpus)", err)
+		}
+		if string(got) != want {
+			t.Errorf("%s holds %q, want %q (run with -update)", path, got, want)
+		}
+		if _, err := decodeAny(s.typ, s.p); !errors.Is(err, errMalformed) {
+			t.Errorf("%s: decoded with error %v, want errMalformed", name, err)
+		}
+	}
+}
+
+// FuzzServeRound feeds arbitrary frames to every ghost/3 decoder and to
+// a worker's frame handler. No input may panic or allocate much more
+// than its own size, a rejected one must be errMalformed, and an
+// accepted one must encode back to the same bytes. Then, for a valid
+// geometry drawn from the input, a seed, one halo per side and a
+// window report must round-trip through a block: the report equals
+// what the kernel computes directly.
 func FuzzServeRound(f *testing.F) {
-	ge, win := fuzzGeom([]byte{1, 2, 3, 0xf, 9, 4, 7})
-	f.Add(msgSeed, seedMsg(ge, 1, 1, win).Payload)
-	f.Add(msgStep, appendCells(appendHeader(nil, 1, 2), win, ge.bands(), 0, 0))
-	f.Add(msgPull, appendHeader(nil, 1, 1))
+	s, win := fuzzFixed, fuzzFixedWin
+	_, in, _ := s.halo(north)
+	f.Add(msgSeed, appendSeed(nil, s, win, 0, 0))
+	f.Add(msgGrant, grantMsg(1, 64, 128).Payload)
+	f.Add(msgLink, linkMsg(1, 0, 3).Payload)
+	f.Add(msgHalo, appendRect(appendHeader(nil, 1, 2), win, in, 0, 0))
+	f.Add(msgReport, appendReport(nil, 1, 5, []roundWork{{changes: 3, redundant: 4}, {}}, win, s.owned()))
+	f.Add(msgAbort, appendHeader(nil, 1, 4))
 	f.Add(msgStop, []byte{})
-	// testdata/fuzz/FuzzServeRound holds the corrupt cases, among them
-	// a 44-byte seed whose owned block claims 0x7fffffff² cells.
 
 	f.Fuzz(func(t *testing.T, typ byte, p []byte) {
-		// A valid seed with no ghost sides may ask for any number of
-		// steps per round; deep ones only cost time.
-		if typ == msgSeed && len(p) >= headerLen+4 && binary.LittleEndian.Uint32(p[headerLen:]) > 64 {
-			return
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		again, err := decodeAny(typ, p)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10+4*uint64(len(p)) {
+			t.Fatalf("a %d-byte frame allocated %d bytes", len(p), grew)
 		}
-		seeded := &block{}
-		if _, err := seeded.serveRound(seedMsg(ge, 1, 1, win)); err != nil {
-			t.Fatal(err)
+		switch {
+		case err != nil && !errors.Is(err, errMalformed):
+			t.Fatalf("unnamed error: %v", err)
+		case err == nil && !slices.Equal(again(), p):
+			t.Fatalf("type %d decodes but encodes back as %x", typ, again())
 		}
-		for _, b := range []*block{{}, seeded} {
-			var before *grid.Grid
-			if b.cur != nil {
-				before = b.cur.Clone()
-			}
-			reply, err := b.serveRound(pnet.Msg{Type: typ, Payload: p})
-			if err != nil {
-				if before != nil && !b.cur.Equal(before) {
-					t.Fatalf("rejected frame changed the block: %v", err)
-				}
-				if !errors.Is(err, errMalformed) && !strings.Contains(err.Error(), "unexpected frame type") {
-					t.Fatalf("unnamed error: %v", err)
-				}
-				continue
-			}
-			gen, _, _, herr := readHeader(reply.Payload)
-			if herr != nil || gen != int(binary.LittleEndian.Uint32(p)) {
-				t.Fatalf("reply header does not echo the generation: %v", herr)
-			}
-			if typ == msgSeed {
-				// An accepted seed installs exactly its geometry and
-				// computes exactly its round.
-				_, round, _, _ := readHeader(p)
-				if b.round != round || !slices.Equal(appendGeom(nil, b.geom), p[headerLen:headerLen+geomLen]) {
-					t.Fatalf("seed for round %d left the block at round %d, geometry %+v", round, b.round, b.geom)
-				}
+		if typ != msgSeed { // a seed would start linking to its neighbours
+			err := (&worker{}).handle(pnet.Msg{Type: typ, Payload: p}, func(pnet.Msg) error { return nil })
+			if err != nil && !errors.Is(err, errMalformed) && !errors.Is(err, pnet.ErrWorkerDone) {
+				t.Fatalf("handler: unnamed error: %v", err)
 			}
 		}
 
-		ge, win := fuzzGeom(p)
-		b := &block{}
-		reply, err := b.serveRound(seedMsg(ge, 7, 3, win))
-		if err != nil {
-			t.Fatalf("valid seed %+v rejected: %v", ge, err)
+		s, win := fuzzSeed(p)
+		got, err := decodeSeed(appendSeed(nil, s, win, 0, 0))
+		if err != nil || got.geom != s.geom || got.nbrs != s.nbrs || got.end != s.end {
+			t.Fatalf("seed %+v decodes as %+v, %v", s, got, err)
 		}
-		ref, scratch := checkReport(t, ge, reply, 7, 3, win.Clone(), grid.New(win.H(), win.W()))
-
-		// Fresh bands, from the input reversed.
+		var b block
+		b.install(got)
+		// Fresh halos, from the input reversed; the reference window
+		// takes the same cells.
+		ref := win.Clone()
 		bands := grid.New(win.H(), win.W())
 		rev := slices.Clone(p)
 		slices.Reverse(rev)
 		fillFrom(bands, rev)
-		step := appendCells(appendHeader(nil, 7, 4), bands, ge.bands(), 0, 0)
-		readCells(step[headerLen:], ref, ge.bands(), 0, 0)
-		if reply, err = b.serveRound(pnet.Msg{Type: msgStep, Payload: step}); err != nil {
-			t.Fatalf("valid step rejected: %v", err)
+		for side := range nSides {
+			_, in, ok := s.halo(side)
+			if !ok {
+				continue
+			}
+			_, _, cells, err := decodeHalo(appendRect(appendHeader(nil, 7, 4), bands, in, 0, 0), in)
+			if err != nil {
+				t.Fatalf("valid halo rejected: %v", err)
+			}
+			readRect(cells, b.cur, in, 0, 0)
+			readRect(cells, ref, in, 0, 0)
 		}
-		ref, _ = checkReport(t, ge, reply, 7, 4, ref, scratch)
-
-		if reply, _ = b.serveRound(pnet.Msg{Type: msgStep, Payload: step}); reply.Type != msgNoState {
-			t.Fatalf("replayed step answered type %d, want no state", reply.Type)
+		w := b.step()
+		wantW, final, _ := computeBlock(s.geom, ref, grid.New(win.H(), win.W()))
+		if w != wantW || b.round != s.round+1 {
+			t.Fatalf("round work %+v at round %d, kernel %+v", w, b.round, wantW)
 		}
-		reply, err = b.serveRound(pnet.Msg{Type: msgPull, Payload: appendHeader(nil, 7, 4)})
-		want := appendCells(appendHeader(nil, 7, 4), ref, []rect{ge.owned()}, 0, 0)
-		if err != nil || reply.Type != msgBlock || !slices.Equal(reply.Payload, want) {
-			t.Fatalf("pull: type %d err %v, block differs from the kernel's", reply.Type, err)
+		rep, err := decodeReport(appendReport(nil, 7, b.round, []roundWork{w}, b.cur, b.owned()), s.geom)
+		want := appendRect(nil, final, s.owned(), 0, 0)
+		if err != nil || len(rep.work) != 1 || rep.work[0] != (roundWork{changes: w.changes, redundant: w.redundant}) ||
+			!slices.Equal(rep.block, want) {
+			t.Fatalf("report %+v (err %v) differs from the kernel's", rep, err)
 		}
 	})
 }
 
-// TestFleetTrafficBound: a fault-free run moves halos, not blocks.
-// Every round costs each rank one step (header + bands) and one report
-// (header + counts + edge strips); on top come one seed per rank and,
-// per snapshot, one pull and one block per rank.
+// runFleetOn solves mk's grid with opts over a goroutine fleet of
+// ranks workers on tr, listening at listen, and checks the result
+// byte-matches the sequential solver. It returns the report and the
+// coordinator's transport counters.
+func runFleetOn(t *testing.T, mk func() *grid.Grid, opts []Option, tr pnet.Transport, listen string, ranks int) (Report, pnet.FleetStats) {
+	t.Helper()
+	ref := mk()
+	want := sandpile.StabilizeSyncSeq(ref)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	exits := make(chan error, ranks)
+	fc := &pnet.FleetConfig{Transport: tr, Listen: listen, Lease: time.Second, JoinTimeout: 10 * time.Second,
+		Spawn: onceSpawn(ctx, func(ctx context.Context, addr string) {
+			for r := 0; r < ranks; r++ {
+				go func(rank int) {
+					exits <- FleetWorker(ctx, pnet.WorkerConfig{Transport: tr, Join: addr, Rank: rank,
+						Backoff:         pnet.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+						MaxDialAttempts: 1000})
+				}(r)
+			}
+		})}
+	g := mk()
+	r := New(g, append(opts, WithFleet(fc))...)
+	rep, stats, err := runFleet(ctx, r.g, r.cfg)
+	if err != nil {
+		t.Fatalf("fleet run: %v", err)
+	}
+	if !g.Equal(ref) || rep.Topples != want.Topples {
+		t.Fatalf("fleet fixed point differs from the sequential solver: topples %d, want %d", rep.Topples, want.Topples)
+	}
+	for r := 0; r < ranks; r++ {
+		select {
+		case err := <-exits:
+			if err != nil {
+				t.Fatalf("worker exited with %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a worker did not stop with the run")
+		}
+	}
+	return rep, stats
+}
+
+// windowGrid is a pile that takes 355 rounds at K=2, so a run crosses
+// five window ends.
+func windowGrid() *grid.Grid { return sandpile.Center(4000).Build(40, 30, nil) }
+
+// TestFleetTrafficBound: the coordinator handles a few frames per rank
+// per window and none per round. Each rank gets a seed, a grant per
+// window after the first and a stop, and sends a report per window.
 func TestFleetTrafficBound(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -168,31 +309,67 @@ func TestFleetTrafficBound(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tr, _ := pnet.New("chan")
-			rep := runFleetCase(t, tc.opts, spawnWorkers(tr, tc.ranks))
-			cfg := config{width: 1}
-			for _, o := range tc.opts {
-				o(&cfg)
+			rep, stats := runFleetOn(t, windowGrid, tc.opts, tr, "ghost-fleet-traffic-"+tc.name, tc.ranks)
+			if rep.Exchanges <= snapEvery {
+				t.Fatalf("%d rounds fit one window; the bound needs several", rep.Exchanges)
 			}
-			geoms, err := decompose(fleetGrid(24, 18), &cfg)
-			if err != nil {
-				t.Fatal(err)
+			frames := stats.Sent + stats.Received
+			bound := int64(2 * tc.ranks * (rep.Exchanges/snapEvery + 2))
+			if frames > bound {
+				t.Fatalf("coordinator handled %d frames over %d rounds, bound %d", frames, rep.Exchanges, bound)
 			}
-			snaps := uint64(rep.Exchanges/snapEvery + 1)
-			var perRound, perSnap uint64
-			for _, ge := range geoms {
-				perRound += headerLen + 4*uint64(cellsOf(ge.bands())) +
-					headerLen + countsLen + 4*uint64(cellsOf(ge.edges()))
-				perSnap += headerLen + geomLen + 4*uint64(ge.window().cells()) + // seed
-					headerLen + // pull
-					headerLen + 4*uint64(ge.ownH*ge.ownW) // block
-			}
-			bound := uint64(rep.Exchanges)*perRound + snaps*perSnap
-			if rep.BytesSent > bound {
-				t.Fatalf("%d bytes over %d rounds, bound %d", rep.BytesSent, rep.Exchanges, bound)
-			}
-			t.Logf("%d bytes over %d rounds (bound %d)", rep.BytesSent, rep.Exchanges, bound)
+			t.Logf("coordinator handled %d frames over %d rounds (bound %d)", frames, rep.Exchanges, bound)
 		})
 	}
+}
+
+// TestFleetOverSockets runs strips and blocks over real unix and tcp
+// sockets, where workers find their peers' addresses by each scheme's
+// own rule, and checks every report field against the in-process run.
+// The unix workers' peer sockets must be gone once they have exited.
+func TestFleetOverSockets(t *testing.T) {
+	for _, scheme := range []string{"unix", "tcp"} {
+		for _, tc := range []struct {
+			name  string
+			ranks int
+			opts  []Option
+		}{
+			{"strips", 3, []Option{WithRanks(3), WithWidth(2)}},
+			{"blocks", 6, []Option{WithProcessGrid(2, 3), WithWidth(2)}},
+		} {
+			t.Run(scheme+"/"+tc.name, func(t *testing.T) {
+				dir, err := os.MkdirTemp("", "gf") // short: sun_path holds 108 bytes
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer os.RemoveAll(dir)
+				listen := "127.0.0.1:0"
+				if scheme == "unix" {
+					listen = filepath.Join(dir, "c.sock")
+				}
+				inRep, err := New(windowGrid(), tc.opts...).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr, _ := pnet.New(scheme)
+				rep, _ := runFleetOn(t, windowGrid, tc.opts, tr, listen, tc.ranks)
+				if !sameReport(rep, inRep) {
+					t.Fatalf("fleet %+v != in-process %+v", rep, inRep)
+				}
+				if left, _ := filepath.Glob(filepath.Join(dir, "peer-*")); len(left) > 0 {
+					t.Fatalf("peer sockets left behind: %v", left)
+				}
+			})
+		}
+	}
+}
+
+// sameReport compares every Report field a fleet run shares with the
+// in-process run.
+func sameReport(a, b Report) bool {
+	return a.Iterations == b.Iterations && a.Topples == b.Topples && a.Absorbed == b.Absorbed &&
+		a.Exchanges == b.Exchanges && a.Messages == b.Messages && a.BytesSent == b.BytesSent &&
+		a.RedundantCells == b.RedundantCells && a.OwnedCells == b.OwnedCells
 }
 
 // TestFleetCheckpointsMatchInProcess: every snapshot a fleet run saves

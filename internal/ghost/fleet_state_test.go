@@ -1,9 +1,11 @@
 package ghost
 
-// Deterministic tests for the ways a fleet rank loses its resident
-// block. A hookTransport on the coordinator's side sees every frame
-// of every rank's connections and can hold or fail one, which pins the
-// event orders that otherwise only show up under load.
+// Deterministic tests for the ways a fleet generation loses a rank. A
+// hookTransport on the coordinator's side sees every frame of every
+// rank's connection and can hold or fail one, which pins the event
+// orders that otherwise only show up under load. Each loss lands at
+// the end of the first window, after which the run must roll back to
+// the last committed window and still reach the in-process result.
 
 import (
 	"context"
@@ -17,6 +19,7 @@ import (
 	"repro/internal/grid"
 	pnet "repro/internal/net"
 	"repro/internal/obs"
+	"repro/internal/sandpile"
 )
 
 // hookTransport wraps the chan transport's listening side. Accepted
@@ -107,20 +110,24 @@ func (c *hookConn) Send(m pnet.Msg) error {
 	return nil
 }
 
-// oneDial dials once; later dials fail, so a superseded worker gives
-// up instead of reconnecting.
+// oneDial dials the coordinator once; later dials of it fail, so a
+// superseded worker gives up instead of reconnecting. Its peers'
+// addresses stay reachable.
 type oneDial struct {
 	pnet.Transport
-	used atomic.Bool
+	mu   sync.Mutex
+	join string
 }
 
 func (o *oneDial) Dial(addr string) (pnet.Conn, error) {
-	if o.used.Load() {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if addr == o.join {
 		return nil, errors.New("test: no redial")
 	}
 	c, err := o.Transport.Dial(addr)
-	if err == nil {
-		o.used.Store(true)
+	if err == nil && o.join == "" {
+		o.join = addr
 	}
 	return c, err
 }
@@ -149,19 +156,15 @@ func (c *watchConn) Send(m pnet.Msg) error {
 	return c.Conn.Send(m)
 }
 
-// hdr reads a ghost frame's (generation, round).
-func hdr(m pnet.Msg) (gen, round int) {
-	gen, round, _, _ = readHeader(m.Payload)
-	return gen, round
+// firstReport reports whether m is a report of the first window.
+func firstReport(m pnet.Msg) bool {
+	_, end, _, _ := readHeader(m.Payload)
+	return m.Type == msgReport && end == snapEvery
 }
 
-// stateGrid is a workload of 42 rounds at K=2 over 3 strips, so a
-// loss at round 5 lands after a commit and before the first snapshot.
-func stateGrid() *grid.Grid {
-	g := grid.New(30, 20)
-	g.Row(15)[10] = 500
-	return g
-}
+// stateGrid is a workload of 355 rounds at K=2 over 3 strips, so a
+// loss at the end of the first window lands long before the run's end.
+func stateGrid() *grid.Grid { return windowGrid() }
 
 // The tests below bound each run with a 20 s context, so a rank that
 // never comes back fails the test instead of hanging it.
@@ -179,40 +182,40 @@ func startWorker(ctx context.Context, tr pnet.Transport, addr string, rank, dial
 	return done
 }
 
-// runState runs stateGrid over 3 strips at K=2 on fc and checks the
-// fixed point, topples and work accounting against the in-process
-// run. It returns the report and the run's metrics.
+// runState runs stateGrid over 3 strips at K=2 on fc and checks every
+// report field against the in-process run. It returns the report and
+// the run's metrics.
 func runState(t *testing.T, ctx context.Context, fc *pnet.FleetConfig) (Report, *obs.Registry) {
 	t.Helper()
-	ref := stateGrid()
-	want, err := New(ref, WithRanks(3), WithWidth(2)).Run()
+	want, err := New(stateGrid(), WithRanks(3), WithWidth(2)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Exchanges < 10 || want.Exchanges >= snapEvery {
-		t.Fatalf("workload runs %d rounds; the tests need 10..%d", want.Exchanges, snapEvery-1)
+	if want.Exchanges <= 2*snapEvery {
+		t.Fatalf("workload runs %d rounds; the tests need more than %d", want.Exchanges, 2*snapEvery)
 	}
 	m := obs.NewRegistry()
-	g := stateGrid()
+	g, ref := stateGrid(), stateGrid()
+	sandpile.StabilizeSyncSeq(ref)
 	rep, err := New(g, WithRanks(3), WithWidth(2), WithFleet(fc),
 		WithObs(obs.Sink{Metrics: m})).RunContext(ctx)
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
 	}
-	if !g.Equal(ref) || rep.Topples != want.Topples || rep.Iterations != want.Iterations {
-		t.Fatalf("fleet run diverged: topples %d want %d, iterations %d want %d",
-			rep.Topples, want.Topples, rep.Iterations, want.Iterations)
+	if !g.Equal(ref) || !sameReport(rep, want) {
+		t.Fatalf("fleet run %+v diverged from the in-process %+v", rep, want)
 	}
 	return rep, m
 }
 
-const lossRound = 5
+// rollbacks is the number of generations a run seeded after its first.
+func rollbacks(m *obs.Registry) int64 { return m.Counter("ghost.fleet.rollbacks").Value() }
 
 // TestFleetRejoinWithoutPeerDead: rank 1 re-registers while its old
 // connection is alive, so the coordinator supersedes the stale conn and
 // the old reader's peerDown is a no-op — no PeerDead is ever emitted.
-// The rejoin alone must count as a loss and, rounds having committed,
-// roll the run back.
+// The rejoin alone must make the generation stale: every rank is
+// re-seeded, with rank 1's new peer address.
 func TestFleetRejoinWithoutPeerDead(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -222,8 +225,7 @@ func TestFleetRejoinWithoutPeerDead(t *testing.T) {
 	ht := &hookTransport{Transport: chanTr}
 	var once, welcome sync.Once
 	ht.recv = func(c *hookConn, m pnet.Msg) {
-		rank, inc := c.ident()
-		if _, r := hdr(m); rank == 1 && inc == 1 && m.Type == msgReport && r == lossRound {
+		if rank, inc := c.ident(); rank == 1 && inc == 1 && firstReport(m) {
 			// Hold the report until the new incarnation is registered.
 			once.Do(func() {
 				startWorker(ctx, chanTr, addr, 1, 1000)
@@ -247,35 +249,32 @@ func TestFleetRejoinWithoutPeerDead(t *testing.T) {
 	if d := m.Counter("net.deaths").Value(); d != 0 {
 		t.Fatalf("net.deaths = %d; the superseded conn must not die", d)
 	}
-	if m.Counter("net.rejoins").Value() != 1 || rep.Recoveries != 1 {
-		t.Fatalf("rejoins %d, recoveries %d; want 1 each", m.Counter("net.rejoins").Value(), rep.Recoveries)
-	}
-	if m.Counter("ghost.fleet.rollbacks").Value() != 1 {
-		t.Fatalf("rollbacks = %d, want 1", m.Counter("ghost.fleet.rollbacks").Value())
+	if m.Counter("net.rejoins").Value() != 1 || rep.Recoveries != 1 || rollbacks(m) != 1 {
+		t.Fatalf("rejoins %d, recoveries %d, rollbacks %d; want 1 each",
+			m.Counter("net.rejoins").Value(), rep.Recoveries, rollbacks(m))
 	}
 }
 
-// TestFleetStepToFreshIncarnation: a step reaches rank 1's new
+// TestFleetGrantToFreshIncarnation: a grant reaches rank 1's new
 // incarnation before the coordinator has seen it join. The worker must
-// answer "no state" and keep serving; the coordinator then treats the
-// join as a loss and the stale "no state" as noise.
-func TestFleetStepToFreshIncarnation(t *testing.T) {
+// answer that it runs no window and keep serving; the coordinator then
+// re-seeds on the join and drops the answer as stale.
+func TestFleetGrantToFreshIncarnation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	chanTr, _ := pnet.New("chan")
 	const addr = "ghost-state-nostate"
-	welcomed, noState := make(chan struct{}), make(chan struct{})
-	var sawNoState atomic.Bool
+	welcomed, aborted := make(chan struct{}), make(chan struct{})
+	var sawAbort atomic.Bool
 	var fresh <-chan error
 	ht := &hookTransport{Transport: chanTr}
 	var once, welcome sync.Once
 	ht.recv = func(c *hookConn, m pnet.Msg) {
-		rank, inc := c.ident()
-		if _, r := hdr(m); rank == 1 && inc == 1 && m.Type == msgReport && r == lossRound {
+		if rank, inc := c.ident(); rank == 1 && inc == 1 && firstReport(m) {
 			once.Do(func() {
 				watch := &sendWatch{Transport: chanTr, on: func(m pnet.Msg) {
-					if m.Type == msgNoState && !sawNoState.Swap(true) {
-						close(noState)
+					if m.Type == msgAbort && !sawAbort.Swap(true) {
+						close(aborted)
 					}
 				}}
 				fresh = startWorker(ctx, watch, addr, 1, 1000)
@@ -286,11 +285,11 @@ func TestFleetStepToFreshIncarnation(t *testing.T) {
 	ht.sent = func(c *hookConn, m pnet.Msg) {
 		if rank, inc := c.ident(); rank == 1 && inc == 2 {
 			// The welcome is out and the conn installed, but PeerJoined
-			// waits until the worker has answered a step.
+			// waits until the worker has answered a grant.
 			welcome.Do(func() {
 				close(welcomed)
 				select {
-				case <-noState:
+				case <-aborted:
 				case <-time.After(5 * time.Second):
 				}
 			})
@@ -305,14 +304,14 @@ func TestFleetStepToFreshIncarnation(t *testing.T) {
 	}
 	start := time.Now()
 	_, m := runState(t, ctx, &pnet.FleetConfig{Transport: ht, Listen: addr, Lease: time.Second})
-	if !sawNoState.Load() {
-		t.Fatal("the fresh incarnation never answered no state")
+	if !sawAbort.Load() {
+		t.Fatal("the fresh incarnation never answered the grant")
 	}
 	if el := time.Since(start); el > 3*time.Second {
 		t.Fatalf("run took %v: the fresh incarnation must not wait out a lease", el)
 	}
-	if m.Counter("ghost.fleet.rollbacks").Value() != 1 {
-		t.Fatalf("rollbacks = %d, want 1", m.Counter("ghost.fleet.rollbacks").Value())
+	if rollbacks(m) != 1 {
+		t.Fatalf("rollbacks = %d, want 1", rollbacks(m))
 	}
 	select {
 	case err := <-fresh:
@@ -324,11 +323,11 @@ func TestFleetStepToFreshIncarnation(t *testing.T) {
 	}
 }
 
-// TestFleetFailedSendRollsBack: the coordinator's step to rank 1 for
-// round lossRound fails and the connection drops. The worker reconnects
-// with its block intact, but rounds have committed since the snapshot,
-// so the global grid is stale inside the blocks: the coordinator must
-// roll back rather than seed rank 1 from it.
+// TestFleetFailedSendRollsBack: the coordinator's grant to rank 1 after
+// the first window fails and the connection drops. The worker
+// reconnects with its block intact, but the coordinator cannot know
+// what it missed: every rank must be re-seeded from the committed
+// window.
 func TestFleetFailedSendRollsBack(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -337,8 +336,7 @@ func TestFleetFailedSendRollsBack(t *testing.T) {
 	var failed atomic.Bool
 	ht := &hookTransport{Transport: chanTr}
 	ht.send = func(c *hookConn, m pnet.Msg) error {
-		rank, _ := c.ident()
-		if _, r := hdr(m); rank == 1 && m.Type == msgStep && r == lossRound && !failed.Swap(true) {
+		if rank, _ := c.ident(); rank == 1 && m.Type == msgGrant && !failed.Swap(true) {
 			c.Conn.Close()
 			return errors.New("test: send failed")
 		}
@@ -351,19 +349,16 @@ func TestFleetFailedSendRollsBack(t *testing.T) {
 	if !failed.Load() {
 		t.Fatal("no send failed")
 	}
-	// The reconnect may also be counted once more if the rollback's seed
-	// reaches the new connection before its join is seen.
-	if m.Counter("ghost.fleet.rollbacks").Value() != 1 || rep.Recoveries < 1 {
-		t.Fatalf("rollbacks %d, recoveries %d; want 1 and at least 1",
-			m.Counter("ghost.fleet.rollbacks").Value(), rep.Recoveries)
+	if rollbacks(m) != 1 || rep.Recoveries != 1 {
+		t.Fatalf("rollbacks %d, recoveries %d; want 1 each", rollbacks(m), rep.Recoveries)
 	}
 }
 
-// TestFleetReportedRankReseeded: in round 1, with nothing committed
-// since the snapshot, rank 0 reports and then dies while rank 2's
-// report is held back. The new incarnation is re-seeded from the
-// global grid without a rollback, and the dead incarnation's report is
-// uncounted: the work accounting still equals the in-process run's.
+// TestFleetReportedRankReseeded: rank 0 reports the first window and
+// then dies while rank 2's report is held back. The window never
+// commits: every rank is re-seeded from round 0, the new incarnation
+// included, and the dead incarnation's report is uncounted, so the
+// accounting still equals the in-process run's.
 func TestFleetReportedRankReseeded(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -374,11 +369,10 @@ func TestFleetReportedRankReseeded(t *testing.T) {
 	ht := &hookTransport{Transport: chanTr}
 	var killOnce, holdOnce, seedOnce sync.Once
 	ht.recv = func(c *hookConn, m pnet.Msg) {
-		rank, inc := c.ident()
-		if _, r := hdr(m); m.Type != msgReport || r != 1 {
+		if !firstReport(m) {
 			return
 		}
-		switch {
+		switch rank, inc := c.ident(); {
 		case rank == 0 && inc == 1:
 			killOnce.Do(kill) // the report is read; the death follows it
 		case rank == 2:
@@ -409,22 +403,15 @@ func TestFleetReportedRankReseeded(t *testing.T) {
 	default:
 		t.Fatal("rank 0 was never re-seeded")
 	}
-	want, _ := New(stateGrid(), WithRanks(3), WithWidth(2)).Run()
-	if rep.OwnedCells != want.OwnedCells || rep.RedundantCells != want.RedundantCells ||
-		rep.Exchanges != want.Exchanges {
-		t.Fatalf("accounting %+v, in-process %+v: the lost report was counted", rep, want)
-	}
-	if m.Counter("ghost.fleet.rollbacks").Value() != 0 || rep.Recoveries != 1 {
-		t.Fatalf("rollbacks %d, recoveries %d; want 0 and 1",
-			m.Counter("ghost.fleet.rollbacks").Value(), rep.Recoveries)
+	if rollbacks(m) != 1 || rep.Recoveries != 1 {
+		t.Fatalf("rollbacks %d, recoveries %d; want 1 each", rollbacks(m), rep.Recoveries)
 	}
 }
 
-// TestFleetLostAfterCommitRollsBack: rank 1's connection drops after
-// it reports round lossRound, and it never comes back. Once the
-// supervisor declares it lost, the coordinator serves its block itself
-// — from the snapshot, since rounds have committed: every rank rolls
-// back.
+// TestFleetLostAfterCommitRollsBack: rank 1's connection drops as it
+// reports the first window, and it never comes back. Once the
+// supervisor declares it lost, the coordinator serves its block itself,
+// as a peer of the other two, from the last committed window.
 func TestFleetLostAfterCommitRollsBack(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
@@ -432,10 +419,8 @@ func TestFleetLostAfterCommitRollsBack(t *testing.T) {
 	const addr = "ghost-state-lost"
 	ht := &hookTransport{Transport: chanTr}
 	ht.recv = func(c *hookConn, m pnet.Msg) {
-		if rank, _ := c.ident(); rank == 1 && m.Type == msgReport {
-			if _, r := hdr(m); r == lossRound {
-				c.Conn.Close() // the worker cannot redial
-			}
+		if rank, _ := c.ident(); rank == 1 && firstReport(m) {
+			c.Conn.Close() // the worker cannot redial
 		}
 	}
 	var spawned sync.Map
@@ -459,8 +444,80 @@ func TestFleetLostAfterCommitRollsBack(t *testing.T) {
 	if m.Counter("net.workers_lost").Value() != 1 {
 		t.Fatalf("workers lost = %d, want 1", m.Counter("net.workers_lost").Value())
 	}
-	if m.Counter("ghost.fleet.rollbacks").Value() != 1 || rep.Recoveries != 1 {
-		t.Fatalf("rollbacks %d, recoveries %d; want 1 each",
-			m.Counter("ghost.fleet.rollbacks").Value(), rep.Recoveries)
+	if rollbacks(m) != 1 || rep.Recoveries != 1 {
+		t.Fatalf("rollbacks %d, recoveries %d; want 1 each", rollbacks(m), rep.Recoveries)
 	}
+}
+
+// TestFleetNoProgress: rank 1's worker always exits early in its first
+// window, so no generation ever commits one. The run must give up with
+// ErrNoProgress, naming round 0, well before its deadline.
+func TestFleetNoProgress(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	chanTr, _ := pnet.New("chan")
+	started := map[int]bool{}
+	var mu sync.Mutex
+	fc := &pnet.FleetConfig{
+		Transport: chanTr, Listen: "ghost-state-barren", Lease: time.Second,
+		Backoff: pnet.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		Spawn: func(rank int, addr string) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if rank != 1 {
+				if !started[rank] {
+					started[rank] = true
+					startWorker(ctx, chanTr, addr, rank, 1000)
+				}
+				return nil
+			}
+			// Each incarnation of rank 1 exits once its seed is in.
+			wctx, exit := context.WithCancel(ctx)
+			startWorker(wctx, &seedWatch{Transport: chanTr, on: exit}, addr, 1, 1)
+			return nil
+		},
+	}
+	g := stateGrid()
+	m := obs.NewRegistry()
+	_, err := New(g, WithRanks(3), WithWidth(2), WithFleet(fc), WithObs(obs.Sink{Metrics: m})).RunContext(ctx)
+	var np *NoProgressError
+	if !errors.Is(err, ErrNoProgress) || !errors.As(err, &np) {
+		t.Fatalf("run returned %v, want ErrNoProgress", err)
+	}
+	if ctx.Err() != nil {
+		t.Fatal("the run gave up only at its deadline")
+	}
+	if np.Committed != 0 || np.Generations != maxBarren {
+		t.Fatalf("gave up after %d generations at round %d, want %d at 0", np.Generations, np.Committed, maxBarren)
+	}
+	if m.Counter("ghost.fleet.no_progress").Value() != 1 {
+		t.Fatal("no ghost.fleet.no_progress count")
+	}
+}
+
+// seedWatch calls on once a worker has received a seed.
+type seedWatch struct {
+	pnet.Transport
+	on func()
+}
+
+func (w *seedWatch) Dial(addr string) (pnet.Conn, error) {
+	c, err := w.Transport.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &seedConn{Conn: c, on: w.on}, nil
+}
+
+type seedConn struct {
+	pnet.Conn
+	on func()
+}
+
+func (c *seedConn) Recv(timeout time.Duration) (pnet.Msg, error) {
+	m, err := c.Conn.Recv(timeout)
+	if err == nil && m.Type == msgSeed {
+		c.on()
+	}
+	return m, err
 }

@@ -106,7 +106,8 @@ func TestFleet2DMatchesSequential(t *testing.T) {
 
 // TestFleetMatchesInProcessRun pins the tentpole equality: the fleet
 // run and the classic goroutine-rank run agree on every reported
-// quantity that is defined for both, for strips and for blocks.
+// quantity that is defined for both, halo traffic included, for strips
+// and for blocks, over a run that crosses window ends.
 func TestFleetMatchesInProcessRun(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -117,21 +118,14 @@ func TestFleetMatchesInProcessRun(t *testing.T) {
 		{"blocks", 6, []Option{WithProcessGrid(2, 3), WithWidth(2)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gIn := fleetGrid(24, 18)
-			inRep, err := New(gIn, tc.opts...).Run()
+			inRep, err := New(windowGrid(), tc.opts...).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			tr, _ := pnet.New("chan")
-			rep := runFleetCase(t, tc.opts, spawnWorkers(tr, tc.ranks))
-			if rep.Iterations != inRep.Iterations || rep.Topples != inRep.Topples ||
-				rep.Absorbed != inRep.Absorbed || rep.Exchanges != inRep.Exchanges {
+			rep, _ := runFleetOn(t, windowGrid, tc.opts, tr, "ghost-fleet-match-"+tc.name, tc.ranks)
+			if !sameReport(rep, inRep) {
 				t.Fatalf("fleet %+v != in-process %+v", rep, inRep)
-			}
-			// Same decomposition, same rounds: the redundant-compute
-			// accounting must agree too.
-			if rep.RedundantCells != inRep.RedundantCells || rep.OwnedCells != inRep.OwnedCells {
-				t.Fatalf("work accounting: fleet %+v != in-process %+v", rep, inRep)
 			}
 		})
 	}
@@ -139,8 +133,8 @@ func TestFleetMatchesInProcessRun(t *testing.T) {
 
 // TestFleetWorkerDeathAndRejoin kills worker incarnations mid-run (by
 // cancelling their contexts — the goroutine analogue of SIGKILL) and
-// relies on respawn + rejoin re-dispatch; the fixed point must still
-// match the sequential solver exactly.
+// relies on rejoin and a re-seed of every rank; the fixed point must
+// still match the sequential solver exactly.
 func TestFleetWorkerDeathAndRejoin(t *testing.T) {
 	// A tall center pile takes many rounds to spread, so kills land
 	// mid-run rather than after the fixed point.
@@ -214,7 +208,8 @@ func launchCrashyWorkers(ctx context.Context, tr pnet.Transport, addr string, ki
 
 // TestFleetLostRankFallsBackLocally spawns no process for rank 1:
 // after MaxRespawns join timeouts the coordinator must declare it lost
-// and compute its strip itself, still reaching the exact fixed point.
+// and serve its strip itself, as a peer of ranks 0 and 2, still
+// reaching the exact fixed point.
 func TestFleetLostRankFallsBackLocally(t *testing.T) {
 	ref := fleetGrid(24, 18)
 	want := sandpile.StabilizeSyncSeq(ref)

@@ -33,7 +33,9 @@ import (
 	"repro/internal/sandpile"
 )
 
-// Report summarizes a distributed run.
+// Report summarizes a distributed run. A fleet run reports the rounds,
+// halos and cells of its committed windows, up to the round that ends
+// the run; the work of a window it rolled back is not counted.
 type Report struct {
 	sandpile.Result
 	Ranks          int
@@ -45,7 +47,7 @@ type Report struct {
 	OwnedCells     uint64 // owned cells computed
 	// Recoveries counts coordinated rollbacks (heartbeat-detected rank
 	// deaths recovered by restart-from-checkpoint). In a fleet run it
-	// counts ranks that lost their resident block and were re-seeded.
+	// counts generations re-seeded from the last committed window.
 	Recoveries int
 	// FaultSchedule is the injector's sorted fired-fault log — the
 	// reproducibility artifact: same seed, byte-identical schedule.

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/grid"
 	pnet "repro/internal/net"
 	"repro/internal/sandpile"
 )
@@ -59,26 +58,24 @@ func sha(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestRoundFrameGolden pins the PFR1 bytes of one ghost round on a
-// real socket — the coordinator's step frame and the worker's report —
-// against SHA-256s recorded before the frame codec moved into
-// internal/ckpt.
-func TestRoundFrameGolden(t *testing.T) {
-	const want = "7220cf722b9f042699d4da25463221345b5adc4d342cc02737445538fde7e491"
-	ge, win := fuzzGeom([]byte{1, 2, 3, 0xf, 9, 4, 7, 5, 2, 6})
-	b := &block{}
-	if _, err := b.serveRound(seedMsg(ge, 7, 3, win)); err != nil {
-		t.Fatal(err)
+// TestWindowFrameGolden pins the PFR1 bytes of the ghost/3 frames on a
+// real socket: a seed with its neighbour addresses, a grant, a link, a
+// halo and a window report. A change here means a fleet worker built
+// from an older tree can no longer talk to this one.
+func TestWindowFrameGolden(t *testing.T) {
+	const want = "c7d456246107f8299fbad5d318eef7dd7dd4753c0c3fdc52f6c3526ab02e784e"
+	s, win := fuzzSeed([]byte{1, 2, 3, 0xf, 9, 4, 7, 5, 2, 6})
+	_, in, _ := s.halo(south)
+	work := []roundWork{{changes: 5, redundant: 12}, {changes: 0, redundant: 9}}
+	frames := []pnet.Msg{
+		{Type: msgSeed, Payload: appendSeed(nil, s, win, 0, 0)},
+		grantMsg(7, 5, 64),
+		linkMsg(7, 3, 13),
+		{Type: msgHalo, Payload: appendRect(appendHeader(nil, 7, 4), win, in, 0, 0)},
+		{Type: msgReport, Payload: appendReport(nil, 7, 5, work, win, s.owned())},
 	}
-	bands := grid.New(win.H(), win.W())
-	fillFrom(bands, []byte{3, 1, 4, 1, 5, 9, 2, 6})
-	step := pnet.Msg{Type: msgStep, Payload: appendCells(appendHeader(nil, 7, 4), bands, ge.bands(), 0, 0)}
-	report, err := b.serveRound(step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sha(wireBytes(t, step, report)); got != want {
-		t.Fatalf("ghost round frames: sha256 %s, want %s", got, want)
+	if got := sha(wireBytes(t, frames...)); got != want {
+		t.Fatalf("ghost window frames: sha256 %s, want %s", got, want)
 	}
 }
 

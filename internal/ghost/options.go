@@ -66,7 +66,8 @@ func WithHeartbeat(d time.Duration) Option { return func(c *config) { c.heartbea
 // WithFleet runs the decomposition over a worker fleet (see fleet.go):
 // the ranks become processes (or goroutines, on the chan transport)
 // joined through fc.Transport, supervised with heartbeat leases and
-// respawn. fc.Workers and fc.Proto are set by the run; everything else
+// respawn, that swap halos with their neighbours over the same
+// transport. fc.Workers and fc.Proto are set by the run; everything else
 // — transport, listen address, lease, backoff, Spawn hook — is the
 // caller's. Mutually exclusive with WithFaults: fleet crashes are real
 // process deaths, not injected ones.
@@ -103,7 +104,8 @@ func (r *Runner) Run() (Report, error) { return r.RunContext(context.Background(
 // launching rounds once ctx is cancelled and returns ctx.Err().
 func (r *Runner) RunContext(ctx context.Context) (Report, error) {
 	if r.cfg.fleet != nil {
-		return runFleet(ctx, r.g, r.cfg)
+		rep, _, err := runFleet(ctx, r.g, r.cfg)
+		return rep, err
 	}
 	return run2d(ctx, r.g, r.cfg)
 }

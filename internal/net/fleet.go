@@ -5,7 +5,8 @@ package net
 // set of ranks:
 //
 //   - registration: a worker's first frame is a hello (proto, rank,
-//     pid); the coordinator answers with a welcome carrying the lease
+//     pid, and the address its peers can reach it at, if it has one);
+//     the coordinator answers with a welcome carrying the lease
 //     duration, so workers need no out-of-band timing configuration.
 //   - heartbeat leases: every frame from a worker refreshes its lease;
 //     a worker silent for a full lease is declared dead and its
@@ -84,8 +85,9 @@ func (c deathCause) String() string {
 type Event struct {
 	Rank   int
 	Kind   EventKind
-	Rejoin bool // PeerJoined only
-	Msg    Msg  // PeerMsg only
+	Rejoin bool   // PeerJoined only
+	Addr   string // PeerJoined only: the worker's peer address, "" if none
+	Msg    Msg    // PeerMsg only
 }
 
 // FleetConfig configures a Coordinator.
@@ -95,7 +97,7 @@ type FleetConfig struct {
 	// scheme where possible; tcp accepts ":0").
 	Listen  string
 	Workers int
-	// Proto names the application protocol (e.g. "ghost/2"); hellos
+	// Proto names the application protocol (e.g. "ghost/3"); hellos
 	// carrying a different name are rejected.
 	Proto string
 	// Lease is the heartbeat lease (default 2s): a worker silent this
@@ -347,6 +349,10 @@ func (c *Coordinator) register(conn Conn) {
 	proto := dec.Str()
 	rank := int(dec.I64())
 	pid := dec.I64()
+	var addr string
+	if len(dec.Rest()) > 0 {
+		addr = dec.Str()
+	}
 	if dec.Err() != nil || proto != c.cfg.Proto || rank < 0 || rank >= c.cfg.Workers {
 		c.log(obs.LevelWarn, "rejected hello",
 			obs.Arg{Key: "rank", Value: int64(rank)})
@@ -397,7 +403,7 @@ func (c *Coordinator) register(conn Conn) {
 			obs.Arg{Key: "rank", Value: int64(rank)},
 			obs.Arg{Key: "pid", Value: pid})
 	}
-	c.emit(Event{Rank: rank, Kind: PeerJoined, Rejoin: rejoin})
+	c.emit(Event{Rank: rank, Kind: PeerJoined, Rejoin: rejoin, Addr: addr})
 	c.reader(p, conn, inc)
 }
 
@@ -587,11 +593,16 @@ func (c *Coordinator) supervise(rank int) {
 	}
 }
 
-// helloPayload encodes a worker's registration.
-func helloPayload(proto string, rank int) []byte {
+// helloPayload encodes a worker's registration. The peer address is
+// appended only when there is one, so a worker without peers sends the
+// hello TestFrameGolden pins and older coordinators accept.
+func helloPayload(proto string, rank int, addr string) []byte {
 	var e ckpt.Enc
 	e.Str(proto)
 	e.I64(int64(rank))
 	e.I64(int64(os.Getpid()))
+	if addr != "" {
+		e.Str(addr)
+	}
 	return e.Bytes()
 }

@@ -348,7 +348,7 @@ func TestFleetLeaseExpiryAndRejoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(Msg{Type: frameHello, Payload: helloPayload("test/1", 0)}); err != nil {
+	if err := conn.Send(Msg{Type: frameHello, Payload: helloPayload("test/1", 0, "")}); err != nil {
 		t.Fatal(err)
 	}
 	if ev := waitEvent(t, co); ev.Kind != PeerJoined {
@@ -409,7 +409,7 @@ func TestFleetDeathCauseLogged(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		if err := conn.Send(Msg{Type: frameHello, Payload: helloPayload("test/1", 0)}); err != nil {
+		if err := conn.Send(Msg{Type: frameHello, Payload: helloPayload("test/1", 0, "")}); err != nil {
 			t.Fatal(err)
 		}
 		if ev := waitEvent(t, co); ev.Kind != PeerJoined {
@@ -490,7 +490,7 @@ func TestFleetSupervisorRespawnsAndGivesUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Send(Msg{Type: frameHello, Payload: helloPayload("test/1", 1)})
+	conn.Send(Msg{Type: frameHello, Payload: helloPayload("test/1", 1, "")})
 	if _, err := conn.Recv(300 * time.Millisecond); err == nil {
 		t.Fatal("lost rank received a welcome")
 	}

@@ -12,7 +12,10 @@ import (
 	"errors"
 	"fmt"
 	gonet "net"
+	"os"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -68,6 +71,34 @@ func New(scheme string) (Transport, error) {
 		return ChanTransport{}, nil
 	}
 	return nil, fmt.Errorf("net: unknown transport %q (want tcp, unix, or chan)", scheme)
+}
+
+// peerSeq numbers this process's peer listeners, so each gets a name
+// of its own.
+var peerSeq atomic.Int64
+
+// PeerListen binds a listener for a fleet worker's peers, placed by
+// the coordinator address join in tr's own notation: a unix socket in
+// the coordinator socket's directory, named for this process; an
+// ephemeral port on the coordinator's host for tcp; a fresh name under
+// join on chan. Its Addr is what the worker announces in its hello.
+func PeerListen(tr Transport, join string) (Listener, error) {
+	n := peerSeq.Add(1)
+	switch tr.Scheme() {
+	case "unix":
+		path := filepath.Join(filepath.Dir(join), fmt.Sprintf("peer-%d-%d.sock", os.Getpid(), n))
+		// The name is this process's, so a file already there was left
+		// by a dead process that had the same pid.
+		os.Remove(path)
+		return tr.Listen(path)
+	case "tcp":
+		host, _, err := gonet.SplitHostPort(join)
+		if err != nil {
+			return nil, fmt.Errorf("net: peer listen near %q: %w", join, err)
+		}
+		return tr.Listen(gonet.JoinHostPort(host, "0"))
+	}
+	return tr.Listen(fmt.Sprintf("%s/peer-%d", join, n))
 }
 
 // dialTimeout bounds a single socket connect; reconnect policy above

@@ -26,6 +26,10 @@ type WorkerConfig struct {
 	Rank int
 	// Proto must match the coordinator's FleetConfig.Proto.
 	Proto string
+	// Addr is where the worker's peers can reach it (see PeerListen),
+	// announced in its hello and delivered with PeerJoined; "" for a
+	// worker that only talks to the coordinator.
+	Addr string
 	// Backoff paces reconnection attempts; the zero value means 50ms
 	// base, 5s cap.
 	Backoff Backoff
@@ -117,7 +121,7 @@ func runSession(ctx context.Context, cfg WorkerConfig, h Handler) error {
 		return err
 	}
 	defer conn.Close()
-	if err := conn.Send(Msg{Type: frameHello, Payload: helloPayload(cfg.Proto, cfg.Rank)}); err != nil {
+	if err := conn.Send(Msg{Type: frameHello, Payload: helloPayload(cfg.Proto, cfg.Rank, cfg.Addr)}); err != nil {
 		return fmt.Errorf("net: hello: %w", err)
 	}
 	// The coordinator installs a conn before its welcome is out, so a

@@ -12,6 +12,10 @@
 #   3. the reconnection is observable: the driver's SSE /events
 #      stream carries the coordinator's "worker rejoined" event.
 #
+# Then it runs the 1-D ghost workload — 3 strip workers over tcp —
+# with two more SIGKILLs and asserts 1 and 2 again, so the workers'
+# peer links are tested on both socket families with real deaths.
+#
 # Exits nonzero with a diagnostic on the first failed assertion.
 set -u -o pipefail
 
@@ -68,4 +72,15 @@ grep -q 'worker rejoined' "$SCRATCH/events" \
   || fail "SSE /events stream carried no reconnection event: $(head -c 600 "$SCRATCH/events")"
 
 echo "fleet-smoke: $(grep -c 'worker rejoined' "$SCRATCH/events") rejoin events streamed"
+
+echo "fleet-smoke: 3-rank ghost strip fleet over tcp, 2 SIGKILLs"
+"$SCRATCH/chaos" -fleet -workload ghost -transport tcp -quick \
+  -kills 2 -seed 3 -dir "$SCRATCH/fleet-tcp" \
+  >"$SCRATCH/stdout-tcp" 2>"$SCRATCH/stderr-tcp" \
+  || fail "tcp driver exited nonzero (stdout: $(cat "$SCRATCH/stdout-tcp"); stderr: $(tail -c 800 "$SCRATCH/stderr-tcp"))"
+grep -q 'fleet-ghost: PASS' "$SCRATCH/stdout-tcp" \
+  || fail "no tcp PASS line: $(cat "$SCRATCH/stdout-tcp")"
+grep -q '2 kills delivered over tcp, state identical' "$SCRATCH/stdout-tcp" \
+  || fail "expected 2 SIGKILLs over tcp and byte-equality: $(cat "$SCRATCH/stdout-tcp")"
+
 echo "fleet-smoke: PASS"
