@@ -38,13 +38,19 @@ var fleetWorkloads = []string{"ghost", "ghost2d", "wordcount"}
 // fleetProcs tracks the live worker subprocess per rank so the killer
 // can SIGKILL one and the cleanup can reap the rest.
 type fleetProcs struct {
-	mu   sync.Mutex
-	cmds map[int]*exec.Cmd
+	mu    sync.Mutex
+	procs map[int]fleetProc
 }
 
-func (f *fleetProcs) put(rank int, cmd *exec.Cmd) {
+// fleetProc is one worker subprocess; done closes once it has exited.
+type fleetProc struct {
+	cmd  *exec.Cmd
+	done chan struct{}
+}
+
+func (f *fleetProcs) put(rank int, p fleetProc) {
 	f.mu.Lock()
-	f.cmds[rank] = cmd
+	f.procs[rank] = p
 	f.mu.Unlock()
 }
 
@@ -52,21 +58,30 @@ func (f *fleetProcs) put(rank int, cmd *exec.Cmd) {
 // was there to kill.
 func (f *fleetProcs) kill(rank int) bool {
 	f.mu.Lock()
-	cmd := f.cmds[rank]
+	p, ok := f.procs[rank]
 	f.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return false
-	}
-	return cmd.Process.Kill() == nil
+	return ok && p.cmd.Process.Kill() == nil
 }
 
-func (f *fleetProcs) killAll() {
+// reap gives every worker up to grace in all to finish the clean exit
+// the run's stop message started, which removes its peer socket, and
+// SIGKILLs the ones still running after that.
+func (f *fleetProcs) reap(grace time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, cmd := range f.cmds {
-		if cmd != nil && cmd.Process != nil {
-			_ = cmd.Process.Kill()
+	timer := time.NewTimer(grace)
+	defer timer.Stop()
+	expired := false
+	for _, p := range f.procs {
+		if !expired {
+			select {
+			case <-p.done:
+				continue
+			case <-timer.C:
+				expired = true
+			}
 		}
+		_ = p.cmd.Process.Kill()
 	}
 }
 
@@ -88,8 +103,12 @@ func fleetSpawn(self, workload, scheme string, procs *fleetProcs, quick bool) fu
 		if err := cmd.Start(); err != nil {
 			return err
 		}
-		procs.put(rank, cmd)
-		go cmd.Wait() // reap; SIGKILLed workers must not linger as zombies
+		done := make(chan struct{})
+		procs.put(rank, fleetProc{cmd: cmd, done: done})
+		go func() {
+			_ = cmd.Wait() // reap; SIGKILLed workers must not linger as zombies
+			close(done)
+		}()
 		return nil
 	}
 }
@@ -159,8 +178,8 @@ func fleetSoak(self, wl, scratch, scheme string, kills int,
 	if err != nil {
 		return err
 	}
-	procs := &fleetProcs{cmds: map[int]*exec.Cmd{}}
-	defer procs.killAll()
+	procs := &fleetProcs{procs: map[int]fleetProc{}}
+	defer procs.reap(time.Second)
 	stop := make(chan struct{})
 	defer close(stop)
 

@@ -174,6 +174,13 @@ func runFleetSoaks(workload, scheme, dir string, kills int, seed int64, quick bo
 			failed++
 			continue
 		}
+		// Without kills every worker exits cleanly, and a clean exit
+		// removes the worker's unix peer socket.
+		if left, _ := filepath.Glob(filepath.Join(scratch, "peer-*")); kills == 0 && len(left) > 0 {
+			fmt.Fprintf(os.Stderr, "chaos: fleet-%s: FAIL: clean workers left %d peer sockets: %v\n", wl, len(left), left)
+			failed++
+			continue
+		}
 		fmt.Printf("chaos: fleet-%s: PASS\n", wl)
 	}
 	if failed > 0 {

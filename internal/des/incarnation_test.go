@@ -10,8 +10,9 @@ import (
 // uids, and anti-messages the old ones. The old (stale) positive, its
 // anti and the fresh positive can reach the destination in any order,
 // before or after either positive has executed. Each case below builds
-// one such interleaving by hand on a two-LP Warp, driving deliver and
-// runBatch directly on one goroutine, and checks that the destination
+// one such interleaving by hand on a two-LP Warp, driving the
+// destination's partition (route and runPartition) directly on one
+// goroutine, and checks that the destination
 // executes the logical event exactly once, as the fresh incarnation,
 // and ends with no pending entries and no annihilation marks left.
 
@@ -41,7 +42,8 @@ func newIncarnationRig(t *testing.T) *incarnationRig {
 		st.seen = append(st.seen, pl)
 	})
 	w.AddLP("src", nil, func(*Proc, float64, Payload) {})
-	return &incarnationRig{t: t, w: w, dst: w.lps[0], ww: &warpWorker{}}
+	w.partition()
+	return &incarnationRig{t: t, w: w, dst: w.lps[0], ww: w.lps[0].ww}
 }
 
 // The logical events: an earlier and a later event around the one
@@ -57,13 +59,26 @@ var (
 )
 
 func (r *incarnationRig) deliver(m message) {
-	r.w.deliverAll(r.ww, []message{m})
+	r.w.route(r.ww, m)
 	r.checkHistory()
 }
 
 func (r *incarnationRig) run() {
-	r.w.runBatch(r.dst, r.ww)
+	runPartition(r.w, r.ww)
 	r.checkHistory()
+}
+
+// runPartition executes a partition's queue up to its first idle or
+// throttled answer on the calling goroutine, as the worker loop does
+// between inbox drains.
+func runPartition(w *Warp, ww *warpWorker) {
+	for {
+		m, why := w.next(ww)
+		if why != running {
+			return
+		}
+		w.exec(ww, m)
+	}
 }
 
 // checkHistory asserts that no logical event appears twice in the
@@ -99,20 +114,25 @@ func (r *incarnationRig) checkFinal(wantRollbacks int64) {
 	if got, want := fmt.Sprint(uids), fmt.Sprint([]uint64{incEarly.uid, incFresh.uid, incLate.uid}); got != want {
 		r.t.Fatalf("processed uids %s, want %s", got, want)
 	}
-	if got := r.w.rollbacks.Load(); got != wantRollbacks {
+	if got := r.w.Stats().Rollbacks; got != wantRollbacks {
 		r.t.Fatalf("rollbacks = %d, want %d", got, wantRollbacks)
 	}
 	assertDrained(r.t, r.w)
 }
 
-// assertDrained checks that every LP of a drained Warp has an empty
-// pending heap and no annihilation marks: every stale incarnation met
-// its anti-message.
+// assertDrained checks that every partition of a drained Warp has an
+// empty queue and inbox, and every LP no annihilation marks: every
+// stale incarnation met its anti-message.
 func assertDrained(t testing.TB, w *Warp) {
 	t.Helper()
+	for _, ww := range w.workers {
+		if ww.q.len() != 0 || len(ww.inbox) != 0 {
+			t.Fatalf("partition %d not drained: %d queued, %d in the inbox", ww.idx, ww.q.len(), len(ww.inbox))
+		}
+	}
 	for _, p := range w.lps {
-		if p.pending.len() != 0 || len(p.dead.m) != 0 {
-			t.Fatalf("LP %s not drained: %d pending, %d dead marks", p.name, p.pending.len(), len(p.dead.m))
+		if len(p.dead.m) != 0 {
+			t.Fatalf("LP %s not drained: %d dead marks", p.name, len(p.dead.m))
 		}
 	}
 }

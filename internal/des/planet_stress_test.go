@@ -7,8 +7,8 @@ import (
 	"repro/internal/wfsched"
 )
 
-// The planet scenario joins TestWarpGVTStress: at one event per batch
-// and a GVT pass per batch, fossil collection compacts every cluster's
+// The planet scenario joins TestWarpGVTStress: with a flush and a GVT
+// pass after every event, fossil collection compacts every cluster's
 // undo log between almost every pair of events, on a model whose
 // handlers save several slots per event.
 func init() {

@@ -4,14 +4,15 @@
 // a disjoint slice of model state and a local virtual clock, that
 // exchange timestamped messages. Warp executes it either sequentially
 // on one event queue (Workers <= 1) or optimistically in parallel:
-// Jefferson's Time Warp. There, LPs run speculatively on a worker
-// pool; when a message arrives in an LP's simulated past (a
-// straggler), the LP rolls back: it unwinds an undo log of the state
-// slots its handlers overwrote, newest first, un-sends what it sent
-// since (anti-messages), and re-executes. A periodically computed
-// global virtual time (GVT) lower-bounds every future message,
-// letting the kernel reclaim history and undo records older than it
-// (fossil collection) and bound optimism (the window throttle).
+// Jefferson's Time Warp. There, each worker runs a static partition
+// of the LPs speculatively from one event queue; when a message
+// arrives in an LP's simulated past (a straggler), the LP rolls back:
+// it unwinds an undo log of the state slots its handlers overwrote,
+// newest first, un-sends what it sent since (anti-messages), and
+// re-executes. A periodically computed global virtual time (GVT)
+// lower-bounds every future message, letting the kernel reclaim
+// history and undo records older than it (fossil collection) and
+// bound optimism (the window throttle).
 //
 // # Determinism
 //
@@ -40,7 +41,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -104,8 +104,8 @@ type Handler func(p *Proc, at float64, pl Payload)
 type message struct {
 	key     Key
 	dst     LPID
-	uid     uint64 // annihilation identity; not part of the order
 	neg     bool   // anti-message
+	uid     uint64 // annihilation identity; not part of the order
 	payload Payload
 }
 
@@ -131,31 +131,26 @@ type undoRec struct {
 	old  uint64
 }
 
-// Proc is one logical process: state, clock, input/output queues, and
-// the history and undo log. All fields below mu are guarded by it.
+// Proc is one logical process: state, clock, the history and the undo
+// log. Under Time Warp only the worker that owns the LP touches it
+// while the run is going (a GVT pass works on it while that worker is
+// parked), so nothing here is locked.
 type Proc struct {
 	id   LPID
 	name string
 	w    *Warp
 	h    Handler
+	ww   *warpWorker // owner (Time Warp only)
 
-	mu        sync.Mutex
 	state     State
-	pending   eventQueue
 	dead      uidSet // annihilated uids not yet popped / not yet arrived
 	processed []procRec
 	sendLog   []message // sends of processed, in order; see procRec
 	undo      []undoRec // saved slots of processed, in order; see procRec
-	saving    bool      // Time Warp: Save records, Send goes via outbox
+	saving    bool      // Time Warp: Save records, Send goes via the owner
 	base      int64     // fossil-collected events before processed[0]
 	sendSeq   uint64
-	running   bool
-	inQueue   bool
-	queuedKey Key
-
-	// per-event scratch, owned by the executing worker (Time Warp only):
-	outbox []message
-	curKey Key // of the event being processed
+	curKey    Key // of the event being processed
 }
 
 // ID returns the LP's identifier.
@@ -210,9 +205,9 @@ func (p *Proc) Send(dst LPID, delay float64, pl Payload) {
 		p.w.seq.push(message{key: k, dst: dst, payload: pl})
 		return
 	}
-	p.outbox = append(p.outbox, message{
-		key: k, dst: dst, uid: p.w.uid.Add(1), payload: pl,
-	})
+	ww := p.ww
+	ww.uid += ww.uidStep
+	ww.outbox = append(ww.outbox, message{key: k, dst: dst, uid: ww.uid, payload: pl})
 }
 
 // WarpConfig configures a Warp.
@@ -252,30 +247,32 @@ type Warp struct {
 	cfg  WarpConfig
 	lps  []*Proc
 	seed []message
-	uid  atomic.Uint64
-
-	gvtBits    atomic.Uint64
-	rollbacks  atomic.Int64
-	rolledBack atomic.Int64
-	antis      atomic.Int64
-	gvtPasses  atomic.Int64
-	batches    atomic.Int64
 
 	// seq is the sequential kernel's queue; Send pushes into it.
 	seq eventQueue
-	// runq holds runnable LPs: ref is the LP, key its queued key.
-	// Stale entries are skipped at pop.
-	runq    eventQueue
-	qmu     sync.Mutex
-	qcond   *sync.Cond
-	waiting int
-	stopped bool
-	runErr  error
-	panicV  any
 
-	gvtMu   sync.Mutex // serializes GVT passes
-	gvtWant bool       // guarded by qmu: a pass is waiting for quiescence
-	gvtSafe int        // guarded by qmu: workers parked at the safe point
+	// workers are the Time Warp partitions: LP i belongs to worker
+	// i mod len(workers).
+	workers []*warpWorker
+
+	// Read between every two events, apart from the fields written
+	// under mu. attn calls running workers to the safe point: a GVT
+	// pass wants them, or the run stopped.
+	gvtBits atomic.Uint64
+	attn    atomic.Bool
+	_       [64]byte
+
+	// mu guards every worker's parking state (why, gen) and the
+	// fields below; cond wakes parked workers.
+	mu        sync.Mutex
+	cond      *sync.Cond
+	parked    int    // workers in park, each at the safe point
+	gvtWant   bool   // a pass waits for every worker to park
+	gvtGen    uint64 // passes completed
+	gvtPasses int64
+	stopped   bool
+	runErr    error
+	panicV    any
 
 	cCommitted, cRollbacks, cRolled, cAntis *obs.Counter
 	gGVT                                    *obs.Gauge
@@ -285,10 +282,49 @@ type Warp struct {
 	ran bool
 }
 
+// warpWorker is one Time Warp partition: the LPs it owns, one queue
+// holding all their pending events, and the buffers that carry
+// messages to and from the other partitions. Everything but the
+// inbox, the mail flag and the parking state is the worker's own.
 type warpWorker struct {
-	queue  []message // undelivered sends + cascading anti-messages
-	outbox []message // lent to the LP running a batch; reused across batches
+	idx int
+	q   eventQueue // pending positive events of the worker's LPs
+
+	outbox  []message   // the running handler's sends
+	stack   []message   // antis of a rollback left to route
+	held    []message   // same-key entries of other LPs, re-queued after a pop
+	spare   []message   // the last inbox taken, emptied for the next swap
+	out     [][]message // unflushed messages per destination worker
+	unsent  int         // messages in out
+	uid     uint64      // last uid issued; uids step by uidStep per worker
+	uidStep uint64
+	ran     int // events executed since the last flush
+	gvtRan  int // events executed since the last GVT pass asked for
+
+	// What the worker's LPs did, summed into WarpStats after the run.
+	rollbacks, rolledBack, antis int64
+
+	// Written by the workers that send to this one.
+	_        [64]byte
+	inMu     sync.Mutex
+	inbox    []message   // guarded by inMu
+	mail     atomic.Bool // inbox is non-empty; set and cleared under inMu
+	sleeping atomic.Bool // parked: a sender must wake it
+
+	// Guarded by Warp.mu.
+	why parkWhy // why the worker is parked, if it is
+	gen uint64  // gvtGen when it parked
 }
+
+// parkWhy says what a parked worker waits for.
+type parkWhy uint8
+
+const (
+	running   parkWhy = iota
+	joining           // the GVT pass a worker asked for to finish
+	idle              // mail: its queue is empty
+	throttled         // mail or a new GVT: its next event lies past the window
+)
 
 // NewWarp creates an empty Time Warp simulation.
 func NewWarp(cfg WarpConfig) *Warp {
@@ -296,7 +332,7 @@ func NewWarp(cfg WarpConfig) *Warp {
 		cfg.Workers = 1
 	}
 	w := &Warp{cfg: cfg}
-	w.qcond = sync.NewCond(&w.qmu)
+	w.cond = sync.NewCond(&w.mu)
 	w.gvtBits.Store(math.Float64bits(math.Inf(-1)))
 	m := cfg.Obs.Metrics
 	w.cCommitted = m.Counter("des.committed")
@@ -337,9 +373,10 @@ func (w *Warp) SeedAt(lp LPID, t float64, pl Payload) {
 	if lp < 0 || int(lp) >= len(w.lps) {
 		panic(fmt.Sprintf("des: seed for unknown LP %d", lp))
 	}
+	n := uint64(len(w.seed))
 	w.seed = append(w.seed, message{
-		key: Key{At: t, Depth: 0, Src: initSrc, Seq: uint64(len(w.seed))},
-		dst: lp, uid: w.uid.Add(1), payload: pl,
+		key: Key{At: t, Depth: 0, Src: initSrc, Seq: n},
+		dst: lp, uid: n + 1, payload: pl,
 	})
 }
 
@@ -350,19 +387,18 @@ func (w *Warp) LPState(id LPID) State { return w.lps[id].state }
 // first pass; only meaningful with Workers > 1).
 func (w *Warp) GVT() float64 { return math.Float64frombits(w.gvtBits.Load()) }
 
-// Stats returns the run's speculation statistics.
+// Stats returns the run's speculation statistics. Call it after Run.
 func (w *Warp) Stats() WarpStats {
-	var committed int64
+	st := WarpStats{GVTPasses: w.gvtPasses}
 	for _, p := range w.lps {
-		committed += p.base + int64(len(p.processed))
+		st.Committed += p.base + int64(len(p.processed))
 	}
-	return WarpStats{
-		Committed:    committed,
-		Rollbacks:    w.rollbacks.Load(),
-		RolledBack:   w.rolledBack.Load(),
-		AntiMessages: w.antis.Load(),
-		GVTPasses:    w.gvtPasses.Load(),
+	for _, ww := range w.workers {
+		st.Rollbacks += ww.rollbacks
+		st.RolledBack += ww.rolledBack
+		st.AntiMessages += ww.antis
 	}
+	return st
 }
 
 // Run executes the simulation until every LP drains, or ctx is
@@ -418,61 +454,83 @@ func (w *Warp) commitSeqCount(steps int64) {
 }
 
 // ---------------------------------------------------------------
-// Parallel path.
+// Parallel path: static partitions, the processing elements of ROSS.
+// A worker executes the minimum of its own queue, as the sequential
+// kernel does; only its own LPs ever run on it, so no LP is locked.
+// Sends to a partition's own LPs are delivered at once; sends to
+// another partition are buffered and go to the owner's inbox, which
+// the owner drains between events.
 // ---------------------------------------------------------------
 
-// batchSize bounds how many events a worker processes per LP
-// acquisition; small enough to keep cross-LP messages flowing,
-// large enough to amortize queue locking. gvtEvery triggers a
-// GVT/fossil pass every this many batches (counted across all
-// workers). Variables rather than constants so stress tests can
-// shrink them to interleave GVT passes with nearly every event.
+// flushEvery is how many events a worker runs between flushes of its
+// buffered sends; gvtEvery, between the GVT passes it asks for. Tests
+// shrink them to interleave flushes and passes with every event.
 var (
-	batchSize = 32
-	gvtEvery  = int64(64)
+	flushEvery = 32
+	gvtEvery   = 256
 )
 
 func (w *Warp) runParallel(ctx context.Context) error {
-	// Deliver seeds directly: nothing is running yet.
+	w.partition()
 	for _, m := range w.seed {
-		w.lps[m.dst].pushPending(m)
+		w.lps[m.dst].ww.q.push(m)
 	}
-	for _, p := range w.lps {
-		if p.pending.len() > 0 {
-			k := p.pending.h[0].key
-			p.inQueue = true
-			p.queuedKey = k
-			w.runq.pushRef(k, int32(p.id))
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < w.cfg.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.workerLoop(ctx, &warpWorker{})
-		}()
-	}
-	wg.Wait()
+	w.runWorkers(ctx)
 	if w.panicV != nil {
 		panic(w.panicV)
 	}
-	// Record committed work even on a cancelled/failed run, mirroring
+	// Record the counts even on a cancelled/failed run, mirroring
 	// the sequential path's partial count.
-	w.cCommitted.Add(w.Stats().Committed)
+	st := w.Stats()
+	w.cCommitted.Add(st.Committed)
+	w.cRollbacks.Add(st.Rollbacks)
+	w.cRolled.Add(st.RolledBack)
+	w.cAntis.Add(st.AntiMessages)
 	return w.runErr
+}
+
+// partition builds min(Workers, LPs) workers and hands LP i to worker
+// i mod n. Worker k issues uids seeds+k+n, seeds+k+2n, ...: unique
+// across workers, and increasing on each, so of two incarnations of
+// one send (same source LP, same owner) the later has the larger uid.
+func (w *Warp) partition() {
+	n := max(1, min(w.cfg.Workers, len(w.lps)))
+	w.workers = make([]*warpWorker, n)
+	for i := range w.workers {
+		w.workers[i] = &warpWorker{
+			idx: i, out: make([][]message, n),
+			uid: uint64(len(w.seed) + i), uidStep: uint64(n),
+		}
+	}
+	for i, p := range w.lps {
+		p.ww = w.workers[i%n]
+	}
+}
+
+// runWorkers runs every worker's loop to the drain or the stop.
+func (w *Warp) runWorkers(ctx context.Context) {
+	var wg sync.WaitGroup
+	for _, ww := range w.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.workerLoop(ctx, ww)
+		}()
+	}
+	wg.Wait()
 }
 
 // abort stops every worker, recording why.
 func (w *Warp) abort(err error, panicV any) {
-	w.qmu.Lock()
+	w.mu.Lock()
 	if !w.stopped {
 		w.stopped = true
 		w.runErr = err
 		w.panicV = panicV
 	}
-	w.qmu.Unlock()
-	w.qcond.Broadcast()
+	w.attn.Store(true)
+	w.mu.Unlock()
+	w.cond.Broadcast()
 }
 
 func (w *Warp) workerLoop(ctx context.Context, ww *warpWorker) {
@@ -481,238 +539,207 @@ func (w *Warp) workerLoop(ctx context.Context, ww *warpWorker) {
 			w.abort(nil, r)
 		}
 	}()
-	for {
-		if err := ctx.Err(); err != nil {
-			w.abort(err, nil)
-			return
+	for i := 0; ; i++ {
+		if ww.mail.Load() {
+			w.drain(ww)
 		}
-		p := w.acquire()
-		if p == nil {
-			return // drained or stopped
-		}
-		w.runBatch(p, ww)
-		if n := w.batches.Add(1); n%gvtEvery == 0 {
-			w.gvtPass()
-		}
-	}
-}
-
-// acquire pops the lowest-timestamp runnable LP, blocking until one
-// exists, the simulation drains, or the run stops. It marks the LP
-// running. A nil return means stop.
-//
-// Lock order is always p.mu before qmu (deliver and enqueueLocked
-// nest that way), so acquire releases qmu before touching an LP.
-func (w *Warp) acquire() *Proc {
-	for {
-		w.qmu.Lock()
-		for !w.stopped {
-			if w.gvtWant {
-				// A GVT pass is quiescing the pool. This worker
-				// holds no LP and has delivered every send it
-				// produced, so it is exactly the consistent-cut
-				// participant the pass needs: park here until the
-				// pass completes.
-				w.gvtSafe++
-				w.qcond.Broadcast() // the pass waits on gvtSafe
-				for w.gvtWant && !w.stopped {
-					w.qcond.Wait()
-				}
-				w.gvtSafe--
-				continue
+		if w.attn.Load() {
+			if !w.park(ww, joining) {
+				return
 			}
-			if w.runq.len() > 0 {
-				break
-			}
-			// Queue empty: if every other worker is also waiting,
-			// the simulation has drained (any LP with live pending
-			// events is either queued or running, and a running
-			// worker is not waiting).
-			w.waiting++
-			if w.waiting == w.cfg.Workers {
-				w.stopped = true
-				w.qcond.Broadcast()
-				break
-			}
-			w.qcond.Wait()
-			w.waiting--
-		}
-		if w.stopped {
-			w.qmu.Unlock()
-			return nil
-		}
-		e := w.runq.popRef()
-		w.qmu.Unlock()
-		p := w.lps[e.ref]
-		p.mu.Lock()
-		if p.running || !p.inQueue || e.key != p.queuedKey {
-			p.mu.Unlock() // stale entry
 			continue
 		}
-		// Window throttle: defer LPs too far past GVT. The LP holding
-		// the minimum live event is always within the window (GVT
-		// never trails it), so a GVT pass here makes progress, never
-		// livelock: either this call runs one, or the concurrent pass
-		// it yields to publishes a fresh GVT before this worker's next
-		// attempt. The queued key may be gone, though: anti-messages
-		// annihilate pending events without re-queueing the LP, and
-		// throttling on a dead key livelocks once nothing live
-		// remains, because the pass then finds no minimum and leaves
-		// GVT where it was. So an LP with no live event is dropped
-		// (the next delivery re-queues it), and one with a later live
-		// minimum is re-queued at that key.
-		if w.cfg.Window > 0 {
-			gvt := math.Float64frombits(w.gvtBits.Load())
-			if !math.IsInf(gvt, -1) && e.key.At > gvt+w.cfg.Window {
-				k, ok := p.peekPending()
-				if !ok {
-					p.inQueue = false
-					p.mu.Unlock()
-					continue
-				}
-				p.queuedKey = k
-				p.mu.Unlock()
-				w.qmu.Lock()
-				w.runq.pushRef(k, int32(p.id))
-				w.qmu.Unlock()
-				w.gvtPass()
-				runtime.Gosched()
-				continue
+		if i&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				w.abort(err, nil)
+				return
 			}
 		}
-		p.running = true
-		p.inQueue = false
-		p.mu.Unlock()
-		return p
+		m, why := w.next(ww)
+		if why != running {
+			if !w.park(ww, why) {
+				return
+			}
+			continue
+		}
+		w.exec(ww, m)
+		if ww.ran++; ww.ran >= flushEvery && ww.unsent > 0 {
+			w.flush(ww)
+		}
+		if ww.gvtRan++; ww.gvtRan >= gvtEvery {
+			ww.gvtRan = 0
+			w.mu.Lock()
+			w.gvtWant = true // the loop then parks for the pass
+			w.attn.Store(true)
+			w.mu.Unlock()
+		}
 	}
 }
 
-// enqueueLocked (re)inserts p into the run queue; p.mu must be held.
-func (w *Warp) enqueueLocked(p *Proc) {
-	k, ok := p.peekPending()
-	if !ok || p.running {
-		return
-	}
-	if p.inQueue && !k.Before(p.queuedKey) {
-		return
-	}
-	p.inQueue = true
-	p.queuedKey = k
-	w.qmu.Lock()
-	w.runq.pushRef(k, int32(p.id))
-	w.qmu.Unlock()
-	w.qcond.Signal()
-}
-
-// runBatch processes up to batchSize events on p, then delivers the
-// sends they produced.
-func (w *Warp) runBatch(p *Proc, ww *warpWorker) {
-	w.runBatchLocked(p, ww)
-	w.deliverAll(ww, ww.outbox)
-}
-
-// runBatchLocked is the under-lock half of runBatch. p borrows the
-// worker's outbox for the batch and hands it back holding the batch's
-// cross-LP sends. The unlock is deferred (not inline) so that a
-// panicking model handler releases p.mu on the way out — sibling
-// workers then observe the abort instead of deadlocking on the LP.
-func (w *Warp) runBatchLocked(p *Proc, ww *warpWorker) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.outbox = ww.outbox[:0]
-	var horizon float64
+// next pops the worker's minimum live event. It reports idle instead
+// when the queue holds nothing live, and throttled when the minimum
+// lies more than Window past GVT: annihilated entries are discarded
+// first, so neither answer rests on a dead key.
+func (w *Warp) next(ww *warpWorker) (message, parkWhy) {
+	horizon := math.Inf(1)
 	if w.cfg.Window > 0 {
-		gvt := math.Float64frombits(w.gvtBits.Load())
-		if math.IsInf(gvt, -1) {
-			horizon = math.Inf(1)
-		} else {
+		if gvt := math.Float64frombits(w.gvtBits.Load()); !math.IsInf(gvt, -1) {
 			horizon = gvt + w.cfg.Window
 		}
-	} else {
-		horizon = math.Inf(1)
 	}
-	for n := 0; n < batchSize; n++ {
-		m, ok := p.popPending()
-		if !ok {
-			break
+	q := &ww.q
+	for q.len() > 0 {
+		if q.h[0].key.At > horizon {
+			if top := q.top(); !w.lps[top.dst].dead.take(top.uid) {
+				return message{}, throttled
+			}
+			q.pop()
+			continue
 		}
-		if m.key.At > horizon {
-			p.pushPending(m) // beyond the optimism window
-			break
+		if m := q.pop(); !w.lps[m.dst].dead.take(m.uid) {
+			return w.resolve(ww, m), running
 		}
-		w.execLocked(p, m)
 	}
-	ww.outbox = p.outbox
-	p.outbox = nil
-	p.running = false
-	w.enqueueLocked(p)
+	return message{}, idle
 }
 
-// execLocked runs one event on p (p.mu held), recording it for
-// rollback. Cross-LP sends accumulate in p.outbox for delivery after
-// the batch releases p.
-func (w *Warp) execLocked(p *Proc, m message) {
+// resolve takes m, the live minimum just popped, and resolves stale
+// incarnations. Canonical keys are unique per logical event, so two
+// positives for one LP sharing a key are an old and a new incarnation
+// of a send that was rolled back and re-issued at its source; only
+// the largest uid can be live, and an anti-message for each smaller
+// one is already in flight. Equal keys sit together at the top of the
+// heap: resolve takes them all, keeps the largest live uid for m's LP,
+// marks the rest dead for their antis to consume, and puts back those
+// of other LPs (a re-issued send may change its destination). An LP
+// therefore never executes one logical event twice.
+func (w *Warp) resolve(ww *warpWorker, m message) message {
+	q := &ww.q
+	for q.len() > 0 && q.h[0].key == m.key {
+		x := q.pop()
+		p := w.lps[x.dst]
+		if p.dead.take(x.uid) {
+			continue
+		}
+		if x.dst != m.dst {
+			ww.held = append(ww.held, x)
+			continue
+		}
+		if x.uid > m.uid {
+			m, x = x, m
+		}
+		p.dead.add(x.uid)
+	}
+	for _, x := range ww.held {
+		q.push(x)
+	}
+	ww.held = ww.held[:0]
+	return m
+}
+
+// exec runs one event, records it for rollback, and routes its sends.
+func (w *Warp) exec(ww *warpWorker, m message) {
+	p := w.lps[m.dst]
 	rec := procRec{m: m, lo: int32(len(p.sendLog)), ulo: int32(len(p.undo)), seq0: p.sendSeq}
 	p.curKey = m.key
-	mark := len(p.outbox)
+	ww.outbox = ww.outbox[:0]
 	p.h(p, m.key.At, m.payload)
-	sends := p.outbox[mark:]
-	if len(sends) > 0 {
-		p.sendLog = append(p.sendLog, sends...)
-		// Self-sends go straight into this LP's pending queue: their
-		// keys are strictly after the current event's, so they can
-		// never be stragglers, and skipping the delivery round-trip
-		// avoids rolling back a batch that ran past them.
-		kept := p.outbox[:mark]
-		for _, s := range sends {
-			if s.dst == p.id {
-				p.pushPending(s)
-			} else {
-				kept = append(kept, s)
-			}
-		}
-		p.outbox = kept
-	}
 	p.processed = append(p.processed, rec)
-}
-
-// deliverAll routes messages (and any antis cascading from the
-// rollbacks they cause) until the worker's delivery queue drains.
-func (w *Warp) deliverAll(ww *warpWorker, msgs []message) {
-	ww.queue = append(ww.queue, msgs...)
-	for len(ww.queue) > 0 {
-		m := ww.queue[len(ww.queue)-1]
-		ww.queue = ww.queue[:len(ww.queue)-1]
-		w.deliver(ww, m)
+	p.sendLog = append(p.sendLog, ww.outbox...)
+	for _, s := range ww.outbox {
+		w.route(ww, s)
 	}
 }
 
-// deliver hands one message to its destination, rolling the
-// destination back if the message lands in its past.
-func (w *Warp) deliver(ww *warpWorker, m message) {
+// route hands m to its destination: delivered now when the worker
+// owns the destination, buffered for the owner's inbox when it does
+// not. A local delivery can roll an LP back, and the antis that emits
+// are routed the same way until none is left.
+func (w *Warp) route(ww *warpWorker, m message) {
+	for {
+		if o := w.lps[m.dst].ww; o != ww {
+			ww.out[o.idx] = append(ww.out[o.idx], m)
+			ww.unsent++
+		} else {
+			w.deliver(ww, &m)
+		}
+		n := len(ww.stack)
+		if n == 0 {
+			return
+		}
+		m = ww.stack[n-1]
+		ww.stack = ww.stack[:n-1]
+	}
+}
+
+// flush moves the worker's buffered sends into their owners' inboxes
+// and wakes any owner parked waiting for them. An empty inbox swaps
+// buffers with the sender instead of copying.
+func (w *Warp) flush(ww *warpWorker) {
+	ww.ran = 0
+	if ww.unsent == 0 {
+		return
+	}
+	ww.unsent = 0
+	for i, msgs := range ww.out {
+		if len(msgs) == 0 {
+			continue
+		}
+		o := w.workers[i]
+		o.inMu.Lock()
+		if len(o.inbox) == 0 {
+			o.inbox, ww.out[i] = msgs, o.inbox
+		} else {
+			o.inbox = append(o.inbox, msgs...)
+			ww.out[i] = msgs[:0]
+		}
+		o.mail.Store(true)
+		o.inMu.Unlock()
+		// The owner sets sleeping before it last looks at mail, so one
+		// of the two sees the other; mu orders the wake after its Wait.
+		if o.sleeping.Load() {
+			w.mu.Lock()
+			w.mu.Unlock()
+			w.cond.Broadcast()
+		}
+	}
+}
+
+// drain takes the worker's inbox and delivers it.
+func (w *Warp) drain(ww *warpWorker) {
+	ww.inMu.Lock()
+	in := ww.inbox
+	ww.inbox = ww.spare
+	ww.mail.Store(false)
+	ww.inMu.Unlock()
+	for _, m := range in {
+		w.route(ww, m)
+	}
+	ww.spare = in[:0]
+}
+
+// deliver hands one message to an LP the worker owns, rolling the LP
+// back if the message lands in its past.
+func (w *Warp) deliver(ww *warpWorker, m *message) {
 	p := w.lps[m.dst]
-	p.mu.Lock()
-	// Deferred so a panicking State.Undo releases p.mu.
-	defer p.mu.Unlock()
 	if m.neg {
-		w.antis.Add(1)
-		w.cAntis.Inc()
+		ww.antis++
 		if p.dead.take(m.uid) {
 			// The positive was already annihilated: a stale
 			// incarnation dropped on arrival or at pop.
 			return
 		}
-		// Annihilate: processed -> roll back past it, then kill the
-		// re-queued positive; pending or not-yet-arrived -> dead set.
-		// The uid must match: a same-key processed event may be a
-		// newer (live) incarnation this anti has no business undoing.
+		// Annihilate: processed -> roll back past it, and the
+		// re-queued positive dies at pop; pending or not-yet-arrived
+		// -> dead set. The uid must match: a same-key processed event
+		// may be a newer (live) incarnation this anti has no business
+		// undoing.
 		if p.inPast(m.key) {
 			if i, ok := p.findProcessed(m.key); ok && p.processed[i].m.uid == m.uid {
-				w.rollbackLocked(p, ww, i)
+				w.rollback(ww, p, i)
 			}
 		}
 		p.dead.add(m.uid)
-		w.enqueueLocked(p) // min key may have changed
 		return
 	}
 	if p.dead.take(m.uid) {
@@ -728,12 +755,11 @@ func (w *Warp) deliver(ww *warpWorker, m message) {
 		}
 		// Either m is a straggler, or the processed copy with m's key
 		// is the stale incarnation: roll back past it. Its re-queued
-		// positive lands next to m in the pending queue and popPending
+		// positive lands next to m in the queue and resolve
 		// annihilates it.
-		w.rollbackLocked(p, ww, i)
+		w.rollback(ww, p, i)
 	}
-	p.pushPending(m)
-	w.enqueueLocked(p)
+	ww.q.push(*m)
 }
 
 // uidSet holds an LP's annihilation marks. A mark pairs a positive
@@ -774,57 +800,6 @@ func (s *uidSet) take(uid uint64) bool {
 	return true
 }
 
-// pushPending inserts a positive message into p's pending queue.
-// Stale incarnations are not looked for here: popPending resolves
-// them. p.mu must be held.
-func (p *Proc) pushPending(m message) { p.pending.push(m) }
-
-// popPending pops the minimum live pending message, lazily discarding
-// annihilated entries, and resolves stale incarnations. Canonical keys
-// are unique per logical event, so two positives sharing a key are an
-// old and a new incarnation of a send that was rolled back and
-// re-issued at its source; only the largest uid can be live, and an
-// anti-message for each smaller one is already in flight. Equal keys
-// sit together at the top of the heap, so the pop takes them all,
-// keeps the largest live uid and marks the rest dead for their antis
-// to consume. The LP's executed sequence therefore never holds a key
-// twice, and speculative model state never sees one logical event
-// twice. p.mu must be held.
-func (p *Proc) popPending() (message, bool) {
-	for p.pending.len() > 0 {
-		m := p.pending.pop()
-		if p.dead.take(m.uid) {
-			continue
-		}
-		for p.pending.len() > 0 && p.pending.h[0].key == m.key {
-			x := p.pending.pop()
-			if p.dead.take(x.uid) {
-				continue
-			}
-			if x.uid > m.uid {
-				m, x = x, m
-			}
-			p.dead.add(x.uid)
-		}
-		return m, true
-	}
-	return message{}, false
-}
-
-// peekPending returns the minimum live pending key, lazily discarding
-// annihilated entries from the top. Incarnations share their key, so
-// the answer does not depend on which of them survives. p.mu must be
-// held.
-func (p *Proc) peekPending() (Key, bool) {
-	for p.pending.len() > 0 {
-		if top := p.pending.top(); !p.dead.take(top.uid) {
-			return top.key, true
-		}
-		p.pending.pop()
-	}
-	return Key{}, false
-}
-
 // inPast reports whether k orders at or before p's last processed
 // event, so that delivering it means rolling back.
 func (p *Proc) inPast(k Key) bool {
@@ -855,17 +830,14 @@ func (p *Proc) findProcessed(k Key) (int, bool) {
 	return 0, false
 }
 
-// rollbackLocked rewinds p to just before processed[i]: unwind the
-// undo log newest-first down to that event's first record, restore
-// its send sequence, re-queue the undone events' messages, and
-// anti-message their sends. p.mu must be held; antis go out via the
-// worker's delivery queue after the caller releases p.
-func (w *Warp) rollbackLocked(p *Proc, ww *warpWorker, i int) {
+// rollback rewinds p to just before processed[i]: unwind the undo log
+// newest-first down to that event's first record, restore its send
+// sequence, re-queue the undone events' messages in the owner's queue,
+// and anti-message their sends through the owner's delivery stack.
+func (w *Warp) rollback(ww *warpWorker, p *Proc, i int) {
 	n := len(p.processed) - i
-	w.rollbacks.Add(1)
-	w.rolledBack.Add(int64(n))
-	w.cRollbacks.Inc()
-	w.cRolled.Add(int64(n))
+	ww.rollbacks++
+	ww.rolledBack += int64(n)
 	if w.tr != nil {
 		w.tr.Instant(w.track, fmt.Sprintf("rollback %s depth=%d", p.name, n), w.tr.Now())
 	}
@@ -877,71 +849,102 @@ func (w *Warp) rollbackLocked(p *Proc, ww *warpWorker, i int) {
 	p.undo = p.undo[:rec.ulo]
 	p.sendSeq = rec.seq0
 
-	// Undo the rolled-back suffix: messages back to pending, sends
+	// Undo the rolled-back suffix: messages back to the queue, sends
 	// anti-messaged and cut from the send log.
 	for _, r := range p.processed[i:] {
-		p.pushPending(r.m)
+		ww.q.push(r.m)
 	}
 	for _, sm := range p.sendLog[rec.lo:] {
 		sm.neg = true
-		ww.queue = append(ww.queue, sm)
+		ww.stack = append(ww.stack, sm)
 	}
 	p.sendLog = p.sendLog[:rec.lo]
 	p.processed = p.processed[:i]
 }
 
-// gvtPass computes a new GVT — a lower bound on the timestamp of any
-// event that can still be executed or arrive — and fossil-collects
-// history older than it.
+// park blocks the worker at the safe point — no event half done,
+// every send it produced flushed — until there is work for it: the
+// end of the GVT pass it joins, mail, or (throttled) a new GVT. It
+// returns false once the run stops.
 //
-// The pass quiesces the pool first: every other worker parks at the
-// safe point in acquire (holding no LP, with every send it produced
-// delivered), and the caller itself only runs between batches, so
-// once the rendezvous completes nothing is executing and nothing is
-// in flight — every live event sits in some LP's pending queue and
-// the scan observes a consistent cut. Scanning a running pool
-// instead (worker in-flight minima, then LP queues) is racy: a batch
-// starting after its worker's minimum was read can execute an event
-// from a not-yet-scanned LP, deliver its sends into an
-// already-scanned one and reset the minimum, leaving a live message
-// the pass never saw — and a GVT above it, which breaks fossil
-// collection's "no rollback below GVT" contract.
-//
-// Passes are serialized by gvtMu. A caller finding one already in
-// progress returns immediately and relies on that pass's result; it
-// parks at its next acquire until the pass finishes.
-func (w *Warp) gvtPass() {
-	if !w.gvtMu.TryLock() {
-		return
-	}
-	defer w.gvtMu.Unlock()
-
-	w.qmu.Lock()
-	w.gvtWant = true
-	w.qcond.Broadcast() // flush queue-waiters into the safe park
-	for w.gvtSafe < w.cfg.Workers-1 && !w.stopped {
-		w.qcond.Wait()
-	}
-	stopped := w.stopped
-	w.qmu.Unlock()
+// Once every worker is parked, nothing is executing and nothing is in
+// flight outside the inboxes: every live event sits in a worker's
+// queue or inbox, so the last worker to park can scan a consistent
+// cut. It runs the GVT pass a worker asked for; with no pass wanted
+// and no mail, it ends the run if all workers are idle, and runs a
+// pass itself if one waits on the window. GVT then equals the minimum
+// live event, whose owner is within the window, so that pass always
+// frees a worker and parked workers never spin through passes that
+// change nothing.
+func (w *Warp) park(ww *warpWorker, why parkWhy) bool {
+	w.flush(ww)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.parked++
+	ww.why, ww.gen = why, w.gvtGen
+	ww.sleeping.Store(true)
 	defer func() {
-		w.qmu.Lock()
-		w.gvtWant = false
-		w.qcond.Broadcast()
-		w.qmu.Unlock()
+		w.parked--
+		ww.why = running
+		ww.sleeping.Store(false)
 	}()
-	if stopped {
-		return
-	}
-	w.gvtPasses.Add(1)
-
-	min := math.Inf(1)
-	for _, p := range w.lps {
-		p.mu.Lock()
-		if k, ok := p.peekPending(); ok && k.At < min {
-			min = k.At
+	for !w.stopped {
+		all := w.parked == len(w.workers)
+		if w.gvtWant && all {
+			w.gvtWant = false
+			w.attn.Store(false)
+			w.scanGVT()
+			w.cond.Broadcast()
 		}
-		p.mu.Unlock()
+		if !w.gvtWant {
+			switch {
+			case why == joining, ww.mail.Load(), why == throttled && w.gvtGen != ww.gen:
+				return true
+			}
+			// A worker about to leave park (mail, its pass over, a GVT
+			// it has not looked at) makes the moment no stall.
+			waking, stuck := false, false
+			for _, o := range w.workers {
+				waking = waking || o.mail.Load() || o.why == joining || o.why == throttled && o.gen != w.gvtGen
+				stuck = stuck || o.why == throttled
+			}
+			switch {
+			case all && !waking && !stuck:
+				w.stopped = true
+				w.attn.Store(true)
+				w.cond.Broadcast()
+				return false
+			case all && !waking:
+				w.scanGVT()
+				w.cond.Broadcast()
+				continue
+			}
+		}
+		w.cond.Wait()
+	}
+	return false
+}
+
+// scanGVT sets GVT to the minimum timestamp among every worker's live
+// queued events and inboxes (anti-messages included: one can still
+// roll its LP back to its time) and drops the history older than it.
+// Every worker must be parked and w.mu held.
+func (w *Warp) scanGVT() {
+	w.gvtPasses++
+	w.gvtGen++
+	min := math.Inf(1)
+	for _, ww := range w.workers {
+		for q := &ww.q; q.len() > 0; q.pop() {
+			if top := q.top(); !w.lps[top.dst].dead.take(top.uid) {
+				min = math.Min(min, top.key.At)
+				break
+			}
+		}
+		ww.inMu.Lock()
+		for _, m := range ww.inbox {
+			min = math.Min(min, m.key.At)
+		}
+		ww.inMu.Unlock()
 	}
 	if math.IsInf(min, 1) {
 		return // drained; nothing to bound
@@ -956,7 +959,6 @@ func (w *Warp) gvtPass() {
 	// Fossil collection: no rollback reaches an event older than GVT,
 	// so its history record, sends and undo records are dropped.
 	for _, p := range w.lps {
-		p.mu.Lock()
 		cut := 0
 		for cut < len(p.processed) && p.processed[cut].m.key.At < min {
 			cut++
@@ -964,13 +966,12 @@ func (w *Warp) gvtPass() {
 		if cut > 0 {
 			p.fossilCollect(cut)
 		}
-		p.mu.Unlock()
 	}
 }
 
 // fossilCollect drops the first cut history records, compacting the
 // history, the send log and the undo log in place so their backing
-// arrays are reused rather than re-grown. p.mu must be held.
+// arrays are reused rather than re-grown.
 func (p *Proc) fossilCollect(cut int) {
 	lo, ulo := int32(len(p.sendLog)), int32(len(p.undo))
 	if cut < len(p.processed) {
@@ -999,14 +1000,13 @@ type qent struct {
 
 // eventQueue is a binary min-heap of entries by canonical key, and
 // every queue of the kernel is one: the sequential kernel's global
-// queue, each LP's pending queue and the run queue. The message
-// queues keep their bodies in a slab, the entries referring to slab
-// slots that a free list recycles; the run queue's entries refer to
-// LPs and leave the slab empty. Sifting moves only the compact
-// entries, so a few-hundred-entry heap stays in L1, and each message
-// body is written once at push and read once at pop. The heap is
-// typed rather than built on the standard heap package, whose
-// interface boxing allocates on every push and pop.
+// queue and each Time Warp partition's queue. Message bodies live in
+// a slab, the entries referring to slab slots that a free list
+// recycles. Sifting moves only the compact entries, so a
+// few-hundred-entry heap stays in L1, and each message body is
+// written once at push and read once at pop. The heap is typed rather
+// than built on the standard heap package, whose interface boxing
+// allocates on every push and pop.
 type eventQueue struct {
 	h    []qent
 	slab []message

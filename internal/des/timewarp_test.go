@@ -131,11 +131,12 @@ func fingerprint(w *Warp) string {
 	return out
 }
 
-// withBatchSize runs f with the parallel kernel's batch size set to n.
-func withBatchSize(n int, f func()) {
-	old := batchSize
-	batchSize = n
-	defer func() { batchSize = old }()
+// withFlushEvery runs f with the parallel kernel's flush cadence set
+// to n events.
+func withFlushEvery(n int, f func()) {
+	old := flushEvery
+	flushEvery = n
+	defer func() { flushEvery = old }()
 	f()
 }
 
@@ -144,8 +145,8 @@ func withBatchSize(n int, f func()) {
 // timestamps, zero-delay chains, model-level cancellation) must
 // produce byte-equal outcomes and identical committed step counts at
 // workers 1, 2, 4 and 8 — workers=1 being the sequential kernel path.
-// The batch size varies with the trial: how far an LP runs ahead
-// before its sends go out.
+// The flush cadence varies with the trial: how many events a worker
+// runs before its sends to other partitions go out.
 func TestWarpFuzzCrossWorkers(t *testing.T) {
 	var totalRollbacks int64
 	for trial := 0; trial < 12; trial++ {
@@ -168,7 +169,7 @@ func TestWarpFuzzCrossWorkers(t *testing.T) {
 		for _, workers := range []int{2, 4, 8} {
 			w := fuzzModel(t, seed, nLP, nSeeds, workers, window, obs.Sink{})
 			var err error
-			withBatchSize(batch, func() { err = w.Run(context.Background()) })
+			withFlushEvery(batch, func() { err = w.Run(context.Background()) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,10 +197,11 @@ func TestWarpFuzzCrossWorkers(t *testing.T) {
 
 // FuzzWarpCrossWorkers is TestWarpFuzzCrossWorkers with the schedule
 // chosen by the fuzzer: the seed, the LP and seed-event counts, the
-// batch size (1-32 events an LP runs before its sends go out) and the
-// optimism window. Workers=2 must match the sequential kernel on
-// every LP's final state and on the committed count, and must leave
-// no pending entries or annihilation marks.
+// flush cadence (batch: 1-32 events a worker runs before its sends to
+// other partitions go out) and the optimism window. Workers=2 must
+// match the sequential kernel on every LP's final state and on the
+// committed count, and must leave no pending entries or annihilation
+// marks.
 func FuzzWarpCrossWorkers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, lps, seeds, batch, window uint8) {
 		nLP := 1 + int(lps%8)
@@ -213,7 +215,7 @@ func FuzzWarpCrossWorkers(f *testing.F) {
 		}
 		w := fuzzModel(t, seed, nLP, nSeeds, 2, win, obs.Sink{})
 		var err error
-		withBatchSize(n, func() { err = w.Run(context.Background()) })
+		withFlushEvery(n, func() { err = w.Run(context.Background()) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,38 +230,139 @@ func FuzzWarpCrossWorkers(f *testing.F) {
 }
 
 // TestWarpThrottleSkipsAnnihilatedEntry builds by hand the state a
-// fuzzed schedule reached: an LP queued for an event beyond the
-// optimism window, whose event an anti-message then annihilated, with
-// nothing live left anywhere. Throttling on the queued key would run
-// a GVT pass that finds no minimum, cannot advance GVT, and retries
-// forever; acquire must drop the entry and report the drain.
+// fuzzed schedule reached: a partition whose queue holds an event
+// beyond the optimism window, which an anti-message then annihilated,
+// with nothing live left anywhere. Throttling on the dead entry would
+// park the worker for a GVT pass that finds no minimum, cannot move
+// GVT, and wakes it to throttle again forever; the worker must drop
+// the entry and report the drain.
 func TestWarpThrottleSkipsAnnihilatedEntry(t *testing.T) {
-	// One worker in the config, so the GVT pass waits for no one while
-	// the test drives the parallel path's internals on one goroutine.
-	w := NewWarp(WarpConfig{Workers: 1, Window: 1})
+	w := NewWarp(WarpConfig{Workers: 2, Window: 1})
 	w.AddLP("a", nil, func(*Proc, float64, Payload) {})
 	w.AddLP("src", nil, func(*Proc, float64, Payload) {})
+	w.partition()
 	w.gvtBits.Store(math.Float64bits(0))
 	m := message{key: Key{At: 5, Src: 1}, dst: 0, uid: 1}
 	anti := m
 	anti.neg = true
-	w.deliverAll(&warpWorker{}, []message{m})
-	w.deliverAll(&warpWorker{}, []message{anti})
-	if !w.lps[0].inQueue || w.runq.len() == 0 {
-		t.Fatal("setup: the LP should still be queued for the annihilated event")
+	ww := w.lps[0].ww
+	w.route(ww, m)
+	w.route(ww, anti)
+	if ww.q.len() != 1 {
+		t.Fatal("setup: the annihilated event should still be queued")
 	}
 
-	got := make(chan *Proc, 1)
-	go func() { got <- w.acquire() }()
+	done := make(chan struct{})
+	go func() {
+		w.runWorkers(context.Background())
+		close(done)
+	}()
 	select {
-	case p := <-got:
-		if p != nil {
-			t.Fatalf("acquire returned LP %s with nothing live to run", p.name)
-		}
+	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("acquire livelocked on an annihilated run-queue entry")
+		t.Fatal("workers livelocked on an annihilated queue entry")
+	}
+	if w.runErr != nil || w.panicV != nil {
+		t.Fatalf("run failed: %v %v", w.runErr, w.panicV)
+	}
+	if got := w.Stats().GVTPasses; got != 0 {
+		t.Fatalf("%d GVT passes with nothing live to bound", got)
 	}
 	assertDrained(t, w)
+}
+
+// TestWarpThrottledWorkerParks runs two partitions that advance
+// simulated time at different rates past a 0.05 s window: LP 0
+// (worker 0) steps 0.0001 s per event, so it moves half the window
+// between the GVT passes it asks for, and LP 1 (worker 1) steps 0.1 s,
+// twice the window. LP 0 starts LP 1's chain at t = 1 s, long after
+// passes have set GVT; from then on worker 1 waits at the window edge
+// before every event for worker 0 to carry GVT forward. A throttled
+// worker parks until a pass moves GVT, so the passes are the ones the
+// gvtEvery cadence asks for, plus a few when every worker is parked.
+func TestWarpThrottledWorkerParks(t *testing.T) {
+	const slow, fast = 20000, 9 // both chains end near t = 2 s
+	w := NewWarp(WarpConfig{Workers: 2, Window: 0.05})
+	w.AddLP("slow", nil, func(p *Proc, at float64, pl Payload) {
+		if pl.A == slow/2 {
+			p.Send(1, 0, Payload{A: fast})
+		}
+		if pl.A > 0 {
+			p.Send(0, 0.0001, Payload{A: pl.A - 1})
+		}
+	})
+	w.AddLP("fast", nil, func(p *Proc, at float64, pl Payload) {
+		if pl.A > 0 {
+			p.Send(1, 0.1, Payload{A: pl.A - 1})
+		}
+	})
+	w.SeedAt(0, 0, Payload{A: slow})
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := w.Stats()
+	if st.Committed != slow+fast+2 || st.Rollbacks != 0 {
+		t.Fatalf("committed %d with %d rollbacks, want %d and none", st.Committed, st.Rollbacks, slow+fast+2)
+	}
+	if bound := st.Committed/int64(gvtEvery) + 8; st.GVTPasses > bound {
+		t.Fatalf("%d GVT passes for %d events, want at most %d: a throttled worker spins", st.GVTPasses, st.Committed, bound)
+	}
+	t.Logf("%d GVT passes for %d events", st.GVTPasses, st.Committed)
+}
+
+// TestWarpOwnPartitionNeverRollsBack runs a model whose LPs message
+// only LPs of their own partition (LP i sends to LPs congruent to i
+// mod 4, so mod 2 as well). Each worker executes its partition in
+// ascending key order and nothing reaches it from outside, so no
+// message can land in an LP's past: no rollback at workers 2 and 4,
+// and the sequential kernel's outcome.
+func TestWarpOwnPartitionNeverRollsBack(t *testing.T) {
+	const nLP = 12
+	build := func(workers int) *Warp {
+		w := NewWarp(WarpConfig{Workers: workers, Window: 1.5})
+		for i := 0; i < nLP; i++ {
+			w.AddLP(fmt.Sprintf("lp%d", i), &fuzzState{}, func(p *Proc, at float64, pl Payload) {
+				st := p.State().(*fuzzState)
+				p.Save(fuzzSlotEvents, uint64(st.events))
+				st.events++
+				p.Save(fuzzSlotHash, st.hash)
+				st.hash = mix(st.hash, math.Float64bits(at), uint64(pl.A), uint64(pl.B))
+				if pl.A == 0 {
+					return
+				}
+				h := st.hash
+				for n := 1 + int(h%2); n > 0; n-- {
+					h = mix(h, uint64(n))
+					dst := LPID(int(p.ID())%4 + 4*int(h%(nLP/4)))
+					delay := []float64{0, 0.25, 0.5, 1}[(h>>8)%4]
+					p.Send(dst, delay, Payload{A: pl.A - 1, B: int32(h % 7)})
+				}
+			})
+		}
+		for i := 0; i < nLP; i++ {
+			w.SeedAt(LPID(i), float64(i%3)/4, Payload{A: 9, B: int32(i)})
+		}
+		return w
+	}
+	ref := build(1)
+	if err := ref.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 4} {
+		w := build(workers)
+		if err := w.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprint(w), fingerprint(ref); got != want {
+			t.Fatalf("workers=%d: outcome diverged\n got:\n%s\nwant:\n%s", workers, got, want)
+		}
+		st := w.Stats()
+		if st.Committed != ref.Stats().Committed || st.Rollbacks != 0 {
+			t.Fatalf("workers=%d: committed %d with %d rollbacks, want %d and none",
+				workers, st.Committed, st.Rollbacks, ref.Stats().Committed)
+		}
+		assertDrained(t, w)
+	}
 }
 
 // TestWarpSequentialAllocsFlat pins the sequential kernel's
@@ -289,18 +392,19 @@ func TestWarpSequentialAllocsFlat(t *testing.T) {
 // sequential kernel.
 var GVTStressModels []func(t *testing.T, workers int)
 
-// TestWarpGVTStress shrinks the batch size and GVT cadence to one so
-// passes interleave with nearly every event, hammering the quiesce
+// TestWarpGVTStress shrinks the flush and GVT cadences to one event
+// so passes interleave with nearly every event, hammering the quiesce
 // rendezvous, the transient-message window a non-quiescing scan
-// would race against (an event executed from a not-yet-scanned LP
-// delivering into an already-scanned one), and fossil collection's
+// would race against (an event executed on a not-yet-scanned
+// partition delivering into an already-scanned one), and fossil
+// collection's
 // compaction of the history, send log and undo log between almost
 // every pair of events. Byte-equality with the sequential kernel is
 // the oracle; CI runs this under -race.
 func TestWarpGVTStress(t *testing.T) {
-	oldBatch, oldEvery := batchSize, gvtEvery
-	batchSize, gvtEvery = 1, 1
-	defer func() { batchSize, gvtEvery = oldBatch, oldEvery }()
+	oldFlush, oldEvery := flushEvery, gvtEvery
+	flushEvery, gvtEvery = 1, 1
+	defer func() { flushEvery, gvtEvery = oldFlush, oldEvery }()
 
 	for trial := 0; trial < 6; trial++ {
 		seed := mix(0xD15EA5E, uint64(trial))

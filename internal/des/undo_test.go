@@ -8,8 +8,9 @@ import (
 // White-box tests for the undo log. A register LP (0) folds each
 // event into one of two registers, saving the register twice per
 // event, and sends one message per event to a sink LP (1) that never
-// runs. Events are built by hand and driven through deliver and
-// runBatch on one goroutine, as in incarnation_test.go.
+// runs. Events are built by hand and driven through the register LP's
+// partition (route and runPartition) on one goroutine, as in
+// incarnation_test.go.
 
 // regState is two registers; the undo slot is the register index.
 type regState struct{ reg [2]uint64 }
@@ -52,7 +53,8 @@ func newUndoRig(t *testing.T) *undoRig {
 		p.Send(1, 1, Payload{B: pl.B})
 	})
 	w.AddLP("sink", nil, func(*Proc, float64, Payload) {})
-	return &undoRig{t: t, w: w, p: w.lps[0], ww: &warpWorker{}}
+	w.partition()
+	return &undoRig{t: t, w: w, p: w.lps[0], ww: w.lps[0].ww}
 }
 
 // regEvent is event b for register reg at time at.
@@ -63,8 +65,8 @@ func regEvent(b int32, reg int32, at float64) message {
 	}
 }
 
-func (r *undoRig) deliver(m message) { r.w.deliverAll(r.ww, []message{m}) }
-func (r *undoRig) run()              { r.w.runBatch(r.p, r.ww) }
+func (r *undoRig) deliver(m message) { r.w.route(r.ww, m) }
+func (r *undoRig) run()              { runPartition(r.w, r.ww) }
 
 // check asserts that the LP's state, send sequence and logs are those
 // of having executed evs in order, and the rollback count so far.
@@ -84,7 +86,7 @@ func (r *undoRig) check(wantRollbacks int64, evs ...message) {
 	if len(p.undo) != 2*len(p.processed) || len(p.sendLog) != len(p.processed) {
 		r.t.Fatalf("%d undo records and %d sends for %d events", len(p.undo), len(p.sendLog), len(p.processed))
 	}
-	if got := r.w.rollbacks.Load(); got != wantRollbacks {
+	if got := r.w.Stats().Rollbacks; got != wantRollbacks {
 		r.t.Fatalf("rollbacks = %d, want %d", got, wantRollbacks)
 	}
 }
@@ -103,7 +105,7 @@ func TestUndoLogRollback(t *testing.T) {
 	r.run()
 	r.check(1, s0, e1)
 
-	// A rollback into the middle of a batch: one batch runs e2-e4,
+	// A rollback into the middle of a run: one run executes e2-e4,
 	// and a straggler between e2 and e3 undoes only e3 and e4.
 	r.deliver(e2)
 	r.deliver(e3)

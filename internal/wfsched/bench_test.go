@@ -2,8 +2,11 @@ package wfsched
 
 import (
 	"fmt"
+	"syscall"
 	"testing"
+	"time"
 
+	"repro/internal/obs"
 	"repro/internal/workflow"
 )
 
@@ -50,8 +53,10 @@ func BenchmarkBossHeuristicFull(b *testing.B) {
 // worker grid. workers=1 is the sequential kernel baseline; the
 // parallel entries measure Time Warp end-to-end — speculation, the
 // undo log, rollback, GVT. Speedup is what this machine's cores
-// allow: on a single-vCPU runner the parallel entries price the
-// optimism overhead instead.
+// allow: on a 2-vCPU runner the parallel entries price the optimism
+// overhead instead, so read cpu-ms/op (the process CPU time per
+// simulation), not ns/op. rollbacks/op and committed/op come from the
+// kernel's des.* counters.
 func BenchmarkTimeWarpSweep(b *testing.B) {
 	cfg := PlanetConfig{
 		Clusters: 16, Hosts: 32, Tasks: 1000,
@@ -66,14 +71,28 @@ func BenchmarkTimeWarpSweep(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			reg := obs.NewRegistry()
 			c := cfg
 			c.Workers = workers
+			c.Obs = obs.Sink{Metrics: reg}
 			b.ReportAllocs()
+			start := cpuTime()
 			for i := 0; i < b.N; i++ {
 				SimulatePlanet(c)
 			}
+			n := float64(b.N)
+			b.ReportMetric(float64(cpuTime()-start)/float64(time.Millisecond)/n, "cpu-ms/op")
+			b.ReportMetric(float64(reg.Counter("des.rollbacks").Value())/n, "rollbacks/op")
+			b.ReportMetric(float64(reg.Counter("des.committed").Value())/n, "committed/op")
 		})
 	}
+}
+
+// cpuTime is the process CPU time (user + system) so far.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func BenchmarkGreedyFractionsSmall(b *testing.B) {

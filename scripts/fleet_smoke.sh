@@ -15,6 +15,8 @@
 # Then it runs the 1-D ghost workload — 3 strip workers over tcp —
 # with two more SIGKILLs and asserts 1 and 2 again, so the workers'
 # peer links are tested on both socket families with real deaths.
+# Last, a ghost2d run over unix with no kills: every worker exits
+# cleanly, and the driver fails if any left its peer socket behind.
 #
 # Exits nonzero with a diagnostic on the first failed assertion.
 set -u -o pipefail
@@ -82,5 +84,13 @@ grep -q 'fleet-ghost: PASS' "$SCRATCH/stdout-tcp" \
   || fail "no tcp PASS line: $(cat "$SCRATCH/stdout-tcp")"
 grep -q '2 kills delivered over tcp, state identical' "$SCRATCH/stdout-tcp" \
   || fail "expected 2 SIGKILLs over tcp and byte-equality: $(cat "$SCRATCH/stdout-tcp")"
+
+echo "fleet-smoke: clean 4-rank ghost2d fleet over unix, no kills"
+"$SCRATCH/chaos" -fleet -workload ghost2d -transport unix -quick \
+  -kills 0 -dir "$SCRATCH/fleet-clean" \
+  >"$SCRATCH/stdout-clean" 2>"$SCRATCH/stderr-clean" \
+  || fail "clean driver exited nonzero (stdout: $(cat "$SCRATCH/stdout-clean"); stderr: $(tail -c 800 "$SCRATCH/stderr-clean"))"
+grep -q 'fleet-ghost2d: PASS' "$SCRATCH/stdout-clean" \
+  || fail "no clean PASS line: $(cat "$SCRATCH/stdout-clean")"
 
 echo "fleet-smoke: PASS"
