@@ -296,8 +296,6 @@ func runWorkload(name, dir string, quick bool, sink obs.Sink) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Crash-only plan: message faults just add retransmit sleeps,
-		// which soak wall-clock without exercising anything durable.
 		plan := &fault.Plan{Seed: 7, Crashes: []fault.Crash{{Rank: 1, Round: 3}}}
 		size, grains := 144, uint32(200000)
 		if quick {
@@ -306,7 +304,7 @@ func runWorkload(name, dir string, quick bool, sink obs.Sink) ([]byte, error) {
 		g := sandpile.Center(grains).Build(size, size, nil)
 		rep, err := ghost.New(g,
 			ghost.WithRanks(3), ghost.WithWidth(2),
-			ghost.WithFaults(plan), ghost.WithHeartbeat(300*time.Millisecond),
+			ghost.WithFaults(plan),
 			ghost.WithCheckpoint(ck), ghost.WithObs(sink),
 		).Run()
 		if err != nil {

@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/ghost"
@@ -56,7 +55,6 @@ func runFaultDemo(cfg Config) (*Result, error) {
 	rep, err := ghost.New(g,
 		ghost.WithRanks(4),
 		ghost.WithFaults(plan),
-		ghost.WithHeartbeat(300*time.Millisecond),
 		ghost.WithObs(cfg.Obs),
 	).Run()
 	if err != nil {

@@ -204,13 +204,13 @@ func TestOneShotEventsFireOnce(t *testing.T) {
 }
 
 func TestLinkReliableWithoutInjector(t *testing.T) {
-	l := NewLink[int](nil, 0, 1, 1)
+	l := NewLink[int](nil, 0, 1)
 	abort := make(chan struct{})
 	for i := 1; i <= 10; i++ {
 		if !l.Send(i, abort) {
 			t.Fatal("send failed")
 		}
-		got, ok := l.Recv(0, abort)
+		got, ok := l.Recv(abort)
 		if !ok || got != i {
 			t.Fatalf("recv = %d,%v, want %d,true", got, ok, i)
 		}
@@ -219,44 +219,45 @@ func TestLinkReliableWithoutInjector(t *testing.T) {
 
 func TestLinkDropRecoversViaRetransmit(t *testing.T) {
 	in := NewInjector(&Plan{Seed: 1, Drop: 1}, obs.Sink{Metrics: obs.NewRegistry()})
-	l := NewLink[string](in, 0, 1, 1)
+	l := NewLink[string](in, 0, 1)
 	abort := make(chan struct{})
 	if !l.Send("halo", abort) {
 		t.Fatal("send failed")
 	}
-	got, ok := l.Recv(5*time.Millisecond, abort)
+	got, ok := l.Recv(abort)
 	if !ok || got != "halo" {
 		t.Fatalf("recv = %q,%v, want halo,true (retransmit)", got, ok)
 	}
-	// Nothing retained and nothing sent: timeout reports peer death.
-	if _, ok := l.Recv(2*time.Millisecond, abort); ok {
-		t.Fatal("recv succeeded with empty link and empty retransmit buffer")
+	// Nothing more sent, and the sender gone: the receiver learns it.
+	l.Close()
+	if _, ok := l.Recv(abort); ok {
+		t.Fatal("recv succeeded on a closed link with nothing left to deliver")
 	}
 }
 
 func TestLinkDupIsDeduped(t *testing.T) {
 	in := NewInjector(&Plan{Seed: 1, Dup: 1}, obs.Sink{})
-	l := NewLink[int](in, 0, 1, 1)
+	l := NewLink[int](in, 0, 1)
 	abort := make(chan struct{})
 	l.Send(7, abort)
-	if got, ok := l.Recv(0, abort); !ok || got != 7 {
+	if got, ok := l.Recv(abort); !ok || got != 7 {
 		t.Fatalf("first recv = %d,%v", got, ok)
 	}
 	l.Send(8, abort)
 	// The duplicate of 7's successor should be skipped transparently:
 	// next fresh payload is 8, not a replay of 7.
-	if got, ok := l.Recv(0, abort); !ok || got != 8 {
+	if got, ok := l.Recv(abort); !ok || got != 8 {
 		t.Fatalf("second recv = %d,%v, want 8,true", got, ok)
 	}
 }
 
 func TestLinkDelayHonored(t *testing.T) {
 	in := NewInjector(&Plan{Seed: 1, DelayProb: 1, Delay: 10 * time.Millisecond}, obs.Sink{})
-	l := NewLink[int](in, 0, 1, 1)
+	l := NewLink[int](in, 0, 1)
 	abort := make(chan struct{})
 	start := time.Now()
 	l.Send(1, abort)
-	if got, ok := l.Recv(0, abort); !ok || got != 1 {
+	if got, ok := l.Recv(abort); !ok || got != 1 {
 		t.Fatalf("recv = %d,%v", got, ok)
 	}
 	if el := time.Since(start); el < 10*time.Millisecond {
@@ -265,10 +266,45 @@ func TestLinkDelayHonored(t *testing.T) {
 }
 
 func TestLinkAbort(t *testing.T) {
-	l := NewLink[int](nil, 0, 1, 1)
+	l := NewLink[int](nil, 0, 1)
 	abort := make(chan struct{})
 	close(abort)
-	if _, ok := l.Recv(0, abort); ok {
+	if _, ok := l.Recv(abort); ok {
 		t.Fatal("recv succeeded on closed abort")
+	}
+}
+
+// A receiver waiting out an injected delay returns as soon as abort
+// closes, not when the delay ends.
+func TestLinkDelayAborts(t *testing.T) {
+	in := NewInjector(&Plan{Seed: 1, DelayProb: 1, Delay: time.Hour}, obs.Sink{})
+	l := NewLink[int](in, 0, 1)
+	abort := make(chan struct{})
+	l.Send(1, abort)
+	time.AfterFunc(10*time.Millisecond, func() { close(abort) })
+	start := time.Now()
+	if _, ok := l.Recv(abort); ok {
+		t.Fatal("recv delivered a message delayed by an hour")
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("aborted recv returned after %v", el)
+	}
+}
+
+// Close delivers everything sent before it, in order, duplicates
+// discarded, and only then reports the link closed.
+func TestLinkCloseDeliversInOrder(t *testing.T) {
+	in := NewInjector(&Plan{Seed: 1, Dup: 1}, obs.Sink{})
+	l := NewLink[int](in, 0, 1)
+	l.Send(1, nil)
+	l.Send(2, nil)
+	l.Close()
+	for want := 1; want <= 2; want++ {
+		if got, ok := l.Recv(nil); !ok || got != want {
+			t.Fatalf("recv = %d,%v, want %d,true", got, ok, want)
+		}
+	}
+	if _, ok := l.Recv(nil); ok {
+		t.Fatal("recv succeeded past the close")
 	}
 }

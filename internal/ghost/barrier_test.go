@@ -15,9 +15,9 @@ import (
 	"repro/internal/sandpile"
 )
 
-// A fault-free run commits every round at the barrier and reuses its
-// halo buffers, so its allocations are set-up only: ten times the
-// rounds costs no more allocations.
+// A fault-free run commits its windows and reuses its halo buffers,
+// so its allocations are set-up only: ten times the rounds costs no
+// more allocations.
 func TestFaultFreeAllocsFlat(t *testing.T) {
 	init := sandpile.Center(20000).Build(64, 64, nil)
 	allocs := func(maxIters int) float64 {
@@ -42,25 +42,26 @@ func goroutineDump() string {
 	return b.String()
 }
 
-// Cancelling RunContext while ranks wait at the barrier returns
-// ctx.Err() and leaves no rank goroutine behind. Rank 2 of three
-// strips crashes at round 2 under a heartbeat far longer than the
-// test: rank 0 then waits at the barrier and rank 1 on its link to
-// rank 2, and only the cancellation can end the run.
-func TestCancelWhileRanksWaitAtBarrier(t *testing.T) {
+// Cancelling RunContext while a rank waits out an injected delay
+// returns ctx.Err() and leaves no rank goroutine behind. Every halo of
+// the two strips is delayed by an hour, so only the cancellation can
+// end the run.
+func TestCancelWhileRankWaitsOutDelay(t *testing.T) {
 	g, _ := faultGrid(t)
-	plan := &fault.Plan{Seed: 1, Crashes: []fault.Crash{{Rank: 2, Round: 2}}}
+	plan, err := fault.Parse("delayp=1,delay=1h")
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := New(g, WithRanks(3), WithWidth(2), WithFaults(plan),
-			WithHeartbeat(time.Hour)).RunContext(ctx)
+		_, err := New(g, WithRanks(2), WithWidth(2), WithFaults(plan)).RunContext(ctx)
 		done <- err
 	}()
-	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(goroutineDump(), "(*barrier).arrive"); {
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(goroutineDump(), "internal/fault.wait("); {
 		if time.Now().After(deadline) {
-			t.Fatal("no rank reached the barrier")
+			t.Fatal("no rank waited out a delay")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -73,45 +74,47 @@ func TestCancelWhileRanksWaitAtBarrier(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("RunContext did not return after cancellation")
 	}
-	if dump := goroutineDump(); strings.Contains(dump, "(*rank2d).run") {
+	if dump := goroutineDump(); strings.Contains(dump, "(*generation).run") {
 		t.Fatalf("rank goroutines outlived the run:\n%s", dump)
 	}
 }
 
-// A rank of a dead generation holds only its own barrier: once the
-// coordinator kills it, neither a rank already waiting there nor a
-// straggler arriving later commits anything into the successor.
+// A dead generation cannot commit into its successor: once the
+// coordinator has re-seeded, neither a report nor an abort of the dead
+// generation counts toward the live window or makes it stale, and the
+// successor's own reports still commit it.
 func TestDeadGenerationCannotCommit(t *testing.T) {
-	st := &rounds{K: 1, maxIters: 100, ckpts: make([][][]uint32, 2)}
-	dead := newBarrier(st, 2, false)
-	waiting := make(chan bool)
-	go func() { waiting <- dead.arrive(7) }()
-	for {
-		dead.mu.Lock()
-		n := dead.arrived
-		dead.mu.Unlock()
-		if n == 1 {
-			break
+	cfg := config{procRows: 2, procCols: 1, width: 1, maxIters: 100}
+	geoms, err := decompose(grid.New(8, 4), &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &fleetRun{cfg: cfg, g: grid.New(8, 4), geoms: geoms, ranks: make([]rankView, 2),
+		gen: 2, end: 1, localWake: make(chan struct{}, 1)}
+	for id := range f.ranks {
+		f.serve(id, &worker{rank: id})
+	}
+	window := func(rank, gen, changes int) rankMsg {
+		ge := geoms[rank]
+		return rankMsg{rank: rank, rep: report{gen: gen, end: 1, work: []roundWork{{changes: changes}},
+			cur: grid.New(ge.localH(), ge.localW())}}
+	}
+	for _, m := range []rankMsg{window(0, 1, 7), {rank: 1, abort: true, rep: report{gen: 1}}} {
+		if done, err := f.take(m); done || err != nil {
+			t.Fatalf("dead generation's message: done %v, err %v", done, err)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	if !dead.kill() {
-		t.Fatal("kill reported the generation already ended")
+	if f.committed != 0 || f.topples != 0 || f.stale || f.ranks[0].in || f.ranks[1].in {
+		t.Fatalf("dead generation leaked: committed=%d topples=%d stale=%v in=%v/%v",
+			f.committed, f.topples, f.stale, f.ranks[0].in, f.ranks[1].in)
 	}
-	if <-waiting {
-		t.Fatal("a rank waiting at a killed barrier was told to go on")
+	for _, m := range []rankMsg{window(0, 2, 3), window(1, 2, 4)} {
+		if _, err := f.take(m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	next := newBarrier(st, 2, false)
-	if dead.arrive(9) {
-		t.Fatal("a straggler arriving at a killed barrier was told to go on")
-	}
-	if st.committed != 0 || st.topples != 0 || next.arrived != 0 || next.changes != 0 {
-		t.Fatalf("dead generation leaked: committed=%d topples=%d successor arrived=%d changes=%d",
-			st.committed, st.topples, next.arrived, next.changes)
-	}
-	go next.arrive(3)
-	if !next.arrive(4) || st.committed != 1 || st.topples != 7 {
-		t.Fatalf("successor commit: committed=%d topples=%d", st.committed, st.topples)
+	if f.committed != 1 || f.topples != 7 {
+		t.Fatalf("successor commit: committed=%d topples=%d", f.committed, f.topples)
 	}
 }
 
@@ -125,23 +128,24 @@ func TestHaloBuffersSurviveNextRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	ge := geoms[0]
-	toSouth := fault.NewLink[message](nil, 0, 1, 1)
-	toNorth := fault.NewLink[message](nil, 1, 0, 1)
-	r := &rank2d{geom: ge, cur: grid.New(ge.localH(), ge.localW()),
-		bar: newBarrier(&rounds{}, 2, false)}
-	r.sendS.link, r.recvS = toSouth, toNorth
+	toSouth := fault.NewLink[[]uint32](nil, 0, 1)
+	toNorth := fault.NewLink[[]uint32](nil, 1, 0)
+	w := &worker{rank: 0}
+	w.b.geom, w.b.cur = ge, grid.New(ge.localH(), ge.localW())
+	g := &generation{w: w, abort: make(chan struct{})}
+	g.links[south] = &link{tx: toSouth, rx: toNorth}
 	for round := 1; round <= 2; round++ {
-		toNorth.Send(message{buf: make([]uint32, ge.K*ge.localW())}, nil) // the peer's halo
-		for x := range r.cur.Row(ge.ownH - 1) {
-			r.cur.Row(ge.ownH - 1)[x] = uint32(round)
+		toNorth.Send(make([]uint32, ge.K*ge.localW()), nil) // the peer's halo
+		for x := range w.b.cur.Row(ge.ownH - 1) {
+			w.b.cur.Row(ge.ownH - 1)[x] = uint32(round)
 		}
-		if !r.exchange(round) {
+		if !g.exchange(round) {
 			t.Fatalf("round %d: exchange failed", round)
 		}
 	}
 	for round := 1; round <= 2; round++ {
-		m, _ := toSouth.Recv(0, nil)
-		for _, v := range m.buf {
+		m, _ := toSouth.Recv(nil)
+		for _, v := range m {
 			if v != uint32(round) {
 				t.Fatalf("round %d's halo reads %d: its buffer was refilled before the receiver copied it", round, v)
 			}

@@ -1,10 +1,10 @@
 package ghost
 
 // ckpt.go adds durable checkpoint/restart to the distributed runs.
-// The coordinator already makes every committed round's checkpoint set
-// globally consistent (recover.go); this file persists that set
-// through internal/ckpt at a configurable round cadence, and restores
-// the newest valid snapshot into the global grid before the blocks are
+// The coordinator's global grid is whole and globally consistent at
+// every window end (fleet.go); this file persists it through
+// internal/ckpt at a configurable round cadence, and restores the
+// newest valid snapshot into the global grid before the blocks are
 // carved — so a killed process resumes from the last committed round
 // instead of round zero, under any process grid.
 //
@@ -31,21 +31,11 @@ import (
 // ghostPayload tags distributed-run snapshots inside the ckpt frame.
 const ghostPayload uint32 = 2
 
-// durable carries the checkpointer plus the runtime's encoder (run2d
-// encodes its committed checkpoint set, runFleet the global grid it
-// has just pulled whole). nil means durability is off.
+// durable carries the checkpointer plus the run's encoder of the
+// global grid it has just pulled whole. nil means durability is off.
 type durable struct {
 	ck     *ckpt.Checkpointer
 	encode func(round int, topples uint64) []byte
-}
-
-// save persists the committed round when the cadence is due. Safe on
-// a nil receiver.
-func (d *durable) save(round int, topples uint64) error {
-	if !d.due(round) {
-		return nil
-	}
-	return d.write(round, topples)
 }
 
 // due reports whether the cadence owes a checkpoint at round, moving

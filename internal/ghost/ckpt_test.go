@@ -90,7 +90,7 @@ func TestGhostKillResumeWithFaults(t *testing.T) {
 
 	ref := init.Clone()
 	want, err := New(ref, WithRanks(3), WithWidth(2),
-		WithFaults(plan), WithHeartbeat(testHB)).Run()
+		WithFaults(plan)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestGhostKillResumeWithFaults(t *testing.T) {
 	dir := t.TempDir()
 	cut := init.Clone()
 	if _, err := New(cut, WithRanks(3), WithWidth(2),
-		WithFaults(plan), WithHeartbeat(testHB),
+		WithFaults(plan),
 		WithMaxIters(want.Iterations/2),
 		WithCheckpoint(ghostCheckpointer(t, dir, 1))).Run(); err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestGhostKillResumeWithFaults(t *testing.T) {
 
 	g := init.Clone()
 	got, err := New(g, WithRanks(3), WithWidth(2),
-		WithFaults(plan), WithHeartbeat(testHB),
+		WithFaults(plan),
 		WithCheckpoint(ghostCheckpointer(t, dir, 1))).Run()
 	if err != nil {
 		t.Fatal(err)

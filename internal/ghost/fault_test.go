@@ -12,11 +12,6 @@ import (
 	"repro/internal/sandpile"
 )
 
-// testHB is a short heartbeat so injected-crash recovery doesn't
-// stall the suite; compute per round on these grids is far below the
-// derived link timeout (testHB/4).
-const testHB = 300 * time.Millisecond
-
 func faultGrid(t *testing.T) (*grid.Grid, *grid.Grid) {
 	t.Helper()
 	g := grid.New(48, 40)
@@ -42,7 +37,7 @@ func TestCrashRecoveryConvergesToFaultFreeFixedPoint(t *testing.T) {
 
 	// 2 of 4 ranks crash (the acceptance bound: <= N/2).
 	plan := &fault.Plan{Seed: 11, Crashes: []fault.Crash{{Rank: 1, Round: 2}, {Rank: 3, Round: 4}}}
-	rep, err := New(g, WithRanks(4), WithWidth(2), WithFaults(plan), WithHeartbeat(testHB)).Run()
+	rep, err := New(g, WithRanks(4), WithWidth(2), WithFaults(plan)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +60,7 @@ func TestCrashRecovery2D(t *testing.T) {
 	g, want := faultGrid(t)
 	plan := &fault.Plan{Seed: 5, Crashes: []fault.Crash{{Rank: 0, Round: 2}, {Rank: 3, Round: 3}}}
 	rep, err := New(g, WithProcessGrid(2, 2), WithWidth(2),
-		WithFaults(plan), WithHeartbeat(testHB)).Run()
+		WithFaults(plan)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +77,7 @@ func TestMessageFaultsAreTransparent(t *testing.T) {
 	// dedupe machinery must make them invisible to the computation.
 	g, want := faultGrid(t)
 	plan := &fault.Plan{Seed: 3, Drop: 0.15, Dup: 0.1, DelayProb: 0.2, Delay: time.Millisecond}
-	rep, err := New(g, WithRanks(4), WithWidth(2), WithFaults(plan), WithHeartbeat(testHB)).Run()
+	rep, err := New(g, WithRanks(4), WithWidth(2), WithFaults(plan)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +96,7 @@ func TestMessageFaults2D(t *testing.T) {
 	g, want := faultGrid(t)
 	plan := &fault.Plan{Seed: 9, Drop: 0.1, Dup: 0.1}
 	if _, err := New(g, WithProcessGrid(2, 2), WithWidth(2),
-		WithFaults(plan), WithHeartbeat(testHB)).Run(); err != nil {
+		WithFaults(plan)).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !g.Equal(want) {
@@ -117,7 +112,7 @@ func TestFaultScheduleDeterministic(t *testing.T) {
 			Crashes: []fault.Crash{{Rank: 2, Round: 3}},
 			Drop:    0.1, Dup: 0.05,
 		}
-		rep, err := New(g, WithRanks(4), WithWidth(2), WithFaults(plan), WithHeartbeat(testHB)).Run()
+		rep, err := New(g, WithRanks(4), WithWidth(2), WithFaults(plan)).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,17 +140,17 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// Exactly N/2 ranks dying in the same round is the heartbeat's
-// boundary case: half the fleet goes silent simultaneously, one
-// generation timeout must catch both deaths, and a single coordinated
-// rollback must restore a consistent cut for all four ranks.
+// Exactly N/2 ranks dying in the same round is the boundary case:
+// half the fleet aborts simultaneously, one generation must absorb
+// both deaths, and a single coordinated rollback must restore a
+// consistent cut for all four ranks.
 func TestSimultaneousHalfFleetCrash(t *testing.T) {
 	g, want := faultGrid(t)
 	plan := &fault.Plan{Seed: 17, Crashes: []fault.Crash{
 		{Rank: 1, Round: 2}, {Rank: 3, Round: 2},
 	}}
 	rep, err := New(g, WithRanks(4), WithWidth(2),
-		WithFaults(plan), WithHeartbeat(testHB)).Run()
+		WithFaults(plan)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +173,7 @@ func TestSimultaneousHalfFleetCrash2D(t *testing.T) {
 		{Rank: 0, Round: 3}, {Rank: 2, Round: 3},
 	}}
 	rep, err := New(g, WithProcessGrid(2, 2), WithWidth(2),
-		WithFaults(plan), WithHeartbeat(testHB)).Run()
+		WithFaults(plan)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +197,7 @@ func TestCrashDuringRollbackCatchUp(t *testing.T) {
 		{Rank: 1, Round: 3}, {Rank: 2, Round: 4},
 	}}
 	rep, err := New(g, WithRanks(4), WithWidth(2),
-		WithFaults(plan), WithHeartbeat(testHB),
+		WithFaults(plan),
 		WithCheckpoint(ghostCheckpointer(t, t.TempDir(), 1))).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -212,5 +207,23 @@ func TestCrashDuringRollbackCatchUp(t *testing.T) {
 	}
 	if rep.Recoveries < 2 {
 		t.Fatalf("Recoveries = %d, want 2 (crash, rollback, crash during catch-up)", rep.Recoveries)
+	}
+}
+
+// A lone rank's crash reaches no link, so the rank's own abort is the
+// only signal: the coordinator must still re-seed it and reach the
+// fault-free fixed point.
+func TestSingleRankCrashRecovers(t *testing.T) {
+	g, want := faultGrid(t)
+	plan := &fault.Plan{Seed: 3, Crashes: []fault.Crash{{Rank: 0, Round: 5}}}
+	rep, err := New(g, WithRanks(1), WithWidth(2), WithFaults(plan)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Equal(want) {
+		t.Fatal("post-recovery grid differs from the fault-free fixed point")
+	}
+	if rep.Recoveries != 1 {
+		t.Fatalf("Recoveries = %d, want 1", rep.Recoveries)
 	}
 }

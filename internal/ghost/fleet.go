@@ -1,38 +1,46 @@
 package ghost
 
-// fleet.go runs the distributed sandpile over real process boundaries:
-// the ranks of ghost2d.go become fleet workers joined through
-// internal/net, so a SIGKILL is a real lost peer that a broken
-// connection or a heartbeat lease reveals, not a simulated crash.
+// fleet.go is the one rank runtime. A run's ranks are either
+// goroutines the coordinator serves in its own process (the default),
+// or fleet worker processes joined through internal/net (WithFleet),
+// where a SIGKILL is a real lost peer that a broken connection or a
+// heartbeat lease reveals.
 //
-// Workers swap halos with their neighbours directly, as MPI ranks do.
-// Each worker listens for its peers on the run's own transport
-// (pnet.PeerListen) and announces that address in its hello. Once per
-// generation the coordinator seeds every rank with its owned block and
-// its neighbours' ranks and addresses; the rank links to each
-// neighbour over one pnet.Conn and then runs rounds on its own: the
-// two-phase exchange of run2d (E/W columns over owned rows, then N/S
-// rows over the full local width, so the corners ride along) and K
-// steps.
+// Ranks swap halos with their neighbours directly, as MPI ranks do.
+// Once per generation the coordinator seeds every rank with its owned
+// block and its neighbours. Two ranks in the coordinator's process are
+// joined by a fault.Link each way, which carries []uint32 halos from
+// two buffers filled by round parity, with no encoding. A fleet worker
+// listens for its peers on the run's own transport (pnet.PeerListen),
+// announces that address in its hello, and links to each neighbour
+// over one pnet.Conn. Each rank then runs rounds on its own: the
+// classic two-phase exchange and K steps. First E/W halo columns are
+// exchanged over the owned rows, then N/S rows over the full local
+// width, so the columns just received carry the diagonal neighbours'
+// corners along without diagonal messages.
 //
 // The coordinator only grants windows of rounds. A window ends at the
 // next multiple of snapEvery, the next due durable checkpoint or the
-// maxIters round, whichever comes first. At its end every rank reports
-// the window's per-round (changes, redundant) counts and its owned
-// block. The coordinator adds the counts and stops the run at the
-// first round whose total is zero: that round is a fixed point, so the
-// rounds computed after it left the blocks unchanged. Otherwise it
-// installs the blocks, writes a due checkpoint and grants the next
-// window. The global grid is thus whole at every window end, and the
-// coordinator handles a few frames per rank per window, none per round.
+// maxIters round, whichever comes first; under WithFaults every window
+// is one round. At its end every rank reports the window's per-round
+// (changes, redundant) counts and its owned block. The coordinator
+// adds the counts and stops the run at the first round whose total is
+// zero: that round is a fixed point, so the rounds computed after it
+// left the blocks unchanged. Otherwise it installs the blocks, writes
+// a due checkpoint and grants the next window. The global grid is thus
+// whole at every window end, and the coordinator handles a few frames
+// per rank per window, none per round.
 //
 // Commits happen only at window ends, and recovery has one path. A
-// rank's death, rejoin or loss, or a window a worker aborts because a
-// peer link broke, makes the generation stale. A rank that aborts
-// closes its peer links, so the abort reaches every rank. Once every
-// rank can be reached again, the coordinator re-seeds all of them from
-// the last committed window under a new generation, with fresh peer
-// links. Every frame carries (generation, round), so frames that
+// rank's death, rejoin or loss, an injected crash, or a window a rank
+// aborts because a peer link broke, makes the generation stale. A
+// rank that aborts closes its peer links, so the abort reaches every
+// rank. Once every rank can be reached again, the coordinator re-seeds
+// all of them from the last committed window under a new generation,
+// with fresh peer links. A rank in the coordinator's process always
+// reports or aborts its window, so an in-process run re-seeds as soon
+// as every rank has, with no timer; injected crashes therefore replay
+// exactly. Every frame carries (generation, round), so frames that
 // outlive a re-seed are recognised and dropped, and the automaton's
 // determinism makes the replay exact. A rank whose worker is lost for
 // good is served by the coordinator process itself, as a peer like any
@@ -50,6 +58,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/fault"
 	"repro/internal/grid"
 	pnet "repro/internal/net"
 	"repro/internal/obs"
@@ -149,7 +158,7 @@ func (ge geom) owned() rect {
 // halo returns the cells a rank sends to its neighbour on side s and
 // the cells that neighbour's halo fills, rank-local; ok is false on a
 // side without a neighbour. E/W halos span the owned rows and N/S
-// halos the full local width, as in run2d's exchange.
+// halos the full local width.
 func (ge geom) halo(s int) (out, in rect, ok bool) {
 	o, K, W := ge.owned(), ge.K, ge.localW()
 	switch s {
@@ -263,12 +272,15 @@ type peer struct {
 
 // seed is a decoded msgSeed: a rank's generation, base round, first
 // window end, geometry, neighbours (rank -1 on a side without one) and
-// owned block.
+// owned block. A seed the coordinator hands a rank it serves itself
+// also carries the links to neighbours in its process, per side; they
+// are never encoded.
 type seed struct {
 	gen, round, end int
 	geom
-	nbrs  [nSides]peer
-	cells []byte
+	nbrs   [nSides]peer
+	cells  []byte
+	tx, rx [nSides]*fault.Link[[]uint32]
 }
 
 // appendSeed encodes a seed whose owned block is read from g, shifted
@@ -367,11 +379,14 @@ func decodeHalo(p []byte, in rect) (gen, round int, cells []byte, err error) {
 	return gen, round, cells, err
 }
 
-// report is a decoded msgReport: one rank's window.
+// report is a decoded msgReport: one rank's window. A rank in the
+// coordinator's process reports its grid instead of a block; it does
+// not touch the grid until its next grant.
 type report struct {
 	gen, end int
 	work     []roundWork // per round; owned is left zero
 	block    []byte      // the owned block at end, aliasing the payload
+	cur      *grid.Grid  // or the rank-local grid at end
 }
 
 func appendReport(b []byte, gen, end int, work []roundWork, g *grid.Grid, own rect) []byte {
@@ -453,15 +468,23 @@ const linkTimeout = 10 * time.Second
 // linkBackoff paces redials of a neighbour that does not answer yet.
 var linkBackoff = pnet.Backoff{Base: time.Millisecond, Max: 50 * time.Millisecond}
 
-// worker is one rank's side of the protocol: a peer listener that
-// outlives generations, the resident block, and the generation it
-// runs. Fleet workers hold one; the coordinator holds one per lost
-// rank.
+// worker is one rank's side of the protocol: the resident block and
+// the generation it runs. A fleet worker also has a peer listener that
+// outlives generations. The coordinator holds a worker for every rank
+// it serves itself: each rank of an in-process run, each lost rank of
+// a fleet run.
 type worker struct {
 	tr   pnet.Transport
-	ln   pnet.Listener
+	ln   pnet.Listener // nil: no peer in another process links to the rank
 	rank int
 	b    block // only the live generation's goroutine touches it
+
+	// Set on a rank the coordinator serves: where its reports and
+	// aborts go, what injects its crashes, and its trace track.
+	post  func(rankMsg)
+	inj   *fault.Injector
+	trace *obs.Tracer
+	track obs.TrackID
 
 	mu     sync.Mutex
 	live   *generation        // nil before the first seed
@@ -566,14 +589,19 @@ func (w *worker) handle(m pnet.Msg, send func(pnet.Msg) error) error {
 	return fmt.Errorf("%w: unexpected frame type %d", errMalformed, m.Type)
 }
 
-// start ends the live generation and runs the seed's.
-func (w *worker) start(s seed, send func(pnet.Msg) error) {
+// start ends the live generation and runs the seed's. It returns what
+// the ended generation did in a window the seed rolls back.
+func (w *worker) start(s seed, send func(pnet.Msg) error) tally {
 	w.mu.Lock()
 	old := w.live
 	w.mu.Unlock()
+	var lost tally
 	if old != nil {
 		old.stop()
 		<-old.done
+		if old.end > s.round {
+			lost = old.spent
+		}
 	}
 	w.b.install(s)
 	g := &generation{
@@ -582,6 +610,11 @@ func (w *worker) start(s seed, send func(pnet.Msg) error) {
 		grants:   make(chan [2]int, 1),
 		abort:    make(chan struct{}),
 		done:     make(chan struct{}),
+	}
+	for side, tx := range s.tx {
+		if tx != nil {
+			g.links[side] = &link{tx: tx, rx: s.rx[side]}
+		}
 	}
 	w.mu.Lock()
 	w.live = g
@@ -599,6 +632,7 @@ func (w *worker) start(s seed, send func(pnet.Msg) error) {
 	w.early = keep
 	w.mu.Unlock()
 	go g.run()
+	return lost
 }
 
 // grant hands a window to the live generation if it is the grant's
@@ -637,7 +671,9 @@ func (w *worker) close() {
 		c.Close()
 	}
 	w.mu.Unlock()
-	w.ln.Close()
+	if w.ln != nil {
+		w.ln.Close()
+	}
 	if g != nil {
 		g.stop()
 		<-g.done
@@ -649,26 +685,42 @@ func (w *worker) close() {
 // links and the goroutine that runs its windows.
 type generation struct {
 	w              *worker
-	gen, base, end int // end is the first window's
+	gen, base, end int // end is the open window's
 	nbrs           [nSides]peer
-	send           func(pnet.Msg) error // to the coordinator
+	send           func(pnet.Msg) error // to a coordinator in another process
 	accepted       chan peerLink
 	grants         chan [2]int // (from, end) of the next window
 	abort, done    chan struct{}
 	report         []byte         // send scratch; Send does not retain payloads
-	readers        sync.WaitGroup // one per link
+	readers        sync.WaitGroup // one per conn
+	spent          tally          // the open window's work
 	mu             sync.Mutex
 	links          [nSides]*link
 	over, broken   bool
 }
 
-// link is one open peer connection; a reader goroutine feeds in, so a
-// rank never waits to send while its neighbour is sending too. A
-// neighbour is at most one round ahead, so in holds one halo.
+// tally is the work a rank did in one window: rounds started, halos
+// sent, cells computed. A committed window is counted from the
+// reports; a rolled-back one only through the tallies of the ranks the
+// coordinator serves.
+type tally struct {
+	rounds, msgs            int
+	bytes, owned, redundant uint64
+}
+
+// link is one peer link: a connection to a worker in another process,
+// whose reader goroutine feeds in so a rank never waits to send while
+// its neighbour is sending too, or a fault.Link pair to a rank in the
+// same process. A neighbour is at most one round ahead, so in holds
+// one halo, and a halo sent from bufs is not refilled until the
+// receiver has copied it.
 type link struct {
 	conn pnet.Conn
 	in   chan pnet.Msg
 	out  []byte // send scratch
+
+	tx, rx *fault.Link[[]uint32]
+	bufs   [2][]uint32 // tx payloads, by round parity
 }
 
 // offer hands an accepted link to the generation, or closes it once
@@ -702,7 +754,7 @@ func (g *generation) stop() {
 	}
 	g.mu.Unlock()
 	for _, l := range links {
-		if l != nil {
+		if l != nil && l.conn != nil {
 			l.conn.Close()
 		}
 	}
@@ -718,45 +770,86 @@ func (g *generation) fail() {
 	g.stop()
 }
 
-// abandon leaves a window the rank cannot finish. If a link broke, as
-// opposed to a seed or a stop ending the generation, the coordinator is
-// told the window will not be reported. A link that breaks while the
-// rank waits for a grant tells it nothing: the run is over, or the
-// coordinator learns of the death that broke it.
+// abandon leaves a window the rank cannot finish. If a link broke or
+// the rank crashed, as opposed to a seed or a stop ending the
+// generation, the coordinator is told the window will not be reported.
+// A link that breaks while the rank waits for a grant tells it
+// nothing: the run is over, or the coordinator learns of the death
+// that broke it.
 func (g *generation) abandon() {
 	g.mu.Lock()
 	broken := g.broken
 	g.mu.Unlock()
 	if broken {
-		_ = g.send(headerMsg(msgAbort, g.gen, g.base)) // lost with its session, like a report
+		g.up(rankMsg{rank: g.w.rank, abort: true, rep: report{gen: g.gen}})
+	}
+}
+
+// up tells the coordinator of a report or an abort: as a rankMsg to a
+// coordinator in this process, encoded to one in another. A frame that
+// cannot be sent is lost with its session; the coordinator re-seeds
+// when the rank rejoins.
+func (g *generation) up(m rankMsg) {
+	switch {
+	case g.w.post != nil:
+		g.w.post(m)
+	case m.abort:
+		_ = g.send(headerMsg(msgAbort, g.gen, g.base))
+	default:
+		g.report = appendReport(g.report[:0], g.gen, m.rep.end, m.rep.work, m.rep.cur, g.w.b.owned())
+		_ = g.send(pnet.Msg{Type: msgReport, Payload: g.report})
 	}
 }
 
 // run links the neighbours, then runs windows until the generation
 // ends: each window's rounds, its report, and the wait for a grant.
-// done closes once it and the links' readers have returned.
+// An injected crash at the start of a round aborts the window. done
+// closes once it and the conns' readers have returned; the links to
+// ranks in this process are closed on the way out, after everything
+// sent on them.
 func (g *generation) run() {
 	defer close(g.done)
-	defer g.readers.Wait() // every exit follows stop, which closes the links
+	defer g.readers.Wait() // every exit follows stop, which closes the conns
+	defer func() {
+		for _, l := range g.links {
+			if l != nil && l.tx != nil {
+				l.tx.Close()
+			}
+		}
+	}()
 	if !g.connect() {
 		g.abandon()
 		return
 	}
-	b := &g.w.b
+	w, b := g.w, &g.w.b
 	work := make([]roundWork, 0, g.end-g.base)
-	for end := g.end; ; {
-		work = work[:0]
-		for b.round < end {
+	for {
+		work, g.spent = work[:0], tally{}
+		for b.round < g.end {
+			if w.inj.CrashAt(w.rank, b.round+1) {
+				g.fail()
+				g.abandon()
+				return
+			}
+			g.spent.rounds++
+			ts := w.trace.Now()
 			if !g.exchange(b.round + 1) {
 				g.abandon()
 				return
 			}
-			work = append(work, b.step())
+			if w.trace != nil {
+				w.trace.Span(w.track, "exchange", ts, w.trace.Now()-ts, obs.Arg{Key: "K", Value: int64(b.K)})
+				ts = w.trace.Now()
+			}
+			rw := b.step()
+			g.spent.owned += rw.owned
+			g.spent.redundant += rw.redundant
+			if w.trace != nil {
+				w.trace.Span(w.track, "compute", ts, w.trace.Now()-ts, obs.Arg{Key: "changes", Value: int64(rw.changes)})
+			}
+			work = append(work, rw)
 		}
-		g.report = appendReport(g.report[:0], g.gen, end, work, b.cur, b.owned())
-		// A report that cannot be sent is lost with its session; the
-		// coordinator re-seeds when the rank rejoins.
-		_ = g.send(pnet.Msg{Type: msgReport, Payload: g.report})
+		g.up(rankMsg{rank: w.rank, rep: report{gen: g.gen, end: g.end, work: work, cur: b.cur}})
 		select {
 		case gr := <-g.grants:
 			if gr[0] != b.round {
@@ -764,21 +857,22 @@ func (g *generation) run() {
 				g.abandon()
 				return
 			}
-			end = gr[1]
+			g.end = gr[1]
 		case <-g.abort:
 			return
 		}
 	}
 }
 
-// connect opens the generation's peer links: the rank dials each
-// lower-ranked neighbour and waits for the higher-ranked ones to dial
-// it. It returns false once the generation is over.
+// connect opens the generation's conns: the rank dials each
+// lower-ranked neighbour in another process and waits for the
+// higher-ranked ones to dial it. It returns false once the generation
+// is over.
 func (g *generation) connect() bool {
 	waiting := 0
 	for s, nb := range g.nbrs {
 		switch {
-		case nb.rank < 0:
+		case nb.rank < 0 || g.links[s] != nil: // no neighbour, or one in this process
 		case nb.rank > g.w.rank:
 			waiting++
 		default:
@@ -888,11 +982,24 @@ func (g *generation) sendHalo(s, round int) bool {
 		return true
 	}
 	out, _, _ := g.w.b.halo(s)
-	l.out = appendRect(appendHeader(l.out[:0], g.gen, round), g.w.b.cur, out, 0, 0)
-	if l.conn.Send(pnet.Msg{Type: msgHalo, Payload: l.out}) != nil {
-		g.fail()
-		return false
+	if l.tx != nil {
+		buf := l.bufs[round&1][:0]
+		for y := out.y0; y < out.y1; y++ {
+			buf = append(buf, g.w.b.cur.Row(y)[out.x0:out.x1]...)
+		}
+		l.bufs[round&1] = buf
+		if !l.tx.Send(buf, g.abort) {
+			return false
+		}
+	} else {
+		l.out = appendRect(appendHeader(l.out[:0], g.gen, round), g.w.b.cur, out, 0, 0)
+		if l.conn.Send(pnet.Msg{Type: msgHalo, Payload: l.out}) != nil {
+			g.fail()
+			return false
+		}
 	}
+	g.spent.msgs++
+	g.spent.bytes += 4 * uint64(out.cells())
 	return true
 }
 
@@ -901,13 +1008,25 @@ func (g *generation) recvHalo(s, round int) bool {
 	if l == nil {
 		return true
 	}
+	_, in, _ := g.w.b.halo(s)
+	if l.rx != nil {
+		cells, ok := l.rx.Recv(g.abort)
+		if !ok {
+			g.fail() // the neighbour aborted, unless a stop ended the wait
+			return false
+		}
+		w := in.x1 - in.x0
+		for y := in.y0; y < in.y1; y++ {
+			copy(g.w.b.cur.Row(y)[in.x0:in.x1], cells[(y-in.y0)*w:])
+		}
+		return true
+	}
 	var m pnet.Msg
 	select {
 	case m = <-l.in:
 	case <-g.abort:
 		return false
 	}
-	_, in, _ := g.w.b.halo(s)
 	gen, r, cells, err := decodeHalo(m.Payload, in)
 	if err != nil || m.Type != msgHalo || gen != g.gen || r != round {
 		g.fail()
@@ -941,17 +1060,27 @@ func FleetWorker(ctx context.Context, cfg pnet.WorkerConfig) error {
 
 // rankView is the coordinator's view of one rank.
 type rankView struct {
-	joined bool    // registered and not seen to die since
-	addr   string  // peer address of the incarnation that joined last
-	local  *worker // non-nil once the rank is lost: the coordinator serves it
-	in     bool    // reported the open window
-	rep    report
+	joined  bool    // registered and not seen to die since
+	addr    string  // peer address of the incarnation that joined last
+	local   *worker // non-nil once the coordinator serves the rank itself
+	in      bool    // reported or aborted the open window
+	aborted bool    // aborted it (ranks the coordinator serves)
+	rep     report
 }
 
-// fleetRun is the coordinator side of one fleet run.
+// rankMsg is a rank's report of its window, or its abort, as the
+// coordinator takes it: rep.gen is always set.
+type rankMsg struct {
+	rank  int
+	abort bool
+	rep   report
+}
+
+// fleetRun is the coordinator side of one run.
 type fleetRun struct {
 	cfg   config
-	co    *pnet.Coordinator
+	co    *pnet.Coordinator // nil: every rank is served in this process
+	inj   *fault.Injector
 	g     *grid.Grid // the committed global grid, whole at every window end
 	geoms []geom
 	ranks []rankView
@@ -976,18 +1105,19 @@ type fleetRun struct {
 
 	out []byte // send scratch; Conn.Send does not retain payloads
 
-	// Frames from coordinator-served ranks, not yet handled.
+	// Reports and aborts of the ranks served here, not yet taken.
 	localMu   sync.Mutex
-	localQ    []pnet.Event
+	localQ    []rankMsg
 	localWake chan struct{}
 }
 
-// runFleet drives the decomposition over a worker fleet. The caller's
-// grid g holds the committed state; on return it holds the fixed
-// point, exactly as the in-process runtime leaves it. It also returns
-// the coordinator's transport counters.
+// runFleet drives the decomposition: over a worker fleet when
+// cfg.fleet is set, else with every rank served in this process. The
+// caller's grid g holds the committed state; on return it holds the
+// fixed point. It also returns the fleet coordinator's transport
+// counters.
 func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, pnet.FleetStats, error) {
-	if cfg.faults != nil {
+	if cfg.faults != nil && cfg.fleet != nil {
 		return Report{}, pnet.FleetStats{}, fmt.Errorf("ghost: fleet mode injects no simulated faults; kill the worker processes instead")
 	}
 	geoms, err := decompose(g, &cfg)
@@ -999,6 +1129,7 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, pnet.Fleet
 	before := g.Sum()
 	f := &fleetRun{
 		cfg: cfg, g: g, geoms: geoms,
+		inj:       fault.NewInjector(cfg.faults, cfg.obs),
 		ranks:     make([]rankView, n),
 		rep:       Report{Ranks: n, GhostWidth: K},
 		stale:     true,
@@ -1031,24 +1162,35 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, pnet.Fleet
 		}}
 	}
 
-	fc := *cfg.fleet
-	fc.Workers = n
-	fc.Proto = GhostProto
-	if !fc.Obs.Enabled() {
-		fc.Obs = cfg.obs
+	if cfg.fleet != nil {
+		fc := *cfg.fleet
+		fc.Workers = n
+		fc.Proto = GhostProto
+		if !fc.Obs.Enabled() {
+			fc.Obs = cfg.obs
+		}
+		if f.co, err = pnet.NewCoordinator(fc); err != nil {
+			return Report{}, pnet.FleetStats{}, err
+		}
+		defer f.co.Close()
+	} else {
+		for id := range geoms {
+			f.serve(id, &worker{rank: id})
+		}
 	}
-	if f.co, err = pnet.NewCoordinator(fc); err != nil {
-		return Report{}, pnet.FleetStats{}, err
-	}
-	defer f.co.Close()
 	err = f.run(ctx)
-	f.co.Stop(pnet.Msg{Type: msgStop})
+	if f.co != nil {
+		f.co.Stop(pnet.Msg{Type: msgStop})
+	}
 	for _, r := range f.ranks {
 		if r.local != nil {
 			r.local.close()
 		}
 	}
-	stats := f.co.Stats()
+	var stats pnet.FleetStats
+	if f.co != nil {
+		stats = f.co.Stats()
+	}
 	if err != nil {
 		return f.rep, stats, err
 	}
@@ -1056,26 +1198,54 @@ func runFleet(ctx context.Context, g *grid.Grid, cfg config) (Report, pnet.Fleet
 	f.rep.Topples = f.topples
 	g.ClearHalo()
 	f.rep.Absorbed = before - g.Sum()
+	f.rep.FaultSchedule = f.inj.Schedule()
 	f.rep.publish(cfg.obs.Metrics)
 	return f.rep, stats, nil
 }
 
-// run handles fleet events until the run ends: it seeds a generation
+// serve makes the coordinator serve rank id itself, with w. Strips
+// keep the 1-D trace track names; blocks are labelled by position.
+func (f *fleetRun) serve(id int, w *worker) {
+	w.post, w.inj = f.queue, f.inj
+	if tr := f.cfg.obs.Tracer; tr != nil {
+		proc, label := "ghost", fmt.Sprintf("rank %d", id)
+		if C := f.cfg.procCols; C > 1 {
+			proc, label = "ghost2d", fmt.Sprintf("rank (%d,%d)", id/C, id%C)
+		}
+		w.trace, w.track = tr, tr.Track(proc, id, label)
+	}
+	r := &f.ranks[id]
+	r.joined, r.local = false, w
+	if w.ln != nil {
+		r.addr = w.ln.Addr()
+	}
+}
+
+// run handles events until the run ends: it seeds a generation
 // whenever the live one is stale and every rank can be reached, and
 // commits each window once every rank has reported it.
 func (f *fleetRun) run(ctx context.Context) error {
 	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if f.stale && f.ready() {
 			if err := f.seed(); err != nil {
 				return err
 			}
+		}
+		if m, ok := f.dequeue(); ok {
+			if done, err := f.take(m); done || err != nil {
+				return err
+			}
+			continue
 		}
 		ev, err := f.next(ctx)
 		if err != nil {
 			return err
 		}
 		if ev.Rank < 0 {
-			continue // an abort's grace ran out
+			continue // a rank served here has news, or an abort's grace ran out
 		}
 		r := &f.ranks[ev.Rank]
 		switch ev.Kind {
@@ -1096,10 +1266,11 @@ func (f *fleetRun) run(ctx context.Context) error {
 		case pnet.PeerLost:
 			f.cfg.obs.Log.Event(obs.LevelError, "ghost", "fleet rank lost; computing its block locally",
 				obs.Arg{Key: "rank", Value: int64(ev.Rank)})
-			if r.local, err = newWorker(f.cfg.fleet.Transport, f.co.Addr(), ev.Rank); err != nil {
+			w, err := newWorker(f.cfg.fleet.Transport, f.co.Addr(), ev.Rank)
+			if err != nil {
 				return fmt.Errorf("ghost: serving lost rank %d: %w", ev.Rank, err)
 			}
-			r.joined, r.addr = false, r.local.ln.Addr()
+			f.serve(ev.Rank, w)
 			f.stale = f.stale || f.gen > 0
 		case pnet.PeerMsg:
 			if done, err := f.handle(ev); done || err != nil {
@@ -1119,39 +1290,58 @@ func (f *fleetRun) ready() bool {
 	return true
 }
 
-// next returns the next event: a coordinator-served rank's frame, or
-// one from the fleet. When an abort's grace runs out with its
-// generation still live it makes the generation stale and returns an
-// event of rank -1.
+// next waits for the next fleet event. It returns an event of rank -1
+// when a rank served here has queued news, or when an abort's grace
+// runs out; with its generation still live, that makes it stale.
 func (f *fleetRun) next(ctx context.Context) (pnet.Event, error) {
-	for {
-		f.localMu.Lock()
-		if len(f.localQ) > 0 {
-			ev := f.localQ[0]
-			f.localQ = f.localQ[1:]
-			f.localMu.Unlock()
-			return ev, nil
+	var events <-chan pnet.Event
+	if f.co != nil {
+		events = f.co.Events()
+	}
+	select {
+	case <-ctx.Done():
+		return pnet.Event{}, ctx.Err()
+	case ev, ok := <-events:
+		if !ok {
+			return pnet.Event{}, fmt.Errorf("ghost: fleet coordinator closed")
 		}
-		f.localMu.Unlock()
-		select {
-		case <-ctx.Done():
-			return pnet.Event{}, ctx.Err()
-		case ev, ok := <-f.co.Events():
-			if !ok {
-				return pnet.Event{}, fmt.Errorf("ghost: fleet coordinator closed")
-			}
-			return ev, nil
-		case <-f.localWake:
-		case <-f.aborted:
-			f.aborted = nil
-			f.stale = f.stale || f.abortGen == f.gen
-			return pnet.Event{Rank: -1}, nil
-		}
+		return ev, nil
+	case <-f.localWake:
+	case <-f.aborted:
+		f.aborted = nil
+		f.stale = f.stale || f.abortGen == f.gen
+	}
+	return pnet.Event{Rank: -1}, nil
+}
+
+// queue hands a served rank's report or abort to the coordinator.
+func (f *fleetRun) queue(m rankMsg) {
+	f.localMu.Lock()
+	f.localQ = append(f.localQ, m)
+	f.localMu.Unlock()
+	select {
+	case f.localWake <- struct{}{}:
+	default:
 	}
 }
 
+// dequeue pops the oldest queued rankMsg, reusing the queue's array.
+func (f *fleetRun) dequeue() (rankMsg, bool) {
+	f.localMu.Lock()
+	defer f.localMu.Unlock()
+	if len(f.localQ) == 0 {
+		return rankMsg{}, false
+	}
+	m := f.localQ[0]
+	f.localQ = f.localQ[:copy(f.localQ, f.localQ[1:])]
+	return m, true
+}
+
 // seed starts a generation from the last committed window: every rank
-// gets its block, its neighbours and the first window.
+// gets its block, its neighbours and the first window. Neighbours the
+// coordinator both serves are linked here, a fault.Link each way. The
+// work that served ranks did in the window the seed rolls back is
+// counted into the Report.
 func (f *fleetRun) seed() error {
 	if f.barren >= maxBarren {
 		f.cfg.obs.Metrics.Counter("ghost.fleet.no_progress").Inc()
@@ -1160,11 +1350,14 @@ func (f *fleetRun) seed() error {
 			obs.Arg{Key: "generations", Value: int64(f.barren)})
 		return &NoProgressError{Committed: f.committed, Generations: f.barren}
 	}
+	ts := f.inj.Now()
 	if f.gen > 0 {
 		f.rep.Recoveries++
-		f.cfg.obs.Metrics.Counter("fault.recoveries").Inc()
+		if f.inj == nil { // an injector counts its own recoveries
+			f.cfg.obs.Metrics.Counter("fault.recoveries").Inc()
+		}
 		f.cfg.obs.Metrics.Counter("ghost.fleet.rollbacks").Inc()
-		f.cfg.obs.Log.Event(obs.LevelWarn, "ghost", "fleet rolled back to the last committed window",
+		f.cfg.obs.Log.Event(obs.LevelWarn, "ghost", "rolled back to the last committed window",
 			obs.Arg{Key: "round", Value: int64(f.committed)},
 			obs.Arg{Key: "generation", Value: int64(f.gen + 1)})
 	}
@@ -1173,18 +1366,47 @@ func (f *fleetRun) seed() error {
 	f.stale = false
 	f.end = f.windowEnd()
 	C := f.cfg.procCols
+	seeds := make([]seed, len(f.geoms))
 	for id, ge := range f.geoms {
-		f.ranks[id].in = false
-		s := seed{gen: f.gen, round: f.committed, end: f.end, geom: ge}
+		s := &seeds[id]
+		s.gen, s.round, s.end, s.geom = f.gen, f.committed, f.end, ge
 		for side, nb := range [nSides]int{id - 1, id + 1, id - C, id + C} {
-			s.nbrs[side] = peer{rank: nb}
-			if _, _, ok := ge.halo(side); ok {
-				s.nbrs[side].addr = f.ranks[nb].addr
+			s.nbrs[side] = peer{rank: -1}
+			if _, _, ok := ge.halo(side); !ok {
+				continue
+			}
+			s.nbrs[side] = peer{rank: nb, addr: f.ranks[nb].addr}
+			if nb > id && f.ranks[id].local != nil && f.ranks[nb].local != nil {
+				s.tx[side] = fault.NewLink[[]uint32](f.inj, id, nb)
+				s.rx[side] = fault.NewLink[[]uint32](f.inj, nb, id)
+				seeds[nb].tx[side^1], seeds[nb].rx[side^1] = s.rx[side], s.tx[side]
 			}
 		}
-		dy, dx := ge.origin()
-		f.out = appendSeed(f.out[:0], s, f.g, dy, dx)
-		f.send(id, pnet.Msg{Type: msgSeed, Payload: f.out})
+	}
+	rounds := 0
+	for id := range seeds {
+		s, r := &seeds[id], &f.ranks[id]
+		r.in, r.aborted = false, false
+		dy, dx := s.origin()
+		if r.local == nil {
+			f.out = appendSeed(f.out[:0], *s, f.g, dy, dx)
+			f.send(id, pnet.Msg{Type: msgSeed, Payload: f.out})
+			continue
+		}
+		f.out = appendRect(f.out[:0], f.g, s.owned(), dy, dx)
+		s.cells = f.out
+		lost := r.local.start(*s, nil)
+		rounds = max(rounds, lost.rounds)
+		f.rep.Messages += lost.msgs
+		f.rep.BytesSent += lost.bytes
+		f.rep.OwnedCells += lost.owned
+		f.rep.RedundantCells += lost.redundant
+	}
+	f.rep.Exchanges += rounds
+	if f.gen > 1 {
+		f.inj.NoteRecovery("ghost", ts, f.inj.Now()-ts,
+			obs.Arg{Key: "round", Value: int64(f.committed + 1)},
+			obs.Arg{Key: "generation", Value: int64(f.gen)})
 	}
 	f.cfg.obs.Metrics.Counter("ghost.fleet.seeds").Add(int64(len(f.geoms)))
 	return nil
@@ -1193,10 +1415,15 @@ func (f *fleetRun) seed() error {
 // windowEnd picks the end of the window after the committed round:
 // the next multiple of snapEvery, the next due checkpoint or the
 // maxIters round, whichever comes first. A due checkpoint found here
-// stays due until a window that reaches it commits.
+// stays due until a window that reaches it commits. Under injected
+// faults every window is one round, so the ranks stay in lockstep and
+// a re-seed rolls back one round.
 func (f *fleetRun) windowEnd() int {
 	K := f.cfg.width
 	end := min((f.committed/snapEvery+1)*snapEvery, (f.cfg.maxIters+K-1)/K)
+	if f.inj != nil {
+		end = f.committed + 1
+	}
 	if f.dur != nil && f.saveAt <= f.committed {
 		for r := f.committed + 1; r <= end; r++ {
 			if f.dur.due(r) {
@@ -1211,9 +1438,9 @@ func (f *fleetRun) windowEnd() int {
 	return end
 }
 
-// handle takes one frame from a rank. Frames of an earlier generation,
-// and any frame while the live one is stale, are dropped. It reports
-// whether the run is over.
+// handle decodes a frame from a fleet rank and takes it. Frames of an
+// earlier generation, and any frame while the live one is stale, are
+// dropped undecoded. It reports whether the run is over.
 func (f *fleetRun) handle(ev pnet.Event) (bool, error) {
 	gen, _, _, err := readHeader(ev.Msg.Payload)
 	if err != nil {
@@ -1222,31 +1449,59 @@ func (f *fleetRun) handle(ev pnet.Event) (bool, error) {
 	if gen != f.gen || f.stale {
 		return false, nil
 	}
-	r := &f.ranks[ev.Rank]
+	m := rankMsg{rank: ev.Rank, rep: report{gen: gen}}
 	switch ev.Msg.Type {
 	case msgAbort:
+		m.abort = true
+	case msgReport:
+		if m.rep, err = decodeReport(ev.Msg.Payload, f.geoms[ev.Rank]); err != nil {
+			return false, fmt.Errorf("rank %d: %w", ev.Rank, err)
+		}
+	default:
+		return false, fmt.Errorf("%w: rank %d sent frame type %d", errMalformed, ev.Rank, ev.Msg.Type)
+	}
+	return f.take(m)
+}
+
+// take handles a rank's report or abort of the open window, and
+// commits the window once every rank has reported it. A message of an
+// earlier generation, and any while the live one is stale, is dropped.
+// It reports whether the run is over.
+func (f *fleetRun) take(m rankMsg) (bool, error) {
+	if m.rep.gen != f.gen || f.stale {
+		return false, nil
+	}
+	r := &f.ranks[m.rank]
+	switch {
+	case m.abort && f.co != nil:
+		// A fleet abort usually follows a death: give its news a grace
+		// period to arrive, so the re-seed does not seed a dead rank.
 		if f.aborted == nil || f.abortGen != f.gen {
 			f.aborted, f.abortGen = time.After(abortGrace), f.gen
 		}
 		return false, nil
-	case msgReport:
-		rep, err := decodeReport(ev.Msg.Payload, f.geoms[ev.Rank])
-		if err != nil {
-			return false, fmt.Errorf("rank %d: %w", ev.Rank, err)
-		}
-		if rep.end != f.end || len(rep.work) != f.end-f.committed || r.in {
-			return false, fmt.Errorf("%w: rank %d reported rounds %d..%d of window %d..%d",
-				errMalformed, ev.Rank, rep.end-len(rep.work)+1, rep.end, f.committed+1, f.end)
-		}
-		r.rep, r.in = rep, true
-		for _, o := range f.ranks {
-			if !o.in {
-				return false, nil
-			}
-		}
-		return f.commit()
+	case m.abort:
+		r.in, r.aborted = true, true
+	case m.rep.end != f.end || len(m.rep.work) != f.end-f.committed || r.in:
+		return false, fmt.Errorf("%w: rank %d reported rounds %d..%d of window %d..%d",
+			errMalformed, m.rank, m.rep.end-len(m.rep.work)+1, m.rep.end, f.committed+1, f.end)
+	default:
+		r.rep, r.in = m.rep, true
 	}
-	return false, fmt.Errorf("%w: rank %d sent frame type %d", errMalformed, ev.Rank, ev.Msg.Type)
+	aborted := false
+	for _, o := range f.ranks {
+		if !o.in {
+			return false, nil
+		}
+		aborted = aborted || o.aborted
+	}
+	if aborted {
+		// Every rank is served here and has reported or aborted, so no
+		// rank of the generation still runs: re-seed at once.
+		f.stale = true
+		return false, nil
+	}
+	return f.commit()
 }
 
 // commit closes the open window, which every rank has reported: it
@@ -1277,7 +1532,14 @@ func (f *fleetRun) commit() (bool, error) {
 	// window's end are the blocks as of the committed round.
 	for id, ge := range f.geoms {
 		dy, dx := ge.origin()
-		readRect(f.ranks[id].rep.block, f.g, ge.owned(), dy, dx)
+		if cur := f.ranks[id].rep.cur; cur != nil {
+			o := ge.owned()
+			for y := o.y0; y < o.y1; y++ {
+				copy(f.g.Row(y + dy)[o.x0+dx:o.x1+dx], cur.Row(y)[o.x0:o.x1])
+			}
+		} else {
+			readRect(f.ranks[id].rep.block, f.g, ge.owned(), dy, dx)
+		}
 		f.ranks[id].in = false
 	}
 	f.cfg.obs.Progress.Update("ghost",
@@ -1295,41 +1557,23 @@ func (f *fleetRun) commit() (bool, error) {
 		}
 	}
 	f.end = f.windowEnd()
-	for id := range f.ranks {
-		f.send(id, grantMsg(f.gen, f.committed, f.end))
+	for id, r := range f.ranks {
+		switch {
+		case r.local == nil:
+			f.send(id, grantMsg(f.gen, f.committed, f.end))
+		case !r.local.grant(f.gen, f.committed, f.end):
+			f.queue(rankMsg{rank: id, abort: true, rep: report{gen: f.gen}})
+		}
 	}
 	return false, nil
 }
 
-// send delivers m to rank id: over the fleet, or to the coordinator's
-// own worker for a lost rank. A failed send means the connection is
-// going down: the rank is unreachable until it joins again, and the
+// send delivers m to fleet rank id. A failed send means the connection
+// is going down: the rank is unreachable until it joins again, and the
 // generation is stale.
 func (f *fleetRun) send(id int, m pnet.Msg) {
-	r := &f.ranks[id]
-	if r.local != nil {
-		if err := r.local.handle(m, f.localSend(id)); err != nil {
-			panic(err) // the codecs are inverses: a bug, not bad input
-		}
-		return
-	}
 	if f.co.Send(id, m) != nil {
-		r.joined = false
+		f.ranks[id].joined = false
 		f.stale = true
-	}
-}
-
-// localSend queues a coordinator-served rank's frames as fleet events.
-func (f *fleetRun) localSend(id int) func(pnet.Msg) error {
-	return func(m pnet.Msg) error {
-		m.Payload = append([]byte(nil), m.Payload...)
-		f.localMu.Lock()
-		f.localQ = append(f.localQ, pnet.Event{Rank: id, Kind: pnet.PeerMsg, Msg: m})
-		f.localMu.Unlock()
-		select {
-		case f.localWake <- struct{}{}:
-		default:
-		}
-		return nil
 	}
 }

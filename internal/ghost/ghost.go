@@ -5,9 +5,11 @@
 // exchanges halo rows and columns with its neighbours, sharing no
 // memory with them. WithRanks(n) is the n×1 grid of horizontal
 // strips, WithProcessGrid(r, c) the general block decomposition.
-// Ranks are goroutines linked by channels (ghost2d.go) or fleet
-// worker processes (fleet.go); both run the same geometry and the
-// same K-step kernel, defined here.
+// One runtime (fleet.go) runs every decomposition: its ranks are
+// goroutines the coordinator serves in its own process, linked by
+// typed channels, or fleet worker processes (WithFleet) linked over
+// the run's transport. Both run the geometry and the K-step kernel
+// defined here.
 //
 // The assignment's central trade-off — redundant computation for
 // less-frequent communication — is a first-class parameter here: with
@@ -19,10 +21,11 @@
 //
 // Runs are fault-tolerant when configured with WithFaults: halo
 // links absorb injected message drop/delay/duplication (internal/
-// fault's retransmit + dedupe link), and rank crashes are survived by
-// heartbeat detection plus coordinated checkpoint rollback
-// (recover.go). Determinism makes recovery exact: the post-recovery
-// fixed point and committed topple count equal the fault-free run's.
+// fault's retransmit + dedupe link), and an injected rank crash aborts
+// the generation, which the coordinator re-seeds from the last
+// committed window. Determinism makes recovery exact: the
+// post-recovery fixed point and committed topple count equal the
+// fault-free run's.
 package ghost
 
 import (
@@ -33,9 +36,11 @@ import (
 	"repro/internal/sandpile"
 )
 
-// Report summarizes a distributed run. A fleet run reports the rounds,
-// halos and cells of its committed windows, up to the round that ends
-// the run; the work of a window it rolled back is not counted.
+// Report summarizes a distributed run. It counts the rounds, halos and
+// cells of the committed windows, up to the round that ends the run,
+// plus what ranks served in the coordinator's process did in windows
+// that were rolled back. A fleet worker's rolled-back work is not
+// counted.
 type Report struct {
 	sandpile.Result
 	Ranks          int
@@ -45,9 +50,9 @@ type Report struct {
 	BytesSent      uint64 // payload bytes across all messages
 	RedundantCells uint64 // ghost-band cells recomputed beyond owned work
 	OwnedCells     uint64 // owned cells computed
-	// Recoveries counts coordinated rollbacks (heartbeat-detected rank
-	// deaths recovered by restart-from-checkpoint). In a fleet run it
-	// counts generations re-seeded from the last committed window.
+	// Recoveries counts coordinated rollbacks: generations re-seeded
+	// from the last committed window after a rank crashed, died or was
+	// lost.
 	Recoveries int
 	// FaultSchedule is the injector's sorted fired-fault log — the
 	// reproducibility artifact: same seed, byte-identical schedule.
@@ -72,16 +77,6 @@ func (r Report) publish(m *obs.Registry) {
 	m.Counter("ghost.halo.bytes").Add(int64(r.BytesSent))
 	m.Counter("ghost.cells.redundant").Add(int64(r.RedundantCells))
 	m.Counter("ghost.cells.owned").Add(int64(r.OwnedCells))
-}
-
-// message is one halo payload: k segments of w cells coalesced into a
-// single contiguous row-major buffer — one copy per exchange instead
-// of one per row, the batched-halo optimization. The receiver knows
-// the segment geometry from its own decomposition, so the wire carries
-// no shape. The link retains the payload for retransmission, so
-// senders alternate two buffers per link (halo in ghost2d.go).
-type message struct {
-	buf []uint32
 }
 
 // geom is one rank's block geometry: the ghost width, the owned

@@ -15,11 +15,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestStripReportsGolden pins every field of the strip decomposition's
 // Report — counters, work accounting and the fault schedule — for
-// ranks 1–4 × K 1–3 plus one crash + drop/dup plan (capped at 40
-// iterations: every dropped halo costs a link timeout). The golden file
-// was recorded from the dedicated strip runtime before WithRanks
-// became the one-column block decomposition, so it proves the two
-// agree field for field.
+// ranks 1–4 × K 1–3 plus one crash + drop/dup plan capped at 40
+// iterations. The golden file was recorded from the dedicated strip
+// runtime before WithRanks became the one-column block decomposition,
+// and before in-process ranks ran the fleet protocol, so it proves
+// all three agree field for field, the crash's rolled-back work and
+// fault schedule included.
 func TestStripReportsGolden(t *testing.T) {
 	type golden struct {
 		Name   string
@@ -39,7 +40,7 @@ func TestStripReportsGolden(t *testing.T) {
 	g, _ := faultGrid(t)
 	plan := &fault.Plan{Seed: 77, Crashes: []fault.Crash{{Rank: 2, Round: 3}}, Drop: 0.1, Dup: 0.1}
 	rep, err := New(g, WithRanks(4), WithWidth(2), WithMaxIters(40),
-		WithFaults(plan), WithHeartbeat(testHB)).Run()
+		WithFaults(plan)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ package ghost
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/ckpt"
 	"repro/internal/fault"
@@ -16,14 +15,13 @@ import (
 	"repro/internal/obs"
 )
 
-// config is the merged configuration both runtimes run from.
+// config is the merged configuration a run is built from.
 type config struct {
 	procRows, procCols int // process grid; WithRanks(n) is n×1
 	width              int
 	maxIters           int
 	obs                obs.Sink
 	faults             *fault.Plan
-	heartbeat          time.Duration
 	ck                 *ckpt.Checkpointer
 	fleet              *pnet.FleetConfig
 }
@@ -53,21 +51,18 @@ func WithMaxIters(n int) Option { return func(c *config) { c.maxIters = n } }
 func WithObs(sink obs.Sink) Option { return func(c *config) { c.obs = sink } }
 
 // WithFaults enables deterministic fault injection under the plan:
-// rank crashes and halo-message drop/delay/duplication, recovered via
-// heartbeat detection and coordinated checkpoint rollback. nil
-// disables injection (and checkpointing).
+// rank crashes and halo-message drop/delay/duplication. Windows then
+// last one round each; a crashed rank aborts its window, and the
+// coordinator re-seeds every rank from the last committed round. nil
+// disables injection.
 func WithFaults(p *fault.Plan) Option { return func(c *config) { c.faults = p } }
-
-// WithHeartbeat sets how long the coordinator waits for a round's
-// reports before declaring a rank dead (default 2s; only meaningful
-// with WithFaults). Halo receives time out at a quarter of this.
-func WithHeartbeat(d time.Duration) Option { return func(c *config) { c.heartbeat = d } }
 
 // WithFleet runs the decomposition over a worker fleet (see fleet.go):
 // the ranks become processes (or goroutines, on the chan transport)
 // joined through fc.Transport, supervised with heartbeat leases and
 // respawn, that swap halos with their neighbours over the same
-// transport. fc.Workers and fc.Proto are set by the run; everything else
+// transport. Without it every rank is a goroutine of the calling
+// process. fc.Workers and fc.Proto are set by the run; everything else
 // — transport, listen address, lease, backoff, Spawn hook — is the
 // caller's. Mutually exclusive with WithFaults: fleet crashes are real
 // process deaths, not injected ones.
@@ -100,12 +95,9 @@ func New(g *grid.Grid, opts ...Option) *Runner {
 // Run executes the configured run to the fixed point.
 func (r *Runner) Run() (Report, error) { return r.RunContext(context.Background()) }
 
-// RunContext is Run with cancellation: the coordinator stops
-// launching rounds once ctx is cancelled and returns ctx.Err().
+// RunContext is Run with cancellation: once ctx is cancelled the
+// coordinator stops its ranks and returns ctx.Err().
 func (r *Runner) RunContext(ctx context.Context) (Report, error) {
-	if r.cfg.fleet != nil {
-		rep, _, err := runFleet(ctx, r.g, r.cfg)
-		return rep, err
-	}
-	return run2d(ctx, r.g, r.cfg)
+	rep, _, err := runFleet(ctx, r.g, r.cfg)
+	return rep, err
 }
