@@ -90,8 +90,8 @@ soak-peachyd:
 # and the workflow simulator on it, each at two workers against the
 # sequential kernel, the sweep, engine and ghost checkpoint decoders,
 # the -faults spec parser, the PFR1 frame codec under every fleet
-# protocol, the ghost and MapReduce fleet workers' frame decoders,
-# PCK1 snapshot files, PRN1 run files and every job kind's spec
+# protocol, the ghost and MapReduce fleet workers' frame decoders, the
+# MapReduce coordinator's map-reply walker, PCK1 snapshot files, PRN1 run files and every job kind's spec
 # validator. `go test` takes one -fuzz target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
@@ -103,6 +103,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRound$$' -fuzztime 20s ./internal/ghost
 	$(GO) test -run '^$$' -fuzz '^FuzzRestoreGhost$$' -fuzztime 20s ./internal/ghost
 	$(GO) test -run '^$$' -fuzz '^FuzzServeTask$$' -fuzztime 20s ./internal/mapreduce
+	$(GO) test -run '^$$' -fuzz '^FuzzMapReply$$' -fuzztime 20s ./internal/mapreduce
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 20s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRunFile$$' -fuzztime 20s ./internal/mapreduce
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateSpec$$' -fuzztime 20s ./internal/job/runners

@@ -13,11 +13,11 @@ package ghost
 // two buffers filled by round parity, with no encoding. A fleet worker
 // listens for its peers on the run's own transport (pnet.PeerListen),
 // announces that address in its hello, and links to each neighbour
-// over one pnet.Conn. Each rank then runs rounds on its own: the
-// classic two-phase exchange and K steps. First E/W halo columns are
-// exchanged over the owned rows, then N/S rows over the full local
-// width, so the columns just received carry the diagonal neighbours'
-// corners along without diagonal messages.
+// over one pnet.Conn, which the rank reads itself. Each rank then runs
+// rounds on its own: the classic two-phase exchange and K steps. First
+// E/W halo columns are exchanged over the owned rows, then N/S rows
+// over the full local width, so the columns just received carry the
+// diagonal neighbours' corners along without diagonal messages.
 //
 // The coordinator only grants windows of rounds. A window ends at the
 // next multiple of snapEvery, the next due durable checkpoint or the
@@ -487,11 +487,11 @@ type worker struct {
 	track obs.TrackID
 
 	mu     sync.Mutex
-	live   *generation        // nil before the first seed
-	early  []peerLink         // links for a generation not yet seeded here
-	shakes map[pnet.Conn]bool // accepted conns that have not said who they are
+	live   *generation // nil before the first seed
+	early  []peerLink  // links for a generation not yet seeded here
+	shake  pnet.Conn   // the accepted conn that has not said who it is
 	closed bool
-	wg     sync.WaitGroup // the accept loop and the handshakes
+	done   chan struct{} // closed once the accept loop has returned
 }
 
 // peerLink is an accepted peer connection and what its link frame said.
@@ -507,14 +507,17 @@ func newWorker(tr pnet.Transport, join string, rank int) (*worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &worker{tr: tr, ln: ln, rank: rank, shakes: map[pnet.Conn]bool{}}
-	w.wg.Add(1)
+	w := &worker{tr: tr, ln: ln, rank: rank, done: make(chan struct{})}
 	go w.accept()
 	return w, nil
 }
 
+// accept takes the peer connections one at a time. A dialer sends its
+// link frame as soon as it connects, so reading that frame here holds
+// the next accept up only behind a dialer that is alive but stuck, and
+// for at most linkTimeout.
 func (w *worker) accept() {
-	defer w.wg.Done()
+	defer close(w.done)
 	for {
 		conn, err := w.ln.Accept()
 		if err != nil {
@@ -526,10 +529,9 @@ func (w *worker) accept() {
 			conn.Close()
 			return
 		}
-		w.shakes[conn] = true
-		w.wg.Add(1)
+		w.shake = conn
 		w.mu.Unlock()
-		go w.handshake(conn)
+		w.handshake(conn)
 	}
 }
 
@@ -537,7 +539,6 @@ func (w *worker) accept() {
 // link to its generation: the live one, or a later one kept until its
 // seed arrives. A link for an earlier generation is closed.
 func (w *worker) handshake(conn pnet.Conn) {
-	defer w.wg.Done()
 	m, err := conn.Recv(linkTimeout)
 	var gen, rank int
 	if err == nil && m.Type != msgLink {
@@ -548,7 +549,7 @@ func (w *worker) handshake(conn pnet.Conn) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	delete(w.shakes, conn)
+	w.shake = nil
 	g := w.live
 	switch {
 	case err != nil || w.closed:
@@ -667,18 +668,18 @@ func (w *worker) close() {
 		l.conn.Close()
 	}
 	w.early = nil
-	for c := range w.shakes {
-		c.Close()
+	if w.shake != nil {
+		w.shake.Close()
 	}
 	w.mu.Unlock()
 	if w.ln != nil {
 		w.ln.Close()
+		<-w.done
 	}
 	if g != nil {
 		g.stop()
 		<-g.done
 	}
-	w.wg.Wait()
 }
 
 // generation is one seeded generation running on a worker: its peer
@@ -691,9 +692,9 @@ type generation struct {
 	accepted       chan peerLink
 	grants         chan [2]int // (from, end) of the next window
 	abort, done    chan struct{}
-	report         []byte         // send scratch; Send does not retain payloads
-	readers        sync.WaitGroup // one per conn
-	spent          tally          // the open window's work
+	report         []byte // send scratch; Send does not retain payloads
+	spent          tally  // the open window's work
+	ranked         bool   // some link is a conn: exchange in rank order
 	mu             sync.Mutex
 	links          [nSides]*link
 	over, broken   bool
@@ -709,14 +710,11 @@ type tally struct {
 }
 
 // link is one peer link: a connection to a worker in another process,
-// whose reader goroutine feeds in so a rank never waits to send while
-// its neighbour is sending too, or a fault.Link pair to a rank in the
-// same process. A neighbour is at most one round ahead, so in holds
-// one halo, and a halo sent from bufs is not refilled until the
-// receiver has copied it.
+// or a fault.Link pair to a rank in the same process. A neighbour is
+// at most one round ahead, so a halo sent from bufs is not refilled
+// until the receiver has copied it.
 type link struct {
 	conn pnet.Conn
-	in   chan pnet.Msg
 	out  []byte // send scratch
 
 	tx, rx *fault.Link[[]uint32]
@@ -804,12 +802,10 @@ func (g *generation) up(m rankMsg) {
 // run links the neighbours, then runs windows until the generation
 // ends: each window's rounds, its report, and the wait for a grant.
 // An injected crash at the start of a round aborts the window. done
-// closes once it and the conns' readers have returned; the links to
-// ranks in this process are closed on the way out, after everything
-// sent on them.
+// closes once it has returned; the links to ranks in this process are
+// closed on the way out, after everything sent on them.
 func (g *generation) run() {
 	defer close(g.done)
-	defer g.readers.Wait() // every exit follows stop, which closes the conns
 	defer func() {
 		for _, l := range g.links {
 			if l != nil && l.tx != nil {
@@ -936,40 +932,36 @@ func (g *generation) dial(addr string) pnet.Conn {
 	}
 }
 
-// attach installs a link on side s and starts its reader; on a
-// generation that is already over it closes the connection instead.
+// attach installs a conn link on side s; on a generation that is
+// already over it closes the connection instead.
 func (g *generation) attach(s int, conn pnet.Conn) bool {
-	l := &link{conn: conn, in: make(chan pnet.Msg, 1)}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.over {
-		g.mu.Unlock()
 		conn.Close()
 		return false
 	}
-	g.links[s] = l
-	g.mu.Unlock()
-	g.readers.Add(1)
-	go func() {
-		defer g.readers.Done()
-		for {
-			m, err := conn.Recv(0)
-			if err != nil {
-				g.fail()
-				return
-			}
-			select {
-			case l.in <- m:
-			case <-g.abort:
-				return
-			}
-		}
-	}()
+	g.links[s] = &link{conn: conn}
+	g.ranked = true
 	return true
 }
 
 // exchange fills the ghost zones for round: E/W first, then N/S over
-// the full local width, which carries the corners just received.
+// the full local width, which carries the corners just received. A
+// send on a conn can wait for its neighbour to read, so once a link
+// is a conn each phase resolves in rank order: the rank receives from
+// its lower neighbour (W, N) before it sends back, and sends to its
+// higher one (E, S) before it receives. A row or column then completes
+// from its lowest rank up, whatever the halo's size. Links in this
+// process never block a send, so ranks linked only by them send both
+// halos, then receive both.
 func (g *generation) exchange(round int) bool {
+	if g.ranked {
+		return g.recvHalo(west, round) && g.sendHalo(west, round) &&
+			g.sendHalo(east, round) && g.recvHalo(east, round) &&
+			g.recvHalo(north, round) && g.sendHalo(north, round) &&
+			g.sendHalo(south, round) && g.recvHalo(south, round)
+	}
 	return g.sendHalo(west, round) && g.sendHalo(east, round) &&
 		g.recvHalo(west, round) && g.recvHalo(east, round) &&
 		g.sendHalo(north, round) && g.sendHalo(south, round) &&
@@ -1021,10 +1013,10 @@ func (g *generation) recvHalo(s, round int) bool {
 		}
 		return true
 	}
-	var m pnet.Msg
-	select {
-	case m = <-l.in:
-	case <-g.abort:
+	// stop closes the conn, which ends the wait.
+	m, err := l.conn.Recv(0)
+	if err != nil {
+		g.fail()
 		return false
 	}
 	gen, r, cells, err := decodeHalo(m.Payload, in)

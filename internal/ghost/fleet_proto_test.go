@@ -256,6 +256,19 @@ func runFleetOn(t *testing.T, mk func() *grid.Grid, opts []Option, tr pnet.Trans
 	t.Helper()
 	ref := mk()
 	want := sandpile.StabilizeSyncSeq(ref)
+	g := mk()
+	rep, stats := runFleetGrid(t, g, opts, tr, listen, ranks)
+	if !g.Equal(ref) || rep.Topples != want.Topples {
+		t.Fatalf("fleet fixed point differs from the sequential solver: topples %d, want %d", rep.Topples, want.Topples)
+	}
+	return rep, stats
+}
+
+// runFleetGrid runs g with opts over a goroutine fleet of ranks workers
+// on tr, listening at listen, and checks every worker exits with the
+// run. It returns the report and the coordinator's transport counters.
+func runFleetGrid(t *testing.T, g *grid.Grid, opts []Option, tr pnet.Transport, listen string, ranks int) (Report, pnet.FleetStats) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	exits := make(chan error, ranks)
@@ -269,14 +282,10 @@ func runFleetOn(t *testing.T, mk func() *grid.Grid, opts []Option, tr pnet.Trans
 				}(r)
 			}
 		})}
-	g := mk()
 	r := New(g, append(opts, WithFleet(fc))...)
 	rep, stats, err := runFleet(ctx, r.g, r.cfg)
 	if err != nil {
 		t.Fatalf("fleet run: %v", err)
-	}
-	if !g.Equal(ref) || rep.Topples != want.Topples {
-		t.Fatalf("fleet fixed point differs from the sequential solver: topples %d, want %d", rep.Topples, want.Topples)
 	}
 	for r := 0; r < ranks; r++ {
 		select {
@@ -358,6 +367,64 @@ func TestFleetOverSockets(t *testing.T) {
 				}
 				if left, _ := filepath.Glob(filepath.Join(dir, "peer-*")); len(left) > 0 {
 					t.Fatalf("peer sockets left behind: %v", left)
+				}
+			})
+		}
+	}
+}
+
+// TestFleetLargeHalosOverSockets runs halos larger than a socket's
+// send buffer over unix and tcp: 2 strips whose halos are K full rows
+// of a wide grid, and 2x2 blocks whose N/S halos are as large. A rank
+// whose send waits for its neighbour to read must never wait on a
+// neighbour that is itself sending, so each run must finish with the
+// in-process run's grid and report. A checkpoint every 8 rounds ends
+// a window, so the 20 rounds span three windows.
+func TestFleetLargeHalosOverSockets(t *testing.T) {
+	const K, H, rounds, every = 2, 8, 20, 8
+	for _, scheme := range []string{"unix", "tcp"} {
+		for _, tc := range []struct {
+			name     string
+			ranks, w int
+			opts     []Option
+		}{
+			// A halo of K×W×4 = 560 KB, against a unix socket's
+			// default send buffer of about 208 KB.
+			{"strips", 2, 70000, []Option{WithRanks(2)}},
+			{"blocks", 4, 2 * 70000, []Option{WithProcessGrid(2, 2)}},
+		} {
+			t.Run(scheme+"/"+tc.name, func(t *testing.T) {
+				dir, err := os.MkdirTemp("", "gf")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer os.RemoveAll(dir)
+				listen := "127.0.0.1:0"
+				if scheme == "unix" {
+					listen = filepath.Join(dir, "c.sock")
+				}
+				opts := func(name string) []Option {
+					store, err := ckpt.Open(filepath.Join(dir, name), "ghost")
+					if err != nil {
+						t.Fatal(err)
+					}
+					return append(tc.opts, WithWidth(K), WithMaxIters(K*rounds),
+						WithCheckpoint(ckpt.NewCheckpointer(store, every, false)))
+				}
+				mk := func() *grid.Grid { return sandpile.Center(1<<30).Build(H, tc.w, nil) }
+				want := mk()
+				inRep, err := New(want, opts("in")...).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inRep.Exchanges != rounds {
+					t.Fatalf("the run stops after %d rounds, not %d", inRep.Exchanges, rounds)
+				}
+				tr, _ := pnet.New(scheme)
+				g := mk()
+				rep, _ := runFleetGrid(t, g, opts("fleet"), tr, listen, tc.ranks)
+				if !g.Equal(want) || !sameReport(rep, inRep) {
+					t.Fatalf("fleet %+v != in-process %+v", rep, inRep)
 				}
 			})
 		}

@@ -4,15 +4,17 @@ package mapreduce
 // dispatcher (dispatch.go) runs map tasks and reduce partitions on the
 // fleet-rank executor, one frame per attempt to an idle worker over
 // internal/net, with the shuffle's sorted runs serialized across the
-// wire. Tasks are idempotent (deterministic map/reduce over
-// deterministic input), so a task whose worker was SIGKILLed is simply
-// dispatched again, to the rejoined rank or a survivor. A task error
-// is the task's, not the worker's: the worker answers mrFailed and
-// keeps serving, and the dispatcher retries the task like any failed
-// attempt. Once every rank is lost the rest of the phase runs on
-// goroutines: degraded, never wrong. Output is byte-identical to
-// Job.Run — the fleet changes where tasks execute, not what they
-// compute.
+// wire. The coordinator forwards each run from its map reply to its
+// reduce frame as the bytes it arrived in, never decoding it. Tasks
+// are idempotent (deterministic map/reduce over deterministic input),
+// so a task whose worker was SIGKILLed is simply dispatched again, to
+// the rejoined rank or a survivor. A task error is the task's, not the
+// worker's: the worker answers mrFailed and keeps serving, and the
+// dispatcher retries the task like any failed attempt. Once every rank
+// is lost the rest of the phase runs on goroutines, which decode the
+// forwarded runs they merge: degraded, never wrong. Output is
+// byte-identical to Job.Run — the fleet changes where tasks execute,
+// not what they compute.
 
 import (
 	"cmp"
@@ -28,15 +30,16 @@ import (
 )
 
 // MRProto names the fleet wire protocol version.
-const MRProto = "mapreduce/2"
+const MRProto = "mapreduce/3"
 
 // Fleet application frame types.
 const (
 	// mrMap (coordinator -> worker): one map task — task id, reduce
 	// partition count, and the split's input records.
 	mrMap uint8 = pnet.FrameApp + iota
-	// mrMapDone (worker -> coordinator): the task's per-partition
-	// sorted runs plus the raw emission count.
+	// mrMapDone (worker -> coordinator): the task id, the raw emission
+	// count, the partition count, then each partition's sorted run
+	// prefixed with its byte length (u32).
 	mrMapDone
 	// mrReduce (coordinator -> worker): one reduce partition — its id
 	// and every map task's non-empty run for it, in task order.
@@ -179,7 +182,9 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 		reply = binary.LittleEndian.AppendUint32(reply, uint32(len(out)))
 		c := w.codec()
 		for p := range out {
-			reply = c.appendRun(reply, &out[p])
+			at := len(reply)
+			reply = c.appendRun(append(reply, 0, 0, 0, 0), &out[p])
+			binary.LittleEndian.PutUint32(reply[at:], uint32(len(reply)-at-4))
 		}
 		return pnet.Msg{Type: mrMapDone, Payload: reply}, nil
 	case mrReduce:
@@ -277,22 +282,45 @@ func (f *fleetRun[I, K, V, O]) maps(d *dispatcher[mapResult[K, V]], splits [][]I
 		return pnet.Msg{Type: mrMap, Payload: buf}
 	}
 	d.decode = func(_ int, p []byte) (r mapResult[K, V], err error) {
-		if len(p) < 8 {
-			return r, errors.New("mapreduce: truncated map reply")
-		}
-		r.emitted = int(binary.LittleEndian.Uint32(p))
-		if n := int(binary.LittleEndian.Uint32(p[4:])); n != nReduce {
-			return r, fmt.Errorf("mapreduce: map reply has %d partitions, want %d", n, nReduce)
-		}
-		r.runs, p = make([]run[K, V], nReduce), p[8:]
-		c := f.w.codec()
-		for i := range r.runs {
-			if p, err = c.readRun(&r.runs[i], p); err != nil {
-				return r, err
-			}
-		}
-		return r, nil
+		r.emitted, r.runs, err = readMapReply[K, V](p, nReduce)
+		return r, err
 	}
+}
+
+// readMapReply walks a map reply after its task id: the emission count,
+// the partition count, which must be nReduce, and one length-prefixed
+// run per partition. The runs are left undecoded, aliasing p: each is
+// only checked to lie within p and to open with a key count its bytes
+// can hold. The reducer's readRun checks every byte before use.
+func readMapReply[K cmp.Ordered, V any](p []byte, nReduce int) (emitted int, runs []run[K, V], err error) {
+	if len(p) < 4 {
+		return 0, nil, fmt.Errorf("%w: truncated map reply", errMalformed)
+	}
+	emitted = int(binary.LittleEndian.Uint32(p))
+	// Each run takes at least its length and its key count.
+	n, p, err := readCount(p[4:], 8)
+	if err != nil {
+		return 0, nil, err
+	}
+	if n != nReduce {
+		return 0, nil, fmt.Errorf("%w: map reply has %d partitions, want %d", errMalformed, n, nReduce)
+	}
+	runs = make([]run[K, V], n)
+	for i := range runs {
+		size, rest, err := readCount(p, 1)
+		if err != nil {
+			return 0, nil, err
+		}
+		b := rest[:size:size]
+		if runs[i].wireKeys, _, err = readCount(b, 1); err != nil {
+			return 0, nil, fmt.Errorf("partition %d: %w", i, err)
+		}
+		runs[i].wire, p = b, rest[size:]
+	}
+	if len(p) > 0 {
+		return 0, nil, fmt.Errorf("%w: %d bytes after the map reply's runs", errMalformed, len(p))
+	}
+	return emitted, runs, nil
 }
 
 // reduces puts the reduce phase over mapOut's partitions on the fleet.
@@ -305,14 +333,40 @@ func (f *fleetRun[I, K, V, O]) reduces(d *dispatcher[partResult[O]], mapOut [][]
 		partRuns[p] = partitionRuns(mapOut, p)
 	}
 	d.fleet, f.doneType = f.fleetExec, mrReduceDone
+	// Every run a frame carries arrived in a map reply: a map task runs
+	// here only once every worker is lost, and then no reduce frame is
+	// sent.
 	f.msg = func(p int) pnet.Msg {
-		buf := binary.LittleEndian.AppendUint32(nil, uint32(p))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(partRuns[p])))
-		c := f.w.codec()
+		size := 8
 		for _, r := range partRuns[p] {
-			buf = c.appendRun(buf, r)
+			size += len(r.wire)
+		}
+		buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(p))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(partRuns[p])))
+		for _, r := range partRuns[p] {
+			buf = append(buf, r.wire...)
 		}
 		return pnet.Msg{Type: mrReduce, Payload: buf}
+	}
+	// A partition runs here only once every worker is lost, and no frame
+	// reads its runs after that: decode them in place for the merge.
+	c := f.w.codec()
+	inline := d.run
+	d.run = func(a attempt) (partResult[O], error) {
+		for _, r := range partRuns[a.task] {
+			if r.wire == nil {
+				continue
+			}
+			rest, err := c.readRun(r, r.wire)
+			if err == nil && len(rest) > 0 {
+				err = fmt.Errorf("%w: %d bytes after a forwarded run", errMalformed, len(rest))
+			}
+			if err != nil {
+				return partResult[O]{}, err
+			}
+			r.wire, r.wireKeys = nil, 0
+		}
+		return inline(a)
 	}
 	d.decode = func(p int, payload []byte) (r partResult[O], err error) {
 		if len(payload) < 12 {

@@ -162,9 +162,12 @@ func TestFleetWorkerDeathAndReassignment(t *testing.T) {
 	}
 }
 
-// TestFleetAllWorkersLostFallsBackInline spawns nothing: after the
-// supervisor gives up on every rank the coordinator must finish the
-// job inline with identical output.
+// TestFleetAllWorkersLostFallsBackInline: once the supervisor gives up
+// on every rank the coordinator must finish the job inline with
+// identical output. In "before maps" nothing is spawned, so both
+// phases run inline; in "after maps" every map task runs on a worker
+// and each worker dies at its first reduce frame, so the inline reduce
+// decodes the runs the workers sent.
 func TestFleetAllWorkersLostFallsBackInline(t *testing.T) {
 	cfg := Config[string]{MapTasks: 3, ReduceTasks: 2}
 	lines := fleetCorpus(50)
@@ -172,29 +175,104 @@ func TestFleetAllWorkersLostFallsBackInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := pnet.New("chan")
-	fc := &pnet.FleetConfig{
-		Transport:   tr,
-		Listen:      "mr-fleet-lost",
-		Workers:     2,
-		Lease:       200 * time.Millisecond,
-		JoinTimeout: 30 * time.Millisecond,
-		MaxRespawns: 2,
-		Backoff:     pnet.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
-		Spawn:       func(rank int, addr string) error { return nil },
+	for _, name := range []string{"before maps", "after maps"} {
+		afterMaps := name == "after maps"
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			var maps, kills atomic.Int64
+			tr, _ := pnet.New("chan")
+			fc := &pnet.FleetConfig{
+				Transport:   tr,
+				Listen:      fmt.Sprintf("mr-fleet-lost-%d", fleetRuns.Add(1)),
+				Workers:     2,
+				Lease:       200 * time.Millisecond,
+				JoinTimeout: 30 * time.Millisecond,
+				MaxRespawns: 2,
+				Backoff:     pnet.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+				Spawn:       func(rank int, addr string) error { return nil },
+			}
+			if afterMaps {
+				fc.JoinTimeout = 200 * time.Millisecond
+				var once sync.Once
+				fc.Spawn = func(rank int, addr string) error {
+					once.Do(func() {
+						for r := range fc.Workers {
+							wctx, kill := context.WithCancel(ctx)
+							wt := &dieAtReduce{Transport: tr, maps: &maps, kill: func() { kills.Add(1); kill() }}
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								wordCountJob(cfg).FleetWorker(wctx, pnet.WorkerConfig{
+									Transport: wt, Join: addr, Rank: r,
+									Backoff:         pnet.Backoff{Base: 2 * time.Millisecond, Max: 10 * time.Millisecond},
+									MaxDialAttempts: 1000,
+								}, StringIntWire())
+							}()
+						}
+					})
+					return nil
+				}
+			}
+			got, stats, err := wordCountJob(cfg).RunFleet(ctx, lines, fc, StringIntWire())
+			if err != nil {
+				t.Fatalf("degraded fleet run: %v", err)
+			}
+			if afterMaps && (maps.Load() < int64(cfg.MapTasks) || kills.Load() != int64(fc.Workers)) {
+				t.Fatalf("workers served %d map frames and died %d times; want every map task on a worker and every worker dead at a reduce frame",
+					maps.Load(), kills.Load())
+			}
+			if len(got) != len(want) {
+				t.Fatalf("inline fallback produced %d outputs, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("output[%d] = %+v, want %+v", i, got[i], want[i])
+				}
+			}
+			if stats.ShuffleRuns == 0 {
+				t.Fatal("the inline reduce merged no runs")
+			}
+		})
 	}
-	got, _, err := wordCountJob(cfg).RunFleet(context.Background(), lines, fc, StringIntWire())
+}
+
+// dieAtReduce is a worker's transport whose connection counts the map
+// frames it delivers and kills the worker when a reduce frame arrives,
+// before the worker sees it.
+type dieAtReduce struct {
+	pnet.Transport
+	maps *atomic.Int64
+	kill func()
+}
+
+func (d *dieAtReduce) Dial(addr string) (pnet.Conn, error) {
+	c, err := d.Transport.Dial(addr)
 	if err != nil {
-		t.Fatalf("degraded fleet run: %v", err)
+		return nil, err
 	}
-	if len(got) != len(want) {
-		t.Fatalf("inline fallback produced %d outputs, want %d", len(got), len(want))
+	return &dieAtReduceConn{Conn: c, d: d}, nil
+}
+
+type dieAtReduceConn struct {
+	pnet.Conn
+	d *dieAtReduce
+}
+
+func (c *dieAtReduceConn) Recv(timeout time.Duration) (pnet.Msg, error) {
+	m, err := c.Conn.Recv(timeout)
+	switch {
+	case err != nil:
+	case m.Type == mrMap:
+		c.d.maps.Add(1)
+	case m.Type == mrReduce:
+		c.d.kill()
+		c.Conn.Close()
+		return pnet.Msg{}, errors.New("test: worker killed at its first reduce frame")
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("output[%d] = %+v, want %+v", i, got[i], want[i])
-		}
-	}
+	return m, err
 }
 
 // TestFleetRejectsSingleProcessFeatures: fault injection, spilling and
@@ -312,7 +390,8 @@ func FuzzServeTask(f *testing.F) {
 			want = binary.LittleEndian.AppendUint32(want, uint32(emitted))
 			want = binary.LittleEndian.AppendUint32(want, uint32(nReduce))
 			for i := range out {
-				want = w.codec().appendRun(want, &out[i])
+				run := w.codec().appendRun(nil, &out[i])
+				want = append(binary.LittleEndian.AppendUint32(want, uint32(len(run))), run...)
 			}
 			if reply.Type != mrMapDone || !bytes.Equal(reply.Payload, want) {
 				t.Fatalf("map reply differs from the in-process map task")
@@ -325,6 +404,53 @@ func FuzzServeTask(f *testing.F) {
 			if reply.Type != mrReduceDone || err != nil || len(rest) != 0 {
 				t.Fatalf("reduce reply does not decode: %v, %d bytes left", err, len(rest))
 			}
+		}
+	})
+}
+
+// FuzzMapReply feeds arbitrary bytes to the coordinator's map-reply
+// walker. Every input either walks or fails with errMalformed, and
+// none panics. An accepted reply has the partitions asked for, each
+// run opens with its key count, and the runs with their length
+// prefixes re-encode to exactly the payload, so none reaches past it:
+// the walker gets spare capacity filled with other bytes, which a
+// slice past the payload would pick up instead of panicking.
+func FuzzMapReply(f *testing.F) {
+	job := wordCountJob(Config[string]{})
+	for _, nReduce := range []int{1, 3} {
+		reply, err := job.serveTask(context.Background(), pnet.Msg{Type: mrMap, Payload: mapFrame(0, nReduce, corpus)}, StringIntWire())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint16(nReduce), reply.Payload[4:])
+	}
+	u32 := binary.LittleEndian.AppendUint32
+	f.Add(uint16(1), u32(u32(u32(u32(nil, 0), 1), 4), 1<<31))        // a run claiming 2^31 keys in 4 bytes
+	f.Add(uint16(2), u32(u32(u32(u32(nil, 0), 2), 1<<31), 0))        // a run longer than the reply
+	f.Add(uint16(9), u32(u32(nil, 0), 1<<30))                        // 2^30 partitions in no bytes
+	f.Add(uint16(1), append(u32(u32(u32(u32(nil, 0), 1), 4), 0), 7)) // a byte after the runs
+
+	f.Fuzz(func(t *testing.T, nReduce uint16, p []byte) {
+		buf := append(p[:len(p):len(p)], bytes.Repeat([]byte{0xA5}, 64)...)[:len(p)]
+		emitted, runs, err := readMapReply[string, int](buf, int(nReduce))
+		if err != nil {
+			if !errors.Is(err, errMalformed) {
+				t.Fatalf("unnamed error: %v", err)
+			}
+			return
+		}
+		if len(runs) != int(nReduce) {
+			t.Fatalf("%d runs for %d partitions", len(runs), nReduce)
+		}
+		again := u32(u32(nil, uint32(emitted)), uint32(len(runs)))
+		for i, r := range runs {
+			if len(r.wire) < 4 || r.wireKeys != int(binary.LittleEndian.Uint32(r.wire)) || r.wireKeys > len(r.wire)-4 {
+				t.Fatalf("run %d: %d keys in %d bytes", i, r.wireKeys, len(r.wire))
+			}
+			again = append(u32(again, uint32(len(r.wire))), r.wire...)
+		}
+		if !bytes.Equal(again, p) {
+			t.Fatal("the walked runs do not re-encode to the payload")
 		}
 	})
 }

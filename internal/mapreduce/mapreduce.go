@@ -265,7 +265,7 @@ func startProgress(pr *obs.Progress, maps, reduces int) *obs.Progress {
 func partitionRuns[K cmp.Ordered, V any](mapOut [][]run[K, V], p int) []*run[K, V] {
 	runs := make([]*run[K, V], 0, len(mapOut))
 	for t := range mapOut {
-		if p < len(mapOut[t]) && len(mapOut[t][p].keys) > 0 {
+		if p < len(mapOut[t]) && mapOut[t][p].nkeys() > 0 {
 			runs = append(runs, &mapOut[t][p])
 		}
 	}

@@ -142,9 +142,22 @@ type run[K cmp.Ordered, V any] struct {
 	offs  []int32 // len(keys)+1 span boundaries into vals
 	vals  []V
 	src   *runFile[K, V] // nil for a run held whole in memory
+	// wire is set on a run a fleet worker sent and the coordinator has
+	// not decoded: its appendRun encoding, holding wireKeys keys. keys
+	// and vals are empty until it is decoded.
+	wire     []byte
+	wireKeys int
 }
 
 func (r *run[K, V]) pairs() int { return len(r.vals) }
+
+// nkeys is the run's key count, decoded or not.
+func (r *run[K, V]) nkeys() int {
+	if r.wire != nil {
+		return r.wireKeys
+	}
+	return len(r.keys)
+}
 
 // cursor is one run's read position (a span index) inside a merge.
 // task is the run's position in the merge's input order (map-task

@@ -162,6 +162,106 @@ func TestTransportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSockSendAllocsNothing: a socket conn assembles each frame in a
+// buffer of its own, so a steady-state Send allocates nothing, and the
+// frames still arrive whole.
+func TestSockSendAllocsNothing(t *testing.T) {
+	c, peer := unixPair(t)
+	payload := []byte("steady-state payload")
+	send := func() {
+		if err := c.Send(Msg{Type: FrameApp, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 101 frames of ~40 bytes fit the socket's buffer unread.
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Fatalf("Send allocates %.1f times per frame, want 0", n)
+	}
+	for i := 0; i < 101; i++ {
+		m, err := peer.Recv(2 * time.Second)
+		if err != nil || m.Type != FrameApp || !bytes.Equal(m.Payload, payload) {
+			t.Fatalf("frame %d: type %d payload %q, err %v", i, m.Type, m.Payload, err)
+		}
+	}
+}
+
+// unixPair returns the two ends of a fresh unix socket connection.
+func unixPair(t *testing.T) (Conn, Conn) {
+	t.Helper()
+	tr, _ := New("unix")
+	ln, err := tr.Listen(filepath.Join(t.TempDir(), "s.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	c, err := tr.Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The peer first: its close fails a Send still blocked on it.
+	t.Cleanup(func() { peer.Close(); c.Close() })
+	return c, peer
+}
+
+// TestSockConcurrentSendsArriveWhole: senders on several goroutines
+// share the conn's frame buffer, and every frame still arrives whole.
+func TestSockConcurrentSendsArriveWhole(t *testing.T) {
+	c, peer := unixPair(t)
+	const senders, frames = 4, 200
+	errs := make(chan error, senders)
+	for g := range senders {
+		go func() {
+			for i := range frames {
+				// Sizes vary so the shared buffer both grows and is reused.
+				p := bytes.Repeat([]byte{byte(g)}, 1+(i*37)%3000)
+				if err := c.Send(Msg{Type: FrameApp + uint8(g), Payload: p}); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for i := 0; i < senders*frames; i++ {
+		m, err := peer.Recv(5 * time.Second)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		g := m.Type - FrameApp
+		if g >= senders || len(m.Payload) == 0 || !bytes.Equal(m.Payload, bytes.Repeat([]byte{g}, len(m.Payload))) {
+			t.Fatalf("frame %d of type %d carries another sender's bytes", i, m.Type)
+		}
+	}
+	for range senders {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSockCloseUnblocksSend: Close returns, and fails a Send blocked on
+// a peer that reads nothing, instead of waiting for it forever.
+func TestSockCloseUnblocksSend(t *testing.T) {
+	c, _ := unixPair(t)
+	sent := make(chan error, 1)
+	go func() { sent <- c.Send(Msg{Type: FrameApp, Payload: make([]byte, 8<<20)}) }()
+	time.Sleep(50 * time.Millisecond) // let the Send fill the socket's buffer
+	closed := make(chan struct{})
+	go func() { c.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waited on a Send to a peer that does not read")
+	}
+	if err := <-sent; err == nil {
+		t.Fatal("a Send cut off by Close reported success")
+	}
+}
+
 func TestTransportRecvTimeout(t *testing.T) {
 	for scheme, addr := range transportsUnderTest(t) {
 		t.Run(scheme, func(t *testing.T) {

@@ -145,13 +145,15 @@ func (l *sockListener) Close() error { return l.ln.Close() }
 func (l *sockListener) Addr() string { return l.ln.Addr().String() }
 
 // sockConn frames a stream socket. The write mutex serializes the
-// heartbeat goroutine with application sends; reads buffer through
-// bufio so small frames don't pay a syscall per header.
+// heartbeat goroutine with application sends, and guards the buffer
+// every frame is assembled in; reads buffer through bufio so small
+// frames don't pay a syscall per header.
 type sockConn struct {
 	c  gonet.Conn
 	br *bufio.Reader
 
 	wmu    sync.Mutex
+	wbuf   []byte // the last frame sent; its array is reused
 	closed bool
 	once   sync.Once
 }
@@ -166,7 +168,13 @@ func (s *sockConn) Send(m Msg) error {
 	if s.closed {
 		return ErrPeerClosed
 	}
-	return writeFrame(s.c, m.Type, m.Payload)
+	frame, err := frameFormat.Append(s.wbuf[:0], uint64(m.Type), m.Payload)
+	if err != nil {
+		return err
+	}
+	s.wbuf = frame
+	_, err = s.c.Write(frame)
+	return err
 }
 
 func (s *sockConn) Recv(timeout time.Duration) (Msg, error) {
@@ -190,12 +198,14 @@ func (s *sockConn) Recv(timeout time.Duration) (Msg, error) {
 
 func (s *sockConn) Close() error {
 	s.once.Do(func() {
+		// The deadline comes first: a Send blocked on a peer that does
+		// not read then gives the lock up within a second.
+		s.c.SetWriteDeadline(time.Now().Add(time.Second))
 		s.wmu.Lock()
 		if !s.closed {
 			s.closed = true
 			// Best-effort close marker so the peer sees a clean shutdown
 			// rather than a truncation.
-			s.c.SetWriteDeadline(time.Now().Add(time.Second))
 			writeFrame(s.c, frameClose, nil)
 		}
 		s.wmu.Unlock()
