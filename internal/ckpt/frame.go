@@ -84,16 +84,21 @@ func (f *Format) Write(w io.Writer, tag uint64, payload []byte) error {
 	return err
 }
 
-// Read reads one frame and returns its tag and payload. The frame body
-// goes into buf's array when that is big enough, else into a new one,
-// and the payload aliases it, never a copy: a caller that keeps
-// payloads passes nil, and one that decodes each before the next read
-// passes back the last payload. Short input is ErrTruncated, with the
+// Read reads one frame and returns its tag and payload. The frame goes
+// into buf's array when that is big enough, else into a new one, and
+// the payload aliases it, never a copy: a caller that keeps payloads
+// passes nil, and one that decodes each before the next read passes
+// back the last payload. Short input is ErrTruncated, with the
 // stream's own error still in the chain; malformed bytes are
 // ErrCorrupt. A new body buffer grows only as bytes arrive, so a lying
 // length field costs at most FirstChunk.
 func (f *Format) Read(r io.Reader, buf []byte) (tag uint64, payload []byte, err error) {
-	head := make([]byte, f.headerLen())
+	// The header is parsed and summed before the body overwrites it.
+	head := buf[:0]
+	if cap(head) < f.headerLen() {
+		head = make([]byte, 0, f.headerLen())
+	}
+	head = head[:f.headerLen()]
 	if got, err := io.ReadFull(r, head); err != nil {
 		if got >= 4 && string(head[:4]) != f.Magic {
 			return 0, nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, head[:4])
@@ -110,6 +115,7 @@ func (f *Format) Read(r io.Reader, buf []byte) (tag uint64, payload []byte, err 
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("%w: payload length %d exceeds %d", ErrCorrupt, n, MaxPayload)
 	}
+	tag, headSum := readLE(head[8:8+f.TagLen]), crc32.ChecksumIEEE(head)
 	// payload + trailing CRC: one allocation up to FirstChunk, then
 	// doubling as bytes arrive.
 	total := int(n) + 4
@@ -127,11 +133,11 @@ func (f *Format) Read(r io.Reader, buf []byte) (tag uint64, payload []byte, err 
 			return 0, nil, truncated(err)
 		}
 	}
-	sum := crc32.Update(crc32.ChecksumIEEE(head), crc32.IEEETable, body[:n])
+	sum := crc32.Update(headSum, crc32.IEEETable, body[:n])
 	if want := binary.LittleEndian.Uint32(body[n:]); want != sum {
 		return 0, nil, fmt.Errorf("%w: CRC mismatch (got %08x, want %08x)", ErrCorrupt, sum, want)
 	}
-	return readLE(head[8 : 8+f.TagLen]), body[:n], nil
+	return tag, body[:n], nil
 }
 
 // truncated wraps a stream error so it carries ErrTruncated while the

@@ -56,6 +56,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/ckpt"
 	"repro/internal/fault"
@@ -177,11 +178,25 @@ func (ge geom) halo(s int) (out, in rect, ok bool) {
 // (y+dy, x+dx).
 func (ge geom) origin() (dy, dx int) { return ge.top - ge.gTop, ge.left - ge.gLeft }
 
+// littleEndian reports whether this host stores a uint32 in the wire's
+// byte order, so a row of cells moves as one copy.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// rowBytes is a row of cells as its bytes in memory.
+func rowBytes(row []uint32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(row))), 4*len(row))
+}
+
 // appendRect appends the cells of r in g, shifted by (dy, dx),
 // row-major.
 func appendRect(b []byte, g *grid.Grid, r rect, dy, dx int) []byte {
 	for y := r.y0; y < r.y1; y++ {
-		for _, v := range g.Row(y + dy)[r.x0+dx : r.x1+dx] {
+		row := g.Row(y + dy)[r.x0+dx : r.x1+dx]
+		if littleEndian {
+			b = append(b, rowBytes(row)...)
+			continue
+		}
+		for _, v := range row {
 			b = binary.LittleEndian.AppendUint32(b, v)
 		}
 	}
@@ -193,6 +208,10 @@ func appendRect(b []byte, g *grid.Grid, r rect, dy, dx int) []byte {
 func readRect(p []byte, g *grid.Grid, r rect, dy, dx int) {
 	for y := r.y0; y < r.y1; y++ {
 		row := g.Row(y + dy)[r.x0+dx : r.x1+dx]
+		if littleEndian {
+			p = p[copy(rowBytes(row), p[:4*len(row)]):]
+			continue
+		}
 		for x := range row {
 			row[x] = binary.LittleEndian.Uint32(p)
 			p = p[4:]
@@ -716,6 +735,7 @@ type tally struct {
 type link struct {
 	conn pnet.Conn
 	out  []byte // send scratch
+	in   []byte // the last halo received; the next read refills it
 
 	tx, rx *fault.Link[[]uint32]
 	bufs   [2][]uint32 // tx payloads, by round parity
@@ -1013,12 +1033,14 @@ func (g *generation) recvHalo(s, round int) bool {
 		}
 		return true
 	}
-	// stop closes the conn, which ends the wait.
-	m, err := l.conn.Recv(0)
+	// stop closes the conn, which ends the wait. The halo is read into
+	// the previous one's array: it is decoded before the next read.
+	m, err := pnet.RecvInto(l.conn, 0, l.in)
 	if err != nil {
 		g.fail()
 		return false
 	}
+	l.in = m.Payload
 	gen, r, cells, err := decodeHalo(m.Payload, in)
 	if err != nil || m.Type != msgHalo || gen != g.gen || r != round {
 		g.fail()

@@ -500,3 +500,41 @@ func TestFleetCheckpointsMatchInProcess(t *testing.T) {
 		}
 	}
 }
+
+// TestRectCodecPortable: on a little-endian host appendRect and
+// readRect move each row as one copy; the cell-by-cell fallback other
+// hosts take must write and read the same bytes.
+func TestRectCodecPortable(t *testing.T) {
+	g := grid.New(7, 9)
+	for y := range 7 {
+		for x := range 9 {
+			g.Set(y, x, uint32(y)<<24|uint32(x)<<8|0xA5)
+		}
+	}
+	r, dy, dx := rect{1, 5, 2, 8}, 1, 0
+	fast := appendRect([]byte{0xEE}, g, r, dy, dx)
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	littleEndian = false
+	want := []byte{0xEE}
+	for y := r.y0; y < r.y1; y++ {
+		for x := r.x0; x < r.x1; x++ {
+			want = binary.LittleEndian.AppendUint32(want, g.Get(y+dy, x+dx))
+		}
+	}
+	if slow := appendRect([]byte{0xEE}, g, r, dy, dx); !slices.Equal(fast, want) || !slices.Equal(slow, want) {
+		t.Fatalf("appendRect wrote other bytes than the cells in little-endian order")
+	}
+	for _, le := range []bool{true, false} {
+		littleEndian = le
+		h := grid.New(7, 9)
+		readRect(want[1:], h, r, dy, dx)
+		for y := range 7 {
+			for x := range 9 {
+				inside := y-dy >= r.y0 && y-dy < r.y1 && x-dx >= r.x0 && x-dx < r.x1
+				if got := h.Get(y, x); (inside && got != g.Get(y, x)) || (!inside && got != 0) {
+					t.Fatalf("littleEndian=%v: readRect left cell (%d,%d) at %#x", le, y, x, got)
+				}
+			}
+		}
+	}
+}

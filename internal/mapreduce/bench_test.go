@@ -4,9 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
+
+	pnet "repro/internal/net"
 )
 
 // Engine throughput benchmarks, including the combiner's effect on
@@ -154,7 +159,7 @@ func benchShuffle1M(b *testing.B, naive bool) {
 	splits := splitInputs(uniformCorpus1M(), cfg.MapTasks)
 	mapOut := make([][]run[string, int], len(splits))
 	for t, split := range splits {
-		out, _, err := job.runMapTask(t, 1, split, cfg, nil)
+		out, _, err := job.runMapTask(new(collector[string, int]), nil, t, 1, split, cfg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,4 +234,104 @@ func BenchmarkShuffleManyKeys(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkFleetWorkerTasks is one fleet word-count worker's life in
+// the end-to-end benchmark's shape: 10k lines of a Zipf-skewed
+// 5000-word vocabulary split into 32 map tasks over 8 partitions with
+// a combiner, of which the worker serves 16 map frames and then 4
+// reduce frames. The frames are built outside the timer; read B/op
+// and cpu-ms/op (process CPU per worker life, GC included).
+func BenchmarkFleetWorkerTasks(b *testing.B) {
+	const nMap, nReduce = 32, 8
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.1, 1, 4999)
+	lines := make([]string, 10_000)
+	for i := range lines {
+		var sb strings.Builder
+		for w := range 6 + rng.Intn(10) {
+			if w > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString("w")
+			sb.WriteString(strconv.FormatUint(zipf.Uint64(), 36))
+		}
+		lines[i] = sb.String()
+	}
+	sum := func(vs []int) int {
+		s := 0
+		for _, v := range vs {
+			s += v
+		}
+		return s
+	}
+	job := &Job[string, string, int, string]{
+		Map: func(line string, emit func(string, int)) error {
+			for _, w := range strings.Fields(line) {
+				emit(w, 1)
+			}
+			return nil
+		},
+		Combine: func(k string, vs []int) ([]int, error) { return []int{sum(vs)}, nil },
+		Reduce: func(k string, vs []int, emit func(string)) error {
+			emit(k + " " + strconv.Itoa(sum(vs)))
+			return nil
+		},
+		Config: Config[string]{MapTasks: nMap, ReduceTasks: nReduce},
+	}
+	w := &Wire[string, string, int, string]{
+		AppendIn: AppendString, ReadIn: ReadString,
+		AppendKey: AppendString, ReadKey: ReadString,
+		AppendVal: AppendInt, ReadVal: ReadInt,
+		AppendOut: AppendString, ReadOut: ReadString,
+	}
+
+	// Every map task's reply, for the reduce frames, from the
+	// coordinator's own frame builders.
+	splits := splitInputs(lines, nMap)
+	f := &fleetRun[string, string, int, string]{fleetExec: &fleetExec{}, w: w}
+	md := &dispatcher[mapResult[string, int]]{}
+	f.maps(md, splits, nReduce)
+	var frames []pnet.Msg
+	mapOut := make([][]run[string, int], nMap)
+	for t := range splits {
+		m := f.msg(t)
+		if t < nMap/2 {
+			frames = append(frames, m)
+		}
+		reply, err := job.taskServer(w).serve(context.Background(), m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := md.decode(t, reply.Payload[4:])
+		if err != nil {
+			b.Fatal(err)
+		}
+		mapOut[t] = r.runs
+	}
+	rd := &dispatcher[partResult[string]]{}
+	f.reduces(rd, mapOut, nReduce)
+	for p := range nReduce / 2 {
+		frames = append(frames, f.msg(p))
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := cpuTime()
+	for range b.N {
+		s := job.taskServer(w)
+		for _, m := range frames {
+			if _, err := s.serve(context.Background(), m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(cpuTime()-start)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
+}
+
+// cpuTime is this process's user plus system CPU time.
+func cpuTime() time.Duration {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }

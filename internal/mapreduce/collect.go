@@ -1,9 +1,11 @@
 package mapreduce
 
-// collect.go is the map side of the shuffle: one collector per
-// map-task attempt groups pairs by key as they are emitted (Spark's
+// collect.go is the map side of the shuffle: a collector groups a
+// map-task attempt's pairs by key as they are emitted (Spark's
 // map-side combine), so a task's runs come from sorting its distinct
-// keys, never its pairs.
+// keys, never its pairs. A collector outlives its task, as Hadoop's
+// map-side sort buffer does: reset empties it for the next task and
+// keeps every array it has grown.
 
 import (
 	"cmp"
@@ -18,22 +20,49 @@ import (
 var ErrNaNKey = errors.New("mapreduce: NaN key")
 
 // collector gathers one map-task attempt's emissions, one hash-grouped
-// buffer per reduce partition.
+// buffer per reduce partition. A collector serves one task at a time;
+// reset readies it for the next. It is not copied once reset: emitFn
+// is bound to its address.
 type collector[K cmp.Ordered, V any] struct {
 	part    Partitioner[K]
 	parts   []partBuf[K, V]
 	emitted int
-	err     error // the first NaN key or out-of-range partition
+	err     error      // the first NaN key or out-of-range partition
+	emitFn  func(K, V) // emit as the mapper takes it, made once
 }
 
 // partBuf is one partition's emissions: slot i holds the i-th distinct
 // key (as first emitted), and emission e carried value vals[e] for key
-// slot slots[e].
+// slot slots[e]. order and next are run's sort scratch.
 type partBuf[K cmp.Ordered, V any] struct {
 	idx   map[K]int32
 	keys  []K
 	slots []int32
 	vals  []V
+	order []slotPref
+	next  []int32
+}
+
+// slotPref is a distinct key's sort element: its prefix and its slot.
+type slotPref struct {
+	pref uint64
+	slot int32
+}
+
+// reset empties c for a task routing by part over nReduce partitions.
+// Key maps are cleared and buffers truncated, so a task no bigger than
+// the ones before it grows nothing.
+func (c *collector[K, V]) reset(part Partitioner[K], nReduce int) {
+	c.part, c.emitted, c.err = part, 0, nil
+	if c.emitFn == nil {
+		c.emitFn = c.emit
+	}
+	c.parts = resize(c.parts, nReduce)
+	for p := range c.parts {
+		b := &c.parts[p]
+		clear(b.idx)
+		b.keys, b.slots, b.vals = b.keys[:0], b.slots[:0], b.vals[:0]
+	}
 }
 
 // emit routes one pair. The partition is computed per emission, so
@@ -68,34 +97,32 @@ func (c *collector[K, V]) emit(k K, v V) {
 }
 
 // runs builds every partition's sorted, span-compressed run, applying
-// combine (when non-nil) to each key's values.
-func (c *collector[K, V]) runs(combine Combiner[K, V]) ([]run[K, V], error) {
-	out := make([]run[K, V], len(c.parts))
+// combine (when non-nil) to each key's values. The runs go into out's
+// array and their own arrays when those are big enough: a caller that
+// keeps runs past its next task passes nil.
+func (c *collector[K, V]) runs(combine Combiner[K, V], out []run[K, V]) ([]run[K, V], error) {
+	out = resize(out, len(c.parts))
 	for p := range c.parts {
-		var err error
-		if out[p], err = c.parts[p].run(combine); err != nil {
+		if err := c.parts[p].run(combine, &out[p]); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-// run sorts the distinct keys by (prefix, key) — over pointer-free
-// (prefix, slot) elements, so the sort moves no strings — then
-// counting-sorts the values into key order. The counting sort is
-// stable, so each key keeps its emission order. A combiner returning
-// no values drops its key.
-func (b *partBuf[K, V]) run(combine Combiner[K, V]) (run[K, V], error) {
+// run fills r with the partition's run. It sorts the distinct keys by
+// (prefix, key) — over pointer-free (prefix, slot) elements, so the
+// sort moves no strings — then counting-sorts the values into key
+// order. The counting sort is stable, so each key keeps its emission
+// order. A combiner returning no values drops its key.
+func (b *partBuf[K, V]) run(combine Combiner[K, V], r *run[K, V]) error {
 	nk := len(b.keys)
+	*r = run[K, V]{keys: r.keys[:0], prefs: r.prefs[:0], offs: r.offs[:0], vals: r.vals[:0]}
 	if nk == 0 {
-		return run[K, V]{}, nil
-	}
-	type slotPref struct {
-		pref uint64
-		slot int32
+		return nil
 	}
 	class := prefixClass[K]()
-	order := make([]slotPref, nk)
+	order := resize(b.order, nk)
 	for s, k := range b.keys {
 		order[s] = slotPref{keyPrefix(k), int32(s)}
 	}
@@ -106,8 +133,11 @@ func (b *partBuf[K, V]) run(combine Combiner[K, V]) (run[K, V], error) {
 		return cmp.Compare(b.keys[x.slot], b.keys[y.slot]) // never 0: slots hold distinct keys
 	})
 
-	r := run[K, V]{keys: make([]K, nk), prefs: make([]uint64, nk), offs: make([]int32, nk+1)}
-	next := make([]int32, nk) // per slot: its count, then its fill cursor
+	r.keys, r.prefs, r.offs = resize(r.keys, nk), resize(r.prefs, nk), resize(r.offs, nk+1)
+	r.offs[0] = 0
+	next := resize(b.next, nk) // per slot: its count, then its fill cursor
+	clear(next)
+	b.order, b.next = order, next
 	for _, s := range b.slots {
 		next[s]++
 	}
@@ -116,13 +146,13 @@ func (b *partBuf[K, V]) run(combine Combiner[K, V]) (run[K, V], error) {
 		r.offs[i+1] = r.offs[i] + next[o.slot]
 		next[o.slot] = r.offs[i]
 	}
-	r.vals = make([]V, len(b.vals))
+	r.vals = resize(r.vals, len(b.vals))
 	for e, s := range b.slots {
 		r.vals[next[s]] = b.vals[e]
 		next[s]++
 	}
 	if combine == nil {
-		return r, nil
+		return nil
 	}
 
 	// Combine in place while the output stays behind the unread input;
@@ -133,7 +163,7 @@ func (b *partBuf[K, V]) run(combine Combiner[K, V]) (run[K, V], error) {
 		vs, err := combine(k, r.vals[lo:hi:hi])
 		lo = hi
 		if err != nil {
-			return run[K, V]{}, err
+			return err
 		}
 		if len(vs) == 0 {
 			continue
@@ -147,5 +177,5 @@ func (b *partBuf[K, V]) run(combine Combiner[K, V]) (run[K, V], error) {
 		r.offs[n] = int32(len(vals))
 	}
 	r.keys, r.prefs, r.offs, r.vals = r.keys[:n], r.prefs[:n], r.offs[:n+1], vals
-	return r, nil
+	return nil
 }

@@ -272,7 +272,7 @@ func TestMapTaskAllocsIndependentOfEmissions(t *testing.T) {
 			split[i] = i
 		}
 		return testing.AllocsPerRun(5, func() {
-			if _, _, err := job.runMapTask(0, 1, split, cfg, nil); err != nil {
+			if _, _, err := job.runMapTask(new(collector[string, int]), nil, 0, 1, split, cfg, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -284,6 +284,61 @@ func TestMapTaskAllocsIndependentOfEmissions(t *testing.T) {
 	// growths per buffer.
 	if bound := float64(parts * 2 * 11); large-small > bound {
 		t.Fatalf("map task allocates %.0f times at 10k emissions, %.0f at 100k: more than %.0f extra", small, large, bound)
+	}
+}
+
+// TestWarmCollectorAllocsOnlyRuns: a collector that has served a task
+// serves the next one over the same vocabulary without growing a key
+// map or a buffer. Building its runs on fresh arrays is all a task
+// allocates, and a task allocates nothing when the previous task's
+// runs are handed back, as a fleet worker does.
+func TestWarmCollectorAllocsOnlyRuns(t *testing.T) {
+	vocab := make([]string, 100)
+	for i := range vocab {
+		vocab[i] = fmt.Sprintf("word%02d", i)
+	}
+	cfg := Config[string]{ReduceTasks: 4}.withDefaults()
+	split := make([]int, 20_000)
+	for i := range split {
+		split[i] = i
+	}
+	for _, combine := range []bool{false, true} {
+		job := &Job[int, string, int, string]{
+			Map: func(r int, emit func(string, int)) error {
+				emit(vocab[r%len(vocab)], r)
+				return nil
+			},
+			Reduce: func(string, []int, func(string)) error { return nil },
+		}
+		if combine {
+			job.Combine = func(_ string, vs []int) ([]int, error) { return append(vs[:0], len(vs)), nil }
+		}
+		c := new(collector[string, int])
+		out, _, err := job.runMapTask(c, nil, 0, 1, split, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := testing.AllocsPerRun(20, func() {
+			if _, err := c.runs(job.Combine, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		fresh := testing.AllocsPerRun(20, func() {
+			if _, _, err := job.runMapTask(c, nil, 0, 1, split, cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		kept := testing.AllocsPerRun(5, func() {
+			if out, _, err = job.runMapTask(c, out, 0, 1, split, cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("combine=%v: a warm task allocates %.0f times (its runs alone %.0f), %.0f with the runs handed back",
+			combine, fresh, runs, kept)
+		if fresh > runs || kept > 0 {
+			t.Fatalf("combine=%v: a warm task allocates %.0f times, %.0f more than its runs; %.0f with its runs handed back (want 0)",
+				combine, fresh, fresh-runs, kept)
+		}
 	}
 }
 
@@ -343,7 +398,7 @@ func TestNaNKeyRejectedOnEveryMapPath(t *testing.T) {
 			payload := binary.LittleEndian.AppendUint32(nil, 0)
 			payload = binary.LittleEndian.AppendUint32(payload, 3)
 			payload = AppendInt(binary.LittleEndian.AppendUint32(payload, 1), 3)
-			_, err := job(cfg).serveTask(context.Background(), pnet.Msg{Type: mrMap, Payload: payload}, floatWire())
+			_, err := job(cfg).taskServer(floatWire()).serve(context.Background(), pnet.Msg{Type: mrMap, Payload: payload})
 			return err
 		},
 		// Workers report the NaN in a failure frame and keep serving;

@@ -208,7 +208,7 @@ func TestExternalShuffleLargerThanBudget(t *testing.T) {
 		mapOut := make([][]run[string, int], 32)
 		splits := splitInputs(corpus, 32)
 		for i, split := range splits {
-			out, _, err := probe.runMapTask(i, 1, split, cfg.withDefaults(), nil)
+			out, _, err := probe.runMapTask(new(collector[string, int]), nil, i, 1, split, cfg.withDefaults(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

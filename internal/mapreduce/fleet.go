@@ -133,24 +133,52 @@ func (j *Job[I, K, V, O]) FleetWorker(ctx context.Context, cfg pnet.WorkerConfig
 	if cfg.Proto == "" {
 		cfg.Proto = MRProto
 	}
+	s := j.taskServer(w)
 	return pnet.RunWorker(ctx, cfg, func(m pnet.Msg, send func(pnet.Msg) error) error {
-		reply, err := j.serveTask(ctx, m, w)
-		if err != nil {
-			if errors.Is(err, pnet.ErrWorkerDone) || len(m.Payload) < 4 {
-				return err
-			}
-			// The task's failure, not the worker's: report it and serve on.
-			reply = pnet.Msg{Type: mrFailed, Payload: append(m.Payload[:4:4], err.Error()...)}
-		}
-		return send(reply)
+		return s.handle(ctx, m, send)
 	})
 }
 
-// serveTask is a worker's handling of one coordinator frame: a map
-// task or a reduce partition, decoded, executed and encoded as the
-// reply; stop yields pnet.ErrWorkerDone.
-func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, K, V, O]) (pnet.Msg, error) {
-	buf := m.Payload
+// taskServer is a fleet worker's side of the task protocol. It serves
+// one frame at a time and keeps its task scratch for the worker's
+// whole life: a task's runs are encoded into its reply before the next
+// task refills their arrays, and a reply is sent (Conn.Send copies it)
+// before the next one is built in the same array.
+type taskServer[I any, K cmp.Ordered, V, O any] struct {
+	j       *Job[I, K, V, O]
+	w       *Wire[I, K, V, O]
+	c       collector[K, V]
+	records []I
+	out     []run[K, V]  // the last map task's runs
+	in      []run[K, V]  // the last reduce frame's runs, refilled by readRun
+	inp     []*run[K, V] // in, as the merge takes it
+	reply   []byte       // the last reply's payload
+}
+
+func (j *Job[I, K, V, O]) taskServer(w *Wire[I, K, V, O]) *taskServer[I, K, V, O] {
+	return &taskServer[I, K, V, O]{j: j, w: w}
+}
+
+// handle is the worker's frame handler: it answers m through send,
+// with mrFailed when the task fails.
+func (s *taskServer[I, K, V, O]) handle(ctx context.Context, m pnet.Msg, send func(pnet.Msg) error) error {
+	reply, err := s.serve(ctx, m)
+	if err != nil {
+		if errors.Is(err, pnet.ErrWorkerDone) || len(m.Payload) < 4 {
+			return err
+		}
+		// The task's failure, not the worker's: report it and serve on.
+		reply = pnet.Msg{Type: mrFailed, Payload: append(m.Payload[:4:4], err.Error()...)}
+	}
+	return send(reply)
+}
+
+// serve is a worker's handling of one coordinator frame: a map task or
+// a reduce partition, decoded, executed and encoded as the reply; stop
+// yields pnet.ErrWorkerDone. The reply's payload is valid until the
+// next frame is served.
+func (s *taskServer[I, K, V, O]) serve(ctx context.Context, m pnet.Msg) (pnet.Msg, error) {
+	j, w, buf := s.j, s.w, m.Payload
 	switch m.Type {
 	case mrMap:
 		if len(buf) < 8 {
@@ -165,7 +193,8 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 		if err != nil {
 			return pnet.Msg{}, err
 		}
-		records := make([]I, nRec)
+		records := resize(s.records, nRec)
+		s.records = records
 		for i := range records {
 			if records[i], buf, err = w.ReadIn(buf); err != nil {
 				return pnet.Msg{}, fmt.Errorf("%w: record %d: %w", errMalformed, i, err)
@@ -173,11 +202,12 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 		}
 		cfg := j.Config.withDefaults()
 		cfg.ReduceTasks = nReduce
-		out, emitted, err := j.runMapTask(task, 1, records, cfg, nil)
+		out, emitted, err := j.runMapTask(&s.c, s.out, task, 1, records, cfg, nil)
 		if err != nil {
 			return pnet.Msg{}, err
 		}
-		reply := binary.LittleEndian.AppendUint32(nil, uint32(task))
+		s.out = out
+		reply := binary.LittleEndian.AppendUint32(s.reply[:0], uint32(task))
 		reply = binary.LittleEndian.AppendUint32(reply, uint32(emitted))
 		reply = binary.LittleEndian.AppendUint32(reply, uint32(len(out)))
 		c := w.codec()
@@ -186,6 +216,7 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 			reply = c.appendRun(append(reply, 0, 0, 0, 0), &out[p])
 			binary.LittleEndian.PutUint32(reply[at:], uint32(len(reply)-at-4))
 		}
+		s.reply = reply
 		return pnet.Msg{Type: mrMapDone, Payload: reply}, nil
 	case mrReduce:
 		if len(buf) < 4 {
@@ -196,10 +227,14 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 		if err != nil {
 			return pnet.Msg{}, err
 		}
-		runs := make([]*run[K, V], nRuns)
+		if nRuns > len(s.in) {
+			s.in = append(s.in, make([]run[K, V], nRuns-len(s.in))...)
+		}
+		runs := resize(s.inp, nRuns)
+		s.inp = runs
 		c := w.codec()
 		for i := range runs {
-			runs[i] = new(run[K, V])
+			runs[i] = &s.in[i]
 			if buf, err = c.readRun(runs[i], buf); err != nil {
 				return pnet.Msg{}, err
 			}
@@ -210,13 +245,14 @@ func (j *Job[I, K, V, O]) serveTask(ctx context.Context, m pnet.Msg, w *Wire[I, 
 		if err != nil {
 			return pnet.Msg{}, err
 		}
-		reply := binary.LittleEndian.AppendUint32(nil, uint32(p))
+		reply := binary.LittleEndian.AppendUint32(s.reply[:0], uint32(p))
 		reply = binary.LittleEndian.AppendUint32(reply, uint32(r.pairs))
 		reply = binary.LittleEndian.AppendUint32(reply, uint32(r.groups))
 		reply = binary.LittleEndian.AppendUint32(reply, uint32(len(r.out)))
 		for _, o := range r.out {
 			reply = w.AppendOut(reply, o)
 		}
+		s.reply = reply
 		return pnet.Msg{Type: mrReduceDone, Payload: reply}, nil
 	case mrStop:
 		return pnet.Msg{}, pnet.ErrWorkerDone

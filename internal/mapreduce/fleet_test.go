@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -346,13 +347,15 @@ func mapFrame(task, nReduce int, split []string) []byte {
 // decoding error. An accepted map frame's reply must equal what the
 // coordinator computes in process for the same records, and an
 // accepted reduce frame's reply must decode with nothing left over.
-// testdata/fuzz/FuzzServeTask holds the crafted inputs: a run header
-// claiming 2^31 keys, offsets past the values, and a map frame for 0
-// (or 2^32-1) reduce partitions.
+// Every accepted frame is served again by a worker whose scratch
+// already served a map and a reduce frame, and must get the same
+// reply. testdata/fuzz/FuzzServeTask holds the crafted inputs: a run
+// header claiming 2^31 keys, offsets past the values, and a map frame
+// for 0 (or 2^32-1) reduce partitions.
 func FuzzServeTask(f *testing.F) {
 	w := StringIntWire()
 	job := wordCountJob(Config[string]{})
-	runs, _, err := job.runMapTask(0, 1, corpus, Config[string]{ReduceTasks: 2}.withDefaults(), nil)
+	runs, _, err := job.runMapTask(new(collector[string, int]), nil, 0, 1, corpus, Config[string]{ReduceTasks: 2}.withDefaults(), nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -362,15 +365,26 @@ func FuzzServeTask(f *testing.F) {
 	f.Add(mrMap, mapFrame(3, 2, corpus))
 	f.Add(mrReduce, reduce)
 	f.Add(mrStop, []byte{})
+	warmup := []pnet.Msg{{Type: mrMap, Payload: mapFrame(1, 5, fleetCorpus(60))}, {Type: mrReduce, Payload: reduce}}
 
 	f.Fuzz(func(t *testing.T, typ byte, p []byte) {
-		reply, err := job.serveTask(context.Background(), pnet.Msg{Type: typ, Payload: p}, w)
+		reply, err := job.taskServer(w).serve(context.Background(), pnet.Msg{Type: typ, Payload: p})
 		if err != nil {
 			if !errors.Is(err, errMalformed) && !errors.Is(err, pnet.ErrWorkerDone) &&
 				!strings.Contains(err.Error(), "unexpected frame type") {
 				t.Fatalf("unnamed error: %v", err)
 			}
 			return
+		}
+		warm := job.taskServer(w)
+		for _, m := range warmup {
+			if _, err := warm.serve(context.Background(), m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		again, err := warm.serve(context.Background(), pnet.Msg{Type: typ, Payload: p})
+		if err != nil || again.Type != reply.Type || !bytes.Equal(again.Payload, reply.Payload) {
+			t.Fatalf("a warmed worker replies differently (err %v)", err)
 		}
 		switch typ {
 		case mrMap:
@@ -382,7 +396,7 @@ func FuzzServeTask(f *testing.F) {
 				records = append(records, rec)
 			}
 			cfg := Config[string]{ReduceTasks: nReduce}.withDefaults()
-			out, emitted, err := job.runMapTask(0, 1, records, cfg, nil)
+			out, emitted, err := job.runMapTask(new(collector[string, int]), nil, 0, 1, records, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -408,6 +422,140 @@ func FuzzServeTask(f *testing.F) {
 	})
 }
 
+// reduceFrame builds partition p's reduce frame from map replies
+// (each without its task id) as the coordinator does: the partition's
+// non-empty runs in task order.
+func reduceFrame(t *testing.T, p, nReduce int, replies ...[]byte) []byte {
+	t.Helper()
+	var runs [][]byte
+	for _, r := range replies {
+		_, rs, err := readMapReply[string, int](r, nReduce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs[p].wireKeys > 0 {
+			runs = append(runs, rs[p].wire)
+		}
+	}
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(p))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(runs)))
+	for _, r := range runs {
+		buf = append(buf, r...)
+	}
+	return buf
+}
+
+// TestWorkerCollectorReuseMatchesFresh: one worker's handler serves a
+// sequence of frames through the collector and runs it keeps, and
+// each reply is byte for byte what a fresh worker sends for the same
+// frame — across splits big and empty, partition counts 8, 3, 8,
+// reduce frames in between, and a map task that fails on a NaN key
+// part-way through its split.
+func TestWorkerCollectorReuseMatchesFresh(t *testing.T) {
+	ctx := context.Background()
+	type handler func(pnet.Msg, func(pnet.Msg) error) error
+	serve := func(t *testing.T, h handler, m pnet.Msg) pnet.Msg {
+		t.Helper()
+		var got []pnet.Msg
+		if err := h(m, func(r pnet.Msg) error {
+			got = append(got, pnet.Msg{Type: r.Type, Payload: bytes.Clone(r.Payload)})
+			return nil
+		}); err != nil || len(got) != 1 {
+			t.Fatalf("frame type %d: err %v, %d replies", m.Type, err, len(got))
+		}
+		return got[0]
+	}
+	same := func(t *testing.T, kept, fresh handler, m pnet.Msg) pnet.Msg {
+		t.Helper()
+		got, want := serve(t, kept, m), serve(t, fresh, m)
+		if got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("kept collector's reply (type %d, %d bytes) differs from a fresh one's (type %d, %d bytes)",
+				got.Type, len(got.Payload), want.Type, len(want.Payload))
+		}
+		return got
+	}
+
+	lines := fleetCorpus(300)
+	for _, combine := range []bool{false, true} {
+		t.Run(fmt.Sprintf("combine=%v", combine), func(t *testing.T) {
+			job := wordCountJob(Config[string]{})
+			if combine {
+				job.Combine = func(k string, vs []int) ([]int, error) {
+					sum := 0
+					for _, v := range vs {
+						sum += v
+					}
+					return append(vs[:0], sum), nil
+				}
+			}
+			w := StringIntWire()
+			kept := job.taskServer(w)
+			keptH := func(m pnet.Msg, send func(pnet.Msg) error) error { return kept.handle(ctx, m, send) }
+			freshH := func(m pnet.Msg, send func(pnet.Msg) error) error {
+				return job.taskServer(w).handle(ctx, m, send)
+			}
+			mapMsg := func(task, nReduce int, split []string) pnet.Msg {
+				return pnet.Msg{Type: mrMap, Payload: mapFrame(task, nReduce, split)}
+			}
+			var replies8 [][]byte
+			for i, m := range []pnet.Msg{
+				mapMsg(0, 8, lines),
+				mapMsg(1, 8, nil),
+				mapMsg(2, 8, lines[:40]),
+				mapMsg(3, 3, lines[100:]),
+				mapMsg(4, 3, corpus),
+				mapMsg(5, 8, lines[7:230]),
+				mapMsg(6, 8, corpus),
+			} {
+				r := same(t, keptH, freshH, m)
+				if nReduce := binary.LittleEndian.Uint32(m.Payload[4:]); nReduce == 8 {
+					replies8 = append(replies8, r.Payload[4:])
+				}
+				if i == 2 || i == 6 {
+					for p := range 8 {
+						same(t, keptH, freshH, pnet.Msg{Type: mrReduce, Payload: reduceFrame(t, p, 8, replies8...)})
+					}
+				}
+			}
+		})
+	}
+
+	t.Run("nan", func(t *testing.T) {
+		job := &Job[int, float64, int, string]{
+			Map: func(r int, emit func(float64, int)) error {
+				emit(float64(r%17)/4, r)
+				if r == 33 {
+					emit(math.NaN(), r)
+				}
+				return nil
+			},
+			Reduce: func(k float64, vs []int, emit func(string)) error { return nil },
+		}
+		w := floatWire()
+		kept := job.taskServer(w)
+		keptH := func(m pnet.Msg, send func(pnet.Msg) error) error { return kept.handle(ctx, m, send) }
+		freshH := func(m pnet.Msg, send func(pnet.Msg) error) error {
+			return job.taskServer(w).handle(ctx, m, send)
+		}
+		frame := func(task, nReduce, lo, hi int) pnet.Msg {
+			buf := binary.LittleEndian.AppendUint32(nil, uint32(task))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(nReduce))
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(hi-lo))
+			for r := lo; r < hi; r++ {
+				buf = AppendInt(buf, r)
+			}
+			return pnet.Msg{Type: mrMap, Payload: buf}
+		}
+		same(t, keptH, freshH, frame(0, 8, 0, 30))
+		if r := same(t, keptH, freshH, frame(1, 3, 20, 60)); r.Type != mrFailed ||
+			!strings.Contains(string(r.Payload[4:]), ErrNaNKey.Error()) {
+			t.Fatalf("the NaN task answered type %d %q, want mrFailed naming ErrNaNKey", r.Type, r.Payload)
+		}
+		same(t, keptH, freshH, frame(2, 8, 40, 50))
+		same(t, keptH, freshH, frame(3, 3, 0, 100))
+	})
+}
+
 // FuzzMapReply feeds arbitrary bytes to the coordinator's map-reply
 // walker. Every input either walks or fails with errMalformed, and
 // none panics. An accepted reply has the partitions asked for, each
@@ -418,7 +566,7 @@ func FuzzServeTask(f *testing.F) {
 func FuzzMapReply(f *testing.F) {
 	job := wordCountJob(Config[string]{})
 	for _, nReduce := range []int{1, 3} {
-		reply, err := job.serveTask(context.Background(), pnet.Msg{Type: mrMap, Payload: mapFrame(0, nReduce, corpus)}, StringIntWire())
+		reply, err := job.taskServer(StringIntWire()).serve(context.Background(), pnet.Msg{Type: mrMap, Payload: mapFrame(0, nReduce, corpus)})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -474,7 +622,7 @@ func TestServeTaskRejectsCraftedFrames(t *testing.T) {
 		{"zero partitions", mrMap, mapFrame(0, 0, []string{"a b"}), errPartitions},
 		{"2^32-1 partitions", mrMap, mapFrame(0, 1<<32-1, []string{"a b"}), errPartitions},
 	} {
-		_, err := wordCountJob(Config[string]{}).serveTask(context.Background(), pnet.Msg{Type: tc.typ, Payload: tc.p}, StringIntWire())
+		_, err := wordCountJob(Config[string]{}).taskServer(StringIntWire()).serve(context.Background(), pnet.Msg{Type: tc.typ, Payload: tc.p})
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}

@@ -75,7 +75,7 @@ func TestFleetFrameGolden(t *testing.T) {
 	mapOut := make([][]run[string, int], len(splits))
 	for task := range splits {
 		m := f.msg(task)
-		reply, err := job.serveTask(context.Background(), m, f.w)
+		reply, err := job.taskServer(f.w).serve(context.Background(), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestFleetFrameGolden(t *testing.T) {
 	rd := &dispatcher[partResult[KV[string, int]]]{}
 	f.reduces(rd, mapOut, nReduce)
 	m := f.msg(0)
-	reply, err := job.serveTask(context.Background(), m, f.w)
+	reply, err := job.taskServer(f.w).serve(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

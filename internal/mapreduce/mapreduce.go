@@ -61,7 +61,9 @@ type Reducer[K cmp.Ordered, V, O any] func(key K, values []V, emit func(O)) erro
 // Combiner locally pre-reduces the values a single map task emitted
 // for one key, producing the (smaller) value list actually shuffled.
 // It must be semantically idempotent with respect to the reducer —
-// the classic MapReduce combiner contract.
+// the classic MapReduce combiner contract. The values slice is owned
+// by the caller; combiners must not retain it, since its array holds
+// the next task's values.
 type Combiner[K cmp.Ordered, V any] func(key K, values []V) ([]V, error)
 
 // Partitioner assigns a key to one of nReduce partitions. It must be
@@ -356,8 +358,9 @@ func (j *Job[I, K, V, O]) execute(ctx context.Context, splits [][]I, records int
 	mapOut := make([][]run[K, V], len(splits))
 	pr := startProgress(cfg.Obs.Progress, len(splits), cfg.ReduceTasks)
 	mapDone := 0
+	free := make(collectors[K, V], cfg.Parallelism)
 	d := newDispatcher(ctx, "map", len(splits), cfg, func(a attempt) (mapResult[K, V], error) {
-		return j.mapAttempt(a, splits[a.task], cfg, inj, spec)
+		return j.mapAttempt(a, splits[a.task], cfg, inj, spec, free)
 	}, func(a attempt, r mapResult[K, V]) error {
 		mapOut[a.task] = r.runs
 		if ext != nil {
@@ -395,10 +398,34 @@ func (j *Job[I, K, V, O]) execute(ctx context.Context, splits [][]I, records int
 	return out, stats, nil
 }
 
+// collectors is a run's free list of map-task collectors. It keeps at
+// most Parallelism of them, the tasks the goroutine executor runs at
+// once, so a speculative copy past that count builds its own.
+type collectors[K cmp.Ordered, V any] chan *collector[K, V]
+
+func (f collectors[K, V]) get() *collector[K, V] {
+	select {
+	case c := <-f:
+		return c
+	default:
+		return new(collector[K, V])
+	}
+}
+
+func (f collectors[K, V]) put(c *collector[K, V]) {
+	select {
+	case f <- c:
+	default:
+	}
+}
+
 // mapAttempt runs one attempt of map task a.task over split: from the
-// task's spill file when a valid one exists, else through the mapper,
-// persisting the runs when the job spills.
-func (j *Job[I, K, V, O]) mapAttempt(a attempt, split []I, cfg Config[K], inj *fault.Injector, spec SpecConfig) (r mapResult[K, V], err error) {
+// task's spill file when a valid one exists, else through the mapper
+// on a collector from free, persisting the runs when the job spills.
+// The runs are on arrays of their own: they outlive the collector's
+// next task.
+func (j *Job[I, K, V, O]) mapAttempt(a attempt, split []I, cfg Config[K], inj *fault.Injector, spec SpecConfig,
+	free collectors[K, V]) (r mapResult[K, V], err error) {
 	if spec.InjectDelay != nil {
 		time.Sleep(spec.InjectDelay(a.task, a.copy))
 	}
@@ -416,7 +443,9 @@ func (j *Job[I, K, V, O]) mapAttempt(a attempt, split []I, cfg Config[K], inj *f
 			return r, nil
 		}
 	}
-	r.runs, r.emitted, err = j.runMapTask(a.task, a.n, split, cfg, inj)
+	c := free.get()
+	r.runs, r.emitted, err = j.runMapTask(c, nil, a.task, a.n, split, cfg, inj)
+	free.put(c)
 	span("map", obs.Arg{Key: "records", Value: int64(len(split))}, obs.Arg{Key: "emitted", Value: int64(r.emitted)})
 	if err != nil || j.Spill == nil {
 		return r, err
@@ -552,29 +581,32 @@ func (j *Job[I, K, V, O]) reduceTasks(ctx context.Context, cfg Config[K], mapOut
 	return out, err
 }
 
-// runMapTask executes one attempt of map task t: a fresh collector
-// groups the split's emissions by key as the mapper emits them, then
-// builds each partition's sorted, span-compressed run (with map-side
-// combining applied per key, so combiner jobs shrink data before the
-// shuffle ever sees it). This happens at map-task granularity, inside
-// the already-parallel map phase — the shuffle then only merges.
-// Injected failures are keyed by (map, attempt, task). It returns the
-// per-partition runs and the raw emission count.
-func (j *Job[I, K, V, O]) runMapTask(t, attempt int, split []I, cfg Config[K], inj *fault.Injector) ([]run[K, V], int, error) {
-	if inj.TaskFails("map", attempt, t) {
+// runMapTask executes one attempt of map task t: collector c, reset
+// for the task, groups the split's emissions by key as the mapper
+// emits them, then builds each partition's sorted, span-compressed
+// run (with map-side combining applied per key, so combiner jobs
+// shrink data before the shuffle ever sees it). This happens at
+// map-task granularity, inside the already-parallel map phase — the
+// shuffle then only merges. Injected failures are keyed by (map,
+// attempt, task). It returns the per-partition runs, built into out's
+// arrays as collector.runs does, and the raw emission count.
+func (j *Job[I, K, V, O]) runMapTask(c *collector[K, V], out []run[K, V], t, attempt int, split []I, cfg Config[K],
+	inj *fault.Injector) ([]run[K, V], int, error) {
+	// Guarded: the variadic key escapes, so an unguarded call allocates
+	// per task even with injection off.
+	if inj != nil && inj.TaskFails("map", attempt, t) {
 		return nil, 0, fault.ErrInjected
 	}
-	c := &collector[K, V]{part: cfg.Partitioner, parts: make([]partBuf[K, V], cfg.ReduceTasks)}
-	emit := c.emit // one method value for the whole split
+	c.reset(cfg.Partitioner, cfg.ReduceTasks)
 	for _, rec := range split {
-		if err := j.Map(rec, emit); err != nil {
+		if err := j.Map(rec, c.emitFn); err != nil {
 			return nil, c.emitted, err
 		}
 	}
 	if c.err != nil {
 		return nil, c.emitted, c.err
 	}
-	parts, err := c.runs(j.Combine)
+	parts, err := c.runs(j.Combine, out)
 	return parts, c.emitted, err
 }
 

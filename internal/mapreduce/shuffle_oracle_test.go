@@ -123,11 +123,12 @@ func TestShuffleOracleRandomizedEquivalence(t *testing.T) {
 // makeRun builds a span-compressed run from raw (unsorted) pairs the
 // way the map side does: through a one-partition collector.
 func makeRun[K cmp.Ordered, V any](pairs []KV[K, V]) run[K, V] {
-	c := &collector[K, V]{part: func(K, int) int { return 0 }, parts: make([]partBuf[K, V], 1)}
+	var c collector[K, V]
+	c.reset(func(K, int) int { return 0 }, 1)
 	for _, kv := range pairs {
 		c.emit(kv.Key, kv.Value)
 	}
-	parts, err := c.runs(nil)
+	parts, err := c.runs(nil, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -70,8 +70,12 @@ func writeFrame(w io.Writer, typ uint8, payload []byte) error {
 
 // readFrame reads one frame. A close marker returns ErrPeerClosed; any
 // short read returns ErrTruncated; malformed bytes return ErrCorrupt.
-func readFrame(r io.Reader) (uint8, []byte, error) {
-	typ, payload, err := frameFormat.Read(r, nil)
+func readFrame(r io.Reader) (uint8, []byte, error) { return readFrameInto(r, nil) }
+
+// readFrameInto is readFrame into buf's array when it is big enough
+// (ckpt.Format.Read).
+func readFrameInto(r io.Reader, buf []byte) (uint8, []byte, error) {
+	typ, payload, err := frameFormat.Read(r, buf)
 	if err == nil && typ == uint64(frameClose) {
 		return frameClose, nil, ErrPeerClosed
 	}

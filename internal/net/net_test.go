@@ -3,6 +3,7 @@ package net
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -182,6 +183,37 @@ func TestSockSendAllocsNothing(t *testing.T) {
 		if err != nil || m.Type != FrameApp || !bytes.Equal(m.Payload, payload) {
 			t.Fatalf("frame %d: type %d payload %q, err %v", i, m.Type, m.Payload, err)
 		}
+	}
+}
+
+// TestRecvIntoSteadyStateAllocsNothing: a ghost rank's halo receive
+// hands its last payload back, so once the first halo has sized the
+// buffer a steady stream of halos over a unix socket allocates
+// nothing, and each still arrives whole. Recv, which keeps no buffer,
+// allocates every frame.
+func TestRecvIntoSteadyStateAllocsNothing(t *testing.T) {
+	c, peer := unixPair(t)
+	// A ghost/3 halo: the (generation, round) header and a 256-cell row.
+	halo := make([]byte, 12+4*256)
+	var buf []byte
+	round := func(recv func() (Msg, error)) {
+		binary.LittleEndian.PutUint64(halo[4:], binary.LittleEndian.Uint64(halo[4:])+1)
+		if err := c.Send(Msg{Type: FrameApp, Payload: halo}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := recv()
+		if err != nil || m.Type != FrameApp || !bytes.Equal(m.Payload, halo) {
+			t.Fatalf("halo %d: type %d, %d bytes, err %v", binary.LittleEndian.Uint64(halo[4:]), m.Type, len(m.Payload), err)
+		}
+		buf = m.Payload
+	}
+	into := func() (Msg, error) { return RecvInto(peer, 0, buf) }
+	round(into)
+	if n := testing.AllocsPerRun(100, func() { round(into) }); n != 0 {
+		t.Fatalf("a steady-state halo receive allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { round(func() (Msg, error) { return peer.Recv(0) }) }); n == 0 {
+		t.Fatal("Recv allocated nothing: the check above cannot tell the paths apart")
 	}
 }
 

@@ -46,6 +46,20 @@ type Conn interface {
 	RemoteAddr() string
 }
 
+// RecvInto is c.Recv with the frame read into buf's array when it is
+// big enough. A caller that decodes each payload before its next read
+// passes back the last one, and a steady stream of same-sized frames
+// then allocates nothing; one that keeps payloads calls Recv. Conns
+// without a buffered receive path (chan, wrappers) fall back to Recv.
+func RecvInto(c Conn, timeout time.Duration, buf []byte) (Msg, error) {
+	if r, ok := c.(interface {
+		recvInto(time.Duration, []byte) (Msg, error)
+	}); ok {
+		return r.recvInto(timeout, buf)
+	}
+	return c.Recv(timeout)
+}
+
 // Listener accepts inbound Conns.
 type Listener interface {
 	Accept() (Conn, error)
@@ -177,7 +191,9 @@ func (s *sockConn) Send(m Msg) error {
 	return err
 }
 
-func (s *sockConn) Recv(timeout time.Duration) (Msg, error) {
+func (s *sockConn) Recv(timeout time.Duration) (Msg, error) { return s.recvInto(timeout, nil) }
+
+func (s *sockConn) recvInto(timeout time.Duration, buf []byte) (Msg, error) {
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -185,7 +201,7 @@ func (s *sockConn) Recv(timeout time.Duration) (Msg, error) {
 	if err := s.c.SetReadDeadline(deadline); err != nil {
 		return Msg{}, err
 	}
-	typ, payload, err := readFrame(s.br)
+	typ, payload, err := readFrameInto(s.br, buf)
 	if err != nil {
 		var ne gonet.Error
 		if errors.As(err, &ne) && ne.Timeout() {
