@@ -91,8 +91,9 @@ soak-peachyd:
 # sequential kernel, the sweep, engine and ghost checkpoint decoders,
 # the -faults spec parser, the PFR1 frame codec under every fleet
 # protocol, the ghost and MapReduce fleet workers' frame decoders, the
-# MapReduce coordinator's map-reply walker, PCK1 snapshot files, PRN1 run files and every job kind's spec
-# validator. `go test` takes one -fuzz target per command.
+# MapReduce coordinator's map-reply walker, PCK1 snapshot files, PRN1
+# run files, every job kind's spec validator and the peachy runner's
+# done-set payload. `go test` takes one -fuzz target per command.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpCrossWorkers$$' -fuzztime 20s ./internal/des
 	$(GO) test -run '^$$' -fuzz '^FuzzWarpWorkflow$$' -fuzztime 20s ./internal/wfsched
@@ -107,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 20s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRunFile$$' -fuzztime 20s ./internal/mapreduce
 	$(GO) test -run '^$$' -fuzz '^FuzzValidateSpec$$' -fuzztime 20s ./internal/job/runners
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDone$$' -fuzztime 20s ./internal/job/runners
 
 # The end-to-end benchmark (bench/, run by `bash bench/run.sh`) is its
 # own Go module, so the root `go test ./...` never reaches it. Vet it

@@ -713,7 +713,7 @@ type generation struct {
 	abort, done    chan struct{}
 	report         []byte // send scratch; Send does not retain payloads
 	spent          tally  // the open window's work
-	ranked         bool   // some link is a conn: exchange in rank order
+	ranked         bool   // some conn's halo tops pipelineHalo: exchange in rank order
 	mu             sync.Mutex
 	links          [nSides]*link
 	over, broken   bool
@@ -962,30 +962,50 @@ func (g *generation) attach(s int, conn pnet.Conn) bool {
 		return false
 	}
 	g.links[s] = &link{conn: conn}
-	g.ranked = true
+	if !g.w.b.pipelined(s) {
+		g.ranked = true
+	}
 	return true
 }
 
+// pipelineHalo bounds the halo payload a conn may carry in a phase that
+// sends before it receives. A neighbour is at most one round ahead, so
+// at most two such frames a direction are ever unread, far below a
+// unix or tcp socket's default send buffer: the sends cannot block.
+const pipelineHalo = 8 << 10
+
+// pipelined reports whether the halo frames on side s fit pipelineHalo.
+// The neighbour's frames fill the same rectangle's cells.
+func (ge geom) pipelined(s int) bool {
+	out, _, _ := ge.halo(s)
+	return headerLen+4*out.cells() <= pipelineHalo
+}
+
 // exchange fills the ghost zones for round: E/W first, then N/S over
-// the full local width, which carries the corners just received. A
-// send on a conn can wait for its neighbour to read, so once a link
-// is a conn each phase resolves in rank order: the rank receives from
-// its lower neighbour (W, N) before it sends back, and sends to its
-// higher one (E, S) before it receives. A row or column then completes
-// from its lowest rank up, whatever the halo's size. Links in this
-// process never block a send, so ranks linked only by them send both
-// halos, then receive both.
+// the full local width, which carries the corners just received.
 func (g *generation) exchange(round int) bool {
+	return g.phase(west, east, round) && g.phase(north, south, round)
+}
+
+// phase exchanges the halos of the lower side lo (W or N) and the
+// higher side hi (E or S). A send on a conn can wait for its neighbour
+// to read, so once some conn carries a halo past pipelineHalo each
+// phase resolves in rank order: the rank receives from its lower
+// neighbour before it sends back, and sends to its higher one before
+// it receives. A row or column then completes from its lowest rank up,
+// whatever the halo's size. Otherwise no send can block (links in this
+// process, and conns whose halos fit the bound), so the sends go first
+// and the receives after them, and neither neighbour waits a round
+// trip. Both ends of a link size the same rectangle, so a link whose
+// halo tops the bound has both ends in rank order; on any other link
+// a send cannot block, whichever order either end runs.
+func (g *generation) phase(lo, hi, round int) bool {
 	if g.ranked {
-		return g.recvHalo(west, round) && g.sendHalo(west, round) &&
-			g.sendHalo(east, round) && g.recvHalo(east, round) &&
-			g.recvHalo(north, round) && g.sendHalo(north, round) &&
-			g.sendHalo(south, round) && g.recvHalo(south, round)
+		return g.recvHalo(lo, round) && g.sendHalo(lo, round) &&
+			g.sendHalo(hi, round) && g.recvHalo(hi, round)
 	}
-	return g.sendHalo(west, round) && g.sendHalo(east, round) &&
-		g.recvHalo(west, round) && g.recvHalo(east, round) &&
-		g.sendHalo(north, round) && g.sendHalo(south, round) &&
-		g.recvHalo(north, round) && g.recvHalo(south, round)
+	return g.sendHalo(lo, round) && g.sendHalo(hi, round) &&
+		g.recvHalo(lo, round) && g.recvHalo(hi, round)
 }
 
 func (g *generation) sendHalo(s, round int) bool {

@@ -431,6 +431,90 @@ func TestFleetLargeHalosOverSockets(t *testing.T) {
 	}
 }
 
+// TestFleetSmallHalosPipelined runs halos at the pipelining bound over
+// unix and tcp: 2 strips whose halos are K full rows, and 2x2 blocks
+// whose N/S halos span a block's local width, each with the largest
+// halo that fits pipelineHalo (sent before its phase's receives) and
+// with one cell more (exchanged in rank order). Each run must finish
+// with the in-process run's grid and report. A checkpoint every 8
+// rounds ends a window, so the 20 rounds span three windows.
+func TestFleetSmallHalosPipelined(t *testing.T) {
+	const K, H, rounds, every = 1, 8, 20, 8
+	fit := (pipelineHalo - headerLen) / 4 // the most cells a pipelined halo holds
+	for _, scheme := range []string{"unix", "tcp"} {
+		for _, tc := range []struct {
+			name  string
+			ranks int
+			cells int           // in each N/S halo
+			width func(int) int // the grid width whose N/S halos hold cells
+			opts  []Option
+		}{
+			{"strips/fit", 2, fit, func(c int) int { return c / K }, []Option{WithRanks(2)}},
+			{"strips/past", 2, fit + 1, func(c int) int { return c / K }, []Option{WithRanks(2)}},
+			{"blocks/fit", 4, fit, func(c int) int { return 2 * (c/K - K) }, []Option{WithProcessGrid(2, 2)}},
+			{"blocks/past", 4, fit + 1, func(c int) int { return 2 * (c/K - K) }, []Option{WithProcessGrid(2, 2)}},
+		} {
+			t.Run(scheme+"/"+tc.name, func(t *testing.T) {
+				dir, err := os.MkdirTemp("", "gf")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer os.RemoveAll(dir)
+				listen := "127.0.0.1:0"
+				if scheme == "unix" {
+					listen = filepath.Join(dir, "c.sock")
+				}
+				opts := func(name string) []Option {
+					store, err := ckpt.Open(filepath.Join(dir, name), "ghost")
+					if err != nil {
+						t.Fatal(err)
+					}
+					return append(tc.opts, WithWidth(K), WithMaxIters(K*rounds),
+						WithCheckpoint(ckpt.NewCheckpointer(store, every, false)))
+				}
+				mk := func() *grid.Grid { return sandpile.Center(1<<30).Build(H, tc.width(tc.cells), nil) }
+
+				// Every N/S halo holds the chosen cells; the blocks' E/W
+				// halos are small.
+				r := New(mk(), opts("geom")...)
+				geoms, err := decompose(r.g, &r.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id, ge := range geoms {
+					for s := range nSides {
+						out, _, ok := ge.halo(s)
+						if !ok {
+							continue
+						}
+						if s >= north && out.cells() != tc.cells {
+							t.Fatalf("rank %d side %d: %d-cell halo, want %d", id, s, out.cells(), tc.cells)
+						}
+						if want := s < north || tc.cells <= fit; ge.pipelined(s) != want {
+							t.Fatalf("rank %d side %d: %d-cell halo pipelined %v, want %v", id, s, out.cells(), !want, want)
+						}
+					}
+				}
+
+				want := mk()
+				inRep, err := New(want, opts("in")...).Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inRep.Exchanges != rounds {
+					t.Fatalf("the run stops after %d rounds, not %d", inRep.Exchanges, rounds)
+				}
+				tr, _ := pnet.New(scheme)
+				g := mk()
+				rep, _ := runFleetGrid(t, g, opts("fleet"), tr, listen, tc.ranks)
+				if !g.Equal(want) || !sameReport(rep, inRep) {
+					t.Fatalf("fleet %+v != in-process %+v", rep, inRep)
+				}
+			})
+		}
+	}
+}
+
 // sameReport compares every Report field a fleet run shares with the
 // in-process run.
 func sameReport(a, b Report) bool {

@@ -102,21 +102,33 @@ func encodeDone(done []string) []byte {
 	return e.Bytes()
 }
 
+// decodeDone decodes a done-set snapshot of the given epoch, which is
+// its experiment count. Every failure wraps ckpt.ErrCorrupt. The count
+// is checked against the epoch and against the bytes left, at least 4
+// per ID, before the IDs are sized from it.
 func decodeDone(payload []byte, epoch uint64) ([]string, error) {
 	dec := ckpt.NewDec(payload)
-	if tag := dec.U32(); tag != peachyPayload {
-		return nil, fmt.Errorf("snapshot has payload tag %d, want %d", tag, peachyPayload)
+	tag, n := dec.U32(), dec.U64()
+	left := uint64(len(dec.Rest()))
+	switch {
+	case dec.Err() != nil:
+		return nil, fmt.Errorf("%w: done-set snapshot of %d bytes has no header", ckpt.ErrCorrupt, len(payload))
+	case tag != peachyPayload:
+		return nil, fmt.Errorf("%w: snapshot has payload tag %d, want %d", ckpt.ErrCorrupt, tag, peachyPayload)
+	case n != epoch:
+		return nil, fmt.Errorf("%w: snapshot epoch %d holds %d experiments", ckpt.ErrCorrupt, epoch, n)
+	case n > left/4:
+		return nil, fmt.Errorf("%w: %d experiments in %d bytes", ckpt.ErrCorrupt, n, left)
 	}
-	n := dec.U64()
 	ids := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && dec.Err() == nil; i++ {
 		ids = append(ids, dec.Str())
 	}
 	if err := dec.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: done-set snapshot cut off in its IDs", err)
 	}
-	if n != epoch {
-		return nil, fmt.Errorf("snapshot epoch %d holds %d experiments", epoch, n)
+	if rest := len(dec.Rest()); rest > 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the done-set snapshot's IDs", ckpt.ErrCorrupt, rest)
 	}
 	return ids, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -287,7 +288,8 @@ func BenchmarkFleetWorkerTasks(b *testing.B) {
 	}
 
 	// Every map task's reply, for the reduce frames, from the
-	// coordinator's own frame builders.
+	// coordinator's own frame builders. They build each frame in the
+	// last one's array, so the frames kept are clones.
 	splits := splitInputs(lines, nMap)
 	f := &fleetRun[string, string, int, string]{fleetExec: &fleetExec{}, w: w}
 	md := &dispatcher[mapResult[string, int]]{}
@@ -297,7 +299,7 @@ func BenchmarkFleetWorkerTasks(b *testing.B) {
 	for t := range splits {
 		m := f.msg(t)
 		if t < nMap/2 {
-			frames = append(frames, m)
+			frames = append(frames, pnet.Msg{Type: m.Type, Payload: slices.Clone(m.Payload)})
 		}
 		reply, err := job.taskServer(w).serve(context.Background(), m)
 		if err != nil {
@@ -312,7 +314,8 @@ func BenchmarkFleetWorkerTasks(b *testing.B) {
 	rd := &dispatcher[partResult[string]]{}
 	f.reduces(rd, mapOut, nReduce)
 	for p := range nReduce / 2 {
-		frames = append(frames, f.msg(p))
+		m := f.msg(p)
+		frames = append(frames, pnet.Msg{Type: m.Type, Payload: slices.Clone(m.Payload)})
 	}
 
 	b.ReportAllocs()

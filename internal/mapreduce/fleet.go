@@ -271,6 +271,9 @@ type fleetExec struct {
 	lost     []bool
 	msg      func(task int) pnet.Msg // the phase's task frame
 	doneType uint8                   // the phase's reply frame
+	// frame is the last task frame's payload. Every frame of the run is
+	// built in its array: Coordinator.Send does not retain a payload.
+	frame []byte
 }
 
 func (f *fleetExec) allLost() bool { return !slices.Contains(f.lost, false) }
@@ -309,12 +312,13 @@ func (f *fleetRun[I, K, V, O]) maps(d *dispatcher[mapResult[K, V]], splits [][]I
 	}
 	d.fleet, f.doneType = f.fleetExec, mrMapDone
 	f.msg = func(t int) pnet.Msg {
-		buf := binary.LittleEndian.AppendUint32(nil, uint32(t))
+		buf := binary.LittleEndian.AppendUint32(f.frame[:0], uint32(t))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(nReduce))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(splits[t])))
 		for _, rec := range splits[t] {
 			buf = f.w.AppendIn(buf, rec)
 		}
+		f.frame = buf
 		return pnet.Msg{Type: mrMap, Payload: buf}
 	}
 	d.decode = func(_ int, p []byte) (r mapResult[K, V], err error) {
@@ -377,11 +381,12 @@ func (f *fleetRun[I, K, V, O]) reduces(d *dispatcher[partResult[O]], mapOut [][]
 		for _, r := range partRuns[p] {
 			size += len(r.wire)
 		}
-		buf := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(p))
+		buf := binary.LittleEndian.AppendUint32(slices.Grow(f.frame[:0], size), uint32(p))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(partRuns[p])))
 		for _, r := range partRuns[p] {
 			buf = append(buf, r.wire...)
 		}
+		f.frame = buf
 		return pnet.Msg{Type: mrReduce, Payload: buf}
 	}
 	// A partition runs here only once every worker is lost, and no frame

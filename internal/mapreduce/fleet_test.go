@@ -692,3 +692,48 @@ func TestFleetCleanRunNoRedispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetFrameScratchAllocsNothing: the coordinator builds every map
+// and reduce frame in one array kept for the run, so once it has grown
+// to the largest frame, building one allocates nothing.
+func TestFleetFrameScratchAllocsNothing(t *testing.T) {
+	const nReduce = 3
+	job := wordCountJob(Config[string]{MapTasks: 4, ReduceTasks: nReduce})
+	splits := splitInputs(fleetCorpus(400), 4)
+	f := &fleetRun[string, string, int, KV[string, int]]{fleetExec: &fleetExec{}, w: StringIntWire()}
+
+	md := &dispatcher[mapResult[string, int]]{}
+	f.maps(md, splits, nReduce)
+	mapOut := make([][]run[string, int], len(splits))
+	for task := range splits {
+		reply, err := job.taskServer(f.w).serve(context.Background(), f.msg(task))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := md.decode(task, reply.Payload[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapOut[task] = r.runs
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for task := range splits {
+			f.msg(task)
+		}
+	}); n != 0 {
+		t.Errorf("building %d map frames allocates %v times", len(splits), n)
+	}
+
+	rd := &dispatcher[partResult[KV[string, int]]]{}
+	f.reduces(rd, mapOut, nReduce)
+	for p := range nReduce {
+		f.msg(p)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for p := range nReduce {
+			f.msg(p)
+		}
+	}); n != 0 {
+		t.Errorf("building %d reduce frames allocates %v times", nReduce, n)
+	}
+}

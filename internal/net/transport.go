@@ -161,7 +161,9 @@ func (l *sockListener) Addr() string { return l.ln.Addr().String() }
 // sockConn frames a stream socket. The write mutex serializes the
 // heartbeat goroutine with application sends, and guards the buffer
 // every frame is assembled in; reads buffer through bufio so small
-// frames don't pay a syscall per header.
+// frames don't pay a syscall per header. A body at least as big as the
+// read buffer bypasses it, straight into the payload, so the buffer
+// only needs to hold a few small frames.
 type sockConn struct {
 	c  gonet.Conn
 	br *bufio.Reader
@@ -173,7 +175,7 @@ type sockConn struct {
 }
 
 func newSockConn(c gonet.Conn) *sockConn {
-	return &sockConn{c: c, br: bufio.NewReaderSize(c, 1<<16)}
+	return &sockConn{c: c, br: bufio.NewReaderSize(c, 4<<10)}
 }
 
 func (s *sockConn) Send(m Msg) error {
